@@ -69,6 +69,27 @@ pub enum PolicyAction {
     Allow,
 }
 
+impl PolicyAction {
+    /// The stable wire name used by policy JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            PolicyAction::Prompt => "prompt",
+            PolicyAction::Deny => "deny",
+            PolicyAction::Allow => "allow",
+        }
+    }
+
+    /// Parses a wire name produced by [`PolicyAction::name`].
+    pub fn from_name(name: &str) -> Option<PolicyAction> {
+        match name {
+            "prompt" => Some(PolicyAction::Prompt),
+            "deny" => Some(PolicyAction::Deny),
+            "allow" => Some(PolicyAction::Allow),
+            _ => None,
+        }
+    }
+}
+
 /// One synthesized ECA rule.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Policy {

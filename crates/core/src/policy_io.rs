@@ -1,444 +1,213 @@
 //! Serialization of policy sets to and from JSON text.
 //!
 //! The paper's PDP is an on-device app that stores the synthesized
-//! policies; shipping them means serializing. The workspace dependency
-//! policy allows no JSON crates, so this module carries a small,
-//! well-tested JSON writer and recursive-descent parser specialized for
-//! the policy schema (objects, arrays, strings with escapes, integers).
+//! policies; shipping them means serializing. Policies go through the
+//! workspace's one JSON codec, [`separ_obs::json::Value`]: this module
+//! only maps the policy schema onto `Value` trees and back, so escaping,
+//! number formatting and syntax checking are the codec's.
 
-use std::fmt::Write as _;
+use separ_obs::json::Value;
 
 use crate::exploit::VulnKind;
 use crate::policy::{Condition, Policy, PolicyAction, PolicyEvent};
 
-/// Errors raised while parsing a policy document.
+/// Errors raised while reading a policy document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// Byte offset where parsing failed.
-    pub offset: usize,
+    /// Byte offset of a syntax error; `None` for a schema error, whose
+    /// message names the policy index and key instead.
+    pub offset: Option<usize>,
     /// What went wrong.
     pub message: String,
 }
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "policy parse error at byte {}: {}",
-            self.offset, self.message
-        )
+        match self.offset {
+            Some(offset) => write!(f, "policy parse error at byte {offset}: {}", self.message),
+            None => write!(f, "policy schema error: {}", self.message),
+        }
     }
 }
 
 impl std::error::Error for ParseError {}
 
-// ---------------------------------------------------------------------
-// Writing
-// ---------------------------------------------------------------------
-
-fn escape_into(out: &mut String, s: &str) {
-    // Shared workspace escaper (separ-obs); writes `s` quoted.
-    separ_obs::json::write_str(s, out);
+fn strings(list: &[String]) -> Value {
+    Value::Arr(list.iter().cloned().map(Value::Str).collect())
 }
 
-fn condition_to_json(out: &mut String, c: &Condition) {
-    let (kind, value): (&str, String) = match c {
-        Condition::ReceiverIs(v) => ("receiver_is", v.clone()),
-        Condition::SenderIs(v) => ("sender_is", v.clone()),
-        Condition::ActionIs(v) => ("action_is", v.clone()),
-        Condition::ExtraTagged(v) => ("extra_tagged", v.clone()),
-        Condition::SenderNotIn(list) => {
-            out.push_str("{\"kind\":\"sender_not_in\",\"values\":");
-            string_list(out, list);
-            out.push('}');
-            return;
-        }
-        Condition::ReceiverNotIn(list) => {
-            out.push_str("{\"kind\":\"receiver_not_in\",\"values\":");
-            string_list(out, list);
-            out.push('}');
-            return;
-        }
-        Condition::SenderAppNotIn(list) => {
-            out.push_str("{\"kind\":\"sender_app_not_in\",\"values\":");
-            string_list(out, list);
-            out.push('}');
-            return;
-        }
+fn condition_to_value(c: &Condition) -> Value {
+    let (kind, key, payload) = match c {
+        Condition::ReceiverIs(v) => ("receiver_is", "value", Value::Str(v.clone())),
+        Condition::SenderIs(v) => ("sender_is", "value", Value::Str(v.clone())),
+        Condition::ActionIs(v) => ("action_is", "value", Value::Str(v.clone())),
+        Condition::ExtraTagged(v) => ("extra_tagged", "value", Value::Str(v.clone())),
+        Condition::SenderNotIn(list) => ("sender_not_in", "values", strings(list)),
+        Condition::ReceiverNotIn(list) => ("receiver_not_in", "values", strings(list)),
+        Condition::SenderAppNotIn(list) => ("sender_app_not_in", "values", strings(list)),
     };
-    out.push_str("{\"kind\":");
-    escape_into(out, kind);
-    out.push_str(",\"value\":");
-    escape_into(out, &value);
-    out.push('}');
+    Value::Obj(vec![
+        ("kind".into(), Value::Str(kind.into())),
+        (key.into(), payload),
+    ])
 }
 
-fn string_list(out: &mut String, list: &[String]) {
-    out.push('[');
-    for (i, s) in list.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        escape_into(out, s);
-    }
-    out.push(']');
+/// The JSON tree of a policy set: an array of policy objects with keys
+/// `id`, `vulnerability`, `event`, `conditions`, `action`, `rationale`,
+/// in that order.
+pub fn to_value(policies: &[Policy]) -> Value {
+    Value::Arr(
+        policies
+            .iter()
+            .map(|p| {
+                Value::Obj(vec![
+                    ("id".into(), Value::Num(f64::from(p.id))),
+                    ("vulnerability".into(), Value::Str(p.vulnerability.clone())),
+                    ("event".into(), Value::Str(p.event.name().into())),
+                    (
+                        "conditions".into(),
+                        Value::Arr(p.conditions.iter().map(condition_to_value).collect()),
+                    ),
+                    ("action".into(), Value::Str(p.action.name().into())),
+                    ("rationale".into(), Value::Str(p.rationale.clone())),
+                ])
+            })
+            .collect(),
+    )
 }
 
 /// Serializes a policy set to JSON text.
 pub fn to_json(policies: &[Policy]) -> String {
-    let mut out = String::from("[");
-    for (i, p) in policies.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"id\":{},\"vulnerability\":", p.id);
-        escape_into(&mut out, &p.vulnerability);
-        out.push_str(",\"event\":");
-        escape_into(
-            &mut out,
-            match p.event {
-                PolicyEvent::IccSend => "icc_send",
-                PolicyEvent::IccReceive => "icc_receive",
-            },
-        );
-        out.push_str(",\"conditions\":[");
-        for (j, c) in p.conditions.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            condition_to_json(&mut out, c);
-        }
-        out.push_str("],\"action\":");
-        escape_into(
-            &mut out,
-            match p.action {
-                PolicyAction::Prompt => "prompt",
-                PolicyAction::Deny => "deny",
-                PolicyAction::Allow => "allow",
-            },
-        );
-        out.push_str(",\"rationale\":");
-        escape_into(&mut out, &p.rationale);
-        out.push('}');
-    }
-    out.push(']');
-    out
+    to_value(policies).to_string()
 }
 
-// ---------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn members(v: &Value) -> Result<&[(String, Value)], String> {
+    match v {
+        Value::Obj(members) => Ok(members),
+        _ => Err("not an object".into()),
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
-            offset: self.pos,
-            message: message.into(),
-        })
-    }
+fn items<'v>(key: &str, v: &'v Value) -> Result<&'v [Value], String> {
+    v.as_arr().ok_or_else(|| format!("'{key}' is not an array"))
+}
 
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
+fn text(key: &str, v: &Value) -> Result<String, String> {
+    v.as_str()
+        .map(str::to_owned)
+        .ok_or_else(|| format!("'{key}' is not a string"))
+}
+
+fn texts(key: &str, v: &Value) -> Result<Vec<String>, String> {
+    items(key, v)?.iter().map(|s| text(key, s)).collect()
+}
+
+fn condition_from_value(v: &Value) -> Result<Condition, String> {
+    let (mut kind, mut value, mut values) = (None, None, None);
+    for (key, v) in members(v)? {
+        match key.as_str() {
+            "kind" => kind = Some(text(key, v)?),
+            "value" => value = Some(text(key, v)?),
+            "values" => values = Some(texts(key, v)?),
+            other => return Err(format!("unknown condition key '{other}'")),
         }
     }
+    let kind = kind.ok_or("missing 'kind'")?;
+    let value = || value.ok_or(format!("'{kind}' missing 'value'"));
+    let values = || values.ok_or(format!("'{kind}' missing 'values'"));
+    Ok(match kind.as_str() {
+        "receiver_is" => Condition::ReceiverIs(value()?),
+        "sender_is" => Condition::SenderIs(value()?),
+        "action_is" => Condition::ActionIs(value()?),
+        "extra_tagged" => Condition::ExtraTagged(value()?),
+        "sender_not_in" => Condition::SenderNotIn(values()?),
+        "receiver_not_in" => Condition::ReceiverNotIn(values()?),
+        "sender_app_not_in" => Condition::SenderAppNotIn(values()?),
+        other => return Err(format!("unknown condition kind '{other}'")),
+    })
+}
 
-    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected '{}'", byte as char))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return self.err("unterminated string");
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return self.err("unterminated escape");
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return self.err("truncated \\u escape");
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| ParseError {
-                                    offset: self.pos,
-                                    message: "non-utf8 escape".into(),
-                                })?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| ParseError {
-                                offset: self.pos,
-                                message: "bad \\u escape".into(),
-                            })?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return self.err("unknown escape"),
-                    }
-                }
-                b if b < 0x20 => return self.err("control character in string"),
-                b => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    let len = match b {
-                        0x00..=0x7f => 0,
-                        0xc0..=0xdf => 1,
-                        0xe0..=0xef => 2,
-                        _ => 3,
-                    };
-                    let start = self.pos - 1;
-                    self.pos += len;
-                    if self.pos > self.bytes.len() {
-                        return self.err("truncated utf-8");
-                    }
-                    match std::str::from_utf8(&self.bytes[start..self.pos]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return self.err("invalid utf-8"),
-                    }
-                }
+fn policy_from_value(v: &Value) -> Result<Policy, String> {
+    let mut policy = Policy {
+        id: 0,
+        vulnerability: String::new(),
+        event: PolicyEvent::IccReceive,
+        conditions: Vec::new(),
+        action: PolicyAction::Prompt,
+        rationale: String::new(),
+    };
+    let (mut saw_event, mut saw_action) = (false, false);
+    for (key, v) in members(v)? {
+        match key.as_str() {
+            "id" => {
+                policy.id = v
+                    .as_u64()
+                    .and_then(|n| u32::try_from(n).ok())
+                    .ok_or("'id' is not an integer in u32 range")?
             }
+            "vulnerability" => policy.vulnerability = text(key, v)?,
+            "rationale" => policy.rationale = text(key, v)?,
+            "event" => {
+                let name = text(key, v)?;
+                policy.event = PolicyEvent::from_name(&name)
+                    .ok_or_else(|| format!("unknown event '{name}'"))?;
+                saw_event = true;
+            }
+            "action" => {
+                let name = text(key, v)?;
+                policy.action = PolicyAction::from_name(&name)
+                    .ok_or_else(|| format!("unknown action '{name}'"))?;
+                saw_action = true;
+            }
+            "conditions" => {
+                policy.conditions = items(key, v)?
+                    .iter()
+                    .enumerate()
+                    .map(|(j, c)| {
+                        condition_from_value(c).map_err(|e| format!("condition {j}: {e}"))
+                    })
+                    .collect::<Result<_, _>>()?
+            }
+            other => return Err(format!("unknown policy key '{other}'")),
         }
     }
+    if !saw_event || !saw_action {
+        return Err("missing 'event' or 'action'".into());
+    }
+    Ok(policy)
+}
 
-    fn integer(&mut self) -> Result<u32, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return self.err("expected integer");
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ascii")
-            .parse()
-            .map_err(|_| ParseError {
-                offset: start,
-                message: "integer out of range".into(),
-            })
-    }
-
-    fn string_array(&mut self) -> Result<Vec<String>, ParseError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.string()?);
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn condition(&mut self) -> Result<Condition, ParseError> {
-        self.expect(b'{')?;
-        let mut kind: Option<String> = None;
-        let mut value: Option<String> = None;
-        let mut values: Option<Vec<String>> = None;
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "kind" => kind = Some(self.string()?),
-                "value" => value = Some(self.string()?),
-                "values" => values = Some(self.string_array()?),
-                other => return self.err(format!("unknown condition key '{other}'")),
-            }
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-        let kind = kind.ok_or(ParseError {
-            offset: self.pos,
-            message: "condition missing 'kind'".into(),
-        })?;
-        let need_value = |v: Option<String>| {
-            v.ok_or(ParseError {
-                offset: self.pos,
-                message: format!("condition '{kind}' missing 'value'"),
-            })
-        };
-        let need_values = |v: Option<Vec<String>>| {
-            v.ok_or(ParseError {
-                offset: self.pos,
-                message: format!("condition '{kind}' missing 'values'"),
-            })
-        };
-        Ok(match kind.as_str() {
-            "receiver_is" => Condition::ReceiverIs(need_value(value)?),
-            "sender_is" => Condition::SenderIs(need_value(value)?),
-            "action_is" => Condition::ActionIs(need_value(value)?),
-            "extra_tagged" => Condition::ExtraTagged(need_value(value)?),
-            "sender_not_in" => Condition::SenderNotIn(need_values(values)?),
-            "receiver_not_in" => Condition::ReceiverNotIn(need_values(values)?),
-            "sender_app_not_in" => Condition::SenderAppNotIn(need_values(values)?),
-            other => {
-                return Err(ParseError {
-                    offset: self.pos,
-                    message: format!("unknown condition kind '{other}'"),
-                })
-            }
-        })
-    }
-
-    fn policy(&mut self) -> Result<Policy, ParseError> {
-        self.expect(b'{')?;
-        let mut policy = Policy {
-            id: 0,
-            vulnerability: String::new(),
-            event: PolicyEvent::IccReceive,
-            conditions: Vec::new(),
-            action: crate::policy::PolicyAction::Prompt,
-            rationale: String::new(),
-        };
-        let mut saw_event = false;
-        let mut saw_action = false;
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "id" => policy.id = self.integer()?,
-                "vulnerability" => policy.vulnerability = self.string()?,
-                "rationale" => policy.rationale = self.string()?,
-                "event" => {
-                    saw_event = true;
-                    policy.event = match self.string()?.as_str() {
-                        "icc_send" => PolicyEvent::IccSend,
-                        "icc_receive" => PolicyEvent::IccReceive,
-                        other => return self.err(format!("unknown event '{other}'")),
-                    };
-                }
-                "action" => {
-                    saw_action = true;
-                    policy.action = match self.string()?.as_str() {
-                        "prompt" => PolicyAction::Prompt,
-                        "deny" => PolicyAction::Deny,
-                        "allow" => PolicyAction::Allow,
-                        other => return self.err(format!("unknown action '{other}'")),
-                    };
-                }
-                "conditions" => {
-                    self.expect(b'[')?;
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                    } else {
-                        loop {
-                            policy.conditions.push(self.condition()?);
-                            match self.peek() {
-                                Some(b',') => {
-                                    self.pos += 1;
-                                }
-                                Some(b']') => {
-                                    self.pos += 1;
-                                    break;
-                                }
-                                _ => return self.err("expected ',' or ']'"),
-                            }
-                        }
-                    }
-                }
-                other => return self.err(format!("unknown policy key '{other}'")),
-            }
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-        if !saw_event || !saw_action {
-            return self.err("policy missing 'event' or 'action'");
-        }
-        Ok(policy)
-    }
+/// Reads a policy set from the JSON tree [`to_value`] produces.
+///
+/// # Errors
+///
+/// Returns a schema [`ParseError`] (no offset) naming the offending
+/// policy's index and key.
+pub fn from_value(doc: &Value) -> Result<Vec<Policy>, ParseError> {
+    let schema = |message: String| ParseError {
+        offset: None,
+        message,
+    };
+    doc.as_arr()
+        .ok_or_else(|| schema("document is not an array of policies".into()))?
+        .iter()
+        .enumerate()
+        .map(|(i, v)| policy_from_value(v).map_err(|e| schema(format!("policy {i}: {e}"))))
+        .collect()
 }
 
 /// Parses a policy set from JSON text produced by [`to_json`].
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first offending byte.
+/// Returns a [`ParseError`]: with the byte offset for malformed JSON,
+/// or naming the policy and key for a schema violation.
 pub fn from_json(text: &str) -> Result<Vec<Policy>, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.expect(b'[')?;
-    let mut out = Vec::new();
-    if p.peek() == Some(b']') {
-        p.pos += 1;
-    } else {
-        loop {
-            out.push(p.policy()?);
-            match p.peek() {
-                Some(b',') => {
-                    p.pos += 1;
-                }
-                Some(b']') => {
-                    p.pos += 1;
-                    break;
-                }
-                _ => return p.err("expected ',' or ']'"),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing data after policy array");
-    }
-    Ok(out)
+    let doc = Value::parse(text).map_err(|e| ParseError {
+        offset: Some(e.offset),
+        message: e.message,
+    })?;
+    from_value(&doc)
 }
 
 /// Convenience: serialize with the vulnerability names validated.

@@ -1,12 +1,12 @@
-//! Minimal JSON string escaping shared by every hand-rolled JSON writer
-//! in the workspace (trace exporters, policy I/O, lint output, CLI
-//! stats), plus a small generic [`Value`] tree with a strict parser for
-//! readers that must accept arbitrary documents (the `separ serve`
-//! wire protocol).
+//! The workspace's one JSON codec: string escaping shared by every JSON
+//! writer (trace exporters, lint output, CLI stats), plus a small
+//! generic [`Value`] tree with a strict parser. Policy sets ship through
+//! [`Value`] (`separ_core::policy_io` maps the policy schema onto it), as
+//! do the `separ serve` wire protocol, store manifest and audit log.
 //!
-//! The workspace writes JSON by hand (no serde under the offline-shim
-//! policy); the subtle parts — string escaping and parsing — live here
-//! so every call site agrees on them.
+//! There is no serde under the offline-shim policy; the subtle parts —
+//! string escaping and parsing — live here so every call site agrees on
+//! them.
 
 /// Appends the JSON escape of `s` to `out`, **without** surrounding
 /// quotes.

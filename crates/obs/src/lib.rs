@@ -20,9 +20,9 @@
 //!   p50/p90/p99 without stopping the collector) and per-scrape
 //!   [`CounterDeltas`] — `separ serve` builds its `metrics` endpoint
 //!   from these;
-//! * the shared [`json`] string-escaping helpers used by every
-//!   hand-rolled JSON writer in the workspace (policy I/O, lint output,
-//!   the exporters here).
+//! * the workspace's one JSON codec, [`json`]: the string escaper every
+//!   JSON writer uses and the [`json::Value`] tree that policy I/O and
+//!   the serve protocol read and write through.
 //!
 //! A process-global collector ([`global`]) backs the free-function API
 //! ([`span`], [`event`], [`counter_add`], [`timer`]/[`observe`]). It

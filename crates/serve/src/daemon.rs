@@ -7,7 +7,7 @@
 //! decode + extract (ModelCache) ─┐
 //! enqueue op, get Ticket ────────┼─▶ ChurnQueue ─▶ take_batch(max)
 //! wait(deadline) ◀───────────────┘        │           apply_batch (ONE pass)
-//!                                         │           SharedPdp::apply_delta
+//!                                         │           SharedPdp::publish
 //! decide ──▶ PdpReader (lock-free) ◀──────┘           store.persist
 //! query/stats ──▶ published snapshot                  fulfill tickets
 //! ```
@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use separ_analysis::cache::ModelCache;
-use separ_core::policy::Policy;
+use separ_core::policy::{merge_delta, Policy};
 use separ_core::{IncrementalSession, SeparConfig, SessionOp, SignatureRegistry};
 use separ_enforce::{CompiledPolicySet, PromptHandler, SharedPdp};
 use separ_obs::json::Value;
@@ -190,7 +190,7 @@ impl Daemon {
                 .map_err(|e| ServeError(format!("initial analysis: {e}")))?;
         let pdp = SharedPdp::new(CompiledPolicySet::compile(
             session.policies().to_vec(),
-            session.apps().iter().map(|a| a.package.clone()).collect(),
+            packages_of(&session),
         ));
         let published = Arc::new(Mutex::new(snapshot_of(&session)));
         if let Some(store) = &store {
@@ -458,13 +458,10 @@ impl Daemon {
     fn query(&self, what: QueryWhat) -> String {
         let snap = self.published.lock().expect("published lock").clone();
         match what {
-            QueryWhat::Policies => {
-                let json = separ_core::policy_io::to_json(&snap.policies);
-                match Value::parse(&json) {
-                    Ok(v) => ok_response(vec![("policies".into(), v)]),
-                    Err(e) => self.fail(format!("policy serialization: {e}")),
-                }
-            }
+            QueryWhat::Policies => ok_response(vec![(
+                "policies".into(),
+                separ_core::policy_io::to_value(&snap.policies),
+            )]),
             QueryWhat::Exploits => ok_response(vec![(
                 "exploits".into(),
                 Value::Arr(snap.exploits.iter().cloned().map(Value::Str).collect()),
@@ -826,15 +823,12 @@ impl Daemon {
     /// calls this when a connection sends `subscribe`; in-process
     /// harnesses (and tests) use it directly.
     pub fn subscribe(&self) -> Subscription {
-        let sub = self.subs.subscribe();
-        self.metrics.subscribers.set(self.subs.count() as i64);
-        sub
+        self.subs.subscribe()
     }
 
     /// Removes a subscriber whose connection closed.
     pub fn unsubscribe(&self, id: u64) {
         self.subs.unsubscribe(id);
-        self.metrics.subscribers.set(self.subs.count() as i64);
     }
 
     /// The acknowledgement line a new subscriber receives first:
@@ -895,10 +889,14 @@ impl Drop for Daemon {
     }
 }
 
+fn packages_of(session: &IncrementalSession) -> Vec<String> {
+    session.apps().iter().map(|a| a.package.clone()).collect()
+}
+
 fn snapshot_of(session: &IncrementalSession) -> Published {
     Published {
         policies: Arc::new(session.policies().to_vec()),
-        apps: session.apps().iter().map(|a| a.package.clone()).collect(),
+        apps: packages_of(session),
         exploits: session.exploits().map(|e| e.to_string()).collect(),
         total_syntheses: session.total_syntheses(),
     }
@@ -937,7 +935,7 @@ fn worker_loop(
                     policies: session.policies().len(),
                 };
                 // The subscription event needs the policy ids before
-                // apply_delta consumes the delta; the sequence number
+                // the merge consumes the delta; the sequence number
                 // is claimed here, on the only thread that ever does,
                 // so seq order IS batch order.
                 let event = PolicyDeltaEvent::new(
@@ -953,14 +951,17 @@ fn worker_loop(
                 // crash between the two replays the batch's effect from
                 // the clients' perspective as already-analyzed state
                 // that simply wasn't saved — re-sending is idempotent).
-                pdp.apply_delta(delta.added, &delta.removed);
+                // The live set keeps its ids across the merge; the bundle
+                // that backs empty `SenderAppNotIn` lists is the session's
+                // current one, so installed apps count as insiders.
+                let mut live = pdp.snapshot().policies().to_vec();
+                merge_delta(&mut live, delta.added, &delta.removed);
+                pdp.publish(CompiledPolicySet::compile(live, packages_of(&session)));
                 *published.lock().expect("published lock") = snapshot_of(&session);
                 metrics.mark_batch();
                 metrics.record("batch", started.elapsed().as_nanos() as u64);
                 let line: Arc<str> = Arc::from(event.to_line().as_str());
                 subs.publish(&line);
-                metrics.subscribers.set(subs.count() as i64);
-                metrics.subscribers_dropped.set(subs.dropped() as i64);
                 if let Some(store) = &store {
                     if let Err(e) = store.persist(session.apps()) {
                         eprintln!("separ serve: store persist failed: {e}");

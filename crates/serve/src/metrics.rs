@@ -39,10 +39,6 @@ pub const REQUEST_KINDS: [&str; 10] = [
 pub struct ServeMetrics {
     started: Instant,
     rolling: Vec<RollingHistogram>,
-    /// Connected `subscribe` streams.
-    pub subscribers: Gauge,
-    /// Subscribers disconnected for lagging (cumulative).
-    pub subscribers_dropped: Gauge,
     /// Requests slower than the configured `--slow-ms` (cumulative).
     pub slow_requests: Gauge,
     /// Audit records written (cumulative); 0 when auditing is off.
@@ -61,8 +57,6 @@ impl ServeMetrics {
                 .iter()
                 .map(|_| RollingHistogram::standard())
                 .collect(),
-            subscribers: Gauge::new(),
-            subscribers_dropped: Gauge::new(),
             slow_requests: Gauge::new(),
             audit_records: Gauge::new(),
             last_batch_ns: Gauge::new(),

@@ -43,7 +43,7 @@ use separ_obs::json::Value;
 /// What a [`Request::Query`] asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryWhat {
-    /// The full current policy set (policy_io JSON).
+    /// The full current policy set (`policy_io` schema).
     Policies,
     /// The current exploit scenarios, one description per entry.
     Exploits,

@@ -4,8 +4,9 @@
 
 use std::time::Duration;
 
+use separ_core::policy::PolicyEvent;
 use separ_core::policy_io;
-use separ_enforce::probe_contexts;
+use separ_enforce::{probe_contexts, IccContext, LinearPdp};
 use separ_obs::json::Value;
 use separ_serve::protocol::encode_hex;
 use separ_serve::{Daemon, PolicyDeltaEvent, ServeConfig};
@@ -33,6 +34,30 @@ fn parse_ok(line: &str) -> Value {
 
 fn tmp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("separ-serve-test-{}-{tag}", std::process::id()))
+}
+
+/// A `decide` request line for `ctx`, with prompts answered "deny".
+fn decide_line(event: PolicyEvent, ctx: &IccContext) -> String {
+    let tags: Vec<String> = ctx
+        .tags
+        .iter()
+        .map(|t| format!("\"{}\"", t.name()))
+        .collect();
+    format!(
+        concat!(
+            r#"{{"cmd":"decide","event":"{}","sender_app":"{}","#,
+            r#""sender_component":"{}","receiver_app":"{}","#,
+            r#""receiver_component":"{}","action":"{}","#,
+            r#""tags":[{}],"prompt":"deny"}}"#
+        ),
+        event.name(),
+        ctx.sender_app,
+        ctx.sender_component,
+        ctx.receiver_app.as_deref().unwrap_or(""),
+        ctx.receiver_component.as_deref().unwrap_or(""),
+        ctx.action.as_deref().unwrap_or(""),
+        tags.join(",")
+    )
 }
 
 #[test]
@@ -69,27 +94,7 @@ fn churn_query_decide_round_trip() {
     let policies = policy_io::from_json(&json).expect("valid policy JSON");
     let mut non_allow = 0;
     for (event, ctx) in probe_contexts(&policies) {
-        let tags: Vec<String> = ctx
-            .tags
-            .iter()
-            .map(|t| format!("\"{}\"", t.name()))
-            .collect();
-        let line = format!(
-            concat!(
-                r#"{{"cmd":"decide","event":"{}","sender_app":"{}","#,
-                r#""sender_component":"{}","receiver_app":"{}","#,
-                r#""receiver_component":"{}","action":"{}","#,
-                r#""tags":[{}],"prompt":"deny"}}"#
-            ),
-            event.name(),
-            ctx.sender_app,
-            ctx.sender_component,
-            ctx.receiver_app.as_deref().unwrap_or(""),
-            ctx.receiver_component.as_deref().unwrap_or(""),
-            ctx.action.as_deref().unwrap_or(""),
-            tags.join(",")
-        );
-        let v = parse_ok(&daemon.handle(&line));
+        let v = parse_ok(&daemon.handle(&decide_line(event, &ctx)));
         let decision = v.get("decision").and_then(Value::as_str).expect("label");
         if decision != "allow" {
             non_allow += 1;
@@ -97,6 +102,38 @@ fn churn_query_decide_round_trip() {
         }
     }
     assert!(non_allow > 0, "published policies actually decide events");
+    // The same probes sent from each installed package: the daemon's
+    // PDP must count every app installed through it as inside the
+    // bundle, exactly like a reference PDP built from what `query`
+    // publishes (the policies and the apps). Labels are compared, not
+    // ids: the live PDP numbers policies by `merge_delta`, while
+    // `query policies` carries the session's ids.
+    let packages: Vec<String> = apps
+        .iter()
+        .map(|a| a.as_str().expect("package name").to_string())
+        .collect();
+    let mut reference = LinearPdp::new(policies.clone(), packages.clone());
+    for (event, ctx) in probe_contexts(&policies) {
+        for package in &packages {
+            let ctx = IccContext {
+                sender_app: package.clone(),
+                ..ctx.clone()
+            };
+            let line = decide_line(event, &ctx);
+            let v = parse_ok(&daemon.handle(&line));
+            let expected = reference.evaluate(event, &ctx);
+            assert_eq!(
+                v.get("decision").and_then(Value::as_str),
+                Some(expected.label()),
+                "{line}"
+            );
+            assert_eq!(
+                v.get("policy_id").and_then(Value::as_u64).is_some(),
+                expected.policy_id().is_some(),
+                "{line}"
+            );
+        }
+    }
     // Uninstalling the malicious app retires policies.
     let v = parse_ok(&daemon.handle(r#"{"cmd":"uninstall","package":"com.innocent.wallpaper"}"#));
     assert!(v.get("batch").is_some());
