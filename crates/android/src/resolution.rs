@@ -10,10 +10,15 @@
 //! so the test reduces to symmetric membership (an intent with data only
 //! matches filters declaring that data, and a filter declaring data only
 //! matches intents carrying it).
+//!
+//! [`Router`] indexes the installed manifests so the runtime resolves an
+//! intent by looking up its candidates instead of scanning every
+//! installed filter; [`route_by_scan`] is that scan, retained as the
+//! reference the router is tested against.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use separ_dex::manifest::IntentFilterDecl;
+use separ_dex::manifest::{ComponentDecl, ComponentKind, IntentFilterDecl, Manifest};
 
 /// A concrete intent, as carried across the ICC bus or abstracted by AME.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -117,6 +122,143 @@ pub fn any_filter_matches(intent: &IntentData, filters: &[IntentFilterDecl]) -> 
     filters.iter().any(|f| filter_matches(intent, f))
 }
 
+/// An installed component: (app index, index into that app's
+/// `manifest.components`).
+type Slot = (usize, usize);
+
+/// One slot list per component kind, indexed by [`ComponentKind::tag`].
+type ByKind = [Vec<Slot>; 4];
+
+/// The delivery rule every candidate must pass: the right kind, and
+/// exported unless sender and receiver are the same app.
+fn admits(decl: &ComponentDecl, kind: ComponentKind, same_app: bool) -> bool {
+    decl.kind == kind && (same_app || decl.is_effectively_exported())
+}
+
+/// An index over installed manifests answering "who may receive this
+/// intent" without scanning every component.
+///
+/// Three lookups narrow the candidates; each candidate still passes the
+/// export rule and (for implicit intents) [`any_filter_matches`], so the
+/// router returns exactly what [`route_by_scan`] returns, in the same
+/// order. Slot lists are built in (app, component) order, and a lookup
+/// borrows its key (`&str`) rather than building a `String`.
+#[derive(Clone, Debug, Default)]
+pub struct Router {
+    /// Action → per-kind components with a filter declaring it.
+    by_action: HashMap<String, ByKind>,
+    /// Per kind: components with at least one filter declaring an action
+    /// (an action-less intent passes [`action_test`] only on those).
+    with_actions: ByKind,
+    /// Class descriptor → the first component of that class in each app
+    /// (what [`Manifest::component`] finds).
+    by_class: HashMap<String, Vec<Slot>>,
+}
+
+impl Router {
+    /// Indexes the manifests of the installed apps, in app-index order.
+    pub fn new<'m>(manifests: impl IntoIterator<Item = &'m Manifest>) -> Router {
+        let mut router = Router::default();
+        for (app, manifest) in manifests.into_iter().enumerate() {
+            for (component, decl) in manifest.components.iter().enumerate() {
+                let slot = (app, component);
+                let kind = usize::from(decl.kind.tag());
+                let same_class = router.by_class.entry(decl.class.clone()).or_default();
+                if same_class.last().is_none_or(|&(a, _)| a != app) {
+                    same_class.push(slot);
+                }
+                let actions = decl.intent_filters.iter().flat_map(|f| &f.actions);
+                for action in actions.clone() {
+                    let per_kind = router.by_action.entry(action.clone()).or_default();
+                    // One entry per component, however many of its
+                    // filters declare the action.
+                    if per_kind[kind].last() != Some(&slot) {
+                        per_kind[kind].push(slot);
+                    }
+                }
+                if actions.count() > 0 {
+                    router.with_actions[kind].push(slot);
+                }
+            }
+        }
+        router
+    }
+
+    /// The candidates for an explicit intent naming `class`, in app
+    /// order.
+    fn explicit(&self, class: &str) -> &[Slot] {
+        self.by_class.get(class).map_or(&[], Vec::as_slice)
+    }
+
+    /// The candidates for an implicit intent to a component of `kind`
+    /// carrying `action` (or none), in (app, component) order.
+    fn implicit(&self, kind: ComponentKind, action: Option<&str>) -> &[Slot] {
+        let kind = usize::from(kind.tag());
+        match action {
+            Some(a) => self
+                .by_action
+                .get(a)
+                .map_or(&[], |per_kind| &per_kind[kind]),
+            None => &self.with_actions[kind],
+        }
+    }
+
+    /// Appends to `out` the statically declared components of kind
+    /// `kind` that receive `intent` sent by app `from_app`: the named
+    /// component for an explicit intent, else every component with a
+    /// matching filter. `manifest(i)` must return the manifest the router
+    /// was built with at app index `i`.
+    pub fn route<'m>(
+        &self,
+        manifest: impl Fn(usize) -> &'m Manifest,
+        kind: ComponentKind,
+        intent: &IntentData,
+        from_app: Option<usize>,
+        out: &mut Vec<(usize, &'m ComponentDecl)>,
+    ) {
+        let (slots, implicit) = match &intent.explicit_target {
+            Some(target) => (self.explicit(target), false),
+            None => (self.implicit(kind, intent.action.as_deref()), true),
+        };
+        for &(app, component) in slots {
+            let decl = &manifest(app).components[component];
+            if admits(decl, kind, from_app == Some(app))
+                && (!implicit || any_filter_matches(intent, &decl.intent_filters))
+            {
+                out.push((app, decl));
+            }
+        }
+    }
+}
+
+/// The reference for [`Router::route`]: the same result by a linear scan
+/// over every installed component. Kept as the executable specification
+/// the router is tested against; the runtime never calls it.
+pub fn route_by_scan<'m>(
+    manifests: impl IntoIterator<Item = &'m Manifest>,
+    kind: ComponentKind,
+    intent: &IntentData,
+    from_app: Option<usize>,
+    out: &mut Vec<(usize, &'m ComponentDecl)>,
+) {
+    for (app, manifest) in manifests.into_iter().enumerate() {
+        let same_app = from_app == Some(app);
+        if let Some(target) = &intent.explicit_target {
+            if let Some(decl) = manifest.component(target) {
+                if admits(decl, kind, same_app) {
+                    out.push((app, decl));
+                }
+            }
+            continue;
+        }
+        for decl in &manifest.components {
+            if admits(decl, kind, same_app) && any_filter_matches(intent, &decl.intent_filters) {
+                out.push((app, decl));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +329,85 @@ mod tests {
         assert!(!filter_matches(&bad_action, &f));
         assert!(any_filter_matches(&good, &[filter(&["x"]), f.clone()]));
         assert!(!any_filter_matches(&bad_action, &[f]));
+    }
+
+    fn manifest(package: &str, decls: Vec<ComponentDecl>) -> Manifest {
+        let mut m = Manifest::new(package);
+        m.components = decls;
+        m
+    }
+
+    fn routed(
+        manifests: &[Manifest],
+        kind: ComponentKind,
+        intent: &IntentData,
+        from_app: Option<usize>,
+    ) -> Vec<(usize, String)> {
+        let mut indexed = Vec::new();
+        Router::new(manifests).route(|i| &manifests[i], kind, intent, from_app, &mut indexed);
+        let mut scanned = Vec::new();
+        route_by_scan(manifests, kind, intent, from_app, &mut scanned);
+        assert_eq!(indexed, scanned, "router and scan disagree on {intent:?}");
+        indexed
+            .into_iter()
+            .map(|(app, decl)| (app, decl.class.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn router_matches_the_scan() {
+        let mut svc = ComponentDecl::new("LSvc;", ComponentKind::Service);
+        svc.intent_filters.push(filter(&["GO", "STOP"]));
+        svc.intent_filters.push(filter(&["GO"]));
+        let mut private = ComponentDecl::new("LPriv;", ComponentKind::Service);
+        private.exported = Some(false);
+        private.intent_filters.push(filter(&["GO"]));
+        let mut rec = ComponentDecl::new("LRec;", ComponentKind::Receiver);
+        rec.intent_filters.push(filter(&["GO"]));
+        let silent = ComponentDecl::new("LSilent;", ComponentKind::Service);
+        let apps = [
+            manifest("a", vec![svc.clone(), private, rec]),
+            manifest("b", vec![svc, silent]),
+        ];
+        let go = IntentData::for_action("GO");
+        let svc_a = (0, "LSvc;".to_string());
+        let svc_b = (1, "LSvc;".to_string());
+        assert_eq!(
+            routed(&apps, ComponentKind::Service, &go, Some(1)),
+            vec![svc_a.clone(), svc_b.clone()],
+            "a component with the action in two filters is routed once"
+        );
+        assert_eq!(
+            routed(&apps, ComponentKind::Service, &go, Some(0)),
+            vec![svc_a.clone(), (0, "LPriv;".into()), svc_b.clone()],
+            "same-app senders reach unexported components"
+        );
+        assert_eq!(
+            routed(&apps, ComponentKind::Service, &IntentData::new(), None),
+            vec![svc_a, svc_b],
+            "an action-less intent reaches every component declaring an action"
+        );
+        assert!(routed(&apps, ComponentKind::Activity, &go, None).is_empty());
+        assert!(routed(
+            &apps,
+            ComponentKind::Service,
+            &IntentData::for_action("NONE"),
+            None
+        )
+        .is_empty());
+        let explicit = IntentData::explicit("LSilent;");
+        assert!(routed(&apps, ComponentKind::Service, &explicit, Some(0)).is_empty());
+        assert_eq!(
+            routed(&apps, ComponentKind::Service, &explicit, Some(1)),
+            vec![(1, "LSilent;".into())]
+        );
+        assert!(routed(
+            &apps,
+            ComponentKind::Service,
+            &IntentData::explicit("LNone;"),
+            None
+        )
+        .is_empty());
     }
 
     #[test]

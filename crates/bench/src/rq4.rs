@@ -23,6 +23,11 @@ pub struct Overhead {
     pub icc_mean: f64,
     /// Half-width of the 95% confidence interval.
     pub icc_ci95: f64,
+    /// Time per ICC call with hooks off, in µs (median repetition).
+    pub icc_base_us: f64,
+    /// Time per ICC call with policies installed, in µs (median
+    /// repetition).
+    pub icc_hooked_us: f64,
     /// Mean relative overhead on the CPU-only workload.
     pub compute_mean: f64,
     /// Repetitions used.
@@ -139,10 +144,13 @@ pub fn run(repetitions: usize, icc_calls: usize, policies: usize) -> Overhead {
     let _ = time_run(&icc_app, ("com.bench.icc", "LPinger;"), true, policies);
     let mut icc_overheads = Vec::with_capacity(repetitions);
     let mut cpu_overheads = Vec::with_capacity(repetitions);
+    let (mut bases, mut hookeds) = (Vec::new(), Vec::new());
     for _ in 0..repetitions {
         let base = time_run(&icc_app, ("com.bench.icc", "LPinger;"), false, policies);
         let hooked = time_run(&icc_app, ("com.bench.icc", "LPinger;"), true, policies);
         icc_overheads.push((hooked - base) / base);
+        bases.push(base);
+        hookeds.push(hooked);
         let cbase = time_run(&cpu_app, ("com.bench.cpu", "LCruncher;"), false, policies);
         let chooked = time_run(&cpu_app, ("com.bench.cpu", "LCruncher;"), true, policies);
         cpu_overheads.push((chooked - cbase) / cbase);
@@ -157,9 +165,16 @@ pub fn run(repetitions: usize, icc_calls: usize, policies: usize) -> Overhead {
     // 95% CI half-width with the normal approximation (n = 33 in the
     // paper's setup is large enough).
     let ci95 = 1.96 * (var / icc_overheads.len() as f64).sqrt();
+    let per_icc_us = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v.get(v.len() / 2)
+            .map_or(f64::NAN, |t| t * 1e6 / icc_calls.max(1) as f64)
+    };
     Overhead {
         icc_mean,
         icc_ci95: ci95,
+        icc_base_us: per_icc_us(&mut bases),
+        icc_hooked_us: per_icc_us(&mut hookeds),
         compute_mean: mean(&cpu_overheads),
         repetitions,
         deliveries: icc_calls,
@@ -170,11 +185,14 @@ pub fn run(repetitions: usize, icc_calls: usize, policies: usize) -> Overhead {
 pub fn render(o: &Overhead) -> String {
     format!(
         "ICC enforcement overhead: {:.2}% ± {:.2}% (95% CI, {} repetitions, {} ICC calls/run)\n\
+         per ICC call (median run): {:.2} µs hooks off, {:.2} µs with policies\n\
          non-ICC workload overhead: {:.2}%\n",
         o.icc_mean * 100.0,
         o.icc_ci95 * 100.0,
         o.repetitions,
         o.deliveries,
+        o.icc_base_us,
+        o.icc_hooked_us,
         o.compute_mean * 100.0,
     )
 }

@@ -12,7 +12,6 @@ use std::sync::Arc;
 use crate::error::VmError;
 use crate::instr::{BinOp, Instr, InvokeKind};
 use crate::program::{Dex, Method};
-use crate::refs::TypeId;
 
 /// A runtime value.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -176,6 +175,9 @@ pub struct Vm<'p> {
     budget: u64,
     /// Instructions executed so far.
     executed: u64,
+    /// Argument buffer for framework calls, reused across invokes
+    /// (syscalls cannot re-enter the VM, so one buffer suffices).
+    sys_args: Vec<Value>,
 }
 
 /// Default per-[`Vm`] instruction budget.
@@ -193,6 +195,7 @@ impl<'p> Vm<'p> {
             dex,
             budget,
             executed: 0,
+            sys_args: Vec::new(),
         }
     }
 
@@ -220,30 +223,23 @@ impl<'p> Vm<'p> {
             .pools
             .find_type(class_descriptor)
             .ok_or_else(|| VmError::UnresolvedMethod(class_descriptor.to_string()))?;
-        let (def_ty, method) = self.dex.resolve_method(ty, method_name).ok_or_else(|| {
+        let (_, method) = self.dex.resolve_method(ty, method_name).ok_or_else(|| {
             VmError::UnresolvedMethod(format!("{class_descriptor}->{method_name}"))
         })?;
-        let method = method.clone();
-        self.run(heap, sys, def_ty, &method, args)
+        self.run(heap, sys, method, frame(method, args))
     }
 
+    /// Runs `method` in the register frame `regs` (see [`frame`]).
     fn run(
         &mut self,
         heap: &mut Heap,
         sys: &mut dyn Syscalls,
-        _def_ty: TypeId,
-        method: &Method,
-        args: Vec<Value>,
+        method: &'p Method,
+        mut regs: Vec<Value>,
     ) -> Result<Option<Value>, VmError> {
-        let mut regs = vec![Value::Null; method.num_registers as usize];
-        let first_param = method.num_registers as usize - method.num_params as usize;
-        for (i, v) in args
-            .into_iter()
-            .enumerate()
-            .take(method.num_params as usize)
-        {
-            regs[first_param + i] = v;
-        }
+        // Copied out of `self` so pool entries and callee methods borrow
+        // the program, not the VM.
+        let dex: &'p Dex = self.dex;
         let mut pc = 0usize;
         let mut pending: Option<Value> = None;
         while pc < method.code.len() {
@@ -277,32 +273,37 @@ impl<'p> Vm<'p> {
                     method: m,
                     args,
                 } => {
-                    let mref = self.dex.pools.method_at(*m).clone();
-                    let arg_values: Vec<Value> =
-                        args.iter().map(|r| regs[r.index()].clone()).collect();
-                    let declared_class = self.dex.pools.type_at(mref.class).to_string();
-                    let name = self.dex.pools.str_at(mref.name).to_string();
+                    let mref = dex.pools.method_at(*m);
+                    let name = dex.pools.str_at(mref.name);
                     // Virtual dispatch: prefer the runtime class of the
-                    // receiver when it names a program class.
+                    // receiver when it names a program class. The type
+                    // pool holds no duplicate descriptors, so the declared
+                    // class's id is what looking up its descriptor finds.
                     let dispatch_ty = match kind {
-                        InvokeKind::Virtual | InvokeKind::Direct => arg_values
+                        InvokeKind::Virtual | InvokeKind::Direct => args
                             .first()
-                            .and_then(Value::as_object)
-                            .map(|o| heap.get(o).class.clone())
-                            .and_then(|c| self.dex.pools.find_type(&c))
-                            .or_else(|| self.dex.pools.find_type(&declared_class)),
-                        InvokeKind::Static => self.dex.pools.find_type(&declared_class),
+                            .and_then(|r| regs[r.index()].as_object())
+                            .and_then(|o| dex.pools.find_type(&heap.get(o).class))
+                            .or(Some(mref.class)),
+                        InvokeKind::Static => Some(mref.class),
                     };
-                    let resolved = dispatch_ty.and_then(|t| {
-                        self.dex
-                            .resolve_method(t, &name)
-                            .map(|(dt, m)| (dt, m.clone()))
-                    });
-                    let result = match resolved {
-                        Some((dt, target)) => self.run(heap, sys, dt, &target, arg_values)?,
-                        None => sys.call(heap, &declared_class, &name, &arg_values)?,
+                    let target = dispatch_ty.and_then(|t| dex.resolve_method(t, name));
+                    pending = match target {
+                        Some((_, target)) => {
+                            let callee =
+                                frame(target, args.iter().map(|r| regs[r.index()].clone()));
+                            self.run(heap, sys, target, callee)?
+                        }
+                        None => {
+                            let mut sys_args = std::mem::take(&mut self.sys_args);
+                            sys_args.clear();
+                            sys_args.extend(args.iter().map(|r| regs[r.index()].clone()));
+                            let declared_class = dex.pools.type_at(mref.class);
+                            let result = sys.call(heap, declared_class, name, &sys_args);
+                            self.sys_args = sys_args;
+                            result?
+                        }
                     };
-                    pending = result;
                 }
                 Instr::MoveResult { dst } => {
                     regs[dst.index()] = pending.take().ok_or(VmError::NoPendingResult)?;
@@ -379,11 +380,24 @@ impl<'p> Vm<'p> {
     }
 }
 
+/// A fresh register frame for `method`: every register null except the
+/// trailing parameter registers, filled from `args` (extra arguments are
+/// ignored, missing ones stay null).
+fn frame(method: &Method, args: impl IntoIterator<Item = Value>) -> Vec<Value> {
+    let mut regs = vec![Value::Null; method.num_registers as usize];
+    let first_param = method.num_registers as usize - method.num_params as usize;
+    for (reg, v) in regs[first_param..].iter_mut().zip(args) {
+        *reg = v;
+    }
+    regs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::ApkBuilder;
     use crate::instr::BinOp;
+    use crate::program::Apk;
 
     /// Syscalls that record every external call.
     #[derive(Default)]
@@ -584,6 +598,164 @@ mod tests {
             .invoke(&mut heap, &mut NopSyscalls, "LMain;", "go", vec![])
             .expect("runs");
         assert_eq!(r, Some(Value::Int(2)), "override must win");
+    }
+
+    /// Syscalls that record every external call with its full arguments.
+    #[derive(Default)]
+    struct Transcript {
+        calls: Vec<(String, String, Vec<Value>)>,
+    }
+
+    impl Syscalls for Transcript {
+        fn call(
+            &mut self,
+            _heap: &mut Heap,
+            class: &str,
+            name: &str,
+            args: &[Value],
+        ) -> Result<Option<Value>, VmError> {
+            self.calls
+                .push((class.to_string(), name.to_string(), args.to_vec()));
+            Ok(Some(Value::str("syscall-result")))
+        }
+    }
+
+    /// `LBase;` (`tag` → 1, `inherited` → 10), `LDerived; extends LBase;`
+    /// (`tag` → 2), `LUtil;` (static `twice`) and `LMain;`, whose static
+    /// methods each make one kind of call.
+    fn dispatch_program() -> Apk {
+        let mut apk = ApkBuilder::new("t");
+        let returns = |class: &mut crate::build::ClassBuilder<'_>, name: &str, value: i64| {
+            let mut m = class.method(name, 1, false, true);
+            let r = m.reg();
+            m.const_int(r, value);
+            m.ret(r);
+            m.finish();
+        };
+        {
+            let mut class = apk.class("LBase;");
+            returns(&mut class, "tag", 1);
+            returns(&mut class, "inherited", 10);
+            class.finish();
+        }
+        {
+            let mut class = apk.class_extends("LDerived;", "LBase;");
+            returns(&mut class, "tag", 2);
+            class.finish();
+        }
+        {
+            let mut class = apk.class("LUtil;");
+            let mut m = class.method("twice", 1, true, true);
+            let r = m.reg();
+            m.binop(BinOp::Add, r, m.param(0), m.param(0));
+            m.ret(r);
+            m.finish();
+            class.finish();
+        }
+        let mut class = apk.class("LMain;");
+        // A call on a fresh `LDerived;` through a method ref.
+        for (name, declared, callee) in [
+            ("override", "LBase;", "tag"),
+            ("inherited", "LDerived;", "inherited"),
+            ("unresolved", "LBase;", "missing"),
+        ] {
+            let mut m = class.method(name, 0, true, true);
+            let v = m.reg();
+            m.new_instance(v, "LDerived;");
+            m.invoke_virtual(declared, callee, &[v], true);
+            m.move_result(v);
+            m.ret(v);
+            m.finish();
+        }
+        {
+            let mut m = class.method("static", 0, true, true);
+            let v = m.reg();
+            m.const_int(v, 21);
+            m.invoke_static("LUtil;", "twice", &[v], true);
+            m.move_result(v);
+            m.ret(v);
+            m.finish();
+        }
+        {
+            // `LBase;.tag` on whatever object arrives.
+            let mut m = class.method("foreign", 1, true, true);
+            let v = m.reg();
+            m.invoke_virtual("LBase;", "tag", &[m.param(0)], true);
+            m.move_result(v);
+            m.ret(v);
+            m.finish();
+        }
+        {
+            let mut m = class.method("framework", 1, true, true);
+            let (s, i) = (m.reg(), m.reg());
+            m.const_string(s, "payload");
+            m.const_int(i, 3);
+            m.invoke_virtual("Landroid/util/Log;", "d", &[m.param(0), s, i], true);
+            m.move_result(s);
+            m.ret(s);
+            m.finish();
+        }
+        class.finish();
+        apk.finish()
+    }
+
+    fn call(apk: &Apk, name: &str, args: Vec<Value>, heap: &mut Heap) -> (Value, Transcript) {
+        let mut sys = Transcript::default();
+        let r = Vm::new(&apk.dex)
+            .invoke(heap, &mut sys, "LMain;", name, args)
+            .expect("runs")
+            .expect("returns a value");
+        (r, sys)
+    }
+
+    #[test]
+    fn invoke_dispatches_to_program_methods() {
+        let apk = dispatch_program();
+        let mut heap = Heap::new();
+        for (name, expected) in [("override", 2), ("inherited", 10), ("static", 42)] {
+            let (r, sys) = call(&apk, name, vec![], &mut heap);
+            assert_eq!(r, Value::Int(expected), "{name}");
+            assert!(sys.calls.is_empty(), "{name} reached the syscalls");
+        }
+    }
+
+    #[test]
+    fn receivers_of_unknown_classes_dispatch_on_the_declared_class() {
+        let apk = dispatch_program();
+        let mut heap = Heap::new();
+        let foreign = Value::Object(heap.alloc("Lext/Foreign;"));
+        let (r, sys) = call(&apk, "foreign", vec![foreign], &mut heap);
+        assert_eq!(r, Value::Int(1), "LBase;.tag runs");
+        assert!(sys.calls.is_empty());
+        let derived = Value::Object(heap.alloc("LDerived;"));
+        assert_eq!(
+            call(&apk, "foreign", vec![derived], &mut heap).0,
+            Value::Int(2)
+        );
+    }
+
+    #[test]
+    fn framework_calls_reach_the_syscalls_verbatim() {
+        let apk = dispatch_program();
+        let mut heap = Heap::new();
+        let obj = heap.alloc("Lext/Foreign;");
+        let (r, sys) = call(&apk, "framework", vec![Value::Object(obj)], &mut heap);
+        assert_eq!(r, Value::str("syscall-result"));
+        assert_eq!(
+            sys.calls,
+            vec![(
+                "Landroid/util/Log;".to_string(),
+                "d".to_string(),
+                vec![Value::Object(obj), Value::str("payload"), Value::Int(3)],
+            )]
+        );
+        // A method no class in the hierarchy defines goes out under the
+        // declared class, not the receiver's runtime class.
+        let (_, sys) = call(&apk, "unresolved", vec![], &mut heap);
+        assert_eq!(sys.calls.len(), 1);
+        let (class, name, args) = &sys.calls[0];
+        assert_eq!((class.as_str(), name.as_str()), ("LBase;", "missing"));
+        assert!(matches!(args.as_slice(), [Value::Object(o)] if heap.get(*o).class == "LDerived;"));
     }
 
     #[test]

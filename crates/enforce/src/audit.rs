@@ -19,8 +19,8 @@ pub enum AuditEvent {
         from_app: String,
         /// Sending component class.
         from_component: String,
-        /// The intent.
-        intent: IntentData,
+        /// The intent (shared with its envelope).
+        intent: Arc<IntentData>,
     },
     /// An intent was delivered to a component.
     IccDelivered {
@@ -28,8 +28,8 @@ pub enum AuditEvent {
         to_app: String,
         /// Receiving component class.
         to_component: String,
-        /// The intent.
-        intent: IntentData,
+        /// The intent (shared with its envelope and send record).
+        intent: Arc<IntentData>,
     },
     /// An ICC event was blocked by policy.
     IccBlocked {

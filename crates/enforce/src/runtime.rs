@@ -8,15 +8,21 @@
 //! (send side) and on every delivery (receive side). Blocked calls are
 //! silently skipped — the app continues in degraded mode, as the paper
 //! describes for asynchronous ICC.
+//!
+//! Implicit intents resolve through a [`Router`] built from the installed
+//! manifests; one marshalled intent is shared (`Arc`) by its envelope and
+//! its audit records; and one [`Device::run_until_idle`] delivers at most
+//! the delivery limit, dropping (and counting) whatever a runaway ICC
+//! cycle left queued so it cannot spill into the next launch.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use separ_android::api::{self, ApiKind, IccMethod, IntentConfigKind};
-use separ_android::resolution::{self, IntentData};
+use separ_android::resolution::{self, IntentData, Router};
 use separ_android::types::Resource;
 use separ_core::policy::{Policy, PolicyEvent};
-use separ_dex::manifest::ComponentKind;
+use separ_dex::manifest::{ComponentDecl, ComponentKind};
 use separ_dex::program::Apk;
 use separ_dex::vm::{Heap, ObjRef, Syscalls, Value, Vm};
 use separ_dex::VmError;
@@ -34,8 +40,9 @@ pub struct Envelope {
     pub from_component: String,
     /// The ICC method used.
     pub via: IccMethod,
-    /// The marshalled intent (extras keep their payload tags).
-    pub intent: IntentData,
+    /// The marshalled intent (extras keep their payload tags), shared
+    /// with the audit records of its send and deliveries.
+    pub intent: Arc<IntentData>,
     /// For result-requesting sends: where the reply goes.
     pub reply_to: Option<(usize, String)>,
 }
@@ -81,6 +88,9 @@ pub struct HookStats {
     pub icc_hooks: u64,
     /// Deliveries intercepted.
     pub delivery_hooks: u64,
+    /// Envelopes dropped undelivered because a `run_until_idle` reached
+    /// the delivery limit.
+    pub dropped: u64,
 }
 
 /// The simulated device.
@@ -88,6 +98,9 @@ pub struct HookStats {
 pub struct Device {
     apps: Vec<InstalledApp>,
     meta: Vec<AppMeta>,
+    /// Indexes the installed manifests; rebuilt whenever app indices
+    /// change.
+    router: Router,
     pdp: Pdp,
     queue: VecDeque<Envelope>,
     dynamic_receivers: Vec<DynamicReceiver>,
@@ -109,6 +122,7 @@ impl Device {
                 permissions: a.manifest.uses_permissions.clone(),
             })
             .collect();
+        let router = Router::new(apks.iter().map(|a| &a.manifest));
         Device {
             apps: apks
                 .into_iter()
@@ -118,6 +132,7 @@ impl Device {
                 })
                 .collect(),
             meta,
+            router,
             pdp: Pdp::permissive(),
             queue: VecDeque::new(),
             dynamic_receivers: Vec::new(),
@@ -165,6 +180,16 @@ impl Device {
         &self.pdp
     }
 
+    /// Envelopes waiting for delivery.
+    pub fn queued(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// The most envelopes one [`Device::run_until_idle`] delivers.
+    pub fn delivery_limit(&self) -> usize {
+        self.delivery_limit
+    }
+
     /// Index of an installed app by package.
     pub fn app_index(&self, package: &str) -> Option<usize> {
         self.meta.iter().position(|m| m.package == package)
@@ -184,7 +209,12 @@ impl Device {
             apk: Arc::new(apk),
             heap: Heap::new(),
         });
+        self.rebuild_router();
         true
+    }
+
+    fn rebuild_router(&mut self) {
+        self.router = Router::new(self.apps.iter().map(|a| &a.apk.manifest));
     }
 
     /// Uninstalls an app. In-flight envelopes from or to it are dropped
@@ -196,6 +226,7 @@ impl Device {
         };
         self.apps.remove(idx);
         self.meta.remove(idx);
+        self.rebuild_router();
         self.dynamic_receivers.retain(|d| d.app != idx);
         // Remaining references index into the shrunk vectors: remap.
         for d in &mut self.dynamic_receivers {
@@ -225,25 +256,61 @@ impl Device {
         let Some(idx) = self.app_index(package) else {
             return false;
         };
-        self.execute_component(idx, component_class, None, None)
+        self.execute_component(idx, component_class, None)
     }
 
-    /// Runs queued deliveries until the bus is idle. Returns the number of
-    /// envelopes processed.
+    /// Runs queued deliveries until the bus is idle or the delivery limit
+    /// is reached. Returns the number of envelopes delivered, at most the
+    /// limit. Envelopes still queued at the limit (a self-sustaining ICC
+    /// cycle) are dropped and counted in [`HookStats::dropped`] and the
+    /// `pep.dropped` counter, so the next launch starts from an idle bus.
     pub fn run_until_idle(&mut self) -> usize {
         let mut processed = 0;
-        while let Some(env) = self.queue.pop_front() {
-            processed += 1;
-            if processed > self.delivery_limit {
-                break;
-            }
+        while processed < self.delivery_limit {
+            let Some(env) = self.queue.pop_front() else {
+                return processed;
+            };
             self.deliver(env);
+            processed += 1;
+        }
+        let dropped = self.queue.len() as u64;
+        if dropped > 0 {
+            self.queue.clear();
+            self.hook_stats.dropped += dropped;
+            separ_obs::counter_add("pep.dropped", dropped);
         }
         processed
     }
 
-    /// Resolves an envelope to receiving `(app, component)` pairs.
-    fn resolve(&self, env: &Envelope) -> Vec<(usize, String)> {
+    /// The `(app index, component class)` pairs an envelope is delivered
+    /// to, in delivery order. Statically declared receivers come from the
+    /// [`Router`].
+    pub fn receivers(&self, env: &Envelope) -> Vec<(usize, String)> {
+        self.resolve(env, |kind, out| {
+            let manifest = |app: usize| &self.apps[app].apk.manifest;
+            self.router
+                .route(manifest, kind, &env.intent, env.from_app, out);
+        })
+    }
+
+    /// [`Device::receivers`] with the static receivers found by a linear
+    /// scan over every installed component instead of the router: the
+    /// reference oracle the router is tested against. Delivery never
+    /// uses it.
+    pub fn receivers_by_scan(&self, env: &Envelope) -> Vec<(usize, String)> {
+        self.resolve(env, |kind, out| {
+            let manifests = self.apps.iter().map(|a| &a.apk.manifest);
+            resolution::route_by_scan(manifests, kind, &env.intent, env.from_app, out);
+        })
+    }
+
+    /// Resolves an envelope to receiving `(app, component)` pairs, with
+    /// `route` finding the statically declared receivers.
+    fn resolve<'d>(
+        &'d self,
+        env: &Envelope,
+        route: impl FnOnce(ComponentKind, &mut Vec<(usize, &'d ComponentDecl)>),
+    ) -> Vec<(usize, String)> {
         if env.via == IccMethod::SetResult {
             return env.reply_to.iter().cloned().collect();
         }
@@ -253,31 +320,14 @@ impl Device {
             IccMethod::SendBroadcast => ComponentKind::Receiver,
             _ => ComponentKind::Provider,
         };
-        let mut out = Vec::new();
-        if let Some(target) = &env.intent.explicit_target {
-            for (ai, app) in self.apps.iter().enumerate() {
-                if let Some(decl) = app.apk.manifest.component(target) {
-                    let same_app = env.from_app == Some(ai);
-                    if decl.kind == kind && (same_app || decl.is_effectively_exported()) {
-                        out.push((ai, target.clone()));
-                    }
-                }
-            }
+        let mut statics = Vec::new();
+        route(kind, &mut statics);
+        let mut out: Vec<(usize, String)> = statics
+            .into_iter()
+            .map(|(app, decl)| (app, decl.class.clone()))
+            .collect();
+        if env.intent.is_explicit() {
             return out;
-        }
-        for (ai, app) in self.apps.iter().enumerate() {
-            for decl in &app.apk.manifest.components {
-                if decl.kind != kind {
-                    continue;
-                }
-                let same_app = env.from_app == Some(ai);
-                if !same_app && !decl.is_effectively_exported() {
-                    continue;
-                }
-                if resolution::any_filter_matches(&env.intent, &decl.intent_filters) {
-                    out.push((ai, decl.class.clone()));
-                }
-            }
         }
         // Dynamically registered receivers participate in broadcast
         // delivery (they exist at runtime even though static analysis
@@ -295,7 +345,7 @@ impl Device {
     }
 
     fn deliver(&mut self, env: Envelope) {
-        let receivers = self.resolve(&env);
+        let receivers = self.receivers(&env);
         if receivers.is_empty() {
             self.audit.record(AuditEvent::IccUndeliverable {
                 action: env.intent.action.clone(),
@@ -366,21 +416,15 @@ impl Device {
             self.audit.record(AuditEvent::IccDelivered {
                 to_app: self.meta[ai].package.clone(),
                 to_component: class.clone(),
-                intent: env.intent.clone(),
+                intent: Arc::clone(&env.intent),
             });
-            self.execute_component(ai, &class, Some(&env), env.reply_to.clone());
+            self.execute_component(ai, &class, Some(&env));
         }
     }
 
     /// Executes the lifecycle entry point of a component, optionally with
     /// a received envelope.
-    fn execute_component(
-        &mut self,
-        app_idx: usize,
-        class: &str,
-        env: Option<&Envelope>,
-        _reply: Option<(usize, String)>,
-    ) -> bool {
+    fn execute_component(&mut self, app_idx: usize, class: &str, env: Option<&Envelope>) -> bool {
         let apk = self.apps[app_idx].apk.clone();
         let Some(decl) = apk.manifest.component(class) else {
             return false;
@@ -427,8 +471,8 @@ impl Device {
         }
         let mut sys = DeviceSyscalls {
             app_idx,
-            component: class.to_string(),
-            package: self.meta[app_idx].package.clone(),
+            component: class,
+            package: &self.meta[app_idx].package,
             meta: &self.meta,
             pdp: &mut self.pdp,
             audit: &mut self.audit,
@@ -523,8 +567,8 @@ fn unmarshal_intent(heap: &mut Heap, intent: &IntentData) -> ObjRef {
 /// The syscall layer: Android APIs as seen by running bytecode.
 struct DeviceSyscalls<'a> {
     app_idx: usize,
-    component: String,
-    package: String,
+    component: &'a str,
+    package: &'a str,
     meta: &'a [AppMeta],
     pdp: &'a mut Pdp,
     audit: &'a mut AuditLog,
@@ -547,7 +591,7 @@ impl DeviceSyscalls<'_> {
         else {
             return;
         };
-        let intent = marshal_intent(heap, obj);
+        let intent = Arc::new(marshal_intent(heap, obj));
         self.hook_stats.icc_hooks += 1;
         separ_obs::counter_add("pep.icc_hooks", 1);
         if self.enforcement {
@@ -557,8 +601,8 @@ impl DeviceSyscalls<'_> {
                 .filter_map(|v| tag::extract(v))
                 .collect();
             let ctx = IccContext {
-                sender_app: self.package.clone(),
-                sender_component: self.component.clone(),
+                sender_app: self.package.to_string(),
+                sender_component: self.component.to_string(),
                 receiver_app: None,
                 receiver_component: intent.explicit_target.clone(),
                 action: intent.action.clone(),
@@ -611,20 +655,20 @@ impl DeviceSyscalls<'_> {
             }
         }
         self.audit.record(AuditEvent::IccSent {
-            from_app: self.package.clone(),
-            from_component: self.component.clone(),
-            intent: intent.clone(),
+            from_app: self.package.to_string(),
+            from_component: self.component.to_string(),
+            intent: Arc::clone(&intent),
         });
         let reply_to = if via == IccMethod::SetResult {
             self.reply_to.clone()
         } else if via.requests_result() {
-            Some((self.app_idx, self.component.clone()))
+            Some((self.app_idx, self.component.to_string()))
         } else {
             None
         };
         self.queue.push_back(Envelope {
             from_app: Some(self.app_idx),
-            from_component: self.component.clone(),
+            from_component: self.component.to_string(),
             via,
             intent,
             reply_to,
@@ -647,7 +691,7 @@ impl DeviceSyscalls<'_> {
         }
         self.audit.record(AuditEvent::SinkFired {
             sink,
-            app: self.package.clone(),
+            app: self.package.to_string(),
             tags,
             detail,
         });
@@ -1126,6 +1170,65 @@ mod tests {
         let processed = device.run_until_idle();
         assert_eq!(processed, 0, "the dead app's envelope was dropped");
         assert!(!device.audit.leaked(Resource::Location, Resource::Sms));
+    }
+
+    /// Two services that each start the other twice: every delivery
+    /// queues one envelope more than it consumes, so the cycle never idles.
+    fn ping_pong() -> Apk {
+        let mut apk = ApkBuilder::new("com.loop");
+        for (me, other) in [("LPing;", "LPong;"), ("LPong;", "LPing;")] {
+            apk.add_component(ComponentDecl::new(me, ComponentKind::Service));
+            let mut cb = apk.class_extends(me, class::SERVICE);
+            let mut m = cb.method("onStartCommand", 2, false, false);
+            let i = m.reg();
+            let s = m.reg();
+            for _ in 0..2 {
+                m.new_instance(i, class::INTENT);
+                m.const_string(s, other);
+                m.invoke_virtual(class::INTENT, "setClassName", &[i, s], false);
+                m.invoke_virtual(class::CONTEXT, "startService", &[m.this(), i], false);
+            }
+            m.ret_void();
+            m.finish();
+            cb.finish();
+        }
+        apk.finish()
+    }
+
+    #[test]
+    fn runaway_cycles_stop_at_the_limit_and_drop_the_rest() {
+        let mut device = Device::new(vec![ping_pong(), messenger(), malware()]);
+        device.delivery_limit = 50;
+        assert!(device.launch("com.loop", "LPing;"));
+        assert_eq!(device.queued(), 2);
+        assert_eq!(
+            device.run_until_idle(),
+            50,
+            "exactly the limit is delivered"
+        );
+        let delivered = device
+            .audit
+            .events()
+            .iter()
+            .filter(|e| matches!(e, AuditEvent::IccDelivered { .. }))
+            .count();
+        assert_eq!(delivered, 50, "every counted envelope was delivered");
+        assert_eq!(device.queued(), 0);
+        // 2 launched + 50 × (2 queued − 1 delivered) were left over.
+        assert_eq!(device.hook_stats().dropped, 52);
+        assert_eq!(device.hook_stats().delivery_hooks, 50);
+
+        // The cycle does not carry over: the next launch delivers only
+        // its own envelope.
+        let before = device.audit.events().len();
+        assert!(device.launch("com.mal", "LMal;"));
+        assert_eq!(device.run_until_idle(), 1);
+        assert_eq!(device.hook_stats().dropped, 52);
+        assert!(device.audit.leaked(Resource::Location, Resource::Sms));
+        assert!(device.audit.events()[before..].iter().all(|e| !matches!(
+            e,
+            AuditEvent::IccDelivered { to_app, .. } if to_app == "com.loop"
+        )));
     }
 
     #[test]

@@ -20,7 +20,11 @@ fn run_everything(device: &mut Device, apks: &[separ::dex::Apk]) {
             .collect();
         for class in classes {
             device.launch(apk.package(), &class);
-            device.run_until_idle();
+            let delivered = device.run_until_idle();
+            // Bounded bus: one launch delivers at most the limit and
+            // leaves nothing queued for the next.
+            assert!(delivered <= device.delivery_limit());
+            assert_eq!(device.queued(), 0, "{class} left envelopes queued");
         }
     }
 }
