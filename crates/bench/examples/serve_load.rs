@@ -36,7 +36,9 @@ use std::time::{Duration, Instant};
 use separ_corpus::market::{generate, MarketSpec};
 use separ_obs::json::Value;
 use separ_serve::protocol::encode_hex;
-use separ_serve::{serve, Daemon, Endpoint, PolicyDeltaEvent, ServeConfig, ServeMetrics};
+use separ_serve::{
+    kind_slot, serve, Daemon, Endpoint, PolicyDeltaEvent, ServeConfig, ServeMetrics,
+};
 
 /// One client's scripted requests: (line, is_churn).
 fn client_trace(
@@ -409,10 +411,11 @@ fn main() {
     // scheduler noise.
     let record_ns = {
         let metrics = ServeMetrics::new();
+        let decide = kind_slot("decide").expect("decide has a window");
         let iters = 200_000u64;
         let t = Instant::now();
         for i in 0..iters {
-            metrics.record("decide", 1_000 + (i % 1_000));
+            metrics.record(decide, 1_000 + (i % 1_000));
         }
         t.elapsed().as_nanos() as f64 / iters as f64
     };

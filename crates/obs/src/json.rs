@@ -1,12 +1,16 @@
 //! The workspace's one JSON codec: string escaping shared by every JSON
-//! writer (trace exporters, lint output, CLI stats), plus a small
-//! generic [`Value`] tree with a strict parser. Policy sets ship through
-//! [`Value`] (`separ_core::policy_io` maps the policy schema onto it), as
-//! do the `separ serve` wire protocol, store manifest and audit log.
+//! writer (trace exporters, lint output, CLI stats), a strict borrowing
+//! [`Lexer`], and a small generic [`Value`] tree built on it. Policy
+//! sets ship through [`Value`] (`separ_core::policy_io` maps the policy
+//! schema onto it), as do the store manifest and audit log; the
+//! `separ serve` wire protocol reads requests straight off the
+//! [`Lexer`].
 //!
 //! There is no serde under the offline-shim policy; the subtle parts —
 //! string escaping and parsing — live here so every call site agrees on
 //! them.
+
+use std::borrow::Cow;
 
 /// Appends the JSON escape of `s` to `out`, **without** surrounding
 /// quotes.
@@ -79,16 +83,9 @@ impl Value {
     ///
     /// Returns a [`JsonError`] with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let mut p = ValueParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return p.err("trailing characters after document");
-        }
+        let mut lexer = Lexer::new(text);
+        let v = lexer.value()?;
+        lexer.finish()?;
         Ok(v)
     }
 
@@ -213,13 +210,119 @@ impl std::error::Error for JsonError {}
 /// message fails fast instead of recursing toward a stack overflow.
 const MAX_DEPTH: usize = 64;
 
-struct ValueParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
+/// One value read by [`Lexer::lexeme`], borrowed from the source text: a
+/// decoded string, or the validated source text of any other value.
+///
+/// The accessors mirror [`Value`]'s, so a reader of a few known members
+/// can skip building the tree.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Lexeme<'a> {
+    /// A string: borrowed when it holds no escape, else decoded once.
+    Str(Cow<'a, str>),
+    /// The source text of a number, literal, array or object.
+    Raw(&'a str),
 }
 
-impl<'a> ValueParser<'a> {
+impl<'a> Lexeme<'a> {
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Lexeme::Str(s) => Some(s),
+            Lexeme::Raw(_) => None,
+        }
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match *self {
+            Lexeme::Raw("true") => Some(true),
+            Lexeme::Raw("false") => Some(false),
+            _ => None,
+        }
+    }
+
+    /// The number as a `u64`, exactly as [`Value::as_u64`] reads it.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Lexeme::Raw(raw) => Value::Num(raw.parse().ok()?).as_u64(),
+            Lexeme::Str(_) => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_arr(&self) -> Option<Elements<'a>> {
+        match *self {
+            Lexeme::Raw(raw) if raw.starts_with('[') => {
+                let mut lexer = Lexer::new(raw);
+                lexer.begin(b'[').ok()?;
+                Some(Elements(lexer))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The elements of a [`Lexeme::Raw`] array, in order (see
+/// [`Lexeme::as_arr`]).
+#[derive(Debug)]
+pub struct Elements<'a>(Lexer<'a>);
+
+impl<'a> Iterator for Elements<'a> {
+    type Item = Lexeme<'a>;
+
+    fn next(&mut self) -> Option<Lexeme<'a>> {
+        // The array was validated when it was lexed: only its end (and
+        // every call after it) fails here.
+        match self.0.next(b']') {
+            Ok(true) => self.0.lexeme().ok(),
+            _ => None,
+        }
+    }
+}
+
+/// The strict JSON lexer under [`Value::parse`], also usable on its own
+/// to read a document without building the tree.
+///
+/// Strings come out as `Cow`s borrowed from the source; only a string
+/// with escapes is decoded, once, into a `String` of exactly its size.
+/// Numbers follow the RFC 8259 grammar. Nesting deeper than 64 levels
+/// is an error.
+///
+/// An object is walked with [`begin_object`](Lexer::begin_object) and
+/// [`next_key`](Lexer::next_key); each member's value must be consumed,
+/// with [`lexeme`](Lexer::lexeme) or [`skip`](Lexer::skip), before the
+/// next key is asked for. [`finish`](Lexer::finish) checks that nothing
+/// but whitespace follows the document.
+#[derive(Debug)]
+pub struct Lexer<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+    /// The innermost container has just been opened: its first member
+    /// (or its close) comes next, not a comma.
+    fresh: bool,
+}
+
+/// A lexed string literal: its raw contents `start..end` and, if they
+/// hold escapes, the decoded length.
+struct Scanned {
+    start: usize,
+    end: usize,
+    decoded_len: Option<usize>,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `text`.
+    pub fn new(text: &'a str) -> Lexer<'a> {
+        Lexer {
+            text,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    #[cold]
     fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
         Err(JsonError {
             offset: self.pos,
@@ -227,9 +330,11 @@ impl<'a> ValueParser<'a> {
         })
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .text
+            .as_bytes()
             .get(self.pos)
             .is_some_and(|b| b.is_ascii_whitespace())
         {
@@ -237,11 +342,14 @@ impl<'a> ValueParser<'a> {
         }
     }
 
-    fn peek(&mut self) -> Option<u8> {
+    /// The next non-whitespace byte, without consuming it.
+    #[inline]
+    pub fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn eat(&mut self, byte: u8) -> bool {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -251,6 +359,7 @@ impl<'a> ValueParser<'a> {
         }
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
         if self.eat(byte) {
             Ok(())
@@ -259,8 +368,173 @@ impl<'a> ValueParser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// Checks the nesting bound and returns the first byte of the value
+    /// that comes next.
+    #[inline]
+    fn start_value(&mut self) -> Result<u8, JsonError> {
+        if self.depth >= MAX_DEPTH {
+            return self.err("nesting too deep");
+        }
+        match self.peek() {
+            Some(b) => Ok(b),
+            None => self.err("unexpected end of input"),
+        }
+    }
+
+    fn open(&mut self) {
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+    }
+
+    fn begin(&mut self, byte: u8) -> Result<(), JsonError> {
+        if self.start_value()? != byte {
+            return self.err(format!("expected '{}'", byte as char));
+        }
+        self.open();
+        Ok(())
+    }
+
+    /// Opens the object that comes next.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the next value is not an object.
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.begin(b'{')
+    }
+
+    /// Moves to the next member of the innermost container: `true` when
+    /// one follows, `false` once `close` has been consumed.
+    #[inline]
+    fn next(&mut self, close: u8) -> Result<bool, JsonError> {
+        let more = if std::mem::take(&mut self.fresh) {
+            !self.eat(close)
+        } else if self.eat(b',') {
+            true
+        } else {
+            self.expect(close)?;
+            false
+        };
+        if !more {
+            self.depth -= 1;
+        }
+        Ok(more)
+    }
+
+    fn next_key_scanned(&mut self) -> Result<Option<Scanned>, JsonError> {
+        if !self.next(b'}')? {
+            return Ok(None);
+        }
+        let key = self.scan_string()?;
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// The key of the innermost open object's next member (whose value
+    /// must be consumed next), or `None` once its `}` is consumed.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a malformed key, a missing `:`, or anything but `,` or
+    /// `}` after a member.
+    #[inline]
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        Ok(self.next_key_scanned()?.map(|key| self.decode(key)))
+    }
+
+    /// Reads the next value into a [`Value`] tree.
+    fn value(&mut self) -> Result<Value, JsonError> {
+        Ok(match self.start_value()? {
+            b'"' => Value::Str(self.string()?.into_owned()),
+            b'[' => {
+                self.open();
+                let mut items = Vec::new();
+                while self.next(b']')? {
+                    items.push(self.value()?);
+                }
+                Value::Arr(items)
+            }
+            b'{' => {
+                self.open();
+                let mut members = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    members.push((key.into_owned(), self.value()?));
+                }
+                Value::Obj(members)
+            }
+            b'n' => self.literal("null", Value::Null)?,
+            b't' => self.literal("true", Value::Bool(true))?,
+            b'f' => self.literal("false", Value::Bool(false))?,
+            _ => Value::Num(self.number()?),
+        })
+    }
+
+    /// Reads the next value as a [`Lexeme`]: strings decoded, anything
+    /// else validated and returned as its source text.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] with a byte offset on malformed input.
+    #[inline]
+    pub fn lexeme(&mut self) -> Result<Lexeme<'a>, JsonError> {
+        if self.start_value()? == b'"' {
+            Ok(Lexeme::Str(self.string()?))
+        } else {
+            Ok(Lexeme::Raw(self.skip()?))
+        }
+    }
+
+    /// Validates the next value without decoding or building anything,
+    /// returning its source text.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] with a byte offset on malformed input.
+    pub fn skip(&mut self) -> Result<&'a str, JsonError> {
+        let first = self.start_value()?;
+        let start = self.pos;
+        match first {
+            b'"' => {
+                self.scan_string()?;
+            }
+            b'[' => {
+                self.open();
+                while self.next(b']')? {
+                    self.skip()?;
+                }
+            }
+            b'{' => {
+                self.open();
+                while self.next_key_scanned()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            b'n' => self.literal("null", ())?,
+            b't' => self.literal("true", ())?,
+            b'f' => self.literal("false", ())?,
+            _ => {
+                self.number()?;
+            }
+        }
+        Ok(&self.text[start..self.pos])
+    }
+
+    /// Checks that only whitespace follows the document.
+    ///
+    /// # Errors
+    ///
+    /// Fails on trailing characters.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return self.err("trailing characters after document");
+        }
+        Ok(())
+    }
+
+    fn literal<T>(&mut self, word: &str, value: T) -> Result<T, JsonError> {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -268,137 +542,162 @@ impl<'a> ValueParser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
-        if self.depth >= MAX_DEPTH {
-            return self.err("nesting too deep");
-        }
-        match self.peek() {
-            None => self.err("unexpected end of input"),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                self.depth += 1;
-                let mut items = Vec::new();
-                if !self.eat(b']') {
-                    loop {
-                        items.push(self.value()?);
-                        if !self.eat(b',') {
-                            self.expect(b']')?;
-                            break;
-                        }
-                    }
-                }
-                self.depth -= 1;
-                Ok(Value::Arr(items))
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                self.depth += 1;
-                let mut members = Vec::new();
-                if !self.eat(b'}') {
-                    loop {
-                        self.skip_ws();
-                        let key = self.string()?;
-                        self.expect(b':')?;
-                        members.push((key, self.value()?));
-                        if !self.eat(b',') {
-                            self.expect(b'}')?;
-                            break;
-                        }
-                    }
-                }
-                self.depth -= 1;
-                Ok(Value::Obj(members))
-            }
-            Some(_) => self.number(),
-        }
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let scanned = self.scan_string()?;
+        Ok(self.decode(scanned))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Lexes one string literal, validating its escapes and measuring
+    /// its decoded length, without decoding it.
+    fn scan_string(&mut self) -> Result<Scanned, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        // Bytes the escapes save over their source text; `None` while
+        // there are no escapes.
+        let mut saved = None;
         loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
+            // Skip plain content up to the next quote, backslash or
+            // control byte.
+            let Some(run) = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            else {
+                self.pos = bytes.len();
                 return self.err("unterminated string");
             };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return self.err("unterminated escape");
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return self.err("truncated \\u escape");
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            let Some(code) = hex else {
-                                return self.err("malformed \\u escape");
-                            };
-                            self.pos += 4;
-                            // Surrogates are replaced, not recombined:
-                            // protocol strings are plain BMP text.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return self.err("unknown escape"),
+            self.pos += run + 1;
+            match bytes[self.pos - 1] {
+                b'"' => break,
+                b'\\' => match decode_escape(&bytes[self.pos..]) {
+                    Ok((c, len)) => {
+                        self.pos += len;
+                        *saved.get_or_insert(0) += 1 + len - c.len_utf8();
                     }
-                }
-                b if b < 0x20 => return self.err("raw control character in string"),
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Re-decode the multi-byte scalar from the source.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let Ok(s) = std::str::from_utf8(&self.bytes[start..end]) else {
-                        return self.err("invalid utf-8 in string");
-                    };
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                    Err((at, message)) => {
+                        self.pos += at;
+                        return self.err(message);
+                    }
+                },
+                _ => return self.err("raw control character in string"),
             }
         }
+        let end = self.pos - 1;
+        Ok(Scanned {
+            start,
+            end,
+            decoded_len: saved.map(|saved| end - start - saved),
+        })
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
+    #[inline]
+    fn decode(&self, scanned: Scanned) -> Cow<'a, str> {
+        let raw = &self.text[scanned.start..scanned.end];
+        let Some(len) = scanned.decoded_len else {
+            return Cow::Borrowed(raw);
+        };
+        let mut out = String::with_capacity(len);
+        let mut rest = raw;
+        while let Some(i) = rest.find('\\') {
+            out.push_str(&rest[..i]);
+            let (c, n) =
+                decode_escape(&rest.as_bytes()[i + 1..]).expect("escape validated by scan_string");
+            out.push(c);
+            rest = &rest[i + 1 + n..];
         }
-        while self
-            .bytes
+        out.push_str(rest);
+        Cow::Owned(out)
+    }
+
+    /// Lexes one number. The run of number-like bytes is consumed whole,
+    /// so a malformed number fails at its end.
+    fn number(&mut self) -> Result<f64, JsonError> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        while bytes
             .get(self.pos)
             .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+            Ok(n) if n.is_finite() && is_json_number(text.as_bytes()) => Ok(n),
             _ => self.err("malformed number"),
         }
     }
+}
+
+/// Decodes the escape after a backslash (`b` starts just past it): the
+/// character and the bytes of `b` it spans, or how far into `b` it
+/// breaks and why.
+fn decode_escape(b: &[u8]) -> Result<(char, usize), (usize, &'static str)> {
+    let Some(&esc) = b.first() else {
+        return Err((0, "unterminated escape"));
+    };
+    let c = match esc {
+        b'"' => '"',
+        b'\\' => '\\',
+        b'/' => '/',
+        b'n' => '\n',
+        b'r' => '\r',
+        b't' => '\t',
+        b'b' => '\u{8}',
+        b'f' => '\u{c}',
+        b'u' => {
+            let Some(hex) = b.get(1..5) else {
+                return Err((1, "truncated \\u escape"));
+            };
+            let mut code = 0;
+            for &h in hex {
+                let digit = char::from(h)
+                    .to_digit(16)
+                    .ok_or((1, "malformed \\u escape"))?;
+                code = code * 16 + digit;
+            }
+            // Surrogates are replaced, not recombined: protocol strings
+            // are plain BMP text.
+            return Ok((char::from_u32(code).unwrap_or('\u{fffd}'), 5));
+        }
+        _ => return Err((1, "unknown escape")),
+    };
+    Ok((c, 1))
+}
+
+/// Whether `t` is exactly an RFC 8259 number:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+fn is_json_number(t: &[u8]) -> bool {
+    let digits = |i: &mut usize| {
+        let from = *i;
+        while t.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i > from
+    };
+    let mut i = usize::from(t.first() == Some(&b'-'));
+    match t.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => {
+            digits(&mut i);
+        }
+        _ => return false,
+    }
+    if t.get(i) == Some(&b'.') {
+        i += 1;
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    if matches!(t.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(t.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    i == t.len()
 }
 
 #[cfg(test)]
@@ -451,12 +750,132 @@ mod tests {
             "{\"a\":1,}",
             "nan",
             "--3",
+            // Not RFC 8259 numbers.
+            "+1",
+            ".5",
+            "5.",
+            "01",
+            "-01",
+            "1.e5",
+            "1e",
+            "-",
+            "[1,+5]",
+            r#"{"deadline_ms":+5}"#,
+            r#""\u+abc""#,
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} must fail");
         }
         // Nesting bound trips instead of overflowing the stack.
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
         assert!(Value::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn value_accepts_every_rfc_number_form() {
+        for (text, n) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("7", 7.0),
+            ("-12", -12.0),
+            ("0.5", 0.5),
+            ("-1.25", -1.25),
+            ("1e3", 1e3),
+            ("1E+3", 1e3),
+            ("25e-1", 2.5),
+            ("0.5e2", 50.0),
+        ] {
+            assert_eq!(Value::parse(text), Ok(Value::Num(n)), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn written_numbers_parse_back() {
+        for n in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.1,
+            -1.5,
+            1e-7,
+            5e-324,
+            123_456_789.25,
+            1e15,
+            -1e15,
+            9.007_199_254_740_993e15,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            u64::MAX as f64,
+        ] {
+            let v = Value::Num(n);
+            assert_eq!(Value::parse(&v.to_string()), Ok(v), "{n:e}");
+        }
+    }
+
+    #[test]
+    fn lexer_borrows_plain_strings_and_decodes_escapes_once() {
+        let mut lexer = Lexer::new(r#"{"plain":"abc","esc":"a\n\u00e9日"}"#);
+        lexer.begin_object().expect("object");
+        let key = lexer.next_key().expect("key").expect("member");
+        assert!(matches!(key, Cow::Borrowed("plain")));
+        match lexer.lexeme().expect("value") {
+            Lexeme::Str(Cow::Borrowed(s)) => assert_eq!(s, "abc"),
+            other => panic!("not borrowed: {other:?}"),
+        }
+        assert_eq!(lexer.next_key().expect("key").as_deref(), Some("esc"));
+        match lexer.lexeme().expect("value") {
+            Lexeme::Str(Cow::Owned(s)) => {
+                assert_eq!(s, "a\né日");
+                assert_eq!(s.capacity(), s.len(), "decoded at its exact size");
+            }
+            other => panic!("not decoded: {other:?}"),
+        }
+        assert_eq!(lexer.next_key().expect("close"), None);
+        lexer.finish().expect("nothing trails");
+    }
+
+    #[test]
+    fn lexemes_read_like_values() {
+        let text = r#"{"n":42,"f":1.5,"t":true,"z":null,"arr":["a",1,["b"]],"s":"x"}"#;
+        let tree = Value::parse(text).expect("parses");
+        let mut lexer = Lexer::new(text);
+        lexer.begin_object().expect("object");
+        while let Some(key) = lexer.next_key().expect("key") {
+            let lexeme = lexer.lexeme().expect("value");
+            let v = tree.get(&key).expect("member");
+            assert_eq!(lexeme.as_str(), v.as_str(), "{key}");
+            assert_eq!(lexeme.as_bool(), v.as_bool(), "{key}");
+            assert_eq!(lexeme.as_u64(), v.as_u64(), "{key}");
+            assert_eq!(
+                lexeme.as_arr().map(|items| items.count()),
+                v.as_arr().map(<[Value]>::len),
+                "{key}"
+            );
+        }
+        lexer.finish().expect("nothing trails");
+        let arr = Lexeme::Raw(r#"["a" , 1,["b"]]"#);
+        let items: Vec<Lexeme> = arr.as_arr().expect("array").collect();
+        assert_eq!(
+            items,
+            [
+                Lexeme::Str("a".into()),
+                Lexeme::Raw("1"),
+                Lexeme::Raw(r#"["b"]"#)
+            ]
+        );
+    }
+
+    #[test]
+    fn skip_returns_the_validated_source_text() {
+        let mut lexer = Lexer::new(r#" [ {"a":[1,"\""]} , -2.5e3 ] "#);
+        assert_eq!(lexer.skip(), Ok(r#"[ {"a":[1,"\""]} , -2.5e3 ]"#));
+        lexer.finish().expect("nothing trails");
+        let mut lexer = Lexer::new(r#"{"a":01}"#);
+        assert_eq!(
+            lexer.skip().map_err(|e| (e.offset, e.message)),
+            Err((7, "malformed number".to_string()))
+        );
     }
 
     #[test]

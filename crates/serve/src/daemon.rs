@@ -39,8 +39,8 @@ use separ_obs::json::Value;
 use separ_obs::prometheus::PromWriter;
 
 use crate::audit::{AuditRecord, AuditWriter};
-use crate::metrics::{obs_counters_prometheus, ServeMetrics};
-use crate::protocol::{error_response, ok_response, QueryWhat, Request};
+use crate::metrics::{kind_slot, obs_counters_prometheus, ServeMetrics};
+use crate::protocol::{decide_response, error_response, ok_response, QueryWhat, Request};
 use crate::queue::{fulfill_batch, BatchOutcome, BatchSummary, ChurnQueue, PushError};
 use crate::store::SessionStore;
 use crate::subscribe::{PolicyDeltaEvent, Subscription, Subscriptions};
@@ -261,11 +261,17 @@ impl Daemon {
         let req_id = self.req_ids.fetch_add(1, Ordering::Relaxed) + 1;
         let started = Instant::now();
         let mut span = separ_obs::span("serve.request");
-        span.set_arg("req_id", req_id.to_string());
+        // Formatting the id allocates; an inert span would drop it.
+        if span.id().is_some() {
+            span.set_arg("req_id", req_id.to_string());
+        }
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         separ_obs::counter_add("serve.requests", 1);
         let parsed = Request::parse(line.trim());
-        let kind = parsed.as_ref().map(Request::kind).unwrap_or("invalid");
+        let (kind, slot) = match &parsed {
+            Ok(request) => (request.kind(), request.kind_slot()),
+            Err(_) => ("invalid", kind_slot("invalid")),
+        };
         span.set_arg("cmd", kind);
         drop(span);
         let (response, outcome) = match parsed {
@@ -279,7 +285,9 @@ impl Daemon {
             }
         };
         let ns = started.elapsed().as_nanos() as u64;
-        self.metrics.record(kind, ns);
+        if let Some(slot) = slot {
+            self.metrics.record(slot, ns);
+        }
         if let Some(slow_ms) = self.slow_ms {
             if ns >= slow_ms.saturating_mul(1_000_000) {
                 self.metrics.slow_requests.add(1);
@@ -382,18 +390,12 @@ impl Daemon {
                     PromptHandler::AlwaysDeny
                 };
                 let decision = self.pdp.reader().evaluate(event, &ctx, &mut prompt);
-                let mut fields =
-                    vec![("decision".to_string(), Value::Str(decision.label().into()))];
-                match decision.policy_id() {
-                    Some(id) => fields.push(("policy_id".into(), Value::Num(id as f64))),
-                    None => fields.push(("policy_id".into(), Value::Null)),
-                }
                 let outcome = Outcome {
                     decision: Some(decision.label()),
                     policy_id: decision.policy_id().map(u64::from),
                     ..Outcome::default()
                 };
-                (ok_response(fields), outcome)
+                (decide_response(&decision), outcome)
             }
             Request::Stats => (self.stats(), Outcome::default()),
             Request::Metrics { prometheus } => {
@@ -959,7 +961,9 @@ fn worker_loop(
                 pdp.publish(CompiledPolicySet::compile(live, packages_of(&session)));
                 *published.lock().expect("published lock") = snapshot_of(&session);
                 metrics.mark_batch();
-                metrics.record("batch", started.elapsed().as_nanos() as u64);
+                if let Some(slot) = kind_slot("batch") {
+                    metrics.record(slot, started.elapsed().as_nanos() as u64);
+                }
                 let line: Arc<str> = Arc::from(event.to_line().as_str());
                 subs.publish(&line);
                 if let Some(store) = &store {

@@ -43,7 +43,7 @@ pub mod subscribe;
 
 pub use audit::{AuditRecord, AuditWriter};
 pub use daemon::{Daemon, ServeConfig, ServeError};
-pub use metrics::{ServeMetrics, REQUEST_KINDS};
+pub use metrics::{kind_slot, ServeMetrics, REQUEST_KINDS};
 pub use protocol::{QueryWhat, Request};
 pub use queue::{BatchOutcome, BatchSummary, ChurnQueue, PushError, Ticket};
 pub use server::{serve, Endpoint};

@@ -32,6 +32,12 @@ pub const REQUEST_KINDS: [&str; 10] = [
     "batch",
 ];
 
+/// The index of `kind` in [`REQUEST_KINDS`], for
+/// [`ServeMetrics::record`]; `None` for kinds without a window.
+pub fn kind_slot(kind: &str) -> Option<usize> {
+    REQUEST_KINDS.iter().position(|&k| k == kind)
+}
+
 /// The daemon's live metrics registry.
 ///
 /// One instance per [`Daemon`](crate::Daemon); shared with the analysis
@@ -69,11 +75,12 @@ impl ServeMetrics {
         self.started.elapsed().as_millis() as u64
     }
 
-    /// Records one request of `kind` taking `ns` nanoseconds. Unknown
-    /// kinds are dropped (the set is closed over [`REQUEST_KINDS`]).
-    pub fn record(&self, kind: &str, ns: u64) {
-        if let Some(i) = REQUEST_KINDS.iter().position(|&k| k == kind) {
-            self.rolling[i].record(ns);
+    /// Records one request of the kind at index `slot` of
+    /// [`REQUEST_KINDS`] (see [`kind_slot`]) taking `ns` nanoseconds.
+    /// Slots past the table are dropped.
+    pub fn record(&self, slot: usize, ns: u64) {
+        if let Some(window) = self.rolling.get(slot) {
+            window.record(ns);
         }
     }
 
@@ -195,9 +202,11 @@ mod tests {
     #[test]
     fn records_only_known_kinds() {
         let m = ServeMetrics::new();
-        m.record("decide", 1_000);
-        m.record("decide", 2_000);
-        m.record("nonsense", 5_000);
+        let decide = kind_slot("decide").expect("decide has a window");
+        m.record(decide, 1_000);
+        m.record(decide, 2_000);
+        assert_eq!(kind_slot("nonsense"), None);
+        m.record(REQUEST_KINDS.len(), 5_000);
         let rolling = m.rolling_json();
         let decide = rolling.get("decide").expect("decide tracked");
         let w10 = decide.get("10s").expect("10s window");
@@ -209,8 +218,9 @@ mod tests {
     #[test]
     fn rolling_prometheus_emits_quantiles_per_window() {
         let m = ServeMetrics::new();
+        let decide = kind_slot("decide").expect("decide has a window");
         for i in 0..100 {
-            m.record("decide", 1_000 * (i + 1));
+            m.record(decide, 1_000 * (i + 1));
         }
         let mut w = PromWriter::new();
         m.rolling_prometheus(&mut w);

@@ -37,8 +37,8 @@ use std::collections::BTreeSet;
 
 use separ_android::types::Resource;
 use separ_core::policy::PolicyEvent;
-use separ_enforce::IccContext;
-use separ_obs::json::Value;
+use separ_enforce::{Decision, IccContext};
+use separ_obs::json::{JsonError, Lexeme, Lexer, Value};
 
 /// What a [`Request::Query`] asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,22 +112,25 @@ pub enum Request {
 impl Request {
     /// Parses one request line.
     ///
+    /// The line is lexed once, without building a JSON tree: members
+    /// are read as borrowed strings or validated source text, and only
+    /// the strings the request keeps are allocated. As with
+    /// [`Value::get`], the first occurrence of a duplicate key wins;
+    /// unknown members are validated and ignored, and a JSON error
+    /// anywhere in the line is reported before any field error.
+    ///
     /// # Errors
     ///
     /// Returns a human-readable message for malformed JSON, unknown
     /// commands, or missing/ill-typed fields.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = Value::parse(line).map_err(|e| format!("bad json: {e}"))?;
-        let cmd = v
-            .get("cmd")
-            .and_then(Value::as_str)
-            .ok_or("missing \"cmd\"")?;
-        let deadline_ms = v.get("deadline_ms").and_then(Value::as_u64);
+        let mut m = Members::read(line).map_err(|e| format!("bad json: {e}"))?;
+        let deadline_ms = m.get(Field::DeadlineMs).and_then(Lexeme::as_u64);
+        let cmd = m.str(Field::Cmd).ok_or("missing \"cmd\"")?;
         match cmd {
             "install" => {
-                let hex = v
-                    .get("bytes_hex")
-                    .and_then(Value::as_str)
+                let hex = m
+                    .str(Field::BytesHex)
                     .ok_or("install: missing \"bytes_hex\"")?;
                 Ok(Request::Install {
                     bytes: decode_hex(hex).ok_or("install: bad hex")?,
@@ -135,20 +138,20 @@ impl Request {
                 })
             }
             "uninstall" => Ok(Request::Uninstall {
-                package: str_field(&v, "package")?,
+                package: m.required(Field::Package)?,
                 deadline_ms,
             }),
             "set_permission" => Ok(Request::SetPermission {
-                package: str_field(&v, "package")?,
-                permission: str_field(&v, "permission")?,
-                granted: v
-                    .get("granted")
-                    .and_then(Value::as_bool)
+                package: m.required(Field::Package)?,
+                permission: m.required(Field::Permission)?,
+                granted: m
+                    .get(Field::Granted)
+                    .and_then(Lexeme::as_bool)
                     .ok_or("set_permission: missing \"granted\"")?,
                 deadline_ms,
             }),
             "query" => {
-                let what = match v.get("what").and_then(Value::as_str) {
+                let what = match m.str(Field::What) {
                     Some("policies") => QueryWhat::Policies,
                     Some("exploits") => QueryWhat::Exploits,
                     Some("apps") => QueryWhat::Apps,
@@ -158,44 +161,40 @@ impl Request {
                 Ok(Request::Query(what))
             }
             "decide" => {
-                let event_name = v
-                    .get("event")
-                    .and_then(Value::as_str)
-                    .ok_or("decide: missing \"event\"")?;
+                let event_name = m.str(Field::Event).ok_or("decide: missing \"event\"")?;
                 let event = PolicyEvent::from_name(event_name)
                     .ok_or_else(|| format!("decide: unknown event: {event_name}"))?;
                 let mut tags = BTreeSet::new();
-                if let Some(arr) = v.get("tags").and_then(Value::as_arr) {
-                    for t in arr {
+                if let Some(items) = m.get(Field::Tags).and_then(Lexeme::as_arr) {
+                    for t in items {
                         let name = t.as_str().ok_or("decide: tags must be strings")?;
                         let r = Resource::from_name(name)
                             .ok_or_else(|| format!("decide: unknown tag: {name}"))?;
                         tags.insert(r);
                     }
                 }
-                let opt = |key: &str| v.get(key).and_then(Value::as_str).map(String::from);
-                let ctx = IccContext {
-                    sender_app: str_field(&v, "sender_app")?,
-                    sender_component: opt("sender_component").unwrap_or_default(),
-                    receiver_app: opt("receiver_app"),
-                    receiver_component: opt("receiver_component"),
-                    action: opt("action"),
-                    tags,
+                let prompt_allow = match m.str(Field::Prompt) {
+                    Some("allow") => Ok(true),
+                    Some("deny") | None => Ok(false),
+                    Some(other) => Err(format!("decide: unknown prompt: {other}")),
                 };
-                let prompt_allow = match v.get("prompt").and_then(Value::as_str) {
-                    Some("allow") => true,
-                    Some("deny") | None => false,
-                    Some(other) => return Err(format!("decide: unknown prompt: {other}")),
+                let ctx = IccContext {
+                    sender_app: m.required(Field::SenderApp)?,
+                    sender_component: m.take(Field::SenderComponent).unwrap_or_default(),
+                    receiver_app: m.take(Field::ReceiverApp),
+                    receiver_component: m.take(Field::ReceiverComponent),
+                    action: m.take(Field::Action),
+                    tags,
                 };
                 Ok(Request::Decide {
                     event,
                     ctx: Box::new(ctx),
-                    prompt_allow,
+                    prompt_allow: prompt_allow?,
                 })
             }
             "stats" => Ok(Request::Stats),
             "metrics" => {
-                let prometheus = match v.get("format").and_then(Value::as_str) {
+                let prometheus = match m.str(Field::Format) {
                     Some("prometheus") => true,
                     Some("json") | None => false,
                     Some(other) => return Err(format!("metrics: unknown format: {other}")),
@@ -218,6 +217,23 @@ impl Request {
         )
     }
 
+    /// The index of [`kind`](Request::kind) in
+    /// [`REQUEST_KINDS`](crate::REQUEST_KINDS) (`None` for kinds
+    /// without a latency window), without comparing names.
+    pub fn kind_slot(&self) -> Option<usize> {
+        Some(match self {
+            Request::Install { .. } => 0,
+            Request::Uninstall { .. } => 1,
+            Request::SetPermission { .. } => 2,
+            Request::Query(_) => 3,
+            Request::Decide { .. } => 4,
+            Request::Stats => 5,
+            Request::Metrics { .. } => 6,
+            Request::Health => 7,
+            Request::Subscribe | Request::Shutdown => return None,
+        })
+    }
+
     /// The request's kind label, as used for per-type latency metrics
     /// and the audit log.
     pub fn kind(&self) -> &'static str {
@@ -236,11 +252,122 @@ impl Request {
     }
 }
 
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(String::from)
-        .ok_or_else(|| format!("missing \"{key}\""))
+/// The request members [`Request::parse`] reads.
+#[derive(Debug, Clone, Copy)]
+enum Field {
+    Cmd,
+    DeadlineMs,
+    BytesHex,
+    Package,
+    Permission,
+    Granted,
+    What,
+    Event,
+    Tags,
+    SenderApp,
+    SenderComponent,
+    ReceiverApp,
+    ReceiverComponent,
+    Action,
+    Prompt,
+    Format,
+}
+
+impl Field {
+    const COUNT: usize = 16;
+
+    fn of_key(key: &str) -> Option<Field> {
+        Some(match key {
+            "cmd" => Field::Cmd,
+            "deadline_ms" => Field::DeadlineMs,
+            "bytes_hex" => Field::BytesHex,
+            "package" => Field::Package,
+            "permission" => Field::Permission,
+            "granted" => Field::Granted,
+            "what" => Field::What,
+            "event" => Field::Event,
+            "tags" => Field::Tags,
+            "sender_app" => Field::SenderApp,
+            "sender_component" => Field::SenderComponent,
+            "receiver_app" => Field::ReceiverApp,
+            "receiver_component" => Field::ReceiverComponent,
+            "action" => Field::Action,
+            "prompt" => Field::Prompt,
+            "format" => Field::Format,
+            _ => return None,
+        })
+    }
+
+    /// Every field's key, in declaration order.
+    const KEYS: [&'static str; Field::COUNT] = [
+        "cmd",
+        "deadline_ms",
+        "bytes_hex",
+        "package",
+        "permission",
+        "granted",
+        "what",
+        "event",
+        "tags",
+        "sender_app",
+        "sender_component",
+        "receiver_app",
+        "receiver_component",
+        "action",
+        "prompt",
+        "format",
+    ];
+}
+
+/// The first occurrence of every [`Field`] in a request line, borrowed
+/// from the line.
+struct Members<'a>([Option<Lexeme<'a>>; Field::COUNT]);
+
+impl<'a> Members<'a> {
+    /// Lexes the whole line, keeping the known members of a top-level
+    /// object. Anything else — unknown or repeated members, or a
+    /// document that is not an object — is validated and dropped.
+    fn read(line: &'a str) -> Result<Members<'a>, JsonError> {
+        let mut members = Members(Default::default());
+        let mut lexer = Lexer::new(line);
+        if lexer.peek() == Some(b'{') {
+            lexer.begin_object()?;
+            while let Some(key) = lexer.next_key()? {
+                match Field::of_key(&key).map(|f| &mut members.0[f as usize]) {
+                    Some(slot @ None) => *slot = Some(lexer.lexeme()?),
+                    _ => {
+                        lexer.skip()?;
+                    }
+                }
+            }
+        } else {
+            lexer.skip()?;
+        }
+        lexer.finish()?;
+        Ok(members)
+    }
+
+    fn get(&self, field: Field) -> Option<&Lexeme<'a>> {
+        self.0[field as usize].as_ref()
+    }
+
+    fn str(&self, field: Field) -> Option<&str> {
+        self.get(field).and_then(Lexeme::as_str)
+    }
+
+    /// The string member as an owned `String` (moved out when it was
+    /// decoded, else copied once from the line).
+    fn take(&mut self, field: Field) -> Option<String> {
+        match self.0[field as usize].take()? {
+            Lexeme::Str(s) => Some(s.into_owned()),
+            Lexeme::Raw(_) => None,
+        }
+    }
+
+    fn required(&mut self, field: Field) -> Result<String, String> {
+        self.take(field)
+            .ok_or_else(|| format!("missing \"{}\"", Field::KEYS[field as usize]))
+    }
 }
 
 /// Decodes a lowercase/uppercase hex string; `None` on odd length or
@@ -272,6 +399,29 @@ pub fn error_response(message: &str) -> String {
     ]);
     let mut out = String::new();
     v.write_into(&mut out);
+    out
+}
+
+/// Builds the `decide` response line, `{"ok":true,"decision":…,
+/// "policy_id":…}`, straight into one string: the same bytes
+/// [`ok_response`] makes of the two fields, without building them.
+pub fn decide_response(decision: &Decision) -> String {
+    const HEAD: &str = "{\"ok\":true,\"decision\":\"";
+    const MID: &str = "\",\"policy_id\":";
+    let label = decision.label();
+    // The longest id, `u32::MAX`, has 10 digits; then the closing `}`.
+    let mut out = String::with_capacity(HEAD.len() + label.len() + MID.len() + 11);
+    out.push_str(HEAD);
+    // Labels are plain lowercase ASCII: nothing to escape.
+    out.push_str(label);
+    out.push_str(MID);
+    match decision.policy_id() {
+        Some(id) => {
+            let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{id}"));
+        }
+        None => out.push_str("null"),
+    }
+    out.push('}');
     out
 }
 
@@ -372,6 +522,56 @@ mod tests {
         assert!(Request::parse(r#"{"cmd":"install","bytes_hex":"0"}"#).is_err());
         assert!(Request::parse(r#"{"cmd":"decide","event":"nope","sender_app":"a"}"#).is_err());
         assert!(Request::parse(r#"{"cmd":"query","what":"everything"}"#).is_err());
+    }
+
+    #[test]
+    fn every_field_key_maps_back_to_its_field() {
+        for (i, key) in Field::KEYS.iter().enumerate() {
+            assert_eq!(Field::of_key(key).map(|f| f as usize), Some(i), "{key}");
+        }
+        assert!(Field::of_key("cmdx").is_none());
+    }
+
+    #[test]
+    fn kind_slots_index_request_kinds() {
+        for line in [
+            r#"{"cmd":"install","bytes_hex":""}"#,
+            r#"{"cmd":"uninstall","package":"p"}"#,
+            r#"{"cmd":"set_permission","package":"p","permission":"q","granted":true}"#,
+            r#"{"cmd":"query"}"#,
+            r#"{"cmd":"decide","event":"icc_send","sender_app":"a"}"#,
+            r#"{"cmd":"stats"}"#,
+            r#"{"cmd":"metrics"}"#,
+            r#"{"cmd":"health"}"#,
+            r#"{"cmd":"subscribe"}"#,
+            r#"{"cmd":"shutdown"}"#,
+        ] {
+            let r = Request::parse(line).expect("parses");
+            assert_eq!(r.kind_slot(), crate::kind_slot(r.kind()), "{line}");
+        }
+    }
+
+    #[test]
+    fn first_duplicate_wins_and_unknown_members_are_validated() {
+        let line = r#"{"cmd":"uninstall","package":"a","package":"b","x":[{"y":null}]}"#;
+        match Request::parse(line).expect("parses") {
+            Request::Uninstall { package, .. } => assert_eq!(package, "a"),
+            other => panic!("wrong request: {other:?}"),
+        }
+        // A mistyped first occurrence is not replaced by a later one.
+        assert_eq!(
+            Request::parse(r#"{"cmd":1,"cmd":"stats"}"#).unwrap_err(),
+            "missing \"cmd\""
+        );
+        // A JSON error in an ignored member still fails the line.
+        assert_eq!(
+            Request::parse(r#"{"cmd":"stats","x":01}"#).unwrap_err(),
+            "bad json: json error at byte 21: malformed number"
+        );
+        assert_eq!(
+            Request::parse(r#"{"cmd":"uninstall","package":"p","deadline_ms":+5}"#).unwrap_err(),
+            "bad json: json error at byte 49: malformed number"
+        );
     }
 
     #[test]
