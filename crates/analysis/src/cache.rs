@@ -371,6 +371,16 @@ fn parse_entry_name(name: &str) -> Option<[u8; 32]> {
 
 const MAGIC: &[u8; 4] = b"SEPM";
 const VERSION: u32 = 1;
+/// Magic, version and payload checksum.
+const HEADER_LEN: usize = 40;
+
+/// A content address for an entry from [`encode_entry`]: the SHA-256 of
+/// its header (magic, version and the payload's SHA-256). The header
+/// commits to the whole entry, so this names it as uniquely as hashing
+/// every byte would, without hashing the payload a second time.
+pub fn entry_address(entry: &[u8]) -> [u8; 32] {
+    sha256(&entry[..entry.len().min(HEADER_LEN)])
+}
 
 /// Serializes a model into a self-checking cache entry.
 pub fn encode_entry(model: &AppModel) -> Vec<u8> {
@@ -795,6 +805,30 @@ mod tests {
 
     fn hex(d: &[u8; 32]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn entry_address_names_the_whole_entry_by_its_header() {
+        let model = |package: &str| AppModel {
+            package: package.into(),
+            components: Vec::new(),
+            uses_permissions: Default::default(),
+            defines_permissions: Default::default(),
+            diagnostics: Vec::new(),
+            stats: Default::default(),
+        };
+        let a = encode_entry(&model("com.a"));
+        assert_eq!(entry_address(&a), sha256(&a[..HEADER_LEN]));
+        assert_eq!(
+            entry_address(&a),
+            entry_address(&encode_entry(&model("com.a")))
+        );
+        assert_ne!(
+            entry_address(&a),
+            entry_address(&encode_entry(&model("com.b")))
+        );
+        // A truncated entry still gets an address (of what is there).
+        assert_eq!(entry_address(&a[..10]), sha256(&a[..10]));
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub fn run(bundle_count: usize, bundle_size: usize, seed: u64) -> Table2 {
 pub fn render(t: &Table2) -> String {
     format!(
         "Components  Intents  IntentFilters | Construction(s)  Analysis(s)\n\
-         {:>10.0}  {:>7.0}  {:>13.0} | {:>15.3}  {:>11.3}\n\
+         {:>10.0}  {:>7.0}  {:>13.0} | {:>15.5}  {:>11.5}\n\
          (averages over {} bundles; avg primary vars {:.0})\n",
         t.avg_components(),
         t.avg_intents(),

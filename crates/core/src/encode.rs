@@ -13,7 +13,7 @@
 //! stays symbolic, which keeps the SAT search focused on adversary
 //! capabilities, exactly the synthesis question the paper asks.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use separ_analysis::model::AppModel;
 use separ_android::api::IccMethod;
@@ -419,10 +419,10 @@ pub fn encode_bundle_with(apps: &[AppModel], options: EncodeOptions) -> Encoded 
     let sender = {
         let mut ts = TupleSet::new(2);
         for &((ai, ci, _), atom) in &intent_atoms {
+            // `component_atoms` is in (app, component) order.
             let comp_atom = component_atoms
-                .iter()
-                .find(|&&(idx, _)| idx == (ai, ci))
-                .map(|&(_, a)| a)
+                .binary_search_by_key(&(ai, ci), |&(idx, _)| idx)
+                .map(|i| component_atoms[i].1)
                 .expect("component of intent exists");
             ts.insert(Tuple::binary(atom, comp_atom));
         }
@@ -463,6 +463,24 @@ pub fn encode_bundle_with(apps: &[AppModel], options: EncodeOptions) -> Encoded 
 
     // Precompute real-intent resolution.
     let can_receive = {
+        // Only a component with a filter declaring an implicit intent's
+        // action (any action, for an action-less intent) can pass the
+        // filter match, so candidates come from an action index.
+        let mut by_action: HashMap<&str, Vec<(CompIdx, Atom)>> = HashMap::new();
+        let mut with_actions: Vec<(CompIdx, Atom)> = Vec::new();
+        for &((ai, ci), atom) in &component_atoms {
+            let declared: BTreeSet<&str> = apps[ai].components[ci]
+                .filters
+                .iter()
+                .flat_map(|f| f.actions.iter().map(String::as_str))
+                .collect();
+            if !declared.is_empty() {
+                with_actions.push(((ai, ci), atom));
+            }
+            for a in declared {
+                by_action.entry(a).or_default().push(((ai, ci), atom));
+            }
+        }
         let mut lower = TupleSet::new(2);
         for &((ai, ci, ii), iatom) in &intent_atoms {
             let intent = &apps[ai].components[ci].sent_intents[ii];
@@ -490,7 +508,11 @@ pub fn encode_bundle_with(apps: &[AppModel], options: EncodeOptions) -> Encoded 
                 }
             } else {
                 let data = intent.as_intent_data();
-                for &((tai, tci), catom) in &component_atoms {
+                let candidates = match &intent.action {
+                    Some(a) => by_action.get(a.as_str()).map_or(&[][..], Vec::as_slice),
+                    None => &with_actions,
+                };
+                for &((tai, tci), catom) in candidates {
                     let target = &apps[tai].components[tci];
                     if target.kind != kind {
                         continue;

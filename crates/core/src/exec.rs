@@ -3,7 +3,8 @@
 //! Both halves of the ASE pipeline are embarrassingly parallel: app
 //! extraction is independent per package, and each vulnerability
 //! signature solves its own relational problem against the shared bundle.
-//! [`Executor::ordered_map`] fans such work out over scoped OS threads
+//! [`Executor::ordered_map`] fans such work out over the calling thread
+//! plus scoped OS threads
 //! (work is claimed by atomic index, so long items don't stall the queue)
 //! and merges results back **in input order**, which keeps every
 //! [`crate::Report`] byte-identical regardless of thread count — the
@@ -78,12 +79,7 @@ impl Executor {
             return items.iter().map(f).collect();
         }
         let next = AtomicUsize::new(0);
-        // Worker-side spans must parent under whatever span is open on
-        // the spawning thread, so capture it here and adopt it in each
-        // worker (span context is otherwise thread-local).
-        let parent_span = separ_obs::current_span();
-        let worker = || {
-            let _ctx = separ_obs::adopt_span(parent_span);
+        let work = || {
             let mut out: Vec<(usize, Result<R, E>)> = Vec::new();
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
@@ -93,20 +89,87 @@ impl Executor {
                 out.push((i, f(item)));
             }
         };
+        // Worker-side spans must parent under whatever span is open on
+        // the spawning thread, so capture it here and adopt it in each
+        // spawned worker (span context is otherwise thread-local).
+        let parent_span = separ_obs::current_span();
+        let spawned = || {
+            let _ctx = separ_obs::adopt_span(parent_span);
+            work()
+        };
         let mut slots: Vec<Option<Result<R, E>>> = Vec::new();
         slots.resize_with(items.len(), || None);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            // The calling thread is one of the workers. It usually claims
+            // the first item, so what that item allocates stays in the
+            // caller's malloc arena rather than a short-lived thread's.
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(spawned)).collect();
+            let inline = work();
             for handle in handles {
                 for (i, result) in handle.join().expect("executor worker panicked") {
                     slots[i] = Some(result);
                 }
+            }
+            for (i, result) in inline {
+                slots[i] = Some(result);
             }
         });
         slots
             .into_iter()
             .map(|slot| slot.expect("every index was claimed by exactly one worker"))
             .collect()
+    }
+
+    /// [`Executor::ordered_map`] that starts the costliest items first.
+    pub fn ordered_map_by_cost<T, R, K, F>(
+        &self,
+        items: &[T],
+        cost: impl Fn(&T) -> K,
+        f: F,
+    ) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        K: Ord,
+        F: Fn(&T) -> R + Sync,
+    {
+        match self.try_ordered_map_by_cost(items, cost, |item| Ok::<R, Unreachable>(f(item))) {
+            Ok(results) => results,
+            Err(unreachable) => match unreachable {},
+        }
+    }
+
+    /// [`Executor::try_ordered_map`] that claims items in descending
+    /// `cost` order (ties in input order) and still returns results in
+    /// input order. When one item dominates, starting it first keeps the
+    /// others from delaying it. On failure, returns the error of the
+    /// first failing item in claim order — again independent of thread
+    /// count.
+    pub fn try_ordered_map_by_cost<T, R, E, K, F>(
+        &self,
+        items: &[T],
+        cost: impl Fn(&T) -> K,
+        f: F,
+    ) -> Result<Vec<R>, E>
+    where
+        T: Sync,
+        R: Send,
+        E: Send,
+        K: Ord,
+        F: Fn(&T) -> Result<R, E> + Sync,
+    {
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(cost(&items[i])));
+        let results = self.try_ordered_map(&order, |&i| f(&items[i]))?;
+        let mut slots: Vec<Option<R>> = Vec::new();
+        slots.resize_with(items.len(), || None);
+        for (i, result) in order.into_iter().zip(results) {
+            slots[i] = Some(result);
+        }
+        Ok(slots
+            .into_iter()
+            .map(|slot| slot.expect("every item ran exactly once"))
+            .collect())
     }
 }
 
@@ -194,6 +257,30 @@ mod tests {
                 "child {} parents under root",
                 s.name
             );
+        }
+    }
+
+    #[test]
+    fn costliest_items_start_first_and_results_stay_in_input_order() {
+        let items: Vec<usize> = vec![3, 9, 1, 9, 4];
+        for threads in [1, 2, 8] {
+            let claimed = std::sync::Mutex::new(Vec::new());
+            let out = Executor::new(threads).ordered_map_by_cost(
+                &items,
+                |&n| n,
+                |&n| {
+                    claimed.lock().unwrap().push(n);
+                    n * 10
+                },
+            );
+            assert_eq!(out, vec![30, 90, 10, 90, 40]);
+            if threads == 1 {
+                assert_eq!(*claimed.lock().unwrap(), vec![9, 9, 4, 3, 1]);
+            }
+            let err = Executor::new(threads)
+                .try_ordered_map_by_cost(&items, |&n| n, |&n| if n < 5 { Err(n) } else { Ok(n) })
+                .expect_err("3, 1 and 4 fail");
+            assert_eq!(err, 4, "first failure in claim order, threads={threads}");
         }
     }
 }

@@ -11,6 +11,7 @@
 //! yields a [`PolicyDelta`] the enforcer can apply without re-deploying
 //! the whole policy set.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use separ_analysis::cache::ModelCache;
@@ -21,7 +22,7 @@ use separ_logic::LogicError;
 use crate::exec::Executor;
 use crate::exploit::Exploit;
 use crate::pipeline::{derive_policies, synthesize_all, AnalyzeError};
-use crate::policy::Policy;
+use crate::policy::{Policy, PolicyKey};
 use crate::signature::{Sensitivity, SignatureRegistry};
 use crate::SeparConfig;
 
@@ -186,16 +187,23 @@ impl IncrementalSession {
         Ok(reran)
     }
 
+    /// The policy change from `before` to the current set, by content
+    /// identity; `added` and `removed` keep the order of the current set
+    /// and of `before`.
     fn delta_from(&mut self, before: Vec<Policy>, reran: usize, resliced: usize) -> PolicyDelta {
-        let added = self
-            .policies
-            .iter()
-            .filter(|p| !before.iter().any(|q| same_policy(p, q)))
-            .cloned()
-            .collect();
+        let added = {
+            let before_keys: HashSet<PolicyKey> = before.iter().map(Policy::content_key).collect();
+            self.policies
+                .iter()
+                .filter(|p| !before_keys.contains(&p.content_key()))
+                .cloned()
+                .collect()
+        };
+        let current_keys: HashSet<PolicyKey> =
+            self.policies.iter().map(Policy::content_key).collect();
         let removed = before
             .into_iter()
-            .filter(|q| !self.policies.iter().any(|p| same_policy(p, q)))
+            .filter(|q| !current_keys.contains(&q.content_key()))
             .collect();
         PolicyDelta {
             added,
@@ -385,11 +393,6 @@ impl IncrementalSession {
     }
 }
 
-/// Policy identity modulo the (renumbered) id.
-fn same_policy(a: &Policy, b: &Policy) -> bool {
-    a.content_key() == b.content_key()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,7 +500,10 @@ mod tests {
             .expect("revoke");
         for p in &hijack_policies {
             assert!(
-                !delta.removed.iter().any(|q| same_policy(p, q)),
+                !delta
+                    .removed
+                    .iter()
+                    .any(|q| q.content_key() == p.content_key()),
                 "hijack policy must survive a permission toggle"
             );
         }

@@ -16,7 +16,7 @@
 //! fields are always populated. Timing consumers (the CLI, the bench
 //! crate) enable the collector first.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -106,6 +106,10 @@ pub struct SignatureStats {
     pub construction: Duration,
     /// Time inside the SAT solver.
     pub solving: Duration,
+    /// The rest of the signature's time: its `ase.signature` span minus
+    /// `logic.translate` and `logic.solve` — building the problem,
+    /// decoding and dropping instances, the finder's teardown.
+    pub enumerate: Duration,
     /// Primary (free) boolean variables in the instance.
     pub primary_vars: usize,
     /// CNF clauses asserted into the SAT solver.
@@ -491,6 +495,9 @@ impl Separ {
             // under this signature's `ase.signature` span.
             let construction = obs.subtree_sum(run.span, "logic.translate");
             let solving = obs.subtree_sum(run.span, "logic.solve");
+            let enumerate = obs
+                .duration(run.span)
+                .saturating_sub(construction + solving);
             stats.construction += construction;
             stats.solving += solving;
             stats.primary_vars += syn.primary_vars;
@@ -504,6 +511,7 @@ impl Separ {
                 name: sig.name(),
                 construction,
                 solving,
+                enumerate,
                 primary_vars: syn.primary_vars,
                 cnf_clauses: syn.cnf_clauses,
                 shared_base: syn.shared_base,
@@ -661,7 +669,8 @@ pub(crate) fn synthesize_all(
     }
 
     // Plan each signature's universe up front (serially: plans must not
-    // depend on executor fan-out order) and build the prepared bases.
+    // depend on executor fan-out order), then build the prepared bases on
+    // the executor.
     let mut plans: Vec<(SlicePlan, usize, usize)> = Vec::with_capacity(selected.len());
     let mut prepared: Vec<PreparedBase> = Vec::new();
     if config.slicing {
@@ -674,8 +683,11 @@ pub(crate) fn synthesize_all(
                 &computed
             }
         };
+        // Each distinct `(kept, footprint)` key gets the next slot; the
+        // keys' bases build largest slice first and land in slot order.
         let mut by_key: std::collections::BTreeMap<(Vec<usize>, Footprint), usize> =
             std::collections::BTreeMap::new();
+        let mut keys: Vec<(Vec<usize>, Footprint)> = Vec::new();
         for (_, sig) in &selected {
             let fp = sig.footprint();
             if fp.is_everything() && !fp.tightens_mal() {
@@ -690,29 +702,35 @@ pub(crate) fn synthesize_all(
                 continue;
             }
             let (kept_n, dropped_n) = (kept.len(), apps.len() - kept.len());
-            let slot = *by_key.entry((kept.clone(), fp.clone())).or_insert_with(|| {
+            let slot = *by_key.entry((kept, fp)).or_insert_with_key(|key| {
+                keys.push(key.clone());
+                keys.len() - 1
+            });
+            plans.push((SlicePlan::Prepared(slot), kept_n, dropped_n));
+        }
+        prepared = executor.ordered_map_by_cost(
+            &keys,
+            |(kept, _)| kept.len(),
+            |(kept, fp)| {
                 let sub_apps: Option<Vec<AppModel>> = if kept.len() == apps.len() {
                     None
                 } else {
                     Some(kept.iter().map(|&i| apps[i].clone()).collect())
                 };
                 let sub_summaries: Vec<&AppSummary> = kept.iter().map(|&i| &summaries[i]).collect();
-                let base_span = separ_obs::span("pipeline.bundle_base");
+                let _base_span = separ_obs::span("pipeline.bundle_base");
                 let base = BundleBase::new_with(
                     sub_apps.as_deref().unwrap_or(apps),
                     |problem, atoms, rels| {
-                        apply_footprint(&fp, &sub_summaries, problem, atoms, rels)
+                        apply_footprint(fp, &sub_summaries, problem, atoms, rels)
                     },
                 );
-                drop(base_span);
-                prepared.push(PreparedBase {
+                PreparedBase {
                     apps: sub_apps,
                     base,
-                });
-                prepared.len() - 1
-            });
-            plans.push((SlicePlan::Prepared(slot), kept_n, dropped_n));
-        }
+                }
+            },
+        );
         if separ_obs::enabled() {
             let kept: usize = plans.iter().map(|&(_, k, _)| k).sum();
             let dropped: usize = plans.iter().map(|&(_, _, d)| d).sum();
@@ -740,38 +758,43 @@ pub(crate) fn synthesize_all(
         (SlicePlan, usize, usize),
     );
     let jobs: Vec<SignatureJob> = selected.into_iter().zip(plans).collect();
-    let syntheses = executor.try_ordered_map(&jobs, |&((_, sig), (plan, kept, dropped))| {
-        let mut span = separ_obs::span("ase.signature");
-        span.set_arg("signature", sig.name());
-        let span_id = span.id();
-        let (ctx_apps, base): (&[AppModel], &BundleBase) = match plan {
-            SlicePlan::Empty => {
-                return Ok(SignatureRun {
-                    synthesis: Synthesis::default(),
-                    span: span_id,
-                    slice_kept: kept,
-                    slice_dropped: dropped,
-                });
-            }
-            SlicePlan::Full => (apps, full_base.as_ref().expect("full base was built")),
-            SlicePlan::Prepared(i) => {
-                let p = &prepared[i];
-                (p.apps.as_deref().unwrap_or(apps), &p.base)
-            }
-        };
-        sig.synthesize_with(&SynthesisContext {
-            apps: ctx_apps,
-            base,
-            limit: config.scenario_limit,
-            options,
-        })
-        .map(|synthesis| SignatureRun {
-            synthesis,
-            span: span_id,
-            slice_kept: kept,
-            slice_dropped: dropped,
-        })
-    })?;
+    // The largest slice usually solves longest: start it first.
+    let syntheses = executor.try_ordered_map_by_cost(
+        &jobs,
+        |&(_, (_, kept, _))| kept,
+        |&((_, sig), (plan, kept, dropped))| {
+            let mut span = separ_obs::span("ase.signature");
+            span.set_arg("signature", sig.name());
+            let span_id = span.id();
+            let (ctx_apps, base): (&[AppModel], &BundleBase) = match plan {
+                SlicePlan::Empty => {
+                    return Ok(SignatureRun {
+                        synthesis: Synthesis::default(),
+                        span: span_id,
+                        slice_kept: kept,
+                        slice_dropped: dropped,
+                    });
+                }
+                SlicePlan::Full => (apps, full_base.as_ref().expect("full base was built")),
+                SlicePlan::Prepared(i) => {
+                    let p = &prepared[i];
+                    (p.apps.as_deref().unwrap_or(apps), &p.base)
+                }
+            };
+            sig.synthesize_with(&SynthesisContext {
+                apps: ctx_apps,
+                base,
+                limit: config.scenario_limit,
+                options,
+            })
+            .map(|synthesis| SignatureRun {
+                synthesis,
+                span: span_id,
+                slice_kept: kept,
+                slice_dropped: dropped,
+            })
+        },
+    )?;
     for (((i, _), _), run) in jobs.into_iter().zip(syntheses) {
         out[i] = Some(run);
     }
@@ -784,17 +807,71 @@ pub(crate) fn derive_policies<'a>(
     exploits: impl Iterator<Item = &'a Exploit>,
 ) -> Vec<Policy> {
     let _span = separ_obs::span("pipeline.derive_policies");
+    let mut recipients = IntendedRecipients::new(apps);
     let mut policies = Vec::new();
     for e in exploits {
-        let intended = intended_recipients(apps, e);
+        let intended = recipients.of(e);
         policies.extend(policies_for_exploit(e, &intended));
     }
     finalize_policies(policies)
 }
 
-/// For a hijack exploit, the components legitimately able to receive the
+/// For hijack exploits, the components legitimately able to receive the
 /// victim intent (used to scope `ReceiverNotIn` policy conditions).
-pub(crate) fn intended_recipients(apps: &[AppModel], exploit: &Exploit) -> Vec<String> {
+///
+/// Which components' filters accept an intent depends only on its action,
+/// so the bundle is scanned once per distinct hijacked action and each
+/// exploit then only removes its victim class from that set.
+struct IntendedRecipients<'a> {
+    apps: &'a [AppModel],
+    /// Component classes (sorted) whose filters match an intent carrying
+    /// the keyed action.
+    by_action: HashMap<Option<String>, BTreeSet<String>>,
+}
+
+impl<'a> IntendedRecipients<'a> {
+    fn new(apps: &'a [AppModel]) -> IntendedRecipients<'a> {
+        IntendedRecipients {
+            apps,
+            by_action: HashMap::new(),
+        }
+    }
+
+    /// The intended recipients of `exploit`'s hijacked intent: every
+    /// matching component class except the victim's, sorted; empty for
+    /// other exploit kinds.
+    fn of(&mut self, exploit: &Exploit) -> Vec<String> {
+        let Exploit::IntentHijack {
+            victim_component,
+            hijacked_action,
+            ..
+        } = exploit
+        else {
+            return Vec::new();
+        };
+        let apps = self.apps;
+        self.by_action
+            .entry(hijacked_action.clone())
+            .or_insert_with(|| {
+                let mut intent = resolution::IntentData::new();
+                intent.action = hijacked_action.clone();
+                apps.iter()
+                    .flat_map(|app| &app.components)
+                    .filter(|c| resolution::any_filter_matches(&intent, &c.filters))
+                    .map(|c| c.class.clone())
+                    .collect()
+            })
+            .iter()
+            .filter(|class| *class != victim_component)
+            .cloned()
+            .collect()
+    }
+}
+
+/// Reference for [`IntendedRecipients`]: scans every component of the
+/// bundle for each exploit.
+#[cfg(test)]
+pub(crate) fn intended_recipients_by_scan(apps: &[AppModel], exploit: &Exploit) -> Vec<String> {
     let Exploit::IntentHijack {
         victim_component,
         hijacked_action,
@@ -1072,6 +1149,50 @@ mod tests {
             assert_eq!(parallel.exploits, serial.exploits);
             assert_eq!(parallel.policies, serial.policies);
             assert_eq!(parallel.stats.counts(), serial.stats.counts());
+        }
+    }
+
+    /// Every exploit the report decoded, plus a synthetic hijack of every
+    /// intent the bundle sends (so actionless intents and actions no
+    /// exploit names are covered too).
+    fn hijack_probes(apps: &[AppModel], report: &Report) -> Vec<Exploit> {
+        let mut probes = report.exploits.clone();
+        for app in apps {
+            for c in &app.components {
+                for intent in &c.sent_intents {
+                    probes.push(Exploit::IntentHijack {
+                        victim_app: app.package.clone(),
+                        victim_component: c.class.clone(),
+                        hijacked_action: intent.action.clone(),
+                        leaked: BTreeSet::new(),
+                    });
+                }
+            }
+        }
+        probes
+    }
+
+    #[test]
+    fn intended_recipients_match_the_per_exploit_scan() {
+        let market: Vec<AppModel> =
+            separ_corpus::market::generate(&separ_corpus::market::MarketSpec::scaled(120, 7))
+                .iter()
+                .map(|m| extract_apk(&m.apk))
+                .collect();
+        for apps in [motivating_bundle(), market] {
+            let report = Separ::new().analyze_models(apps).expect("succeeds");
+            let probes = hijack_probes(&report.apps, &report);
+            assert!(probes
+                .iter()
+                .any(|e| matches!(e, Exploit::IntentHijack { .. })));
+            let mut recipients = IntendedRecipients::new(&report.apps);
+            let mut nonempty = 0;
+            for e in &probes {
+                let expected = intended_recipients_by_scan(&report.apps, e);
+                nonempty += usize::from(!expected.is_empty());
+                assert_eq!(recipients.of(e), expected, "{e}");
+            }
+            assert!(nonempty > 0, "some probe has intended recipients");
         }
     }
 }

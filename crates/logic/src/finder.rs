@@ -6,11 +6,12 @@
 //! (Aluminum style), which the paper relies on to synthesize minimal exploit
 //! scenarios.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::ast::{Formula, QuantVar};
-use crate::circuit::{assert_circuit_with, CnfEncoding};
+use crate::circuit::{assert_circuit_with, BoolRef, CnfEncoding};
 use crate::error::Result;
 use crate::instance::Instance;
 use crate::relation::{RelationDecl, RelationId, Tuple, TupleSet};
@@ -57,9 +58,13 @@ pub struct FinderOptions {
 /// assert!(!instance.tuples(comp).is_empty());
 /// # Ok::<(), separ_logic::error::LogicError>(())
 /// ```
+///
+/// The universe and the relations' names and bounds are shared, not
+/// copied, by clones of a problem and by the [`ModelFinder`]s and
+/// [`Instance`]s built from it.
 #[derive(Debug, Clone)]
 pub struct Problem {
-    universe: Universe,
+    universe: Arc<Universe>,
     relations: Vec<RelationDecl>,
     facts: Vec<Formula>,
     next_var: u32,
@@ -69,7 +74,7 @@ impl Problem {
     /// Creates a problem over the given universe.
     pub fn new(universe: Universe) -> Problem {
         Problem {
-            universe,
+            universe: Arc::new(universe),
             relations: Vec::new(),
             facts: Vec::new(),
             next_var: 0,
@@ -192,33 +197,47 @@ impl Problem {
             None => translate(&self.universe, &self.relations, &conj)?,
         };
         let root = self.apply_symmetry_breaking(&mut translation, options);
-        let mut solver = Solver::new();
-        let cnf = assert_circuit_with(&translation.circuit, root, &mut solver, options.encoding);
-        let construction_time = t0.elapsed();
+        let finder = self.finder_for(translation, root, options.encoding, base.is_some());
         span.set_arg("shared_base", base.is_some().to_string());
-        span.set_arg("clauses", cnf.num_clauses().to_string());
+        span.set_arg("clauses", finder.cnf_clauses.to_string());
         drop(span);
+        Ok(ModelFinder {
+            construction_time: t0.elapsed(),
+            ..finder
+        })
+    }
+
+    /// Lowers a translation rooted at `root` into a solver and wraps it in
+    /// a [`ModelFinder`] sharing this problem's universe and relations.
+    fn finder_for(
+        &self,
+        translation: Translation,
+        root: BoolRef,
+        encoding: CnfEncoding,
+        shared_base: bool,
+    ) -> ModelFinder {
+        let mut solver = Solver::new();
+        let cnf = assert_circuit_with(&translation.circuit, root, &mut solver, encoding);
         // Map each free tuple to its solver variable, if the tuple's input
         // survived into the CNF (inputs the formula never constrains do
         // not; they decode as absent, biasing toward minimal instances).
-        let mut free_vars: Vec<(RelationId, Tuple, Var)> = Vec::new();
-        for (label, (rel, tuple)) in &translation.free_inputs {
-            if let Some(var) = cnf.var_for_input(*label) {
-                free_vars.push((*rel, tuple.clone(), var));
-            }
-        }
-        free_vars.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        Ok(ModelFinder {
-            universe: self.universe.clone(),
-            relations: self.relations.clone(),
+        let mut free_vars: Vec<(RelationId, Tuple, Var)> = translation
+            .free_inputs
+            .into_iter()
+            .filter_map(|(label, (rel, tuple))| Some((rel, tuple, cnf.var_for_input(label)?)))
+            .collect();
+        free_vars.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        ModelFinder {
+            universe: Arc::clone(&self.universe),
+            relations: self.relations.as_slice().into(),
             solver,
             free_vars,
-            construction_time,
+            construction_time: Duration::ZERO,
             solve_time: Duration::ZERO,
             exhausted: false,
             cnf_clauses: cnf.num_clauses(),
-            shared_base: base.is_some(),
-        })
+            shared_base,
+        }
     }
 
     /// Conjoins lex-leader predicates onto the translated root when
@@ -297,31 +316,8 @@ impl Problem {
                 .chain(std::iter::once(assertion.not())),
         );
         let translation = translate(&self.universe, &self.relations, &conj)?;
-        let mut solver = Solver::new();
-        let cnf = assert_circuit_with(
-            &translation.circuit,
-            translation.root,
-            &mut solver,
-            CnfEncoding::default(),
-        );
-        let mut free_vars: Vec<(RelationId, Tuple, Var)> = Vec::new();
-        for (label, (rel, tuple)) in &translation.free_inputs {
-            if let Some(var) = cnf.var_for_input(*label) {
-                free_vars.push((*rel, tuple.clone(), var));
-            }
-        }
-        free_vars.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        let mut finder = ModelFinder {
-            universe: self.universe.clone(),
-            relations: self.relations.clone(),
-            solver,
-            free_vars,
-            construction_time: Duration::ZERO,
-            solve_time: Duration::ZERO,
-            exhausted: false,
-            cnf_clauses: cnf.num_clauses(),
-            shared_base: false,
-        };
+        let root = translation.root;
+        let mut finder = self.finder_for(translation, root, CnfEncoding::default(), false);
         Ok(finder.next_model())
     }
 }
@@ -336,8 +332,8 @@ impl Problem {
 /// two modes should not be mixed on one finder.
 #[derive(Debug)]
 pub struct ModelFinder {
-    universe: Universe,
-    relations: Vec<RelationDecl>,
+    universe: Arc<Universe>,
+    relations: Arc<[RelationDecl]>,
     solver: Solver,
     /// Free tuples with their solver variables, sorted for determinism.
     free_vars: Vec<(RelationId, Tuple, Var)>,
@@ -401,24 +397,30 @@ impl ModelFinder {
             .collect()
     }
 
+    /// Builds the instance of `assignment`: each relation with a chosen
+    /// free tuple becomes lower bound ∪ chosen tuples; the rest stay
+    /// shared with this finder's declarations.
     fn decode(&self, assignment: &[bool]) -> Instance {
-        let mut rels: HashMap<RelationId, TupleSet> = HashMap::new();
-        for (i, decl) in self.relations.iter().enumerate() {
-            rels.insert(RelationId(i as u32), decl.lower().clone());
-        }
-        for (i, (rel, tuple, _)) in self.free_vars.iter().enumerate() {
-            if assignment[i] {
-                rels.get_mut(rel)
-                    .expect("free var belongs to declared relation")
-                    .insert(tuple.clone());
+        let mut chosen: Vec<(RelationId, TupleSet)> = Vec::new();
+        // `free_vars` is sorted by relation, so each relation's chosen
+        // tuples are consecutive.
+        for ((rel, tuple, _), _) in self.free_vars.iter().zip(assignment).filter(|(_, &v)| v) {
+            match chosen.last_mut() {
+                Some((last, tuples)) if last == rel => {
+                    tuples.insert(tuple.clone());
+                }
+                _ => {
+                    let mut tuples = self.relations[rel.index()].lower().clone();
+                    tuples.insert(tuple.clone());
+                    chosen.push((*rel, tuples));
+                }
             }
         }
-        let names = self
-            .relations
-            .iter()
-            .map(|d| d.name().to_string())
-            .collect();
-        Instance::new(names, rels, self.universe.clone())
+        Instance::new(
+            Arc::clone(&self.universe),
+            Arc::clone(&self.relations),
+            chosen,
+        )
     }
 
     /// Finds the next satisfying instance, blocking it for later calls.

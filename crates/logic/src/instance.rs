@@ -1,29 +1,41 @@
 //! Decoded model instances.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-use crate::relation::{RelationId, Tuple, TupleSet};
+use crate::relation::{RelationDecl, RelationId, Tuple, TupleSet};
 use crate::universe::Universe;
 
 /// A satisfying instance: a concrete tuple set for every declared relation.
+///
+/// An instance shares its universe and its relations' names and lower
+/// bounds with the [`ModelFinder`] that produced it. It owns only the
+/// relations in which the model chose at least one free tuple, stored
+/// materialised as lower bound ∪ chosen tuples; every other relation's
+/// tuples are its shared lower bound. Decoding and dropping an instance
+/// therefore cost in proportion to the chosen tuples, not to the bounds.
+///
+/// [`ModelFinder`]: crate::finder::ModelFinder
 #[derive(Clone, Debug)]
 pub struct Instance {
-    names: Vec<String>,
-    relations: HashMap<RelationId, TupleSet>,
-    universe: Universe,
+    universe: Arc<Universe>,
+    decls: Arc<[RelationDecl]>,
+    /// `(relation, lower ∪ chosen)` for each relation with a chosen free
+    /// tuple, sorted by relation.
+    chosen: Vec<(RelationId, TupleSet)>,
 }
 
 impl Instance {
     pub(crate) fn new(
-        names: Vec<String>,
-        relations: HashMap<RelationId, TupleSet>,
-        universe: Universe,
+        universe: Arc<Universe>,
+        decls: Arc<[RelationDecl]>,
+        chosen: Vec<(RelationId, TupleSet)>,
     ) -> Instance {
+        debug_assert!(chosen.windows(2).all(|w| w[0].0 < w[1].0));
         Instance {
-            names,
-            relations,
             universe,
+            decls,
+            chosen,
         }
     }
 
@@ -34,9 +46,14 @@ impl Instance {
     /// Panics if `r` was not declared in the problem that produced this
     /// instance.
     pub fn tuples(&self, r: RelationId) -> &TupleSet {
-        self.relations
-            .get(&r)
-            .expect("relation declared in the originating problem")
+        match self.chosen.binary_search_by_key(&r, |(id, _)| *id) {
+            Ok(i) => &self.chosen[i].1,
+            Err(_) => self
+                .decls
+                .get(r.index())
+                .expect("relation declared in the originating problem")
+                .lower(),
+        }
     }
 
     /// Returns `true` if the relation contains the given tuple.
@@ -52,15 +69,15 @@ impl Instance {
     /// Total number of tuples across all relations (a size measure used by
     /// minimality tests).
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(TupleSet::len).sum()
+        self.iter().map(|(_, _, tuples)| tuples.len()).sum()
     }
 
-    /// Iterates over `(relation, name, tuples)`.
+    /// Iterates over `(relation, name, tuples)` in relation order.
     pub fn iter(&self) -> impl Iterator<Item = (RelationId, &str, &TupleSet)> + '_ {
-        let mut ids: Vec<&RelationId> = self.relations.keys().collect();
-        ids.sort();
-        ids.into_iter()
-            .map(move |&r| (r, self.names[r.index()].as_str(), &self.relations[&r]))
+        self.decls.iter().enumerate().map(move |(i, decl)| {
+            let r = RelationId(i as u32);
+            (r, decl.name(), self.tuples(r))
+        })
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::universe::Atom;
 
@@ -267,11 +268,17 @@ impl fmt::Debug for RelationId {
 ///
 /// Tuples in `lower` are in every instance; tuples in `upper \ lower` are
 /// free — the model finder assigns each one a boolean variable.
+///
+/// The name and both bounds sit behind [`Arc`]s, so cloning a declaration
+/// (as every [`Problem`] clone, model finder and decoded instance does)
+/// shares them instead of copying tuple sets.
+///
+/// [`Problem`]: crate::finder::Problem
 #[derive(Clone, Debug)]
 pub struct RelationDecl {
-    name: String,
-    lower: TupleSet,
-    upper: TupleSet,
+    name: Arc<str>,
+    lower: Arc<TupleSet>,
+    upper: Arc<TupleSet>,
 }
 
 impl RelationDecl {
@@ -284,15 +291,21 @@ impl RelationDecl {
         assert_eq!(lower.arity(), upper.arity(), "bound arity mismatch");
         assert!(lower.is_subset(&upper), "lower bound must be within upper");
         RelationDecl {
-            name: name.into(),
-            lower,
-            upper,
+            name: name.into().into(),
+            lower: Arc::new(lower),
+            upper: Arc::new(upper),
         }
     }
 
-    /// Declares a relation with exact bounds (every instance equals `tuples`).
+    /// Declares a relation with exact bounds (every instance equals
+    /// `tuples`); both bounds share one tuple set.
     pub fn exact(name: impl Into<String>, tuples: TupleSet) -> RelationDecl {
-        RelationDecl::new(name, tuples.clone(), tuples)
+        let tuples = Arc::new(tuples);
+        RelationDecl {
+            name: name.into().into(),
+            lower: Arc::clone(&tuples),
+            upper: tuples,
+        }
     }
 
     /// Declares an entirely free relation bounded above by `upper`.
@@ -324,18 +337,19 @@ impl RelationDecl {
     /// lower-bound tuples plus free tuples satisfying `keep` — the
     /// bound-tightening primitive relevance slicing uses to discard free
     /// rows a signature's facts can never force true. Lower-bound tuples
-    /// are always retained, so the result is a valid declaration.
+    /// are always retained, so the result is a valid declaration; the
+    /// name and lower bound are shared with `self`.
     pub fn tightened_upper(&self, mut keep: impl FnMut(&Tuple) -> bool) -> RelationDecl {
-        let mut upper = self.lower.clone();
+        let mut upper = (*self.lower).clone();
         for t in self.upper.iter() {
-            if self.lower.contains(t) || keep(t) {
+            if !self.lower.contains(t) && keep(t) {
                 upper.insert(t.clone());
             }
         }
         RelationDecl {
-            name: self.name.clone(),
-            lower: self.lower.clone(),
-            upper,
+            name: Arc::clone(&self.name),
+            lower: Arc::clone(&self.lower),
+            upper: Arc::new(upper),
         }
     }
 }

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use separ_analysis::cache::ModelCache;
 use separ_core::policy::{merge_delta, Policy};
-use separ_core::{IncrementalSession, SeparConfig, SessionOp, SignatureRegistry};
+use separ_core::{Executor, IncrementalSession, SeparConfig, SessionOp, SignatureRegistry};
 use separ_enforce::{CompiledPolicySet, PromptHandler, SharedPdp};
 use separ_obs::json::Value;
 use separ_obs::prometheus::PromWriter;
@@ -171,7 +171,11 @@ impl Daemon {
     pub fn start(cfg: ServeConfig) -> Result<Daemon, ServeError> {
         let _span = separ_obs::span("serve.start");
         let store = match &cfg.store_dir {
-            Some(dir) => Some(SessionStore::open(dir).map_err(|e| ServeError(e.to_string()))?),
+            Some(dir) => Some(
+                SessionStore::open(dir)
+                    .map_err(|e| ServeError(e.to_string()))?
+                    .with_executor(Executor::new(cfg.config.threads)),
+            ),
             None => None,
         };
         let restored = match &store {

@@ -22,12 +22,20 @@
 //! [`ModelCache`](separ_analysis::cache::ModelCache): the cache is a
 //! performance artifact whose LRU cap may evict anything, while the store
 //! *is* the session — eviction must never eat device state.
+//!
+//! A store assumes it is its directory's only writer (one daemon per
+//! store): it remembers which model files it restored or wrote, and
+//! re-persisting an unchanged app neither stats nor rewrites its file.
+//! Encoding and hashing run on the store's [`Executor`].
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
-use separ_analysis::cache::{decode_entry, encode_entry, sha256};
+use separ_analysis::cache::{decode_entry, encode_entry, entry_address};
 use separ_analysis::model::AppModel;
+use separ_core::Executor;
 use separ_obs::json::Value;
 
 /// What [`SessionStore::restore`] recovered.
@@ -56,6 +64,10 @@ impl std::error::Error for StoreError {}
 #[derive(Debug)]
 pub struct SessionStore {
     dir: PathBuf,
+    executor: Executor,
+    /// Hashes of the model files this store restored or wrote and has not
+    /// deleted since; `persist` takes these as present without a stat.
+    known: Mutex<HashSet<String>>,
 }
 
 impl SessionStore {
@@ -69,7 +81,24 @@ impl SessionStore {
         let models = dir.join("models");
         std::fs::create_dir_all(&models)
             .map_err(|e| StoreError(format!("{}: {e}", models.display())))?;
-        Ok(SessionStore { dir })
+        Ok(SessionStore {
+            dir,
+            executor: Executor::default(),
+            known: Mutex::new(HashSet::new()),
+        })
+    }
+
+    /// Runs [`SessionStore::persist`]'s encoding and hashing on
+    /// `executor` (default: one worker per hardware thread).
+    pub fn with_executor(mut self, executor: Executor) -> SessionStore {
+        self.executor = executor;
+        self
+    }
+
+    fn known(&self) -> std::sync::MutexGuard<'_, HashSet<String>> {
+        // The set is only a cache of what is on disk; a panic elsewhere
+        // cannot leave it claiming a file that was never written.
+        self.known.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn manifest_path(&self) -> PathBuf {
@@ -90,27 +119,32 @@ impl SessionStore {
     /// case the *previous* manifest remains intact and authoritative.
     pub fn persist(&self, apps: &[AppModel]) -> Result<(), StoreError> {
         let _span = separ_obs::span("serve.store.persist");
-        let mut entries = Vec::with_capacity(apps.len());
-        for app in apps {
-            let encoded = encode_entry(app);
-            let hex = hex32(&sha256(&encoded));
-            let path = self.model_path(&hex);
-            if !path.exists() {
-                std::fs::write(&path, &encoded)
-                    .map_err(|e| StoreError(format!("{}: {e}", path.display())))?;
-            }
-            entries.push((app.package.clone(), hex));
-        }
+        let mut known = self.known();
+        let hexes = {
+            let known: &HashSet<String> = &known;
+            self.executor.try_ordered_map(apps, |app| {
+                let encoded = encode_entry(app);
+                let hex = hex32(&entry_address(&encoded));
+                if !known.contains(&hex) {
+                    let path = self.model_path(&hex);
+                    if !path.exists() {
+                        std::fs::write(&path, &encoded)
+                            .map_err(|e| StoreError(format!("{}: {e}", path.display())))?;
+                    }
+                }
+                Ok(hex)
+            })?
+        };
         let manifest = Value::Obj(vec![
             ("version".into(), Value::Num(1.0)),
             (
                 "apps".into(),
                 Value::Arr(
-                    entries
-                        .iter()
-                        .map(|(package, hex)| {
+                    apps.iter()
+                        .zip(&hexes)
+                        .map(|(app, hex)| {
                             Value::Obj(vec![
-                                ("package".into(), Value::Str(package.clone())),
+                                ("package".into(), Value::Str(app.package.clone())),
                                 ("model".into(), Value::Str(hex.clone())),
                             ])
                         })
@@ -127,17 +161,22 @@ impl SessionStore {
             .map_err(|e| StoreError(format!("{}: {e}", self.manifest_path().display())))?;
         // Garbage-collect model files the new manifest no longer names.
         // Best effort: a leaked file costs bytes, not correctness.
+        let live: HashSet<String> = hexes.into_iter().collect();
         if let Ok(dir) = std::fs::read_dir(self.dir.join("models")) {
             for entry in dir.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
+                let name = entry.file_name();
+                let name = name.to_string_lossy();
                 let Some(hex) = name.strip_suffix(".model") else {
                     continue;
                 };
-                if !entries.iter().any(|(_, h)| h == hex) {
+                if !live.contains(hex) {
                     let _ = std::fs::remove_file(entry.path());
                 }
             }
         }
+        // Every live file was found, written or known above; everything
+        // else is gone or no longer vouched for.
+        *known = live;
         Ok(())
     }
 
@@ -162,15 +201,17 @@ impl SessionStore {
             .get("apps")
             .and_then(Value::as_arr)
             .ok_or_else(|| StoreError(format!("{}: missing \"apps\"", path.display())))?;
+        // Decoded serially: the models live as long as the session, and
+        // allocating them on short-lived executor threads spreads them
+        // over extra malloc arenas, raising peak RSS.
         let mut restored = Restored::default();
+        let mut known = self.known();
         for entry in apps_field {
-            let Some(hex) = entry.get("model").and_then(Value::as_str) else {
-                restored.skipped += 1;
-                continue;
-            };
-            let model = std::fs::read(self.model_path(hex))
-                .ok()
-                .and_then(|data| decode_entry(&data));
+            let model = entry.get("model").and_then(Value::as_str).and_then(|hex| {
+                let model = decode_entry(&std::fs::read(self.model_path(hex)).ok()?)?;
+                known.insert(hex.to_string());
+                Some(model)
+            });
             match model {
                 Some(model) => restored.apps.push(model),
                 None => restored.skipped += 1,
@@ -314,6 +355,47 @@ mod tests {
         let restored = store.restore().expect("restores");
         assert_eq!(restored.apps, apps);
         assert!(restored.apps[0].uses_permissions.contains("NEW"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repersisting_writes_nothing_and_gc_deletes_exactly_the_orphans() {
+        let dir = tmp("scale");
+        let _ = std::fs::remove_dir_all(&dir);
+        let files = || -> BTreeSet<String> {
+            std::fs::read_dir(dir.join("models"))
+                .expect("models dir")
+                .flatten()
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .collect()
+        };
+        let file_of = |a: &AppModel| format!("{}.model", hex32(&entry_address(&encode_entry(a))));
+        let apps: Vec<AppModel> = (0..1000).map(|i| app(&format!("com.app{i}"))).collect();
+        let all: BTreeSet<String> = apps.iter().map(file_of).collect();
+        assert_eq!(all.len(), 1000, "distinct apps get distinct files");
+        let store = SessionStore::open(&dir).expect("opens");
+        store.persist(&apps).expect("persists");
+        assert_eq!(files(), all);
+        // Unchanged bundle: by the same store, and by a fresh store that
+        // restored it, no model file is created (or deleted).
+        store.persist(&apps).expect("re-persists");
+        assert_eq!(files(), all);
+        let reopened = SessionStore::open(&dir).expect("reopens");
+        let restored = reopened.restore().expect("restores");
+        assert_eq!(restored.apps, apps);
+        reopened.persist(&restored.apps).expect("re-persists");
+        assert_eq!(files(), all);
+        // Uninstall every other app: exactly the dropped apps' files go.
+        let kept: Vec<AppModel> = apps.iter().step_by(2).cloned().collect();
+        reopened.persist(&kept).expect("persists the half");
+        let expected: BTreeSet<String> = kept.iter().map(file_of).collect();
+        assert_eq!(expected.len(), 500);
+        assert_eq!(files(), expected);
+        let restored = SessionStore::open(&dir)
+            .expect("reopens")
+            .restore()
+            .expect("restores");
+        assert_eq!((restored.apps, restored.skipped), (kept, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -246,7 +246,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         );
         for s in &report.stats.per_signature {
             println!(
-                "  {:<22} slice={}/{} vars={:<5} clauses={:<6} conflicts={:<5} propagations={:<7} restarts={} learnts={} minimized={} construction={:?} solving={:?}",
+                "  {:<22} slice={}/{} vars={:<5} clauses={:<6} conflicts={:<5} propagations={:<7} restarts={} learnts={} minimized={} construction={:?} solving={:?} enumerate={:?}",
                 s.name,
                 s.slice_kept,
                 s.slice_kept + s.slice_dropped,
@@ -259,6 +259,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
                 s.solver.minimized_lits,
                 s.construction,
                 s.solving,
+                s.enumerate,
             );
         }
     }

@@ -2,11 +2,99 @@
 
 use proptest::prelude::*;
 
+use std::fmt::Write as _;
+
 use separ::logic::ast::{Expr, Formula};
-use separ::logic::relation::{RelationDecl, Tuple, TupleSet};
+use separ::logic::relation::{RelationDecl, RelationId, Tuple, TupleSet};
 use separ::logic::sat::{SolveResult, Solver};
-use separ::logic::universe::Universe;
-use separ::logic::Problem;
+use separ::logic::universe::{Atom, Universe};
+use separ::logic::{Instance, Problem};
+
+/// Bounds of one generated relation, one code per candidate tuple: 0 puts
+/// it in the lower (and upper) bound, 1 leaves it out, anything else makes
+/// it free.
+type BoundFlags = Vec<u8>;
+
+/// A random problem over four atoms: a unary, a binary and an exact
+/// unary relation with the given bounds, and facts picked from `facts`.
+fn random_problem(
+    unary: &BoundFlags,
+    binary: &BoundFlags,
+    exact: &[bool],
+    facts: &[u8],
+) -> (Problem, Vec<RelationId>) {
+    let mut u = Universe::new();
+    let atoms: Vec<Atom> = (0..4).map(|i| u.add(format!("a{i}"))).collect();
+    let pairs: Vec<Tuple> = atoms
+        .iter()
+        .flat_map(|&a| atoms.iter().map(move |&b| Tuple::binary(a, b)))
+        .collect();
+    let singles: Vec<Tuple> = atoms.iter().map(|&a| Tuple::unary(a)).collect();
+    let bounds = |candidates: &[Tuple], flags: &BoundFlags, arity: usize| {
+        let (mut lower, mut upper) = (TupleSet::new(arity), TupleSet::new(arity));
+        for (t, &code) in candidates.iter().zip(flags) {
+            if code != 1 {
+                upper.insert(t.clone());
+            }
+            if code == 0 {
+                lower.insert(t.clone());
+            }
+        }
+        (lower, upper)
+    };
+    let mut p = Problem::new(u);
+    let (lower, upper) = bounds(&singles, unary, 1);
+    let r = p.relation(RelationDecl::new("r", lower, upper));
+    let (lower, upper) = bounds(&pairs, binary, 2);
+    let e = p.relation(RelationDecl::new("e", lower, upper));
+    let s = p.relation(RelationDecl::exact(
+        "s",
+        TupleSet::unary_from(atoms.iter().zip(exact).filter(|(_, &x)| x).map(|(&a, _)| a)),
+    ));
+    let rels = vec![r, e, s];
+    for fact in random_facts(&rels, facts) {
+        p.fact(fact);
+    }
+    (p, rels)
+}
+
+/// The facts `facts` picks over the relations `r`, `e`, `s`.
+fn random_facts(rels: &[RelationId], facts: &[u8]) -> Vec<Formula> {
+    let (re, ee, se) = (
+        Expr::relation(rels[0]),
+        Expr::relation(rels[1]),
+        Expr::relation(rels[2]),
+    );
+    facts
+        .iter()
+        .map(|&fact| match fact % 6 {
+            0 => re.some(),
+            1 => ee.some(),
+            2 => re.join(&ee).some(),
+            3 => ee.lone(),
+            4 => re.join(&ee).in_(&re.union(&se)),
+            _ => se.join(&ee.transpose()).some(),
+        })
+        .collect()
+}
+
+/// The reference decoding of `instance`, materialised for every
+/// relation: its lower bound plus the free tuples (upper minus lower) the
+/// model made true.
+fn materialise(p: &Problem, rels: &[RelationId], instance: &Instance) -> Vec<TupleSet> {
+    rels.iter()
+        .map(|&r| {
+            let decl = p.decl(r);
+            let mut tuples = decl.lower().clone();
+            for t in decl.upper().iter() {
+                if !decl.lower().contains(t) && instance.contains(r, t) {
+                    tuples.insert(t.clone());
+                }
+            }
+            tuples
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -81,6 +169,68 @@ proptest! {
             prop_assert!(count <= n_atoms);
         }
         prop_assert_eq!(count, n_atoms);
+    }
+
+    /// Every enumerated minimal model reads exactly like its materialised
+    /// reference through `tuples`, `total_tuples`, `iter` and `Display`,
+    /// stays within its bounds, satisfies the facts, and shares the
+    /// problem's universe with every other instance of the finder.
+    #[test]
+    fn minimal_models_match_a_materialised_reference(
+        unary in prop::collection::vec(0u8..5, 4),
+        binary in prop::collection::vec(0u8..8, 16),
+        exact in prop::collection::vec(any::<bool>(), 4),
+        facts in prop::collection::vec(0u8..6, 1..4),
+    ) {
+        let (p, rels) = random_problem(&unary, &binary, &exact, &facts);
+        let mut finder = p.model_finder().expect("well-typed");
+        let mut models = 0;
+        while let Some(instance) = finder.next_minimal_model() {
+            models += 1;
+            prop_assert!(models <= 1 << 10, "runaway enumeration");
+            prop_assert!(std::ptr::eq(instance.universe(), p.universe()));
+            let reference = materialise(&p, &rels, &instance);
+            let mut display = String::new();
+            for (&r, tuples) in rels.iter().zip(&reference) {
+                let decl = p.decl(r);
+                prop_assert!(decl.lower().is_subset(tuples) && tuples.is_subset(decl.upper()));
+                prop_assert_eq!(instance.tuples(r), tuples);
+                let rendered: Vec<String> = tuples
+                    .iter()
+                    .map(|t| {
+                        let names: Vec<&str> =
+                            t.atoms().iter().map(|&a| p.universe().name(a)).collect();
+                        format!("({})", names.join(","))
+                    })
+                    .collect();
+                let _ = writeln!(display, "{} = {{{}}}", decl.name(), rendered.join(", "));
+            }
+            prop_assert_eq!(
+                instance.total_tuples(),
+                reference.iter().map(TupleSet::len).sum::<usize>()
+            );
+            let iterated: Vec<(RelationId, String, TupleSet)> = instance
+                .iter()
+                .map(|(r, name, tuples)| (r, name.to_string(), tuples.clone()))
+                .collect();
+            let expected: Vec<(RelationId, String, TupleSet)> = rels
+                .iter()
+                .zip(&reference)
+                .map(|(&r, tuples)| (r, p.decl(r).name().to_string(), tuples.clone()))
+                .collect();
+            prop_assert_eq!(iterated, expected);
+            prop_assert_eq!(instance.to_string(), display);
+            // The instance is a model: with every relation fixed to it,
+            // the facts still hold.
+            let mut fixed = Problem::new(p.universe().clone());
+            for (&r, tuples) in rels.iter().zip(&reference) {
+                fixed.relation(RelationDecl::exact(p.decl(r).name(), tuples.clone()));
+            }
+            for fact in random_facts(&rels, &facts) {
+                fixed.fact(fact);
+            }
+            prop_assert!(fixed.solve().expect("well-typed").is_some());
+        }
     }
 
     /// Transitive closure in the finder agrees with a reference
