@@ -3,7 +3,7 @@
 //! The paper's AME sits on Soot/FlowDroid; this crate rebuilds the needed
 //! analyses from scratch over the sdex substrate:
 //!
-//! * [`cfg`] — per-method control-flow graphs with reachability;
+//! * [`cfg`](mod@cfg) — per-method control-flow graphs with reachability;
 //! * [`callgraph`] — class-hierarchy call graphs with manifest-derived
 //!   lifecycle entry points;
 //! * [`absint`] — the combined abstract interpreter: constant string/int

@@ -49,19 +49,14 @@ pub struct SeparConfig {
     /// emits only the implication directions the root polarity requires;
     /// [`CnfEncoding::Tseitin`] keeps the full biconditional encoding.
     pub cnf_encoding: CnfEncoding,
-    /// Conjoin lex-leader symmetry-breaking predicates over
-    /// bound-interchangeable atoms. Off by default: breaking prunes
-    /// symmetric models, so enumeration *counts* (not soundness) can
-    /// differ from the unbroken reference the determinism suite pins.
-    pub symmetry_breaking: bool,
     /// Signature-guided relevance slicing: encode each signature against
     /// only the apps its declared footprint can range over and drop the
     /// malicious free rows its facts never constrain, instead of
     /// translating every signature against the whole bundle. On by
     /// default; sound by construction (the differential suite
     /// `tests/slicing_equivalence.rs` proves exploits and policies are
-    /// identical either way). `false` is the escape hatch (CLI
-    /// `--no-slicing`) and the reference the suite compares against.
+    /// identical either way). `false` is the unsliced reference the
+    /// suite compares against.
     pub slicing: bool,
 }
 
@@ -71,7 +66,6 @@ impl Default for SeparConfig {
             threads: 0,
             scenario_limit: DEFAULT_SCENARIO_LIMIT,
             cnf_encoding: CnfEncoding::default(),
-            symmetry_breaking: false,
             slicing: true,
         }
     }
@@ -91,7 +85,6 @@ impl SeparConfig {
     pub fn finder_options(&self) -> FinderOptions {
         FinderOptions {
             encoding: self.cnf_encoding,
-            symmetry_breaking: self.symmetry_breaking,
         }
     }
 }
@@ -1109,30 +1102,6 @@ mod tests {
             pg.stats.cnf_clauses,
             ts.stats.cnf_clauses
         );
-    }
-
-    #[test]
-    fn symmetry_breaking_preserves_the_derived_policies() {
-        let plain = Separ::new()
-            .analyze_models(motivating_bundle())
-            .expect("succeeds");
-        let broken = Separ::new()
-            .with_config(SeparConfig {
-                symmetry_breaking: true,
-                ..SeparConfig::default()
-            })
-            .analyze_models(motivating_bundle())
-            .expect("succeeds");
-        // Breaking prunes symmetric *models*; every vulnerability category
-        // and the final policy set must survive.
-        for kind in VulnKind::ALL {
-            assert_eq!(
-                plain.vulnerable_apps(kind),
-                broken.vulnerable_apps(kind),
-                "{kind:?}"
-            );
-        }
-        assert_eq!(result_sets(&plain).1, result_sets(&broken).1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! enforcer (APE). They ship to a device as JSON via [`crate::policy_io`],
 //! as the paper describes.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 
 use crate::exploit::{Exploit, VulnKind};
 
@@ -144,20 +144,26 @@ impl Policy {
 /// earlier-added) policy are dropped: first occurrence wins, matching the
 /// PDP's first-match evaluation order.
 pub fn merge_delta(current: &mut Vec<Policy>, added: Vec<Policy>, removed: &[Policy]) {
-    use std::collections::BTreeSet;
     // Fresh ids start above anything ever seen in this set, including the
     // ids being retired — a retired id is never reused.
-    let mut next_id = current.iter().map(|p| p.id + 1).max().unwrap_or(0);
-    let retired: BTreeSet<PolicyKey<'_>> = removed.iter().map(Policy::content_key).collect();
+    let next_id = current.iter().map(|p| p.id + 1).max().unwrap_or(0);
+    let retired: HashSet<PolicyKey<'_>> = removed.iter().map(Policy::content_key).collect();
     current.retain(|p| !retired.contains(&p.content_key()));
-    for mut p in added {
-        if current.iter().any(|q| q.content_key() == p.content_key()) {
-            continue;
-        }
-        p.id = next_id;
-        next_id += 1;
-        current.push(p);
-    }
+    let fresh = first_occurrences(current.iter().map(Policy::content_key).collect(), &added);
+    let kept = added
+        .into_iter()
+        .zip(fresh)
+        .filter_map(|(p, fresh)| fresh.then_some(p));
+    current.extend((next_id..).zip(kept).map(|(id, p)| Policy { id, ..p }));
+}
+
+/// For each of `policies`, whether its content key is neither in `seen`
+/// nor repeated earlier in `policies` (first occurrence wins).
+fn first_occurrences<'a>(mut seen: HashSet<PolicyKey<'a>>, policies: &'a [Policy]) -> Vec<bool> {
+    policies
+        .iter()
+        .map(|p| seen.insert(p.content_key()))
+        .collect()
 }
 
 /// Derives the preventive policies for one exploit.
@@ -307,10 +313,11 @@ pub fn policies_for_exploit(exploit: &Exploit, intended: &[String]) -> Vec<Polic
     out
 }
 
-/// Deduplicates and renumbers a policy set.
+/// Deduplicates a policy set by content identity (first occurrence wins)
+/// and renumbers it.
 pub fn finalize_policies(mut policies: Vec<Policy>) -> Vec<Policy> {
-    let mut seen: BTreeSet<(String, Vec<Condition>)> = BTreeSet::new();
-    policies.retain(|p| seen.insert((p.vulnerability.clone(), p.conditions.clone())));
+    let mut fresh = first_occurrences(HashSet::new(), &policies).into_iter();
+    policies.retain(|_| fresh.next() == Some(true));
     for (i, p) in policies.iter_mut().enumerate() {
         p.id = i as u32;
     }

@@ -46,28 +46,24 @@ pub struct SynthesisContext<'a> {
     pub base: &'a BundleBase,
     /// Maximum minimal scenarios to enumerate.
     pub limit: usize,
-    /// CNF-encoding and symmetry-breaking options for the model finder.
+    /// CNF-encoding options for the model finder.
     pub options: FinderOptions,
 }
 
 /// What parts of the bundle model a signature's verdict depends on, used
 /// by the incremental engine to decide which signatures a change can
-/// affect.
+/// affect. Every signature depends on the bundle topology (components,
+/// filters, intents, paths): a topology change re-runs them all.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Sensitivity {
     /// Depends on granted/enforced/used permissions.
     pub permissions: bool,
-    /// Depends on components, filters, intents or paths.
-    pub topology: bool,
 }
 
 impl Default for Sensitivity {
     /// Conservatively sensitive to everything.
     fn default() -> Sensitivity {
-        Sensitivity {
-            permissions: true,
-            topology: true,
-        }
+        Sensitivity { permissions: true }
     }
 }
 

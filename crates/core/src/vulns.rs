@@ -106,10 +106,7 @@ impl VulnerabilitySignature for IntentHijackSignature {
     }
 
     fn sensitivity(&self) -> crate::signature::Sensitivity {
-        crate::signature::Sensitivity {
-            permissions: false,
-            topology: true,
-        }
+        crate::signature::Sensitivity { permissions: false }
     }
 
     fn synthesize_with(&self, ctx: &SynthesisContext<'_>) -> Result<Synthesis, LogicError> {
@@ -190,10 +187,7 @@ impl VulnerabilitySignature for ComponentLaunchSignature {
     }
 
     fn sensitivity(&self) -> crate::signature::Sensitivity {
-        crate::signature::Sensitivity {
-            permissions: false,
-            topology: true,
-        }
+        crate::signature::Sensitivity { permissions: false }
     }
 
     fn synthesize_with(&self, ctx: &SynthesisContext<'_>) -> Result<Synthesis, LogicError> {
@@ -375,10 +369,7 @@ impl VulnerabilitySignature for InformationLeakageSignature {
     }
 
     fn sensitivity(&self) -> crate::signature::Sensitivity {
-        crate::signature::Sensitivity {
-            permissions: false,
-            topology: true,
-        }
+        crate::signature::Sensitivity { permissions: false }
     }
 
     fn synthesize_with(&self, ctx: &SynthesisContext<'_>) -> Result<Synthesis, LogicError> {
@@ -486,10 +477,7 @@ impl VulnerabilitySignature for BroadcastInjectionSignature {
     }
 
     fn sensitivity(&self) -> crate::signature::Sensitivity {
-        crate::signature::Sensitivity {
-            permissions: false,
-            topology: true,
-        }
+        crate::signature::Sensitivity { permissions: false }
     }
 
     fn synthesize_with(&self, ctx: &SynthesisContext<'_>) -> Result<Synthesis, LogicError> {

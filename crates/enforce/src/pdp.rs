@@ -498,11 +498,34 @@ mod tests {
             rationale: String::new(),
         };
         let mut pdp = Pdp::new(vec![keep.clone(), retire.clone()], vec![]);
-        pdp.apply_delta(vec![fresh], &[retire]);
+        pdp.apply_delta(vec![fresh.clone()], &[retire]);
         let ids: Vec<u32> = pdp.policies().iter().map(|p| p.id).collect();
         // The survivor keeps id 7; the new policy gets a fresh id above
         // everything previously seen (8), not a recycled one.
         assert_eq!(ids, vec![7, 8]);
         assert_eq!(pdp.policies()[0], keep);
+
+        // Added policies that repeat a survivor's content, or an earlier
+        // added policy's, are dropped: first occurrence wins, whatever
+        // the duplicate's id and rationale.
+        let again = |p: &Policy| Policy {
+            id: 42,
+            rationale: "duplicate".into(),
+            ..p.clone()
+        };
+        let other = Policy {
+            id: 0,
+            vulnerability: "privilege-escalation".into(),
+            event: PolicyEvent::IccReceive,
+            conditions: vec![Condition::ReceiverIs("LSms;".into())],
+            action: PolicyAction::Prompt,
+            rationale: "first".into(),
+        };
+        pdp.apply_delta(vec![again(&keep), other.clone(), again(&other)], &[]);
+        let ids: Vec<u32> = pdp.policies().iter().map(|p| p.id).collect();
+        assert_eq!(ids, vec![7, 8, 9]);
+        assert_eq!(pdp.policies()[0], keep);
+        assert_eq!(pdp.policies()[1], Policy { id: 8, ..fresh });
+        assert_eq!(pdp.policies()[2], Policy { id: 9, ..other });
     }
 }

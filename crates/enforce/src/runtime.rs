@@ -367,49 +367,13 @@ impl Device {
                     action: env.intent.action.clone(),
                     tags: env.tags(),
                 };
-                let timer = separ_obs::timer();
-                let decision = self.pdp.evaluate(PolicyEvent::IccReceive, &ctx);
-                separ_obs::observe("pdp.decision", timer);
-                separ_obs::counter_add(
-                    if decision.allows() {
-                        "pdp.allowed"
-                    } else {
-                        "pdp.blocked"
-                    },
-                    1,
-                );
-                match &decision {
-                    Decision::PromptAllowed { policy_id } => {
-                        self.audit.record(AuditEvent::PromptShown {
-                            policy_id: *policy_id,
-                            allowed: true,
-                        });
-                    }
-                    Decision::PromptDenied { policy_id, .. } => {
-                        self.audit.record(AuditEvent::PromptShown {
-                            policy_id: *policy_id,
-                            allowed: false,
-                        });
-                    }
-                    _ => {}
-                }
-                if !decision.allows() {
-                    let (policy_id, vulnerability) = match decision {
-                        Decision::Deny {
-                            policy_id,
-                            vulnerability,
-                        }
-                        | Decision::PromptDenied {
-                            policy_id,
-                            vulnerability,
-                        } => (policy_id, vulnerability),
-                        _ => unreachable!("non-allowing decision"),
-                    };
-                    self.audit.record(AuditEvent::IccBlocked {
-                        policy_id,
-                        vulnerability,
-                        to_component: Some(class.clone()),
-                    });
+                if !hook_decision(
+                    &mut self.pdp,
+                    &mut self.audit,
+                    PolicyEvent::IccReceive,
+                    &ctx,
+                    Some(&class),
+                ) {
                     continue;
                 }
             }
@@ -564,6 +528,59 @@ fn unmarshal_intent(heap: &mut Heap, intent: &IntentData) -> ObjRef {
     obj
 }
 
+/// The PEP's decision step, shared by the send and delivery hooks:
+/// evaluates `event`, records the `pdp.decision` latency and the
+/// `pdp.allowed`/`pdp.blocked` counter, audits a shown prompt, and audits
+/// an `IccBlocked` naming `to_component` when the decision blocks.
+/// Returns whether the call may proceed.
+fn hook_decision(
+    pdp: &mut Pdp,
+    audit: &mut AuditLog,
+    event: PolicyEvent,
+    ctx: &IccContext,
+    to_component: Option<&str>,
+) -> bool {
+    let timer = separ_obs::timer();
+    let decision = pdp.evaluate(event, ctx);
+    separ_obs::observe("pdp.decision", timer);
+    let counter = if decision.allows() {
+        "pdp.allowed"
+    } else {
+        "pdp.blocked"
+    };
+    separ_obs::counter_add(counter, 1);
+    let (policy_id, vulnerability) = match decision {
+        Decision::Allow => return true,
+        Decision::PromptAllowed { policy_id } => {
+            audit.record(AuditEvent::PromptShown {
+                policy_id,
+                allowed: true,
+            });
+            return true;
+        }
+        Decision::PromptDenied {
+            policy_id,
+            vulnerability,
+        } => {
+            audit.record(AuditEvent::PromptShown {
+                policy_id,
+                allowed: false,
+            });
+            (policy_id, vulnerability)
+        }
+        Decision::Deny {
+            policy_id,
+            vulnerability,
+        } => (policy_id, vulnerability),
+    };
+    audit.record(AuditEvent::IccBlocked {
+        policy_id,
+        vulnerability,
+        to_component: to_component.map(str::to_string),
+    });
+    false
+}
+
 /// The syscall layer: Android APIs as seen by running bytecode.
 struct DeviceSyscalls<'a> {
     app_idx: usize,
@@ -608,49 +625,13 @@ impl DeviceSyscalls<'_> {
                 action: intent.action.clone(),
                 tags,
             };
-            let timer = separ_obs::timer();
-            let decision = self.pdp.evaluate(PolicyEvent::IccSend, &ctx);
-            separ_obs::observe("pdp.decision", timer);
-            separ_obs::counter_add(
-                if decision.allows() {
-                    "pdp.allowed"
-                } else {
-                    "pdp.blocked"
-                },
-                1,
-            );
-            match &decision {
-                Decision::PromptAllowed { policy_id } => {
-                    self.audit.record(AuditEvent::PromptShown {
-                        policy_id: *policy_id,
-                        allowed: true,
-                    });
-                }
-                Decision::PromptDenied { policy_id, .. } => {
-                    self.audit.record(AuditEvent::PromptShown {
-                        policy_id: *policy_id,
-                        allowed: false,
-                    });
-                }
-                _ => {}
-            }
-            if !decision.allows() {
-                let (policy_id, vulnerability) = match decision {
-                    Decision::Deny {
-                        policy_id,
-                        vulnerability,
-                    }
-                    | Decision::PromptDenied {
-                        policy_id,
-                        vulnerability,
-                    } => (policy_id, vulnerability),
-                    _ => unreachable!("non-allowing decision"),
-                };
-                self.audit.record(AuditEvent::IccBlocked {
-                    policy_id,
-                    vulnerability,
-                    to_component: intent.explicit_target.clone(),
-                });
+            if !hook_decision(
+                self.pdp,
+                self.audit,
+                PolicyEvent::IccSend,
+                &ctx,
+                intent.explicit_target.as_deref(),
+            ) {
                 return; // skipped call: degraded mode, no crash
             }
         }

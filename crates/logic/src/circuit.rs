@@ -256,37 +256,6 @@ impl Circuit {
         self.and(some, amo)
     }
 
-    /// The reference of an already-allocated input, by its label.
-    pub fn input_ref(&self, label: u32) -> Option<BoolRef> {
-        self.dedup
-            .get(&Gate::Input(label))
-            .map(|&i| BoolRef::new(i, false))
-    }
-
-    /// Labels of all inputs reachable from `root`, sorted ascending.
-    ///
-    /// These are exactly the inputs that receive solver variables when the
-    /// root is asserted; unreachable inputs cannot influence its value.
-    pub fn reachable_inputs(&self, root: BoolRef) -> Vec<u32> {
-        let mut visited = vec![false; self.gates.len()];
-        let mut labels = Vec::new();
-        let mut stack = vec![root.index()];
-        while let Some(idx) = stack.pop() {
-            if std::mem::replace(&mut visited[idx as usize], true) {
-                continue;
-            }
-            match &self.gates[idx as usize] {
-                Gate::True => {}
-                Gate::Input(label) => labels.push(*label),
-                Gate::And(children) | Gate::Or(children) => {
-                    stack.extend(children.iter().map(|c| c.index()));
-                }
-            }
-        }
-        labels.sort_unstable();
-        labels
-    }
-
     /// Evaluates a reference under an assignment of input labels to booleans.
     ///
     /// Inputs missing from `env` default to `false`.
@@ -692,16 +661,12 @@ mod tests {
     }
 
     #[test]
-    fn reachable_inputs_and_input_refs() {
+    fn only_inputs_reachable_from_the_root_get_solver_variables() {
         let mut c = Circuit::new();
         let a = c.input();
         let b = c.input();
         let _unused = c.input();
         let root = c.and(a, !b);
-        assert_eq!(c.reachable_inputs(root), vec![0, 1]);
-        assert_eq!(c.input_ref(0), Some(a));
-        assert_eq!(c.input_ref(1), Some(b));
-        assert_eq!(c.input_ref(9), None);
         let mut s = Solver::new();
         let map = assert_circuit(&c, root, &mut s);
         assert!(map.var_for_input(0).is_some());

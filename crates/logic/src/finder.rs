@@ -6,33 +6,27 @@
 //! (Aluminum style), which the paper relies on to synthesize minimal exploit
 //! scenarios.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::ast::{Formula, QuantVar};
-use crate::circuit::{assert_circuit_with, BoolRef, CnfEncoding};
+use crate::circuit::{assert_circuit_with, CnfEncoding};
 use crate::error::Result;
 use crate::instance::Instance;
 use crate::relation::{RelationDecl, RelationId, Tuple, TupleSet};
 use crate::sat::{Lit, SolveResult, Solver, SolverStats, Var};
-use crate::symmetry;
 use crate::translate::{build_base, translate, translate_from, Translation, TranslationBase};
 use crate::universe::Universe;
 
 /// Options controlling how a [`Problem`] is lowered into a [`ModelFinder`].
 ///
-/// The defaults (polarity-aware CNF, no symmetry breaking) preserve the
-/// model set and enumeration semantics of the seed pipeline. Symmetry
-/// breaking is opt-in because it prunes symmetric models — satisfiability
-/// and per-orbit representatives are preserved, but exact model counts
-/// shrink.
+/// Every option preserves the model set: the default (polarity-aware CNF)
+/// is the production path, the Tseitin lowering is a reference for
+/// differential tests.
 #[derive(Debug, Default, Copy, Clone, PartialEq, Eq)]
 pub struct FinderOptions {
     /// CNF transformation for the circuit-to-solver lowering.
     pub encoding: CnfEncoding,
-    /// Conjoin bound-induced lex-leader symmetry-breaking predicates.
-    pub symmetry_breaking: bool,
 }
 
 /// A bounded relational-logic problem.
@@ -192,12 +186,11 @@ impl Problem {
         let conj = Formula::and(self.facts.iter().cloned());
         let mut span = separ_obs::span("logic.translate");
         let t0 = Instant::now();
-        let mut translation = match base {
+        let translation = match base {
             Some(b) => translate_from(b, &self.universe, &self.relations, &conj)?,
             None => translate(&self.universe, &self.relations, &conj)?,
         };
-        let root = self.apply_symmetry_breaking(&mut translation, options);
-        let finder = self.finder_for(translation, root, options.encoding, base.is_some());
+        let finder = self.finder_for(translation, options.encoding, base.is_some());
         span.set_arg("shared_base", base.is_some().to_string());
         span.set_arg("clauses", finder.cnf_clauses.to_string());
         drop(span);
@@ -207,17 +200,21 @@ impl Problem {
         })
     }
 
-    /// Lowers a translation rooted at `root` into a solver and wraps it in
-    /// a [`ModelFinder`] sharing this problem's universe and relations.
+    /// Lowers a translation into a solver and wraps it in a
+    /// [`ModelFinder`] sharing this problem's universe and relations.
     fn finder_for(
         &self,
         translation: Translation,
-        root: BoolRef,
         encoding: CnfEncoding,
         shared_base: bool,
     ) -> ModelFinder {
         let mut solver = Solver::new();
-        let cnf = assert_circuit_with(&translation.circuit, root, &mut solver, encoding);
+        let cnf = assert_circuit_with(
+            &translation.circuit,
+            translation.root,
+            &mut solver,
+            encoding,
+        );
         // Map each free tuple to its solver variable, if the tuple's input
         // survived into the CNF (inputs the formula never constrains do
         // not; they decode as absent, biasing toward minimal instances).
@@ -238,44 +235,6 @@ impl Problem {
             cnf_clauses: cnf.num_clauses(),
             shared_base,
         }
-    }
-
-    /// Conjoins lex-leader predicates onto the translated root when
-    /// symmetry breaking is enabled; otherwise returns the root unchanged.
-    ///
-    /// The predicates only mention inputs already reachable from the root,
-    /// so the primary-variable set (and hence instance decoding) is
-    /// unaffected.
-    fn apply_symmetry_breaking(
-        &self,
-        translation: &mut Translation,
-        options: FinderOptions,
-    ) -> crate::circuit::BoolRef {
-        let root = translation.root;
-        if !options.symmetry_breaking || root.is_const_true() || root.is_const_false() {
-            return root;
-        }
-        let pinned: BTreeSet<_> = self
-            .facts
-            .iter()
-            .flat_map(symmetry::formula_atoms)
-            .collect();
-        let classes = symmetry::atom_classes(&self.universe, &self.relations, &pinned);
-        if classes.is_empty() {
-            return root;
-        }
-        let reachable: BTreeSet<u32> = translation
-            .circuit
-            .reachable_inputs(root)
-            .into_iter()
-            .collect();
-        let sb = symmetry::break_predicate(
-            &mut translation.circuit,
-            &translation.free_inputs,
-            &reachable,
-            &classes,
-        );
-        translation.circuit.and(root, sb)
     }
 
     /// Convenience: finds one satisfying instance, if any.
@@ -316,8 +275,7 @@ impl Problem {
                 .chain(std::iter::once(assertion.not())),
         );
         let translation = translate(&self.universe, &self.relations, &conj)?;
-        let root = translation.root;
-        let mut finder = self.finder_for(translation, root, CnfEncoding::default(), false);
+        let mut finder = self.finder_for(translation, CnfEncoding::default(), false);
         Ok(finder.next_model())
     }
 }
@@ -599,60 +557,11 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_breaking_prunes_symmetric_models() {
-        // `some r` over 4 interchangeable atoms: 15 nonempty subsets
-        // plainly; the lex-leader predicates keep only the 4 "sorted"
-        // representatives (one per subset size).
-        let (mut p, r) = unary_problem(4);
-        p.fact(Expr::relation(r).some());
-        let mut plain = p.model_finder().expect("well-typed");
-        assert_eq!(count_models(&mut plain), 15);
-        let sb = FinderOptions {
-            symmetry_breaking: true,
-            ..FinderOptions::default()
-        };
-        let mut broken = p.model_finder_with(sb).expect("well-typed");
-        assert_eq!(count_models(&mut broken), 4);
-    }
-
-    #[test]
-    fn symmetry_breaking_preserves_satisfiability_and_minimality() {
-        let (mut p, r) = unary_problem(5);
-        p.fact(Expr::relation(r).some());
-        let sb = FinderOptions {
-            symmetry_breaking: true,
-            ..FinderOptions::default()
-        };
-        let mut finder = p.model_finder_with(sb).expect("well-typed");
-        let inst = finder.next_minimal_model().expect("satisfiable");
-        assert_eq!(inst.tuples(r).len(), 1, "a singleton orbit representative");
-    }
-
-    #[test]
-    fn symmetry_breaking_respects_pinned_atoms() {
-        // The fact mentions a0 literally, so a0 must stay out of the
-        // symmetry class: `r = {a0}` must remain reachable.
-        let (mut p, r) = unary_problem(3);
-        let a0 = p.universe().lookup("a0").expect("atom exists");
-        p.fact(Expr::atom(a0).in_(&Expr::relation(r)));
-        let sb = FinderOptions {
-            symmetry_breaking: true,
-            ..FinderOptions::default()
-        };
-        let mut finder = p.model_finder_with(sb).expect("well-typed");
-        let inst = finder.next_minimal_model().expect("satisfiable");
-        assert!(inst.tuples(r).contains(&Tuple::unary(a0)));
-    }
-
-    #[test]
     fn encodings_and_sharing_agree_on_model_counts() {
         for encoding in [CnfEncoding::PlaistedGreenbaum, CnfEncoding::Tseitin] {
             let (mut p, r) = unary_problem(3);
             p.fact(Expr::relation(r).lone());
-            let options = FinderOptions {
-                encoding,
-                ..FinderOptions::default()
-            };
+            let options = FinderOptions { encoding };
             let mut fresh = p.model_finder_with(options).expect("well-typed");
             assert_eq!(count_models(&mut fresh), 4, "{encoding:?}");
             let base = p.translation_base();
@@ -670,7 +579,6 @@ mod tests {
         let ts = p
             .model_finder_with(FinderOptions {
                 encoding: CnfEncoding::Tseitin,
-                ..FinderOptions::default()
             })
             .expect("well-typed");
         assert!(

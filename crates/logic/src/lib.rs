@@ -42,7 +42,6 @@ pub mod finder;
 pub mod instance;
 pub mod relation;
 pub mod sat;
-pub mod symmetry;
 pub mod translate;
 pub mod universe;
 

@@ -9,10 +9,6 @@
 //!     --stats                              per-signature CNF/SAT statistics + span/metric summary
 //!     --trace <file>                       write a Chrome trace-event JSON (Perfetto-loadable)
 //!     --events <file>                      write the structured event log as JSONL
-//!     --encoding <pg|tseitin>              CNF encoding (polarity-aware pg is the default)
-//!     --symmetry-breaking                  conjoin lex-leader symmetry-breaking predicates
-//!     --no-slicing                         translate every signature against the whole
-//!                                          bundle instead of its relevance slice
 //!     --model-cache <dir>                  reuse extracted models keyed by package content hash
 //! separ disasm <app.sdex>                  disassemble a package
 //! separ lint <app.sdex>... [--json]        verify packages, report diagnostics
@@ -140,22 +136,6 @@ fn cmd_analyze(args: &[String]) -> CliResult {
                     .parse()
                     .map_err(|e| format!("analyze: --threads: {e}"))?;
             }
-            "--encoding" => {
-                i += 1;
-                config.cnf_encoding = match args.get(i).map(String::as_str) {
-                    Some("pg") | Some("plaisted-greenbaum") => {
-                        separ::logic::CnfEncoding::PlaistedGreenbaum
-                    }
-                    Some("tseitin") => separ::logic::CnfEncoding::Tseitin,
-                    other => {
-                        return Err(format!(
-                            "analyze: --encoding must be pg or tseitin, got {other:?}"
-                        ))
-                    }
-                };
-            }
-            "--symmetry-breaking" => config.symmetry_breaking = true,
-            "--no-slicing" => config.slicing = false,
             "--model-cache" => {
                 i += 1;
                 model_cache_dir = Some(
@@ -238,11 +218,10 @@ fn cmd_analyze(args: &[String]) -> CliResult {
             report.stats.per_signature.len(),
         );
         println!(
-            "slicing: {} app slot(s) kept, {} dropped across {} signature(s){}",
+            "slicing: {} app slot(s) kept, {} dropped across {} signature(s)",
             report.stats.slice_kept,
             report.stats.slice_dropped,
             report.stats.per_signature.len(),
-            if config.slicing { "" } else { " (disabled)" },
         );
         for s in &report.stats.per_signature {
             println!(
@@ -643,4 +622,21 @@ fn cmd_demo() -> CliResult {
         protected.audit.blocked_count()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::cmd_analyze;
+
+    #[test]
+    fn analyze_rejects_the_reference_path_flags() {
+        // The Tseitin and unsliced paths are library-only references, and
+        // symmetry breaking no longer exists: each flag is a usage error,
+        // reported before any package is read.
+        for flag in ["--symmetry-breaking", "--encoding", "--no-slicing"] {
+            let args = ["missing.sdex".to_string(), flag.to_string()];
+            let err = cmd_analyze(&args).expect_err(flag);
+            assert_eq!(err, format!("analyze: unknown option {flag}"));
+        }
+    }
 }
