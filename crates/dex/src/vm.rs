@@ -62,20 +62,55 @@ impl Value {
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ObjRef(u32);
 
+impl ObjRef {
+    /// The object's position in allocation order.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// A heap object: a class name and named fields.
+///
+/// Fields are written only through [`Heap::put_field`], which keeps the
+/// heap's escape floor (see [`Heap::reclaim`]) up to date.
 #[derive(Clone, Debug, Default)]
 pub struct Object {
     /// Runtime class descriptor.
     pub class: String,
-    /// Field values by name.
-    pub fields: HashMap<String, Value>,
+    fields: HashMap<String, Value>,
+}
+
+impl Object {
+    /// The value of a field, if it was ever written.
+    pub fn field(&self, name: &str) -> Option<&Value> {
+        self.fields.get(name)
+    }
+
+    /// Every written field, in no particular order.
+    pub fn fields(&self) -> impl Iterator<Item = (&str, &Value)> + '_ {
+        self.fields.iter().map(|(k, v)| (k.as_str(), v))
+    }
 }
 
 /// The VM heap: objects plus static fields.
+///
+/// Objects live in allocation order, so an [`ObjRef`] is also an age.
+/// A host that runs one bounded invocation at a time (the device runs one
+/// component entry point) reclaims what the invocation allocated with
+/// [`Heap::mark`] before it and [`Heap::reclaim`] after it. Whatever
+/// escaped the invocation survives: every store of an object reference
+/// into a static, or into a field of an *older* object, raises the
+/// heap's escape floor past the stored object, and reclaim never cuts
+/// below the floor.
 #[derive(Clone, Debug, Default)]
 pub struct Heap {
     objects: Vec<Object>,
-    statics: HashMap<(String, String), Value>,
+    /// Static fields by class, then by field name, so a read borrows its
+    /// key instead of building one.
+    statics: HashMap<String, HashMap<String, Value>>,
+    /// Objects below this index may be reachable from a static or from an
+    /// older object; reclaim keeps them.
+    floor: usize,
 }
 
 impl Heap {
@@ -99,23 +134,84 @@ impl Heap {
         &self.objects[r.0 as usize]
     }
 
-    /// Mutably accesses an object.
-    pub fn get_mut(&mut self, r: ObjRef) -> &mut Object {
-        &mut self.objects[r.0 as usize]
+    /// Every live object, oldest first.
+    pub fn objects(&self) -> impl Iterator<Item = (ObjRef, &Object)> + '_ {
+        self.objects
+            .iter()
+            .enumerate()
+            .map(|(i, o)| (ObjRef(i as u32), o))
+    }
+
+    /// Writes a field of `obj`. Storing a reference to an object younger
+    /// than `obj` raises the escape floor past it.
+    pub fn put_field(&mut self, obj: ObjRef, name: &str, value: Value) {
+        if let Value::Object(r) = value {
+            if r.0 > obj.0 {
+                self.escape(r);
+            }
+        }
+        let fields = &mut self.objects[obj.0 as usize].fields;
+        match fields.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                fields.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Reads a static field (Null if unset).
     pub fn static_get(&self, class: &str, field: &str) -> Value {
         self.statics
-            .get(&(class.to_string(), field.to_string()))
+            .get(class)
+            .and_then(|fields| fields.get(field))
             .cloned()
             .unwrap_or(Value::Null)
     }
 
-    /// Writes a static field.
+    /// Writes a static field. A stored object reference raises the escape
+    /// floor past the object.
     pub fn static_put(&mut self, class: &str, field: &str, value: Value) {
-        self.statics
-            .insert((class.to_string(), field.to_string()), value);
+        if let Value::Object(r) = value {
+            self.escape(r);
+        }
+        match self.statics.get_mut(class).and_then(|f| f.get_mut(field)) {
+            Some(slot) => *slot = value,
+            None => {
+                self.statics
+                    .entry(class.to_string())
+                    .or_default()
+                    .insert(field.to_string(), value);
+            }
+        }
+    }
+
+    /// Every static field as `(class, field, value)`, in no particular
+    /// order.
+    pub fn statics(&self) -> impl Iterator<Item = (&str, &str, &Value)> + '_ {
+        self.statics.iter().flat_map(|(class, fields)| {
+            fields
+                .iter()
+                .map(move |(field, v)| (class.as_str(), field.as_str(), v))
+        })
+    }
+
+    fn escape(&mut self, r: ObjRef) {
+        self.floor = self.floor.max(r.0 as usize + 1);
+    }
+
+    /// A mark to [`Heap::reclaim`] back to: the current object count.
+    pub fn mark(&self) -> usize {
+        self.objects.len()
+    }
+
+    /// Frees every object allocated since `mark` that did not escape:
+    /// truncates the heap to `max(mark, floor)` objects. The kept prefix
+    /// is closed under references (a reference from an object to a
+    /// younger one, or from a static, lies below the floor), so no
+    /// surviving [`ObjRef`] dangles; references the host still holds to
+    /// freed objects must not be used.
+    pub fn reclaim(&mut self, mark: usize) {
+        self.objects.truncate(mark.max(self.floor));
     }
 
     /// Number of live objects.
@@ -314,21 +410,15 @@ impl<'p> Vm<'p> {
                         .ok_or(VmError::NotAnObject("iget"))?;
                     let fref = self.dex.pools.field_at(*field);
                     let fname = self.dex.pools.str_at(fref.name);
-                    regs[dst.index()] = heap
-                        .get(obj)
-                        .fields
-                        .get(fname)
-                        .cloned()
-                        .unwrap_or(Value::Null);
+                    regs[dst.index()] = heap.get(obj).field(fname).cloned().unwrap_or(Value::Null);
                 }
                 Instr::IPut { src, object, field } => {
                     let obj = regs[object.index()]
                         .as_object()
                         .ok_or(VmError::NotAnObject("iput"))?;
                     let fref = self.dex.pools.field_at(*field);
-                    let fname = self.dex.pools.str_at(fref.name).to_string();
-                    let v = regs[src.index()].clone();
-                    heap.get_mut(obj).fields.insert(fname, v);
+                    let fname = self.dex.pools.str_at(fref.name);
+                    heap.put_field(obj, fname, regs[src.index()].clone());
                 }
                 Instr::SGet { dst, field } => {
                     let fref = self.dex.pools.field_at(*field);
@@ -338,9 +428,9 @@ impl<'p> Vm<'p> {
                 }
                 Instr::SPut { src, field } => {
                     let fref = self.dex.pools.field_at(*field);
-                    let class = self.dex.pools.type_at(fref.class).to_string();
-                    let fname = self.dex.pools.str_at(fref.name).to_string();
-                    heap.static_put(&class, &fname, regs[src.index()].clone());
+                    let class = self.dex.pools.type_at(fref.class);
+                    let fname = self.dex.pools.str_at(fref.name);
+                    heap.static_put(class, fname, regs[src.index()].clone());
                 }
                 Instr::IfEqz { reg, target } => {
                     if regs[reg.index()].is_zero() {
@@ -756,6 +846,37 @@ mod tests {
         let (class, name, args) = &sys.calls[0];
         assert_eq!((class.as_str(), name.as_str()), ("LBase;", "missing"));
         assert!(matches!(args.as_slice(), [Value::Object(o)] if heap.get(*o).class == "LDerived;"));
+    }
+
+    #[test]
+    fn reclaim_frees_what_did_not_escape() {
+        let mut heap = Heap::new();
+        let old = heap.alloc("LOld;");
+        let mark = heap.mark();
+        let kept = heap.alloc("LKept;");
+        let inner = heap.alloc("LInner;");
+        let freed = heap.alloc("LFreed;");
+        // Younger into older raises the floor; older into younger and
+        // a store into a freed object do not.
+        heap.put_field(old, "f", Value::Object(kept));
+        heap.put_field(kept, "g", Value::Object(inner));
+        heap.put_field(freed, "h", Value::Object(old));
+        heap.reclaim(mark);
+        assert_eq!(heap.len(), 3);
+        assert_eq!(heap.get(inner).class, "LInner;");
+
+        // A static keeps its object; nothing else survives.
+        let mark = heap.mark();
+        let a = heap.alloc("LA;");
+        heap.alloc("LB;");
+        heap.static_put("LS;", "x", Value::Object(a));
+        heap.reclaim(mark);
+        assert_eq!(heap.len(), 4);
+        assert_eq!(heap.static_get("LS;", "x"), Value::Object(a));
+        let mark = heap.mark();
+        heap.alloc("LC;");
+        heap.reclaim(mark);
+        assert_eq!(heap.len(), 4, "the floor never drops");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod pdp;
 pub mod runtime;
 pub mod tag;
 
-pub use audit::{AuditEvent, AuditLog};
+pub use audit::{AuditEvent, AuditLog, AUDIT_CAPACITY};
 pub use compiled::{probe_contexts, CompiledPolicySet, PdpReader, PdpTotals, SharedPdp};
 pub use pdp::{Decision, IccContext, LinearPdp, Pdp, PromptHandler};
 pub use runtime::{Device, Envelope, HookStats};

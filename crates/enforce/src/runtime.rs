@@ -47,22 +47,27 @@ pub struct Envelope {
     pub reply_to: Option<(usize, String)>,
 }
 
-impl Envelope {
-    /// Resource tags carried by the envelope's extras.
-    pub fn tags(&self) -> BTreeSet<Resource> {
-        self.intent
-            .extras
-            .values()
-            .filter_map(|v| tag::extract(v))
-            .collect()
-    }
+/// Refills `tags` with the resource tags carried by `intent`'s extras.
+fn extra_tags(intent: &IntentData, tags: &mut BTreeSet<Resource>) {
+    tags.clear();
+    tags.extend(intent.extras.values().filter_map(|v| tag::extract(v)));
 }
 
 /// Pre-resolved per-app metadata (cheap to consult during execution).
 #[derive(Clone, Debug)]
 struct AppMeta {
-    package: String,
+    /// Shared by refcount with every audit record naming the app.
+    package: Arc<str>,
     permissions: Vec<String>,
+}
+
+impl AppMeta {
+    fn of(apk: &Apk) -> AppMeta {
+        AppMeta {
+            package: Arc::from(apk.manifest.package.as_str()),
+            permissions: apk.manifest.uses_permissions.clone(),
+        }
+    }
 }
 
 /// One installed app.
@@ -106,6 +111,12 @@ pub struct Device {
     dynamic_receivers: Vec<DynamicReceiver>,
     /// The audit log (public for assertions).
     pub audit: AuditLog,
+    /// The send and the receive hook's contexts, refilled per event so a
+    /// hook allocates no strings once their buffers have grown.
+    send_ctx: IccContext,
+    recv_ctx: IccContext,
+    /// Buffer for building `extra:<key>` field names.
+    key_buf: String,
     enforcement: bool,
     hook_stats: HookStats,
     vm_budget: u64,
@@ -115,13 +126,7 @@ pub struct Device {
 impl Device {
     /// Boots a device with the given apps installed and no policies.
     pub fn new(apks: Vec<Apk>) -> Device {
-        let meta = apks
-            .iter()
-            .map(|a| AppMeta {
-                package: a.manifest.package.clone(),
-                permissions: a.manifest.uses_permissions.clone(),
-            })
-            .collect();
+        let meta = apks.iter().map(AppMeta::of).collect();
         let router = Router::new(apks.iter().map(|a| &a.manifest));
         Device {
             apps: apks
@@ -137,6 +142,9 @@ impl Device {
             queue: VecDeque::new(),
             dynamic_receivers: Vec::new(),
             audit: AuditLog::new(),
+            send_ctx: IccContext::default(),
+            recv_ctx: IccContext::default(),
+            key_buf: String::new(),
             enforcement: false,
             hook_stats: HookStats::default(),
             vm_budget: 1_000_000,
@@ -190,9 +198,15 @@ impl Device {
         self.delivery_limit
     }
 
+    /// Number of live objects on an installed app's VM heap: what its
+    /// components' entry points left behind (see `Heap::reclaim`).
+    pub fn heap_len(&self, package: &str) -> Option<usize> {
+        self.app_index(package).map(|i| self.apps[i].heap.len())
+    }
+
     /// Index of an installed app by package.
     pub fn app_index(&self, package: &str) -> Option<usize> {
-        self.meta.iter().position(|m| m.package == package)
+        self.meta.iter().position(|m| &*m.package == package)
     }
 
     /// Installs an app onto the running device. Returns `false` (and does
@@ -201,10 +215,7 @@ impl Device {
         if self.app_index(&apk.manifest.package).is_some() {
             return false;
         }
-        self.meta.push(AppMeta {
-            package: apk.manifest.package.clone(),
-            permissions: apk.manifest.uses_permissions.clone(),
-        });
+        self.meta.push(AppMeta::of(&apk));
         self.apps.push(InstalledApp {
             apk: Arc::new(apk),
             heap: Heap::new(),
@@ -352,33 +363,36 @@ impl Device {
             });
             return;
         }
+        if self.enforcement {
+            // Everything but the receiver is the same for every receiver.
+            let ctx = &mut self.recv_ctx;
+            let sender = env
+                .from_app
+                .map_or("<external>", |i| &*self.meta[i].package);
+            refill(&mut ctx.sender_app, sender);
+            refill(&mut ctx.sender_component, &env.from_component);
+            refill_opt(&mut ctx.action, env.intent.action.as_deref());
+            extra_tags(&env.intent, &mut ctx.tags);
+        }
         for (ai, class) in receivers {
             self.hook_stats.delivery_hooks += 1;
             separ_obs::counter_add("pep.delivery_hooks", 1);
             if self.enforcement {
-                let ctx = IccContext {
-                    sender_app: env
-                        .from_app
-                        .map(|i| self.meta[i].package.clone())
-                        .unwrap_or_else(|| "<external>".to_string()),
-                    sender_component: env.from_component.clone(),
-                    receiver_app: Some(self.meta[ai].package.clone()),
-                    receiver_component: Some(class.clone()),
-                    action: env.intent.action.clone(),
-                    tags: env.tags(),
-                };
+                let ctx = &mut self.recv_ctx;
+                refill_opt(&mut ctx.receiver_app, Some(&self.meta[ai].package));
+                refill_opt(&mut ctx.receiver_component, Some(&class));
                 if !hook_decision(
                     &mut self.pdp,
                     &mut self.audit,
                     PolicyEvent::IccReceive,
-                    &ctx,
+                    ctx,
                     Some(&class),
                 ) {
                     continue;
                 }
             }
             self.audit.record(AuditEvent::IccDelivered {
-                to_app: self.meta[ai].package.clone(),
+                to_app: Arc::clone(&self.meta[ai].package),
                 to_component: class.clone(),
                 intent: Arc::clone(&env.intent),
             });
@@ -424,8 +438,11 @@ impl Device {
         };
         let num_params = method.num_params;
         let mut heap = std::mem::take(&mut self.apps[app_idx].heap);
+        // Everything the entry point allocates, `this` and the received
+        // intent included, is reclaimed on return unless it escaped.
+        let mark = heap.mark();
         let this = Value::Object(heap.alloc(class.to_string()));
-        let received = env.map(|e| unmarshal_intent(&mut heap, &e.intent));
+        let received = env.map(|e| unmarshal_intent(&mut heap, &e.intent, &mut self.key_buf));
         let mut args = vec![this];
         if num_params >= 2 {
             args.push(received.map(Value::Object).unwrap_or(Value::Null));
@@ -440,6 +457,8 @@ impl Device {
             meta: &self.meta,
             pdp: &mut self.pdp,
             audit: &mut self.audit,
+            ctx: &mut self.send_ctx,
+            key_buf: &mut self.key_buf,
             queue: &mut self.queue,
             dynamic_receivers: &mut self.dynamic_receivers,
             enforcement: self.enforcement,
@@ -456,6 +475,7 @@ impl Device {
         };
         let mut vm = Vm::with_budget(&apk.dex, self.vm_budget);
         let result = vm.invoke(&mut heap, &mut sys, class, entry, args);
+        heap.reclaim(mark);
         self.apps[app_idx].heap = heap;
         match result {
             Ok(_) => true,
@@ -465,11 +485,34 @@ impl Device {
     }
 }
 
+/// Overwrites `buf` with `s`, reusing its allocation.
+fn refill(buf: &mut String, s: &str) {
+    buf.clear();
+    buf.push_str(s);
+}
+
+/// [`refill`] for an optional field: keeps the buffer of a present value.
+fn refill_opt(slot: &mut Option<String>, s: Option<&str>) {
+    match (slot.as_mut(), s) {
+        (Some(buf), Some(s)) => refill(buf, s),
+        (_, s) => *slot = s.map(str::to_string),
+    }
+}
+
+/// `extra:<key>`, the heap field an intent extra is stored under, built
+/// in `buf`.
+fn extra_field<'b>(buf: &'b mut String, key: &str) -> &'b str {
+    buf.clear();
+    buf.push_str("extra:");
+    buf.push_str(key);
+    buf
+}
+
 /// Marshals an intent heap object into wire form.
 fn marshal_intent(heap: &Heap, obj: ObjRef) -> IntentData {
     let o = heap.get(obj);
     let mut intent = IntentData::new();
-    for (k, v) in &o.fields {
+    for (k, v) in o.fields() {
         let as_string = |v: &Value| match v {
             Value::Str(s) => s.to_string(),
             Value::Int(i) => i.to_string(),
@@ -501,29 +544,28 @@ fn marshal_intent(heap: &Heap, obj: ObjRef) -> IntentData {
     intent
 }
 
-/// Builds an intent heap object from wire form.
-fn unmarshal_intent(heap: &mut Heap, intent: &IntentData) -> ObjRef {
-    let obj = heap.alloc(api::class::INTENT.to_string());
-    let o = heap.get_mut(obj);
+/// Builds an intent heap object from wire form (`key_buf` is the
+/// device's `extra:<key>` buffer).
+fn unmarshal_intent(heap: &mut Heap, intent: &IntentData, key_buf: &mut String) -> ObjRef {
+    let obj = heap.alloc(api::class::INTENT);
     if let Some(a) = &intent.action {
-        o.fields.insert("action".into(), Value::str(a));
+        heap.put_field(obj, "action", Value::str(a));
     }
     if let Some(t) = &intent.data_type {
-        o.fields.insert("dataType".into(), Value::str(t));
+        heap.put_field(obj, "dataType", Value::str(t));
     }
     if let Some(s) = &intent.data_scheme {
-        o.fields.insert("dataScheme".into(), Value::str(s));
+        heap.put_field(obj, "dataScheme", Value::str(s));
     }
     if let Some(t) = &intent.explicit_target {
-        o.fields.insert("target".into(), Value::str(t));
+        heap.put_field(obj, "target", Value::str(t));
     }
     if !intent.categories.is_empty() {
         let joined: Vec<&str> = intent.categories.iter().map(String::as_str).collect();
-        o.fields
-            .insert("categories".into(), Value::str(joined.join(";")));
+        heap.put_field(obj, "categories", Value::str(joined.join(";")));
     }
     for (k, v) in &intent.extras {
-        o.fields.insert(format!("extra:{k}"), Value::str(v));
+        heap.put_field(obj, extra_field(key_buf, k), Value::str(v));
     }
     obj
 }
@@ -585,10 +627,14 @@ fn hook_decision(
 struct DeviceSyscalls<'a> {
     app_idx: usize,
     component: &'a str,
-    package: &'a str,
+    package: &'a Arc<str>,
     meta: &'a [AppMeta],
     pdp: &'a mut Pdp,
     audit: &'a mut AuditLog,
+    /// The device's send-hook context, refilled per send.
+    ctx: &'a mut IccContext,
+    /// The device's `extra:<key>` buffer.
+    key_buf: &'a mut String,
     queue: &'a mut VecDeque<Envelope>,
     dynamic_receivers: &'a mut Vec<DynamicReceiver>,
     enforcement: bool,
@@ -612,31 +658,28 @@ impl DeviceSyscalls<'_> {
         self.hook_stats.icc_hooks += 1;
         separ_obs::counter_add("pep.icc_hooks", 1);
         if self.enforcement {
-            let tags: BTreeSet<Resource> = intent
-                .extras
-                .values()
-                .filter_map(|v| tag::extract(v))
-                .collect();
-            let ctx = IccContext {
-                sender_app: self.package.to_string(),
-                sender_component: self.component.to_string(),
-                receiver_app: None,
-                receiver_component: intent.explicit_target.clone(),
-                action: intent.action.clone(),
-                tags,
-            };
+            let ctx = &mut *self.ctx;
+            refill(&mut ctx.sender_app, self.package);
+            refill(&mut ctx.sender_component, self.component);
+            ctx.receiver_app = None;
+            refill_opt(
+                &mut ctx.receiver_component,
+                intent.explicit_target.as_deref(),
+            );
+            refill_opt(&mut ctx.action, intent.action.as_deref());
+            extra_tags(&intent, &mut ctx.tags);
             if !hook_decision(
                 self.pdp,
                 self.audit,
                 PolicyEvent::IccSend,
-                &ctx,
+                ctx,
                 intent.explicit_target.as_deref(),
             ) {
                 return; // skipped call: degraded mode, no crash
             }
         }
         self.audit.record(AuditEvent::IccSent {
-            from_app: self.package.to_string(),
+            from_app: Arc::clone(self.package),
             from_component: self.component.to_string(),
             intent: Arc::clone(&intent),
         });
@@ -672,7 +715,7 @@ impl DeviceSyscalls<'_> {
         }
         self.audit.record(AuditEvent::SinkFired {
             sink,
-            app: self.package.to_string(),
+            app: Arc::clone(self.package),
             tags,
             detail,
         });
@@ -692,70 +735,59 @@ impl Syscalls for DeviceSyscalls<'_> {
                 let Some(obj) = args.first().and_then(Value::as_object) else {
                     return Ok(Some(Value::Null));
                 };
-                let as_string = |v: &Value| -> String {
-                    match v {
-                        Value::Str(s) => s.to_string(),
-                        Value::Int(i) => i.to_string(),
-                        _ => String::new(),
-                    }
+                // The stored string value (`""` for anything but a string
+                // or an int); a string argument is shared, not copied.
+                let str_value = |v: &Value| match v {
+                    Value::Str(s) => Value::Str(Arc::clone(s)),
+                    Value::Int(i) => Value::str(i.to_string()),
+                    _ => Value::str(""),
                 };
                 match kind {
                     IntentConfigKind::Init => {}
                     IntentConfigKind::SetAction => {
                         if let Some(v) = args.get(1) {
-                            heap.get_mut(obj)
-                                .fields
-                                .insert("action".into(), Value::str(as_string(v)));
+                            heap.put_field(obj, "action", str_value(v));
                         }
                     }
                     IntentConfigKind::AddCategory => {
                         if let Some(v) = args.get(1) {
                             let mut cur = heap
                                 .get(obj)
-                                .fields
-                                .get("categories")
+                                .field("categories")
                                 .and_then(|c| c.as_str().map(String::from))
                                 .unwrap_or_default();
                             if !cur.is_empty() {
                                 cur.push(';');
                             }
-                            cur.push_str(&as_string(v));
-                            heap.get_mut(obj)
-                                .fields
-                                .insert("categories".into(), Value::str(cur));
+                            cur.push_str(str_value(v).as_str().unwrap_or(""));
+                            heap.put_field(obj, "categories", Value::str(cur));
                         }
                     }
                     IntentConfigKind::SetType => {
                         if let Some(v) = args.get(1) {
-                            heap.get_mut(obj)
-                                .fields
-                                .insert("dataType".into(), Value::str(as_string(v)));
+                            heap.put_field(obj, "dataType", str_value(v));
                         }
                     }
                     IntentConfigKind::SetData => {
                         if let Some(v) = args.get(1) {
-                            let s = as_string(v);
-                            let scheme = s.split(':').next().unwrap_or(&s).to_string();
-                            heap.get_mut(obj)
-                                .fields
-                                .insert("dataScheme".into(), Value::str(scheme));
+                            let s = str_value(v);
+                            let s = s.as_str().unwrap_or("");
+                            let scheme = s.split(':').next().unwrap_or(s);
+                            heap.put_field(obj, "dataScheme", Value::str(scheme));
                         }
                     }
                     IntentConfigKind::PutExtra => {
                         if let (Some(k), Some(v)) = (args.get(1), args.get(2)) {
-                            let key = as_string(k);
-                            heap.get_mut(obj)
-                                .fields
-                                .insert(format!("extra:{key}"), v.clone());
+                            let key = str_value(k);
+                            let field = extra_field(self.key_buf, key.as_str().unwrap_or(""));
+                            heap.put_field(obj, field, v.clone());
                         }
                     }
                     IntentConfigKind::SetTarget => {
                         // setClassName(intent, class) or (intent, pkg, class):
                         // the last string argument is the class.
-                        if let Some(v) = args.iter().skip(1).rev().find_map(Value::as_str) {
-                            heap.get_mut(obj)
-                                .fields
-                                .insert("target".into(), Value::str(v));
+                        if let Some(v) = args.iter().skip(1).rev().find(|v| v.as_str().is_some()) {
+                            heap.put_field(obj, "target", v.clone());
                         }
                     }
                 }
@@ -765,15 +797,16 @@ impl Syscalls for DeviceSyscalls<'_> {
                 "getStringExtra" | "getIntExtra" => {
                     let obj = args.first().and_then(Value::as_object);
                     let key = args.get(1).and_then(Value::as_str).unwrap_or("");
+                    let field = extra_field(self.key_buf, key);
                     Ok(Some(
-                        obj.and_then(|o| heap.get(o).fields.get(&format!("extra:{key}")).cloned())
+                        obj.and_then(|o| heap.get(o).field(field).cloned())
                             .unwrap_or(Value::Null),
                     ))
                 }
                 "getAction" => {
                     let obj = args.first().and_then(Value::as_object);
                     Ok(Some(
-                        obj.and_then(|o| heap.get(o).fields.get("action").cloned())
+                        obj.and_then(|o| heap.get(o).field("action").cloned())
                             .unwrap_or(Value::Null),
                     ))
                 }
@@ -1187,6 +1220,7 @@ mod tests {
             50,
             "exactly the limit is delivered"
         );
+        assert_eq!(device.audit.dropped(), 0, "the scan below sees every event");
         let delivered = device
             .audit
             .events()
@@ -1206,9 +1240,10 @@ mod tests {
         assert_eq!(device.run_until_idle(), 1);
         assert_eq!(device.hook_stats().dropped, 52);
         assert!(device.audit.leaked(Resource::Location, Resource::Sms));
-        assert!(device.audit.events()[before..].iter().all(|e| !matches!(
+        assert_eq!(device.audit.dropped(), 0);
+        assert!(device.audit.events().range(before..).all(|e| !matches!(
             e,
-            AuditEvent::IccDelivered { to_app, .. } if to_app == "com.loop"
+            AuditEvent::IccDelivered { to_app, .. } if &**to_app == "com.loop"
         )));
     }
 
@@ -1230,6 +1265,7 @@ mod tests {
         let mut device = Device::new(vec![apk.finish()]);
         device.launch("com.lost", "LMain;");
         device.run_until_idle();
+        assert_eq!(device.audit.dropped(), 0);
         assert!(device
             .audit
             .events()

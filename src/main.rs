@@ -62,12 +62,49 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("separ: {e}");
-            ExitCode::FAILURE
+            ExitCode::from(e.exit_code())
         }
     }
 }
 
-type CliResult = Result<(), String>;
+/// Why a subcommand failed. Like `separ lint` and an unknown
+/// subcommand, a bad invocation exits 2; a run that fails exits 1.
+#[derive(Debug, PartialEq, Eq)]
+enum CliError {
+    /// Unknown option, missing or malformed value, no inputs.
+    Usage(String),
+    /// The invocation was valid but the run failed.
+    Failed(String),
+}
+
+impl CliError {
+    fn exit_code(&self) -> u8 {
+        match self {
+            CliError::Usage(_) => 2,
+            CliError::Failed(_) => 1,
+        }
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Usage(msg) | CliError::Failed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> CliError {
+        CliError::Failed(msg)
+    }
+}
+
+fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
+type CliResult = Result<(), CliError>;
 
 fn load_apk(path: &str) -> Result<separ::dex::Apk, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
@@ -76,7 +113,9 @@ fn load_apk(path: &str) -> Result<separ::dex::Apk, String> {
 
 /// `separ pack <dir>`: writes the motivating bundle as binary packages.
 fn cmd_pack(args: &[String]) -> CliResult {
-    let dir = args.first().ok_or("pack: missing output directory")?;
+    let dir = args
+        .first()
+        .ok_or_else(|| usage("pack: missing output directory"))?;
     std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     let apps = [
         ("navigator.sdex", separ::corpus::motivating::navigator_app()),
@@ -114,17 +153,25 @@ fn cmd_analyze(args: &[String]) -> CliResult {
                 i += 1;
                 policies_out = Some(
                     args.get(i)
-                        .ok_or("analyze: --policies-out needs a path")?
+                        .ok_or_else(|| usage("analyze: --policies-out needs a path"))?
                         .clone(),
                 );
             }
             "--trace" => {
                 i += 1;
-                trace_out = Some(args.get(i).ok_or("analyze: --trace needs a path")?.clone());
+                trace_out = Some(
+                    args.get(i)
+                        .ok_or_else(|| usage("analyze: --trace needs a path"))?
+                        .clone(),
+                );
             }
             "--events" => {
                 i += 1;
-                events_out = Some(args.get(i).ok_or("analyze: --events needs a path")?.clone());
+                events_out = Some(
+                    args.get(i)
+                        .ok_or_else(|| usage("analyze: --events needs a path"))?
+                        .clone(),
+                );
             }
             "--alloy" => print_alloy = true,
             "--stats" => print_stats = true,
@@ -132,27 +179,27 @@ fn cmd_analyze(args: &[String]) -> CliResult {
                 i += 1;
                 config.threads = args
                     .get(i)
-                    .ok_or("analyze: --threads needs a count")?
+                    .ok_or_else(|| usage("analyze: --threads needs a count"))?
                     .parse()
-                    .map_err(|e| format!("analyze: --threads: {e}"))?;
+                    .map_err(|e| usage(format!("analyze: --threads: {e}")))?;
             }
             "--model-cache" => {
                 i += 1;
                 model_cache_dir = Some(
                     args.get(i)
-                        .ok_or("analyze: --model-cache needs a directory")?
+                        .ok_or_else(|| usage("analyze: --model-cache needs a directory"))?
                         .clone(),
                 );
             }
             f if f.starts_with('-') => {
-                return Err(format!("analyze: unknown option {f}"));
+                return Err(usage(format!("analyze: unknown option {f}")));
             }
             f => files.push(f.to_string()),
         }
         i += 1;
     }
     if files.is_empty() {
-        return Err("analyze: no input packages".into());
+        return Err(usage("analyze: no input packages"));
     }
     // Timing in `BundleStats` is span-derived, so tracing is on for
     // every analyze run; the snapshot also feeds --trace/--events.
@@ -284,7 +331,9 @@ fn cmd_analyze(args: &[String]) -> CliResult {
 
 /// `separ disasm <app>`: textual listing.
 fn cmd_disasm(args: &[String]) -> CliResult {
-    let file = args.first().ok_or("disasm: missing input package")?;
+    let file = args
+        .first()
+        .ok_or_else(|| usage("disasm: missing input package"))?;
     let apk = load_apk(file)?;
     print!("{}", separ::dex::disasm::package(&apk));
     Ok(())
@@ -368,9 +417,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        let value = |i: usize| -> Result<&String, String> {
+        let value = |i: usize| -> Result<&String, CliError> {
             args.get(i + 1)
-                .ok_or(format!("serve: {flag} needs a value"))
+                .ok_or_else(|| usage(format!("serve: {flag} needs a value")))
         };
         match flag {
             "--socket" => {
@@ -388,40 +437,40 @@ fn cmd_serve(args: &[String]) -> CliResult {
             "--queue" => {
                 cfg.queue_capacity = value(i)?
                     .parse()
-                    .map_err(|e| format!("serve: --queue: {e}"))?;
+                    .map_err(|e| usage(format!("serve: --queue: {e}")))?;
                 i += 1;
             }
             "--batch-max" => {
                 cfg.batch_max = value(i)?
                     .parse()
-                    .map_err(|e| format!("serve: --batch-max: {e}"))?;
+                    .map_err(|e| usage(format!("serve: --batch-max: {e}")))?;
                 i += 1;
             }
             "--deadline-ms" => {
                 let ms: u64 = value(i)?
                     .parse()
-                    .map_err(|e| format!("serve: --deadline-ms: {e}"))?;
+                    .map_err(|e| usage(format!("serve: --deadline-ms: {e}")))?;
                 cfg.default_deadline = std::time::Duration::from_millis(ms);
                 i += 1;
             }
             "--cache-cap-mb" => {
                 let mb: u64 = value(i)?
                     .parse()
-                    .map_err(|e| format!("serve: --cache-cap-mb: {e}"))?;
+                    .map_err(|e| usage(format!("serve: --cache-cap-mb: {e}")))?;
                 cfg.cache_cap_bytes = Some(mb * 1024 * 1024);
                 i += 1;
             }
             "--threads" => {
                 cfg.config.threads = value(i)?
                     .parse()
-                    .map_err(|e| format!("serve: --threads: {e}"))?;
+                    .map_err(|e| usage(format!("serve: --threads: {e}")))?;
                 i += 1;
             }
             "--slow-ms" => {
                 cfg.slow_ms = Some(
                     value(i)?
                         .parse()
-                        .map_err(|e| format!("serve: --slow-ms: {e}"))?,
+                        .map_err(|e| usage(format!("serve: --slow-ms: {e}")))?,
                 );
                 i += 1;
             }
@@ -432,15 +481,16 @@ fn cmd_serve(args: &[String]) -> CliResult {
             "--audit-max-kb" => {
                 let kb: u64 = value(i)?
                     .parse()
-                    .map_err(|e| format!("serve: --audit-max-kb: {e}"))?;
+                    .map_err(|e| usage(format!("serve: --audit-max-kb: {e}")))?;
                 cfg.audit_max_bytes = kb * 1024;
                 i += 1;
             }
-            f => return Err(format!("serve: unknown option {f}")),
+            f => return Err(usage(format!("serve: unknown option {f}"))),
         }
         i += 1;
     }
-    let endpoint = endpoint.ok_or("serve: need --socket <path> or --listen <addr>")?;
+    let endpoint =
+        endpoint.ok_or_else(|| usage("serve: need --socket <path> or --listen <addr>"))?;
     separ::obs::global().enable();
     let daemon = Daemon::start(cfg).map_err(|e| format!("serve: {e}"))?;
     let (restored, skipped) = daemon.restored();
@@ -471,11 +521,11 @@ fn cmd_enforce(args: &[String]) -> CliResult {
                 i += 1;
                 let n: usize = args
                     .get(i)
-                    .ok_or("enforce: --threads needs a count")?
+                    .ok_or_else(|| usage("enforce: --threads needs a count"))?
                     .parse()
-                    .map_err(|e| format!("enforce: --threads: {e}"))?;
+                    .map_err(|e| usage(format!("enforce: --threads: {e}")))?;
                 if n == 0 {
-                    return Err("enforce: --threads must be at least 1".into());
+                    return Err(usage("enforce: --threads must be at least 1"));
                 }
                 threads = Some(n);
             }
@@ -483,27 +533,32 @@ fn cmd_enforce(args: &[String]) -> CliResult {
                 i += 1;
                 policy_file = Some(
                     args.get(i)
-                        .ok_or("enforce: --policies needs a path")?
+                        .ok_or_else(|| usage("enforce: --policies needs a path"))?
                         .clone(),
                 );
             }
             "--launch" => {
                 let pkg = args
                     .get(i + 1)
-                    .ok_or("enforce: --launch needs <pkg> <Class>")?;
+                    .ok_or_else(|| usage("enforce: --launch needs <pkg> <Class>"))?;
                 let class = args
                     .get(i + 2)
-                    .ok_or("enforce: --launch needs <pkg> <Class>")?;
+                    .ok_or_else(|| usage("enforce: --launch needs <pkg> <Class>"))?;
                 launch = Some((pkg.clone(), class.clone()));
                 i += 2;
             }
             f if f.starts_with('-') => {
-                return Err(format!("enforce: unknown option {f}"));
+                return Err(usage(format!("enforce: unknown option {f}")));
             }
             f => files.push(f.to_string()),
         }
         i += 1;
     }
+    if files.is_empty() {
+        return Err(usage("enforce: no input packages"));
+    }
+    let (pkg, class) =
+        launch.ok_or_else(|| usage("enforce: --launch <pkg> <Class> is required"))?;
     // PDP decision latencies land in a histogram on the global
     // collector; --stats prints it after the run.
     separ::obs::global().enable();
@@ -511,9 +566,6 @@ fn cmd_enforce(args: &[String]) -> CliResult {
         .iter()
         .map(|f| load_apk(f))
         .collect::<Result<_, _>>()?;
-    if apks.is_empty() {
-        return Err("enforce: no input packages".into());
-    }
     let packages: Vec<String> = apks.iter().map(|a| a.package().to_string()).collect();
     let mut device = Device::new(apks);
     if let Some(path) = policy_file {
@@ -522,12 +574,15 @@ fn cmd_enforce(args: &[String]) -> CliResult {
         println!("installed {} polic(ies)", policies.len());
         device.install_policies(policies, packages, PromptHandler::AlwaysDeny);
     }
-    let (pkg, class) = launch.ok_or("enforce: --launch <pkg> <Class> is required")?;
     if !device.launch(&pkg, &class) {
-        return Err(format!("could not launch {pkg}/{class}"));
+        return Err(CliError::Failed(format!("could not launch {pkg}/{class}")));
     }
     let delivered = device.run_until_idle();
     println!("processed {delivered} ICC envelope(s)\naudit:");
+    let dropped = device.audit.dropped();
+    if dropped > 0 {
+        println!("  ({dropped} earlier audit events dropped)");
+    }
     for e in device.audit.events() {
         println!("  {e:?}");
     }
@@ -626,7 +681,11 @@ fn cmd_demo() -> CliResult {
 
 #[cfg(test)]
 mod tests {
-    use super::cmd_analyze;
+    use super::*;
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
 
     #[test]
     fn analyze_rejects_the_reference_path_flags() {
@@ -634,9 +693,41 @@ mod tests {
         // symmetry breaking no longer exists: each flag is a usage error,
         // reported before any package is read.
         for flag in ["--symmetry-breaking", "--encoding", "--no-slicing"] {
-            let args = ["missing.sdex".to_string(), flag.to_string()];
-            let err = cmd_analyze(&args).expect_err(flag);
-            assert_eq!(err, format!("analyze: unknown option {flag}"));
+            let err = cmd_analyze(&strings(&["missing.sdex", flag])).expect_err(flag);
+            assert_eq!(err, usage(format!("analyze: unknown option {flag}")));
+            assert_eq!(err.exit_code(), 2, "{flag}");
+        }
+    }
+
+    #[test]
+    fn every_subcommand_exits_2_on_a_usage_error_and_1_on_a_failed_run() {
+        type Cmd = fn(&[String]) -> CliResult;
+        let usage_errors: [(&str, Cmd, &[&str]); 9] = [
+            ("pack", cmd_pack, &[]),
+            ("analyze", cmd_analyze, &[]),
+            ("analyze", cmd_analyze, &["a.sdex", "--threads", "many"]),
+            ("disasm", cmd_disasm, &[]),
+            ("enforce", cmd_enforce, &["a.sdex", "--bogus"]),
+            ("enforce", cmd_enforce, &["a.sdex", "--launch", "pkg"]),
+            ("enforce", cmd_enforce, &["a.sdex", "--threads", "0"]),
+            ("serve", cmd_serve, &["--bogus"]),
+            ("serve", cmd_serve, &["--queue"]),
+        ];
+        for (name, cmd, args) in usage_errors {
+            let err = cmd(&strings(args)).expect_err(name);
+            assert!(
+                matches!(err, CliError::Usage(_)),
+                "{name} {args:?}: {err:?}"
+            );
+            assert_eq!(err.exit_code(), 2, "{name} {args:?}");
+        }
+        // A valid invocation over a package that does not exist is a
+        // failed run.
+        let missing = "/nonexistent/missing.sdex";
+        for (name, cmd) in [("disasm", cmd_disasm as Cmd), ("analyze", cmd_analyze)] {
+            let err = cmd(&strings(&[missing])).expect_err(name);
+            assert!(matches!(err, CliError::Failed(_)), "{name}: {err:?}");
+            assert_eq!(err.exit_code(), 1, "{name}");
         }
     }
 }
