@@ -5,6 +5,7 @@
 //! sensitive data-flow paths, and the Intents they send.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 use separ_android::api::IccMethod;
@@ -50,16 +51,18 @@ impl SentIntentModel {
     ///
     /// [`IntentData`]: separ_android::resolution::IntentData
     pub fn as_intent_data(&self) -> separ_android::resolution::IntentData {
+        let shared = |s: &String| Arc::<str>::from(s.as_str());
+        // Statically, an extra's value is unknown: every key maps to one
+        // shared empty string.
+        let unknown: Arc<str> = Arc::from("");
         separ_android::resolution::IntentData {
-            action: self.action.clone(),
-            categories: self.categories.clone(),
-            data_type: self.data_type.clone(),
-            data_scheme: self.data_scheme.clone(),
-            explicit_target: self.explicit_target.clone(),
-            extras: self
-                .extra_keys
-                .iter()
-                .map(|k| (k.clone(), String::new()))
+            action: self.action.as_ref().map(shared),
+            categories: self.categories.iter().map(shared).collect(),
+            data_type: self.data_type.as_ref().map(shared),
+            data_scheme: self.data_scheme.as_ref().map(shared),
+            explicit_target: self.explicit_target.as_ref().map(shared),
+            extras: (self.extra_keys.iter())
+                .map(|k| (shared(k), Arc::clone(&unknown)))
                 .collect(),
         }
     }

@@ -336,7 +336,7 @@ fn select_leak_channel(summaries: &[AppSummary], kept: &mut BTreeSet<usize>) {
                 }
                 for &(si, sink) in &sinks {
                     let reaches = match &send.data.explicit_target {
-                        Some(target) => *target == sink.class,
+                        Some(target) => **target == *sink.class,
                         None => any_filter_matches(&send.data, &sink.filters),
                     };
                     if reaches {

@@ -15,8 +15,12 @@
 //! intent by looking up its candidates instead of scanning every
 //! installed filter; [`route_by_scan`] is that scan, retained as the
 //! reference the router is tested against.
+//!
+//! An intent's strings are `Arc<str>`, so the runtime moves one across
+//! the ICC bus (heap object → wire form → heap object) by refcount.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use separ_dex::manifest::{ComponentDecl, ComponentKind, IntentFilterDecl, Manifest};
 
@@ -24,18 +28,18 @@ use separ_dex::manifest::{ComponentDecl, ComponentKind, IntentFilterDecl, Manife
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct IntentData {
     /// The action, if any.
-    pub action: Option<String>,
+    pub action: Option<Arc<str>>,
     /// Categories.
-    pub categories: BTreeSet<String>,
+    pub categories: BTreeSet<Arc<str>>,
     /// MIME data type.
-    pub data_type: Option<String>,
+    pub data_type: Option<Arc<str>>,
     /// Data scheme.
-    pub data_scheme: Option<String>,
+    pub data_scheme: Option<Arc<str>>,
     /// Explicit target component (class descriptor), if any.
-    pub explicit_target: Option<String>,
+    pub explicit_target: Option<Arc<str>>,
     /// Extras: key to a string payload (the runtime marshals all extra
     /// values to strings when crossing the bus).
-    pub extras: BTreeMap<String, String>,
+    pub extras: BTreeMap<Arc<str>, Arc<str>>,
 }
 
 impl IntentData {
@@ -45,7 +49,7 @@ impl IntentData {
     }
 
     /// Creates an implicit intent for an action.
-    pub fn for_action(action: impl Into<String>) -> IntentData {
+    pub fn for_action(action: impl Into<Arc<str>>) -> IntentData {
         IntentData {
             action: Some(action.into()),
             ..IntentData::default()
@@ -53,7 +57,7 @@ impl IntentData {
     }
 
     /// Creates an explicit intent for a component class.
-    pub fn explicit(target: impl Into<String>) -> IntentData {
+    pub fn explicit(target: impl Into<Arc<str>>) -> IntentData {
         IntentData {
             explicit_target: Some(target.into()),
             ..IntentData::default()
@@ -66,13 +70,17 @@ impl IntentData {
     }
 
     /// Adds an extra, builder style.
-    pub fn with_extra(mut self, key: impl Into<String>, value: impl Into<String>) -> IntentData {
+    pub fn with_extra(
+        mut self,
+        key: impl Into<Arc<str>>,
+        value: impl Into<Arc<str>>,
+    ) -> IntentData {
         self.extras.insert(key.into(), value.into());
         self
     }
 
     /// Adds a category, builder style.
-    pub fn with_category(mut self, category: impl Into<String>) -> IntentData {
+    pub fn with_category(mut self, category: impl Into<Arc<str>>) -> IntentData {
         self.categories.insert(category.into());
         self
     }
@@ -86,7 +94,7 @@ pub fn action_test(intent: &IntentData, filter: &IntentFilterDecl) -> bool {
     }
     match &intent.action {
         None => true,
-        Some(a) => filter.actions.iter().any(|fa| fa == a),
+        Some(a) => filter.actions.iter().any(|fa| **fa == **a),
     }
 }
 
@@ -96,18 +104,18 @@ pub fn category_test(intent: &IntentData, filter: &IntentFilterDecl) -> bool {
     intent
         .categories
         .iter()
-        .all(|c| filter.categories.iter().any(|fc| fc == c))
+        .all(|c| filter.categories.iter().any(|fc| **fc == **c))
 }
 
 /// The data test (see module docs for the simplification).
 pub fn data_test(intent: &IntentData, filter: &IntentFilterDecl) -> bool {
     let type_ok = match &intent.data_type {
         None => filter.data_types.is_empty(),
-        Some(t) => filter.data_types.iter().any(|ft| ft == t),
+        Some(t) => filter.data_types.iter().any(|ft| **ft == **t),
     };
     let scheme_ok = match &intent.data_scheme {
         None => filter.data_schemes.is_empty(),
-        Some(s) => filter.data_schemes.iter().any(|fs| fs == s),
+        Some(s) => filter.data_schemes.iter().any(|fs| **fs == **s),
     };
     type_ok && scheme_ok
 }
@@ -123,8 +131,9 @@ pub fn any_filter_matches(intent: &IntentData, filters: &[IntentFilterDecl]) -> 
 }
 
 /// An installed component: (app index, index into that app's
-/// `manifest.components`).
-type Slot = (usize, usize);
+/// `manifest.components`). Routing yields slots; the caller names the
+/// component from its own tables.
+pub type Slot = (usize, usize);
 
 /// One slot list per component kind, indexed by [`ComponentKind::tag`].
 type ByKind = [Vec<Slot>; 4];
@@ -203,18 +212,18 @@ impl Router {
         }
     }
 
-    /// Appends to `out` the statically declared components of kind
-    /// `kind` that receive `intent` sent by app `from_app`: the named
-    /// component for an explicit intent, else every component with a
-    /// matching filter. `manifest(i)` must return the manifest the router
-    /// was built with at app index `i`.
+    /// Appends to `out` the slots of the statically declared components
+    /// of kind `kind` that receive `intent` sent by app `from_app`: the
+    /// named component for an explicit intent, else every component with
+    /// a matching filter. `manifest(i)` must return the manifest the
+    /// router was built with at app index `i`.
     pub fn route<'m>(
         &self,
         manifest: impl Fn(usize) -> &'m Manifest,
         kind: ComponentKind,
         intent: &IntentData,
         from_app: Option<usize>,
-        out: &mut Vec<(usize, &'m ComponentDecl)>,
+        out: &mut Vec<Slot>,
     ) {
         let (slots, implicit) = match &intent.explicit_target {
             Some(target) => (self.explicit(target), false),
@@ -225,7 +234,7 @@ impl Router {
             if admits(decl, kind, from_app == Some(app))
                 && (!implicit || any_filter_matches(intent, &decl.intent_filters))
             {
-                out.push((app, decl));
+                out.push((app, component));
             }
         }
     }
@@ -239,21 +248,24 @@ pub fn route_by_scan<'m>(
     kind: ComponentKind,
     intent: &IntentData,
     from_app: Option<usize>,
-    out: &mut Vec<(usize, &'m ComponentDecl)>,
+    out: &mut Vec<Slot>,
 ) {
     for (app, manifest) in manifests.into_iter().enumerate() {
         let same_app = from_app == Some(app);
+        let components = manifest.components.iter().enumerate();
         if let Some(target) = &intent.explicit_target {
-            if let Some(decl) = manifest.component(target) {
+            // The first component of the class, as `Manifest::component`.
+            let named = components.clone().find(|(_, d)| *d.class == **target);
+            if let Some((component, decl)) = named {
                 if admits(decl, kind, same_app) {
-                    out.push((app, decl));
+                    out.push((app, component));
                 }
             }
             continue;
         }
-        for decl in &manifest.components {
+        for (component, decl) in components {
             if admits(decl, kind, same_app) && any_filter_matches(intent, &decl.intent_filters) {
-                out.push((app, decl));
+                out.push((app, component));
             }
         }
     }
@@ -350,7 +362,7 @@ mod tests {
         assert_eq!(indexed, scanned, "router and scan disagree on {intent:?}");
         indexed
             .into_iter()
-            .map(|(app, decl)| (app, decl.class.clone()))
+            .map(|(app, component)| (app, manifests[app].components[component].class.clone()))
             .collect()
     }
 
@@ -414,6 +426,6 @@ mod tests {
     fn builders_compose() {
         let i = IntentData::explicit("Lcom/x/Svc;").with_extra("k", "v");
         assert!(i.is_explicit());
-        assert_eq!(i.extras.get("k").map(String::as_str), Some("v"));
+        assert_eq!(i.extras.get("k").map(|v| &**v), Some("v"));
     }
 }

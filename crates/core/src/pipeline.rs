@@ -847,7 +847,7 @@ impl<'a> IntendedRecipients<'a> {
             .entry(hijacked_action.clone())
             .or_insert_with(|| {
                 let mut intent = resolution::IntentData::new();
-                intent.action = hijacked_action.clone();
+                intent.action = hijacked_action.as_deref().map(Into::into);
                 apps.iter()
                     .flat_map(|app| &app.components)
                     .filter(|c| resolution::any_filter_matches(&intent, &c.filters))
@@ -874,7 +874,7 @@ pub(crate) fn intended_recipients_by_scan(apps: &[AppModel], exploit: &Exploit) 
         return Vec::new();
     };
     let mut intent = resolution::IntentData::new();
-    intent.action = hijacked_action.clone();
+    intent.action = hijacked_action.as_deref().map(Into::into);
     let mut out = BTreeSet::new();
     for app in apps {
         for c in &app.components {

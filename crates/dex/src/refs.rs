@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index into the string pool.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -76,12 +77,17 @@ pub struct FieldRef {
 }
 
 /// The constant pools of an sdex program.
+///
+/// Strings and type descriptors are stored once each, as `Arc<str>`
+/// shared with their intern index; the interpreter hands out clones
+/// ([`Pools::shared_str`], [`Pools::shared_type`]) so a string constant
+/// or an object's class costs a refcount, not a copy.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Pools {
-    strings: Vec<String>,
-    string_index: HashMap<String, StrId>,
-    types: Vec<String>,
-    type_index: HashMap<String, TypeId>,
+    strings: Vec<Arc<str>>,
+    string_index: HashMap<Arc<str>, StrId>,
+    types: Vec<Arc<str>>,
+    type_index: HashMap<Arc<str>, TypeId>,
     fields: Vec<FieldRef>,
     field_index: HashMap<FieldRef, FieldId>,
     methods: Vec<MethodRef>,
@@ -101,8 +107,9 @@ impl Pools {
             return id;
         }
         let id = StrId(self.strings.len() as u32);
-        self.strings.push(s.to_string());
-        self.string_index.insert(s.to_string(), id);
+        let s: Arc<str> = Arc::from(s);
+        self.strings.push(Arc::clone(&s));
+        self.string_index.insert(s, id);
         id
     }
 
@@ -113,8 +120,9 @@ impl Pools {
             return id;
         }
         let id = TypeId(self.types.len() as u32);
-        self.types.push(s.to_string());
-        self.type_index.insert(s.to_string(), id);
+        let s: Arc<str> = Arc::from(s);
+        self.types.push(Arc::clone(&s));
+        self.type_index.insert(s, id);
         id
     }
 
@@ -165,6 +173,16 @@ impl Pools {
         &self.types[id.index()]
     }
 
+    /// A string-pool entry as the pool's own shared string.
+    pub fn shared_str(&self, id: StrId) -> &Arc<str> {
+        &self.strings[id.index()]
+    }
+
+    /// A type-pool entry as the pool's own shared string.
+    pub fn shared_type(&self, id: TypeId) -> &Arc<str> {
+        &self.types[id.index()]
+    }
+
     /// The field reference at an id.
     pub fn field_at(&self, id: FieldId) -> &FieldRef {
         &self.fields[id.index()]
@@ -202,12 +220,12 @@ impl Pools {
 
     /// Iterates over string-pool entries in index order.
     pub fn strings(&self) -> impl Iterator<Item = &str> + '_ {
-        self.strings.iter().map(String::as_str)
+        self.strings.iter().map(|s| &**s)
     }
 
     /// Iterates over type-pool entries in index order.
     pub fn types(&self) -> impl Iterator<Item = &str> + '_ {
-        self.types.iter().map(String::as_str)
+        self.types.iter().map(|t| &**t)
     }
 
     /// Iterates over field-pool entries in index order.
@@ -232,19 +250,21 @@ impl Pools {
     ) -> Option<Pools> {
         let mut p = Pools::new();
         for s in strings {
-            if p.string_index.contains_key(&s) {
+            if p.string_index.contains_key(s.as_str()) {
                 return None;
             }
             let id = StrId(p.strings.len() as u32);
-            p.string_index.insert(s.clone(), id);
+            let s: Arc<str> = Arc::from(s);
+            p.string_index.insert(Arc::clone(&s), id);
             p.strings.push(s);
         }
         for t in types {
-            if p.type_index.contains_key(&t) {
+            if p.type_index.contains_key(t.as_str()) {
                 return None;
             }
             let id = TypeId(p.types.len() as u32);
-            p.type_index.insert(t.clone(), id);
+            let t: Arc<str> = Arc::from(t);
+            p.type_index.insert(Arc::clone(&t), id);
             p.types.push(t);
         }
         for f in fields {

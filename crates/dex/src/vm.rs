@@ -5,12 +5,16 @@
 //! pluggable [`Syscalls`] implementation, which is exactly where the hook
 //! manager intercepts ICC operations, while program-defined methods run
 //! natively with virtual dispatch over the class hierarchy.
+//!
+//! Strings are shared, not copied: a string constant, a new object's
+//! class and a field name are each a clone of an `Arc<str>` the
+//! constant pool or the heap's bounded [`Interner`] already holds.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::error::VmError;
-use crate::instr::{BinOp, Instr, InvokeKind};
+use crate::instr::{BinOp, Instr, InvokeKind, Reg};
 use crate::program::{Dex, Method};
 
 /// A runtime value.
@@ -58,6 +62,49 @@ impl Value {
     }
 }
 
+/// How many distinct strings an [`Interner`] shares; the heap's field
+/// name table and the device's extra-key table both use it.
+pub const INTERN_CAP: usize = 256;
+
+/// A bounded string intern table: one shared `Arc<str>` per distinct
+/// string, for the first [`INTERN_CAP`] distinct strings. Past the cap a
+/// string comes back as a fresh, unshared `Arc` and the table does not
+/// grow, so a program that makes up names without end costs an
+/// allocation per name, not unbounded memory.
+#[derive(Clone, Debug, Default)]
+pub struct Interner {
+    table: HashSet<Arc<str>>,
+}
+
+impl Interner {
+    /// Creates an empty table.
+    pub fn new() -> Interner {
+        Interner::default()
+    }
+
+    /// The shared copy of `s`, added to the table if there is room.
+    pub fn intern(&mut self, s: &str) -> Arc<str> {
+        if let Some(shared) = self.table.get(s) {
+            return Arc::clone(shared);
+        }
+        let fresh: Arc<str> = Arc::from(s);
+        if self.table.len() < INTERN_CAP {
+            self.table.insert(Arc::clone(&fresh));
+        }
+        fresh
+    }
+
+    /// Number of strings held (at most [`INTERN_CAP`]).
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Returns `true` if nothing was interned.
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+}
+
 /// A reference into a [`Heap`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ObjRef(u32);
@@ -72,23 +119,26 @@ impl ObjRef {
 /// A heap object: a class name and named fields.
 ///
 /// Fields are written only through [`Heap::put_field`], which keeps the
-/// heap's escape floor (see [`Heap::reclaim`]) up to date.
-#[derive(Clone, Debug, Default)]
+/// heap's escape floor (see [`Heap::reclaim`]) up to date. An object has
+/// a handful of fields, so they live in a small vector searched in order.
+#[derive(Clone, Debug)]
 pub struct Object {
     /// Runtime class descriptor.
-    pub class: String,
-    fields: HashMap<String, Value>,
+    pub class: Arc<str>,
+    fields: Vec<(Arc<str>, Value)>,
 }
 
 impl Object {
     /// The value of a field, if it was ever written.
     pub fn field(&self, name: &str) -> Option<&Value> {
-        self.fields.get(name)
+        self.fields
+            .iter()
+            .find_map(|(k, v)| (**k == *name).then_some(v))
     }
 
-    /// Every written field, in no particular order.
-    pub fn fields(&self) -> impl Iterator<Item = (&str, &Value)> + '_ {
-        self.fields.iter().map(|(k, v)| (k.as_str(), v))
+    /// Every written field, in the order first written.
+    pub fn fields(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> + '_ {
+        self.fields.iter().map(|(k, v)| (k, v))
     }
 }
 
@@ -111,6 +161,8 @@ pub struct Heap {
     /// Objects below this index may be reachable from a static or from an
     /// older object; reclaim keeps them.
     floor: usize,
+    /// Field names, shared by every object that has the field.
+    names: Interner,
 }
 
 impl Heap {
@@ -120,11 +172,11 @@ impl Heap {
     }
 
     /// Allocates an object of the given class.
-    pub fn alloc(&mut self, class: impl Into<String>) -> ObjRef {
+    pub fn alloc(&mut self, class: impl Into<Arc<str>>) -> ObjRef {
         let r = ObjRef(self.objects.len() as u32);
         self.objects.push(Object {
             class: class.into(),
-            fields: HashMap::new(),
+            fields: Vec::new(),
         });
         r
     }
@@ -143,7 +195,8 @@ impl Heap {
     }
 
     /// Writes a field of `obj`. Storing a reference to an object younger
-    /// than `obj` raises the escape floor past it.
+    /// than `obj` raises the escape floor past it. A new field's name
+    /// comes from the heap's name table.
     pub fn put_field(&mut self, obj: ObjRef, name: &str, value: Value) {
         if let Value::Object(r) = value {
             if r.0 > obj.0 {
@@ -151,12 +204,15 @@ impl Heap {
             }
         }
         let fields = &mut self.objects[obj.0 as usize].fields;
-        match fields.get_mut(name) {
-            Some(slot) => *slot = value,
-            None => {
-                fields.insert(name.to_string(), value);
-            }
+        match fields.iter_mut().find(|(k, _)| **k == *name) {
+            Some((_, slot)) => *slot = value,
+            None => fields.push((self.names.intern(name), value)),
         }
+    }
+
+    /// The table new fields' names come from.
+    pub fn field_names(&self) -> &Interner {
+        &self.names
     }
 
     /// Reads a static field (Null if unset).
@@ -263,6 +319,18 @@ impl Syscalls for NopSyscalls {
     }
 }
 
+/// A [`Vm`]'s working memory, kept by a host that runs many invocations
+/// so their buffers are allocated once (see [`Vm::with_buffers`]).
+#[derive(Debug, Default)]
+pub struct VmBuffers {
+    /// The register stack: each active call's frame is a window on top
+    /// of its caller's.
+    regs: Vec<Value>,
+    /// Argument buffer for framework calls (syscalls cannot re-enter the
+    /// VM, so one buffer suffices).
+    sys_args: Vec<Value>,
+}
+
 /// The interpreter for one loaded program.
 #[derive(Debug)]
 pub struct Vm<'p> {
@@ -271,9 +339,7 @@ pub struct Vm<'p> {
     budget: u64,
     /// Instructions executed so far.
     executed: u64,
-    /// Argument buffer for framework calls, reused across invokes
-    /// (syscalls cannot re-enter the VM, so one buffer suffices).
-    sys_args: Vec<Value>,
+    buffers: VmBuffers,
 }
 
 /// Default per-[`Vm`] instruction budget.
@@ -287,12 +353,25 @@ impl<'p> Vm<'p> {
 
     /// Creates a VM with an explicit instruction budget.
     pub fn with_budget(dex: &'p Dex, budget: u64) -> Vm<'p> {
+        Vm::with_buffers(dex, budget, VmBuffers::default())
+    }
+
+    /// [`Vm::with_budget`] over buffers an earlier VM handed back with
+    /// [`Vm::into_buffers`].
+    pub fn with_buffers(dex: &'p Dex, budget: u64, buffers: VmBuffers) -> Vm<'p> {
         Vm {
             dex,
             budget,
             executed: 0,
-            sys_args: Vec::new(),
+            buffers,
         }
+    }
+
+    /// Ends the VM, returning its buffers emptied for the next one.
+    pub fn into_buffers(mut self) -> VmBuffers {
+        self.buffers.regs.clear();
+        self.buffers.sys_args.clear();
+        self.buffers
     }
 
     /// Instructions executed so far (across all calls on this VM).
@@ -322,16 +401,50 @@ impl<'p> Vm<'p> {
         let (_, method) = self.dex.resolve_method(ty, method_name).ok_or_else(|| {
             VmError::UnresolvedMethod(format!("{class_descriptor}->{method_name}"))
         })?;
-        self.run(heap, sys, method, frame(method, args))
+        self.run_method(heap, sys, method, args)
     }
 
-    /// Runs `method` in the register frame `regs` (see [`frame`]).
+    /// Runs `method`, already resolved in this VM's program, with `args`
+    /// in its parameter registers (extra arguments are ignored, missing
+    /// ones stay null).
+    ///
+    /// # Errors
+    ///
+    /// Any error raised during execution.
+    pub fn run_method(
+        &mut self,
+        heap: &mut Heap,
+        sys: &mut dyn Syscalls,
+        method: &'p Method,
+        args: impl IntoIterator<Item = Value>,
+    ) -> Result<Option<Value>, VmError> {
+        let (base, params) = self.push_frame(method);
+        for (slot, v) in self.buffers.regs[params..].iter_mut().zip(args) {
+            *slot = v;
+        }
+        let result = self.run(heap, sys, method, base);
+        self.buffers.regs.truncate(base);
+        result
+    }
+
+    /// Pushes a frame for `method` of null registers; returns where it
+    /// starts and where its parameter registers start.
+    fn push_frame(&mut self, method: &Method) -> (usize, usize) {
+        let regs = &mut self.buffers.regs;
+        let base = regs.len();
+        let n = method.num_registers as usize;
+        regs.resize(base + n, Value::Null);
+        (base, base + n - method.num_params as usize)
+    }
+
+    /// Runs `method` in the frame starting at `base` of the register
+    /// stack (see [`Vm::push_frame`]).
     fn run(
         &mut self,
         heap: &mut Heap,
         sys: &mut dyn Syscalls,
         method: &'p Method,
-        mut regs: Vec<Value>,
+        base: usize,
     ) -> Result<Option<Value>, VmError> {
         // Copied out of `self` so pool entries and callee methods borrow
         // the program, not the VM.
@@ -346,23 +459,25 @@ impl<'p> Vm<'p> {
             self.executed += 1;
             let instr = &method.code[pc];
             pc += 1;
+            let regs = &mut self.buffers.regs;
+            let reg = |r: Reg| base + r.index();
             match instr {
                 Instr::Nop => {}
                 Instr::ConstString { dst, value } => {
-                    regs[dst.index()] = Value::str(self.dex.pools.str_at(*value));
+                    regs[reg(*dst)] = Value::Str(Arc::clone(dex.pools.shared_str(*value)));
                 }
                 Instr::ConstInt { dst, value } => {
-                    regs[dst.index()] = Value::Int(*value);
+                    regs[reg(*dst)] = Value::Int(*value);
                 }
                 Instr::ConstNull { dst } => {
-                    regs[dst.index()] = Value::Null;
+                    regs[reg(*dst)] = Value::Null;
                 }
                 Instr::Move { dst, src } => {
-                    regs[dst.index()] = regs[src.index()].clone();
+                    regs[reg(*dst)] = regs[reg(*src)].clone();
                 }
                 Instr::NewInstance { dst, class } => {
-                    let descriptor = self.dex.pools.type_at(*class).to_string();
-                    regs[dst.index()] = Value::Object(heap.alloc(descriptor));
+                    let class = Arc::clone(dex.pools.shared_type(*class));
+                    regs[reg(*dst)] = Value::Object(heap.alloc(class));
                 }
                 Instr::Invoke {
                     kind,
@@ -378,7 +493,7 @@ impl<'p> Vm<'p> {
                     let dispatch_ty = match kind {
                         InvokeKind::Virtual | InvokeKind::Direct => args
                             .first()
-                            .and_then(|r| regs[r.index()].as_object())
+                            .and_then(|r| regs[reg(*r)].as_object())
                             .and_then(|o| dex.pools.find_type(&heap.get(o).class))
                             .or(Some(mref.class)),
                         InvokeKind::Static => Some(mref.class),
@@ -386,59 +501,60 @@ impl<'p> Vm<'p> {
                     let target = dispatch_ty.and_then(|t| dex.resolve_method(t, name));
                     pending = match target {
                         Some((_, target)) => {
-                            let callee =
-                                frame(target, args.iter().map(|r| regs[r.index()].clone()));
-                            self.run(heap, sys, target, callee)?
+                            let (callee, params) = self.push_frame(target);
+                            let regs = &mut self.buffers.regs;
+                            for (i, r) in args.iter().take(target.num_params.into()).enumerate() {
+                                regs[params + i] = regs[reg(*r)].clone();
+                            }
+                            let result = self.run(heap, sys, target, callee);
+                            self.buffers.regs.truncate(callee);
+                            result?
                         }
                         None => {
-                            let mut sys_args = std::mem::take(&mut self.sys_args);
+                            let sys_args = &mut self.buffers.sys_args;
                             sys_args.clear();
-                            sys_args.extend(args.iter().map(|r| regs[r.index()].clone()));
+                            sys_args.extend(args.iter().map(|r| regs[reg(*r)].clone()));
                             let declared_class = dex.pools.type_at(mref.class);
-                            let result = sys.call(heap, declared_class, name, &sys_args);
-                            self.sys_args = sys_args;
-                            result?
+                            sys.call(heap, declared_class, name, sys_args)?
                         }
                     };
                 }
                 Instr::MoveResult { dst } => {
-                    regs[dst.index()] = pending.take().ok_or(VmError::NoPendingResult)?;
+                    regs[reg(*dst)] = pending.take().ok_or(VmError::NoPendingResult)?;
                 }
                 Instr::IGet { dst, object, field } => {
-                    let obj = regs[object.index()]
+                    let obj = regs[reg(*object)]
                         .as_object()
                         .ok_or(VmError::NotAnObject("iget"))?;
-                    let fref = self.dex.pools.field_at(*field);
-                    let fname = self.dex.pools.str_at(fref.name);
-                    regs[dst.index()] = heap.get(obj).field(fname).cloned().unwrap_or(Value::Null);
+                    let fname = dex.pools.str_at(dex.pools.field_at(*field).name);
+                    regs[reg(*dst)] = heap.get(obj).field(fname).cloned().unwrap_or(Value::Null);
                 }
                 Instr::IPut { src, object, field } => {
-                    let obj = regs[object.index()]
+                    let obj = regs[reg(*object)]
                         .as_object()
                         .ok_or(VmError::NotAnObject("iput"))?;
-                    let fref = self.dex.pools.field_at(*field);
-                    let fname = self.dex.pools.str_at(fref.name);
-                    heap.put_field(obj, fname, regs[src.index()].clone());
+                    let fname = dex.pools.str_at(dex.pools.field_at(*field).name);
+                    heap.put_field(obj, fname, regs[reg(*src)].clone());
                 }
                 Instr::SGet { dst, field } => {
-                    let fref = self.dex.pools.field_at(*field);
-                    let class = self.dex.pools.type_at(fref.class);
-                    let fname = self.dex.pools.str_at(fref.name);
-                    regs[dst.index()] = heap.static_get(class, fname);
+                    let fref = dex.pools.field_at(*field);
+                    let class = dex.pools.type_at(fref.class);
+                    let fname = dex.pools.str_at(fref.name);
+                    regs[reg(*dst)] = heap.static_get(class, fname);
                 }
                 Instr::SPut { src, field } => {
-                    let fref = self.dex.pools.field_at(*field);
-                    let class = self.dex.pools.type_at(fref.class);
-                    let fname = self.dex.pools.str_at(fref.name);
-                    heap.static_put(class, fname, regs[src.index()].clone());
+                    let fref = dex.pools.field_at(*field);
+                    let class = dex.pools.type_at(fref.class);
+                    let fname = dex.pools.str_at(fref.name);
+                    heap.static_put(class, fname, regs[reg(*src)].clone());
                 }
-                Instr::IfEqz { reg, target } => {
-                    if regs[reg.index()].is_zero() {
+                Instr::IfEqz { reg: r, target } => {
+                    if regs[reg(*r)].is_zero() {
                         pc = *target as usize;
                     }
                 }
-                Instr::IfNez { reg, target } => {
-                    if !regs[reg.index()].is_zero() {
+                Instr::IfNez { reg: r, target } => {
+                    if !regs[reg(*r)].is_zero() {
                         pc = *target as usize;
                     }
                 }
@@ -446,15 +562,15 @@ impl<'p> Vm<'p> {
                     pc = *target as usize;
                 }
                 Instr::BinOp { op, dst, lhs, rhs } => {
-                    let l = match &regs[lhs.index()] {
+                    let l = match &regs[reg(*lhs)] {
                         Value::Int(i) => *i,
                         _ => 0,
                     };
-                    let r = match &regs[rhs.index()] {
+                    let r = match &regs[reg(*rhs)] {
                         Value::Int(i) => *i,
                         _ => 0,
                     };
-                    regs[dst.index()] = Value::Int(match op {
+                    regs[reg(*dst)] = Value::Int(match op {
                         BinOp::Add => l.wrapping_add(r),
                         BinOp::Sub => l.wrapping_sub(r),
                         BinOp::Mul => l.wrapping_mul(r),
@@ -462,24 +578,12 @@ impl<'p> Vm<'p> {
                     });
                 }
                 Instr::ReturnVoid => return Ok(None),
-                Instr::Return { reg } => return Ok(Some(regs[reg.index()].clone())),
+                Instr::Return { reg: r } => return Ok(Some(regs[reg(*r)].clone())),
                 Instr::Throw { .. } => return Err(VmError::UncaughtThrow),
             }
         }
         Ok(None)
     }
-}
-
-/// A fresh register frame for `method`: every register null except the
-/// trailing parameter registers, filled from `args` (extra arguments are
-/// ignored, missing ones stay null).
-fn frame(method: &Method, args: impl IntoIterator<Item = Value>) -> Vec<Value> {
-    let mut regs = vec![Value::Null; method.num_registers as usize];
-    let first_param = method.num_registers as usize - method.num_params as usize;
-    for (reg, v) in regs[first_param..].iter_mut().zip(args) {
-        *reg = v;
-    }
-    regs
 }
 
 #[cfg(test)]
@@ -845,7 +949,9 @@ mod tests {
         assert_eq!(sys.calls.len(), 1);
         let (class, name, args) = &sys.calls[0];
         assert_eq!((class.as_str(), name.as_str()), ("LBase;", "missing"));
-        assert!(matches!(args.as_slice(), [Value::Object(o)] if heap.get(*o).class == "LDerived;"));
+        assert!(
+            matches!(args.as_slice(), [Value::Object(o)] if &*heap.get(*o).class == "LDerived;")
+        );
     }
 
     #[test]
@@ -863,7 +969,7 @@ mod tests {
         heap.put_field(freed, "h", Value::Object(old));
         heap.reclaim(mark);
         assert_eq!(heap.len(), 3);
-        assert_eq!(heap.get(inner).class, "LInner;");
+        assert_eq!(&*heap.get(inner).class, "LInner;");
 
         // A static keeps its object; nothing else survives.
         let mark = heap.mark();
@@ -877,6 +983,44 @@ mod tests {
         heap.alloc("LC;");
         heap.reclaim(mark);
         assert_eq!(heap.len(), 4, "the floor never drops");
+    }
+
+    #[test]
+    fn the_interner_shares_up_to_its_cap_then_hands_out_fresh_strings() {
+        let mut names = Interner::new();
+        let first = names.intern("a");
+        assert!(Arc::ptr_eq(&first, &names.intern("a")), "shared");
+        for i in 1..INTERN_CAP {
+            names.intern(&i.to_string());
+        }
+        assert_eq!(names.len(), INTERN_CAP);
+        let past = names.intern("past-the-cap");
+        assert_eq!(&*past, "past-the-cap");
+        assert!(
+            !Arc::ptr_eq(&past, &names.intern("past-the-cap")),
+            "not kept"
+        );
+        assert_eq!(names.len(), INTERN_CAP);
+        assert!(Arc::ptr_eq(&first, &names.intern("a")), "still shared");
+    }
+
+    #[test]
+    fn buffers_carry_over_to_the_next_vm() {
+        let apk = dispatch_program();
+        let mut heap = Heap::new();
+        let mut buffers = VmBuffers::default();
+        for (name, expected) in [("override", 2), ("static", 42), ("inherited", 10)] {
+            let (_, method) = apk
+                .dex
+                .class_by_name("LMain;")
+                .and_then(|c| apk.dex.resolve_method(c.ty, name))
+                .expect("defined");
+            let mut vm = Vm::with_buffers(&apk.dex, DEFAULT_BUDGET, buffers);
+            let r = vm.run_method(&mut heap, &mut NopSyscalls, method, []);
+            assert_eq!(r, Ok(Some(Value::Int(expected))), "{name}");
+            buffers = vm.into_buffers();
+            assert!(buffers.regs.is_empty() && buffers.sys_args.is_empty());
+        }
     }
 
     #[test]

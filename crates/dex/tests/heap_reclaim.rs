@@ -165,7 +165,7 @@ fn contents(heap: &Heap, r: ObjRef) -> (String, BTreeMap<String, Value>) {
         .fields()
         .map(|(k, v)| (k.to_string(), v.clone()))
         .collect();
-    (o.class.clone(), fields)
+    (o.class.to_string(), fields)
 }
 
 proptest! {

@@ -21,8 +21,8 @@ pub enum AuditEvent {
     IccSent {
         /// Sending app package (shared with the device's app table).
         from_app: Arc<str>,
-        /// Sending component class.
-        from_component: String,
+        /// Sending component class (shared with the device's app table).
+        from_component: Arc<str>,
         /// The intent (shared with its envelope).
         intent: Arc<IntentData>,
     },
@@ -30,8 +30,8 @@ pub enum AuditEvent {
     IccDelivered {
         /// Receiving app package (shared with the device's app table).
         to_app: Arc<str>,
-        /// Receiving component class.
-        to_component: String,
+        /// Receiving component class (shared with the device's app table).
+        to_component: Arc<str>,
         /// The intent (shared with its envelope and send record).
         intent: Arc<IntentData>,
     },
@@ -43,7 +43,7 @@ pub enum AuditEvent {
         /// policy set — recording a block allocates no string).
         vulnerability: Arc<str>,
         /// Where the event was heading.
-        to_component: Option<String>,
+        to_component: Option<Arc<str>>,
     },
     /// The user was prompted (and answered).
     PromptShown {
@@ -54,8 +54,8 @@ pub enum AuditEvent {
     },
     /// An intent found no eligible receiver and was dropped.
     IccUndeliverable {
-        /// The action it carried, if any.
-        action: Option<String>,
+        /// The action it carried, if any (shared with the intent).
+        action: Option<Arc<str>>,
     },
     /// A sink API actually fired.
     SinkFired {
@@ -232,7 +232,7 @@ mod tests {
         });
         for i in 0..AUDIT_CAPACITY + 10 {
             log.record(AuditEvent::IccUndeliverable {
-                action: Some(i.to_string()),
+                action: Some(i.to_string().into()),
             });
         }
         assert_eq!(log.events().len(), AUDIT_CAPACITY);

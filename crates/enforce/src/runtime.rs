@@ -14,17 +14,26 @@
 //! its audit records; and one [`Device::run_until_idle`] delivers at most
 //! the delivery limit, dropping (and counting) whatever a runaway ICC
 //! cycle left queued so it cannot spill into the next launch.
+//!
+//! The steady-state ICC path copies no strings. Constants, class names
+//! and extra keys are `Arc<str>` from the constant pool, the device's app
+//! table or a bounded [`Interner`]; marshalling an intent to wire form
+//! and back clones those `Arc`s; and resolution, the VM's registers and
+//! its syscall arguments fill buffers the device keeps. What an ICC still
+//! allocates is the intent's own storage (its heap objects' field
+//! vectors, its extras map and the shared wire form).
 
 use std::collections::{BTreeSet, VecDeque};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use separ_android::api::{self, ApiKind, IccMethod, IntentConfigKind};
-use separ_android::resolution::{self, IntentData, Router};
+use separ_android::resolution::{self, IntentData, Router, Slot};
 use separ_android::types::Resource;
 use separ_core::policy::{Policy, PolicyEvent};
-use separ_dex::manifest::{ComponentDecl, ComponentKind};
+use separ_dex::manifest::ComponentKind;
 use separ_dex::program::Apk;
-use separ_dex::vm::{Heap, ObjRef, Syscalls, Value, Vm};
+use separ_dex::vm::{Heap, Interner, ObjRef, Syscalls, Value, Vm, VmBuffers};
 use separ_dex::VmError;
 
 use crate::audit::{AuditEvent, AuditLog};
@@ -36,15 +45,15 @@ use crate::tag;
 pub struct Envelope {
     /// Index of the sending app (`None` for device-external injections).
     pub from_app: Option<usize>,
-    /// Sending component class.
-    pub from_component: String,
+    /// Sending component class (shared with the device's app table).
+    pub from_component: Arc<str>,
     /// The ICC method used.
     pub via: IccMethod,
     /// The marshalled intent (extras keep their payload tags), shared
     /// with the audit records of its send and deliveries.
     pub intent: Arc<IntentData>,
     /// For result-requesting sends: where the reply goes.
-    pub reply_to: Option<(usize, String)>,
+    pub reply_to: Option<(usize, Arc<str>)>,
 }
 
 /// Refills `tags` with the resource tags carried by `intent`'s extras.
@@ -58,6 +67,9 @@ fn extra_tags(intent: &IntentData, tags: &mut BTreeSet<Resource>) {
 struct AppMeta {
     /// Shared by refcount with every audit record naming the app.
     package: Arc<str>,
+    /// Each component's class, by index into `manifest.components`;
+    /// shared with every envelope and audit record naming the component.
+    classes: Vec<Arc<str>>,
     permissions: Vec<String>,
 }
 
@@ -65,6 +77,9 @@ impl AppMeta {
     fn of(apk: &Apk) -> AppMeta {
         AppMeta {
             package: Arc::from(apk.manifest.package.as_str()),
+            classes: (apk.manifest.components.iter())
+                .map(|c| Arc::from(c.class.as_str()))
+                .collect(),
             permissions: apk.manifest.uses_permissions.clone(),
         }
     }
@@ -82,8 +97,8 @@ struct InstalledApp {
 #[derive(Clone, Debug)]
 struct DynamicReceiver {
     app: usize,
-    class: String,
-    action: String,
+    class: Arc<str>,
+    action: Arc<str>,
 }
 
 /// Counters for the enforcement-overhead benchmark (RQ4).
@@ -117,6 +132,17 @@ pub struct Device {
     recv_ctx: IccContext,
     /// Buffer for building `extra:<key>` field names.
     key_buf: String,
+    /// Extra keys, shared by every marshalled intent that carries them.
+    extra_keys: Interner,
+    /// `Landroid/content/Intent;`, the class of every received intent.
+    intent_class: Arc<str>,
+    /// Resolution's buffers: the router's slots and the receivers of the
+    /// envelope being delivered.
+    slots: Vec<Slot>,
+    receivers: Vec<(usize, Arc<str>)>,
+    /// The VM's register stack and syscall arguments, kept across
+    /// invocations.
+    vm_buffers: VmBuffers,
     enforcement: bool,
     hook_stats: HookStats,
     vm_budget: u64,
@@ -145,6 +171,11 @@ impl Device {
             send_ctx: IccContext::default(),
             recv_ctx: IccContext::default(),
             key_buf: String::new(),
+            extra_keys: Interner::new(),
+            intent_class: Arc::from(api::class::INTENT),
+            slots: Vec::new(),
+            receivers: Vec::new(),
+            vm_buffers: VmBuffers::default(),
             enforcement: false,
             hook_stats: HookStats::default(),
             vm_budget: 1_000_000,
@@ -163,7 +194,9 @@ impl Device {
         self.enforcement = true;
     }
 
-    /// Disables enforcement (hooks still counted if `count_hooks`).
+    /// Turns enforcement on or off. With it off, the hooks still
+    /// intercept and count every ICC and delivery ([`HookStats`]) but
+    /// consult no policy, so everything proceeds.
     pub fn set_enforcement(&mut self, enabled: bool) {
         self.enforcement = enabled;
     }
@@ -198,10 +231,16 @@ impl Device {
         self.delivery_limit
     }
 
-    /// Number of live objects on an installed app's VM heap: what its
-    /// components' entry points left behind (see `Heap::reclaim`).
-    pub fn heap_len(&self, package: &str) -> Option<usize> {
-        self.app_index(package).map(|i| self.apps[i].heap.len())
+    /// The table of extra keys the device shares across intents (at most
+    /// `separ_dex::vm::INTERN_CAP` keys).
+    pub fn extra_keys(&self) -> &Interner {
+        &self.extra_keys
+    }
+
+    /// An installed app's VM heap: what its components' entry points
+    /// left behind (see `Heap::reclaim`).
+    pub fn heap(&self, package: &str) -> Option<&Heap> {
+        self.app_index(package).map(|i| &self.apps[i].heap)
     }
 
     /// Index of an installed app by package.
@@ -267,7 +306,11 @@ impl Device {
         let Some(idx) = self.app_index(package) else {
             return false;
         };
-        self.execute_component(idx, component_class, None)
+        let classes = &self.meta[idx].classes;
+        let Some(class) = classes.iter().find(|c| ***c == *component_class) else {
+            return false;
+        };
+        self.execute_component(idx, &Arc::clone(class), None)
     }
 
     /// Runs queued deliveries until the bus is idle or the delivery limit
@@ -296,34 +339,49 @@ impl Device {
     /// The `(app index, component class)` pairs an envelope is delivered
     /// to, in delivery order. Statically declared receivers come from the
     /// [`Router`].
-    pub fn receivers(&self, env: &Envelope) -> Vec<(usize, String)> {
-        self.resolve(env, |kind, out| {
-            let manifest = |app: usize| &self.apps[app].apk.manifest;
-            self.router
-                .route(manifest, kind, &env.intent, env.from_app, out);
-        })
+    pub fn receivers(&self, env: &Envelope) -> Vec<(usize, Arc<str>)> {
+        let mut out = Vec::new();
+        self.route_into(env, &mut Vec::new(), &mut out);
+        out
     }
 
     /// [`Device::receivers`] with the static receivers found by a linear
     /// scan over every installed component instead of the router: the
     /// reference oracle the router is tested against. Delivery never
     /// uses it.
-    pub fn receivers_by_scan(&self, env: &Envelope) -> Vec<(usize, String)> {
-        self.resolve(env, |kind, out| {
+    pub fn receivers_by_scan(&self, env: &Envelope) -> Vec<(usize, Arc<str>)> {
+        let mut out = Vec::new();
+        self.resolve(env, &mut Vec::new(), &mut out, |kind, slots| {
             let manifests = self.apps.iter().map(|a| &a.apk.manifest);
-            resolution::route_by_scan(manifests, kind, &env.intent, env.from_app, out);
-        })
+            resolution::route_by_scan(manifests, kind, &env.intent, env.from_app, slots);
+        });
+        out
     }
 
-    /// Resolves an envelope to receiving `(app, component)` pairs, with
-    /// `route` finding the statically declared receivers.
-    fn resolve<'d>(
-        &'d self,
+    /// [`Device::receivers`] into `out`, with `slots` as the router's
+    /// buffer.
+    fn route_into(&self, env: &Envelope, slots: &mut Vec<Slot>, out: &mut Vec<(usize, Arc<str>)>) {
+        self.resolve(env, slots, out, |kind, slots| {
+            let manifest = |app: usize| &self.apps[app].apk.manifest;
+            self.router
+                .route(manifest, kind, &env.intent, env.from_app, slots);
+        });
+    }
+
+    /// Refills `out` with an envelope's receiving `(app, component)`
+    /// pairs, with `route` finding the statically declared receivers'
+    /// slots (into `slots`).
+    fn resolve(
+        &self,
         env: &Envelope,
-        route: impl FnOnce(ComponentKind, &mut Vec<(usize, &'d ComponentDecl)>),
-    ) -> Vec<(usize, String)> {
+        slots: &mut Vec<Slot>,
+        out: &mut Vec<(usize, Arc<str>)>,
+        route: impl FnOnce(ComponentKind, &mut Vec<Slot>),
+    ) {
+        out.clear();
         if env.via == IccMethod::SetResult {
-            return env.reply_to.iter().cloned().collect();
+            out.extend(env.reply_to.iter().cloned());
+            return;
         }
         let kind = match env.via {
             IccMethod::StartActivity | IccMethod::StartActivityForResult => ComponentKind::Activity,
@@ -331,36 +389,42 @@ impl Device {
             IccMethod::SendBroadcast => ComponentKind::Receiver,
             _ => ComponentKind::Provider,
         };
-        let mut statics = Vec::new();
-        route(kind, &mut statics);
-        let mut out: Vec<(usize, String)> = statics
-            .into_iter()
-            .map(|(app, decl)| (app, decl.class.clone()))
-            .collect();
+        slots.clear();
+        route(kind, slots);
+        let class =
+            |&(app, component): &Slot| (app, Arc::clone(&self.meta[app].classes[component]));
+        out.extend(slots.iter().map(class));
         if env.intent.is_explicit() {
-            return out;
+            return;
         }
         // Dynamically registered receivers participate in broadcast
         // delivery (they exist at runtime even though static analysis
         // does not model them).
         if kind == ComponentKind::Receiver {
             for dr in &self.dynamic_receivers {
-                if Some(&dr.action) == env.intent.action.as_ref() {
-                    out.push((dr.app, dr.class.clone()));
+                if Some(&*dr.action) == env.intent.action.as_deref() {
+                    out.push((dr.app, Arc::clone(&dr.class)));
                 }
             }
         }
-        out.sort();
+        // Equal pairs are equal strings, so which copy `dedup` keeps
+        // does not matter, and the unstable sort needs no scratch space.
+        out.sort_unstable();
         out.dedup();
-        out
     }
 
     fn deliver(&mut self, env: Envelope) {
-        let receivers = self.receivers(&env);
+        let (mut slots, mut receivers) = (
+            std::mem::take(&mut self.slots),
+            std::mem::take(&mut self.receivers),
+        );
+        self.route_into(&env, &mut slots, &mut receivers);
+        self.slots = slots;
         if receivers.is_empty() {
             self.audit.record(AuditEvent::IccUndeliverable {
                 action: env.intent.action.clone(),
             });
+            self.receivers = receivers;
             return;
         }
         if self.enforcement {
@@ -374,7 +438,7 @@ impl Device {
             refill_opt(&mut ctx.action, env.intent.action.as_deref());
             extra_tags(&env.intent, &mut ctx.tags);
         }
-        for (ai, class) in receivers {
+        for (ai, class) in receivers.drain(..) {
             self.hook_stats.delivery_hooks += 1;
             separ_obs::counter_add("pep.delivery_hooks", 1);
             if self.enforcement {
@@ -393,16 +457,22 @@ impl Device {
             }
             self.audit.record(AuditEvent::IccDelivered {
                 to_app: Arc::clone(&self.meta[ai].package),
-                to_component: class.clone(),
+                to_component: Arc::clone(&class),
                 intent: Arc::clone(&env.intent),
             });
             self.execute_component(ai, &class, Some(&env));
         }
+        self.receivers = receivers;
     }
 
     /// Executes the lifecycle entry point of a component, optionally with
     /// a received envelope.
-    fn execute_component(&mut self, app_idx: usize, class: &str, env: Option<&Envelope>) -> bool {
+    fn execute_component(
+        &mut self,
+        app_idx: usize,
+        class: &Arc<str>,
+        env: Option<&Envelope>,
+    ) -> bool {
         let apk = self.apps[app_idx].apk.clone();
         let Some(decl) = apk.manifest.component(class) else {
             return false;
@@ -436,20 +506,16 @@ impl Device {
         let Some((_, method)) = apk.dex.resolve_method(c.ty, entry) else {
             return false;
         };
-        let num_params = method.num_params;
         let mut heap = std::mem::take(&mut self.apps[app_idx].heap);
         // Everything the entry point allocates, `this` and the received
         // intent included, is reclaimed on return unless it escaped.
         let mark = heap.mark();
-        let this = Value::Object(heap.alloc(class.to_string()));
-        let received = env.map(|e| unmarshal_intent(&mut heap, &e.intent, &mut self.key_buf));
-        let mut args = vec![this];
-        if num_params >= 2 {
-            args.push(received.map(Value::Object).unwrap_or(Value::Null));
-        }
-        while args.len() < num_params as usize {
-            args.push(Value::Null);
-        }
+        let this = Value::Object(heap.alloc(Arc::clone(class)));
+        let received = env
+            .map(|e| unmarshal_intent(&mut heap, &e.intent, &self.intent_class, &mut self.key_buf));
+        // `this`, then the received intent (or null); the entry point
+        // takes as many as it has parameters.
+        let args = [this, received.map_or(Value::Null, Value::Object)];
         let mut sys = DeviceSyscalls {
             app_idx,
             component: class,
@@ -459,6 +525,7 @@ impl Device {
             audit: &mut self.audit,
             ctx: &mut self.send_ctx,
             key_buf: &mut self.key_buf,
+            extra_keys: &mut self.extra_keys,
             queue: &mut self.queue,
             dynamic_receivers: &mut self.dynamic_receivers,
             enforcement: self.enforcement,
@@ -467,14 +534,16 @@ impl Device {
             caller_app: env.and_then(|e| e.from_app),
             reply_to: env.and_then(|e| {
                 if e.via.requests_result() {
-                    e.from_app.map(|fa| (fa, e.from_component.clone()))
+                    e.from_app.map(|fa| (fa, Arc::clone(&e.from_component)))
                 } else {
                     None
                 }
             }),
         };
-        let mut vm = Vm::with_budget(&apk.dex, self.vm_budget);
-        let result = vm.invoke(&mut heap, &mut sys, class, entry, args);
+        let buffers = std::mem::take(&mut self.vm_buffers);
+        let mut vm = Vm::with_buffers(&apk.dex, self.vm_budget, buffers);
+        let result = vm.run_method(&mut heap, &mut sys, method, args);
+        self.vm_buffers = vm.into_buffers();
         heap.reclaim(mark);
         self.apps[app_idx].heap = heap;
         match result {
@@ -508,64 +577,85 @@ fn extra_field<'b>(buf: &'b mut String, key: &str) -> &'b str {
     buf
 }
 
-/// Marshals an intent heap object into wire form.
-fn marshal_intent(heap: &Heap, obj: ObjRef) -> IntentData {
+/// [`extra_field`] for a key as the program passed it: a string, or an
+/// integer in decimal (anything else is the empty key).
+fn extra_field_of<'b>(buf: &'b mut String, key: &Value) -> &'b str {
+    match key {
+        Value::Int(i) => {
+            buf.clear();
+            write!(buf, "extra:{i}").expect("write to a String");
+            buf
+        }
+        key => extra_field(buf, key.as_str().unwrap_or("")),
+    }
+}
+
+/// A field value as the wire's string: a string is shared, an integer is
+/// written in decimal, null is empty and an object is `<object>`.
+fn wire_string(v: &Value) -> Arc<str> {
+    match v {
+        Value::Str(s) => Arc::clone(s),
+        Value::Int(i) => Arc::from(i.to_string()),
+        Value::Null => Arc::from(""),
+        Value::Object(_) => Arc::from("<object>"),
+    }
+}
+
+/// Marshals an intent heap object into wire form (`extra_keys` shares
+/// the extras' keys).
+fn marshal_intent(heap: &Heap, obj: ObjRef, extra_keys: &mut Interner) -> IntentData {
     let o = heap.get(obj);
     let mut intent = IntentData::new();
+    let non_empty = |s: Arc<str>| (!s.is_empty()).then_some(s);
     for (k, v) in o.fields() {
-        let as_string = |v: &Value| match v {
-            Value::Str(s) => s.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Null => String::new(),
-            Value::Object(_) => "<object>".to_string(),
-        };
-        if k == "action" {
-            let s = as_string(v);
-            if !s.is_empty() {
-                intent.action = Some(s);
+        match &**k {
+            "action" => intent.action = non_empty(wire_string(v)),
+            "dataType" => intent.data_type = Some(wire_string(v)),
+            "dataScheme" => intent.data_scheme = Some(wire_string(v)),
+            "target" => intent.explicit_target = non_empty(wire_string(v)),
+            "categories" => {
+                let joined = wire_string(v);
+                let categories = joined.split(';').filter(|c| !c.is_empty());
+                intent.categories.extend(categories.map(Arc::from));
             }
-        } else if k == "dataType" {
-            intent.data_type = Some(as_string(v));
-        } else if k == "dataScheme" {
-            intent.data_scheme = Some(as_string(v));
-        } else if k == "target" {
-            let s = as_string(v);
-            if !s.is_empty() {
-                intent.explicit_target = Some(s);
+            field => {
+                if let Some(key) = field.strip_prefix("extra:") {
+                    intent.extras.insert(extra_keys.intern(key), wire_string(v));
+                }
             }
-        } else if k == "categories" {
-            for c in as_string(v).split(';').filter(|c| !c.is_empty()) {
-                intent.categories.insert(c.to_string());
-            }
-        } else if let Some(key) = k.strip_prefix("extra:") {
-            intent.extras.insert(key.to_string(), as_string(v));
         }
     }
     intent
 }
 
-/// Builds an intent heap object from wire form (`key_buf` is the
-/// device's `extra:<key>` buffer).
-fn unmarshal_intent(heap: &mut Heap, intent: &IntentData, key_buf: &mut String) -> ObjRef {
-    let obj = heap.alloc(api::class::INTENT);
+/// Builds an intent heap object of class `class` from wire form
+/// (`key_buf` is the device's `extra:<key>` buffer).
+fn unmarshal_intent(
+    heap: &mut Heap,
+    intent: &IntentData,
+    class: &Arc<str>,
+    key_buf: &mut String,
+) -> ObjRef {
+    let obj = heap.alloc(Arc::clone(class));
+    let shared = |s: &Arc<str>| Value::Str(Arc::clone(s));
     if let Some(a) = &intent.action {
-        heap.put_field(obj, "action", Value::str(a));
+        heap.put_field(obj, "action", shared(a));
     }
     if let Some(t) = &intent.data_type {
-        heap.put_field(obj, "dataType", Value::str(t));
+        heap.put_field(obj, "dataType", shared(t));
     }
     if let Some(s) = &intent.data_scheme {
-        heap.put_field(obj, "dataScheme", Value::str(s));
+        heap.put_field(obj, "dataScheme", shared(s));
     }
     if let Some(t) = &intent.explicit_target {
-        heap.put_field(obj, "target", Value::str(t));
+        heap.put_field(obj, "target", shared(t));
     }
     if !intent.categories.is_empty() {
-        let joined: Vec<&str> = intent.categories.iter().map(String::as_str).collect();
+        let joined: Vec<&str> = intent.categories.iter().map(|c| &**c).collect();
         heap.put_field(obj, "categories", Value::str(joined.join(";")));
     }
     for (k, v) in &intent.extras {
-        heap.put_field(obj, extra_field(key_buf, k), Value::str(v));
+        heap.put_field(obj, extra_field(key_buf, k), shared(v));
     }
     obj
 }
@@ -580,7 +670,7 @@ fn hook_decision(
     audit: &mut AuditLog,
     event: PolicyEvent,
     ctx: &IccContext,
-    to_component: Option<&str>,
+    to_component: Option<&Arc<str>>,
 ) -> bool {
     let timer = separ_obs::timer();
     let decision = pdp.evaluate(event, ctx);
@@ -618,7 +708,7 @@ fn hook_decision(
     audit.record(AuditEvent::IccBlocked {
         policy_id,
         vulnerability,
-        to_component: to_component.map(str::to_string),
+        to_component: to_component.cloned(),
     });
     false
 }
@@ -626,7 +716,7 @@ fn hook_decision(
 /// The syscall layer: Android APIs as seen by running bytecode.
 struct DeviceSyscalls<'a> {
     app_idx: usize,
-    component: &'a str,
+    component: &'a Arc<str>,
     package: &'a Arc<str>,
     meta: &'a [AppMeta],
     pdp: &'a mut Pdp,
@@ -635,13 +725,15 @@ struct DeviceSyscalls<'a> {
     ctx: &'a mut IccContext,
     /// The device's `extra:<key>` buffer.
     key_buf: &'a mut String,
+    /// The device's extra-key table.
+    extra_keys: &'a mut Interner,
     queue: &'a mut VecDeque<Envelope>,
     dynamic_receivers: &'a mut Vec<DynamicReceiver>,
     enforcement: bool,
     hook_stats: &'a mut HookStats,
     received: Option<ObjRef>,
     caller_app: Option<usize>,
-    reply_to: Option<(usize, String)>,
+    reply_to: Option<(usize, Arc<str>)>,
 }
 
 impl DeviceSyscalls<'_> {
@@ -650,11 +742,11 @@ impl DeviceSyscalls<'_> {
         let Some(obj) = args
             .iter()
             .filter_map(Value::as_object)
-            .find(|&o| heap.get(o).class == api::class::INTENT)
+            .find(|&o| &*heap.get(o).class == api::class::INTENT)
         else {
             return;
         };
-        let intent = Arc::new(marshal_intent(heap, obj));
+        let intent = Arc::new(marshal_intent(heap, obj, self.extra_keys));
         self.hook_stats.icc_hooks += 1;
         separ_obs::counter_add("pep.icc_hooks", 1);
         if self.enforcement {
@@ -673,26 +765,26 @@ impl DeviceSyscalls<'_> {
                 self.audit,
                 PolicyEvent::IccSend,
                 ctx,
-                intent.explicit_target.as_deref(),
+                intent.explicit_target.as_ref(),
             ) {
                 return; // skipped call: degraded mode, no crash
             }
         }
         self.audit.record(AuditEvent::IccSent {
             from_app: Arc::clone(self.package),
-            from_component: self.component.to_string(),
+            from_component: Arc::clone(self.component),
             intent: Arc::clone(&intent),
         });
         let reply_to = if via == IccMethod::SetResult {
             self.reply_to.clone()
         } else if via.requests_result() {
-            Some((self.app_idx, self.component.to_string()))
+            Some((self.app_idx, Arc::clone(self.component)))
         } else {
             None
         };
         self.queue.push_back(Envelope {
             from_app: Some(self.app_idx),
-            from_component: self.component.to_string(),
+            from_component: Arc::clone(self.component),
             via,
             intent,
             reply_to,
@@ -778,9 +870,7 @@ impl Syscalls for DeviceSyscalls<'_> {
                     }
                     IntentConfigKind::PutExtra => {
                         if let (Some(k), Some(v)) = (args.get(1), args.get(2)) {
-                            let key = str_value(k);
-                            let field = extra_field(self.key_buf, key.as_str().unwrap_or(""));
-                            heap.put_field(obj, field, v.clone());
+                            heap.put_field(obj, extra_field_of(self.key_buf, k), v.clone());
                         }
                     }
                     IntentConfigKind::SetTarget => {
@@ -796,8 +886,7 @@ impl Syscalls for DeviceSyscalls<'_> {
             ApiKind::IntentRead => match name {
                 "getStringExtra" | "getIntExtra" => {
                     let obj = args.first().and_then(Value::as_object);
-                    let key = args.get(1).and_then(Value::as_str).unwrap_or("");
-                    let field = extra_field(self.key_buf, key);
+                    let field = extra_field_of(self.key_buf, args.get(1).unwrap_or(&Value::Null));
                     Ok(Some(
                         obj.and_then(|o| heap.get(o).field(field).cloned())
                             .unwrap_or(Value::Null),
@@ -829,14 +918,15 @@ impl Syscalls for DeviceSyscalls<'_> {
             }
             ApiKind::DynamicRegister => {
                 // registerReceiver(this, receiverClass, action)
-                let mut strings = args.iter().skip(1).filter_map(Value::as_str);
-                let class = strings.next().unwrap_or("").to_string();
-                let action = strings.next().unwrap_or("").to_string();
-                if !class.is_empty() && !action.is_empty() {
+                let mut strings = args.iter().skip(1).filter_map(|v| match v {
+                    Value::Str(s) if !s.is_empty() => Some(s),
+                    _ => None,
+                });
+                if let (Some(class), Some(action)) = (strings.next(), strings.next()) {
                     self.dynamic_receivers.push(DynamicReceiver {
                         app: self.app_idx,
-                        class,
-                        action,
+                        class: Arc::clone(class),
+                        action: Arc::clone(action),
                     });
                 }
                 Ok(Some(Value::Null))
@@ -858,7 +948,7 @@ impl Syscalls for DeviceSyscalls<'_> {
                 // return an opaque object of the declared class so virtual
                 // dispatch on it lands back in the syscall layer.
                 if name == "getDefault" || name == "getSystemService" {
-                    return Ok(Some(Value::Object(heap.alloc(class.to_string()))));
+                    return Ok(Some(Value::Object(heap.alloc(class))));
                 }
                 Ok(Some(Value::Null))
             }
@@ -1270,6 +1360,6 @@ mod tests {
             .audit
             .events()
             .iter()
-            .any(|e| matches!(e, AuditEvent::IccUndeliverable { action: Some(a) } if a == "no.such.ACTION")));
+            .any(|e| matches!(e, AuditEvent::IccUndeliverable { action: Some(a) } if &**a == "no.such.ACTION")));
     }
 }

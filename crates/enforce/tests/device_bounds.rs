@@ -2,14 +2,19 @@
 //! launches leave every app's VM heap empty (nothing the pings allocate
 //! escapes its entry point) and the audit log at its capacity, with every
 //! eviction counted, while the log's cumulative answers keep the first
-//! launch's leak and every block.
+//! launch's leak and every block. The tables that share strings (each
+//! heap's field names, the device's extra keys) stop growing at their cap
+//! however many distinct names a program makes up, and every name past
+//! the cap still works.
 
 use separ_android::api::class;
 use separ_android::types::{perm, Resource};
 use separ_core::policy::{Condition, Policy, PolicyAction, PolicyEvent};
-use separ_dex::build::ApkBuilder;
+use separ_dex::build::{ApkBuilder, MethodBuilder};
+use separ_dex::instr::{BinOp, Reg};
 use separ_dex::manifest::{ComponentDecl, ComponentKind, IntentFilterDecl};
 use separ_dex::program::Apk;
+use separ_dex::vm::{Heap, INTERN_CAP};
 use separ_enforce::{AuditEvent, Device, PromptHandler, AUDIT_CAPACITY};
 
 const LAUNCHES: usize = 10_000;
@@ -145,7 +150,11 @@ fn ten_thousand_launches_stay_bounded_and_keep_their_history() {
         }
         assert!(device.audit.events().len() <= AUDIT_CAPACITY);
         for p in packages {
-            assert_eq!(device.heap_len(p), Some(0), "{p} after launch {launch}");
+            assert_eq!(
+                device.heap(p).map(Heap::len),
+                Some(0),
+                "{p} after launch {launch}"
+            );
         }
     }
 
@@ -164,6 +173,105 @@ fn ten_thousand_launches_stay_bounded_and_keep_their_history() {
     // The ring holds the most recent records: the run ended on a ping.
     assert!(matches!(
         audit.events().back(),
-        Some(AuditEvent::IccDelivered { to_component, .. }) if to_component == "LPong;"
+        Some(AuditEvent::IccDelivered { to_component, .. }) if &**to_component == "LPong;"
     ));
+}
+
+/// Distinct extra keys the spray app puts: more than an intern table
+/// holds.
+const KEYS: usize = INTERN_CAP + 44;
+
+/// Emits `body(m, key)` for key = 0, 1, …, `KEYS - 1`.
+fn count_up(m: &mut MethodBuilder<'_, '_>, body: impl Fn(&mut MethodBuilder<'_, '_>, Reg)) {
+    let (key, one, end, done) = (m.reg(), m.reg(), m.reg(), m.reg());
+    m.const_int(key, 0);
+    m.const_int(one, 1);
+    m.const_int(end, KEYS as i64);
+    let top = m.new_label();
+    m.bind(top);
+    body(m, key);
+    m.binop(BinOp::Add, key, key, one);
+    m.binop(BinOp::CmpEq, done, key, end);
+    m.if_eqz(done, top);
+}
+
+/// `LSpray;` puts the extras `0 → 0`, `1 → 1`, …, `KEYS - 1 → KEYS - 1`
+/// (integer keys and values, counted up with `add`) on one explicit
+/// intent and starts `LEcho;`, which reads every key back with
+/// `getStringExtra`, in the same order, and logs it.
+fn spray() -> Apk {
+    let mut apk = ApkBuilder::new("t.spray");
+    apk.add_component(ComponentDecl::new("LSpray;", ComponentKind::Activity));
+    apk.add_component(ComponentDecl::new("LEcho;", ComponentKind::Service));
+    {
+        let mut cb = apk.class_extends("LSpray;", class::ACTIVITY);
+        let mut m = cb.method("onCreate", 1, false, false);
+        let (i, s) = (m.reg(), m.reg());
+        m.new_instance(i, class::INTENT);
+        m.const_string(s, "LEcho;");
+        m.invoke_virtual(class::INTENT, "setClassName", &[i, s], false);
+        count_up(&mut m, |m, key| {
+            m.invoke_virtual(class::INTENT, "putExtra", &[i, key, key], false);
+        });
+        m.invoke_virtual(class::CONTEXT, "startService", &[m.this(), i], false);
+        m.ret_void();
+        m.finish();
+        cb.finish();
+    }
+    {
+        let mut cb = apk.class_extends("LEcho;", class::SERVICE);
+        let mut m = cb.method("onStartCommand", 2, false, false);
+        let (intent, v) = (m.param(1), m.reg());
+        count_up(&mut m, |m, key| {
+            m.invoke_virtual(class::INTENT, "getStringExtra", &[intent, key], true);
+            m.move_result(v);
+            m.invoke_virtual(class::LOG, "d", &[v], false);
+        });
+        m.ret_void();
+        m.finish();
+        cb.finish();
+    }
+    apk.finish()
+}
+
+#[test]
+fn intern_tables_stop_at_their_cap_and_every_extra_round_trips() {
+    let mut device = Device::new(vec![spray()]);
+    for _ in 0..2 {
+        assert!(device.launch("t.spray", "LSpray;"));
+        assert_eq!(device.run_until_idle(), 1);
+    }
+    // One key per extra, the `target` field and the received intent's
+    // extras all went through the tables.
+    assert_eq!(device.extra_keys().len(), INTERN_CAP);
+    let heap = device.heap("t.spray").expect("installed");
+    assert_eq!(heap.field_names().len(), INTERN_CAP);
+    assert_eq!(heap.len(), 0, "nothing escaped");
+
+    let expected: Vec<String> = (0..KEYS).map(|k| k.to_string()).collect();
+    let events = device.audit.events();
+    let sent: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e {
+            AuditEvent::IccSent { intent, .. } => Some(intent),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sent.len(), 2);
+    for intent in sent {
+        let extras: Vec<(&str, &str)> = intent.extras.iter().map(|(k, v)| (&**k, &**v)).collect();
+        let mut want: Vec<(&str, &str)> = expected.iter().map(|k| (&**k, &**k)).collect();
+        want.sort();
+        assert_eq!(extras, want);
+    }
+    let logged: Vec<&str> = device
+        .audit
+        .sinks_fired(Resource::Log)
+        .map(|e| match e {
+            AuditEvent::SinkFired { detail, .. } => detail.as_str(),
+            _ => unreachable!(),
+        })
+        .collect();
+    let twice: Vec<&str> = expected.iter().chain(&expected).map(|k| &**k).collect();
+    assert_eq!(logged, twice, "every extra reads back, in order");
 }

@@ -109,14 +109,17 @@ fn intent_strategy() -> impl Strategy<Value = IntentData> {
         .prop_map(|(action, categories, ty, scheme, target, class)| {
             // Action: none (index 0) or one of the universe or unknown.
             let mut intent = IntentData::new();
-            intent.action = action.checked_sub(1).map(|i| pick(ACTIONS, i));
-            intent.categories = picks(CATEGORIES, categories).into_iter().collect();
-            intent.data_type = ty.checked_sub(1).map(|i| pick(TYPES, i));
-            intent.data_scheme = scheme.checked_sub(1).map(|i| pick(SCHEMES, i));
+            intent.action = action.checked_sub(1).map(|i| pick(ACTIONS, i).into());
+            intent.categories = picks(CATEGORIES, categories)
+                .into_iter()
+                .map(Into::into)
+                .collect();
+            intent.data_type = ty.checked_sub(1).map(|i| pick(TYPES, i).into());
+            intent.data_scheme = scheme.checked_sub(1).map(|i| pick(SCHEMES, i).into());
             // One intent in three names an explicit target (possibly one
             // no app declares); `sweep` covers every target systematically.
             if target == 0 {
-                intent.explicit_target = Some(pick(CLASSES, class));
+                intent.explicit_target = Some(pick(CLASSES, class).into());
             }
             intent
         })
@@ -154,7 +157,7 @@ fn probe(device: &Device, from_app: Option<usize>, via: IccMethod, intent: Inten
         from_component: "LSender;".into(),
         via,
         intent: Arc::new(intent),
-        reply_to: from_app.map(|a| (a, "LSender;".to_string())),
+        reply_to: from_app.map(|a| (a, "LSender;".into())),
     };
     let indexed = device.receivers(&env);
     let scanned = device.receivers_by_scan(&env);
@@ -248,7 +251,7 @@ fn router_finds_known_receivers() {
     ]);
     for (action, expected) in [(Some("ACT.X"), 2), (Some("ACT.Y"), 1), (None, 2)] {
         let mut intent = IntentData::new();
-        intent.action = action.map(str::to_string);
+        intent.action = action.map(Into::into);
         assert_eq!(
             probe(&device, None, IccMethod::StartService, intent),
             expected
