@@ -54,8 +54,8 @@ impl CacheOutcome {
     }
 }
 
-/// Monotonic cache counters (also mirrored to `separ-obs` as
-/// `ame.cache.*`).
+/// Monotonic cache counters: the cache's hits and misses are counted
+/// here and nowhere else (read them through [`ModelCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from memory.
@@ -223,7 +223,7 @@ impl ModelCache {
     /// A cache with a file-backed store under `dir`, capped at
     /// `cap_bytes` total entry bytes. When an admit pushes the store
     /// over the cap, least-recently-used entries are deleted (and
-    /// counted as [`CacheStats::evicted`] / `ame.cache.evicted`) until
+    /// counted as [`CacheStats::evicted`]) until
     /// it fits; the entry being admitted is never the victim. Recency
     /// survives restarts via file mtimes.
     pub fn with_dir_capped(dir: impl Into<PathBuf>, cap_bytes: Option<u64>) -> ModelCache {
@@ -283,7 +283,6 @@ impl ModelCache {
     fn lookup(&self, key: &[u8; 32]) -> Option<(Arc<AppModel>, CacheOutcome)> {
         if let Some(m) = self.memory.lock().expect("cache lock").get(key) {
             self.memory_hits.fetch_add(1, Ordering::Relaxed);
-            separ_obs::counter_add("ame.cache.hit", 1);
             // A memory hit is still a use: keep the file store's recency
             // honest so the entry isn't the next LRU victim.
             if let Some(disk) = &self.disk {
@@ -302,7 +301,6 @@ impl ModelCache {
                             .expect("cache lock")
                             .insert(*key, Arc::clone(&model));
                         self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        separ_obs::counter_add("ame.cache.disk_hit", 1);
                         return Some((model, CacheOutcome::DiskHit));
                     }
                     None => {
@@ -310,7 +308,6 @@ impl ModelCache {
                         // to re-extraction (which overwrites the entry).
                         disk.forget(key);
                         self.corrupt.fetch_add(1, Ordering::Relaxed);
-                        separ_obs::counter_add("ame.cache.corrupt", 1);
                     }
                 }
             }
@@ -320,7 +317,6 @@ impl ModelCache {
 
     fn admit(&self, key: [u8; 32], model: AppModel) -> Arc<AppModel> {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        separ_obs::counter_add("ame.cache.miss", 1);
         let model = Arc::new(model);
         if let Some(disk) = &self.disk {
             // Best effort: a failed write degrades to a future miss.
@@ -329,7 +325,6 @@ impl ModelCache {
                 let evicted = disk.admit(key, entry.len() as u64);
                 if evicted > 0 {
                     self.evicted.fetch_add(evicted, Ordering::Relaxed);
-                    separ_obs::counter_add("ame.cache.evicted", evicted);
                 }
             }
         }

@@ -95,8 +95,7 @@ impl AuditLog {
     }
 
     /// Appends an event, evicting the oldest one (counted in
-    /// [`AuditLog::dropped`] and the `pep.audit_dropped` counter) when the
-    /// log is full.
+    /// [`AuditLog::dropped`]) when the log is full.
     pub fn record(&mut self, event: AuditEvent) {
         match &event {
             AuditEvent::SinkFired {
@@ -114,7 +113,6 @@ impl AuditLog {
         if self.events.len() == AUDIT_CAPACITY {
             self.events.pop_front();
             self.dropped += 1;
-            separ_obs::counter_add("pep.audit_dropped", 1);
         }
         self.events.push_back(event);
     }

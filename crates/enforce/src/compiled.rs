@@ -527,7 +527,6 @@ impl SharedPdp {
         let arc = Arc::new(set);
         *self.inner.slot.lock().expect("pdp slot") = arc;
         self.inner.version.fetch_add(1, Ordering::Release);
-        separ_obs::counter_add("pdp.swap", 1);
     }
 
     /// Applies a policy-set change: retires `removed` by content

@@ -316,8 +316,8 @@ impl Device {
     /// Runs queued deliveries until the bus is idle or the delivery limit
     /// is reached. Returns the number of envelopes delivered, at most the
     /// limit. Envelopes still queued at the limit (a self-sustaining ICC
-    /// cycle) are dropped and counted in [`HookStats::dropped`] and the
-    /// `pep.dropped` counter, so the next launch starts from an idle bus.
+    /// cycle) are dropped and counted in [`HookStats::dropped`], so the
+    /// next launch starts from an idle bus.
     pub fn run_until_idle(&mut self) -> usize {
         let mut processed = 0;
         while processed < self.delivery_limit {
@@ -331,7 +331,6 @@ impl Device {
         if dropped > 0 {
             self.queue.clear();
             self.hook_stats.dropped += dropped;
-            separ_obs::counter_add("pep.dropped", dropped);
         }
         processed
     }
@@ -440,7 +439,6 @@ impl Device {
         }
         for (ai, class) in receivers.drain(..) {
             self.hook_stats.delivery_hooks += 1;
-            separ_obs::counter_add("pep.delivery_hooks", 1);
             if self.enforcement {
                 let ctx = &mut self.recv_ctx;
                 refill_opt(&mut ctx.receiver_app, Some(&self.meta[ai].package));
@@ -661,8 +659,9 @@ fn unmarshal_intent(
 }
 
 /// The PEP's decision step, shared by the send and delivery hooks:
-/// evaluates `event`, records the `pdp.decision` latency and the
-/// `pdp.allowed`/`pdp.blocked` counter, audits a shown prompt, and audits
+/// evaluates `event` (the PDP counts it; see
+/// [`SharedPdp::totals`](crate::compiled::SharedPdp::totals)),
+/// records the `pdp.decision` latency, audits a shown prompt, and audits
 /// an `IccBlocked` naming `to_component` when the decision blocks.
 /// Returns whether the call may proceed.
 fn hook_decision(
@@ -675,12 +674,6 @@ fn hook_decision(
     let timer = separ_obs::timer();
     let decision = pdp.evaluate(event, ctx);
     separ_obs::observe("pdp.decision", timer);
-    let counter = if decision.allows() {
-        "pdp.allowed"
-    } else {
-        "pdp.blocked"
-    };
-    separ_obs::counter_add(counter, 1);
     let (policy_id, vulnerability) = match decision {
         Decision::Allow => return true,
         Decision::PromptAllowed { policy_id } => {
@@ -748,7 +741,6 @@ impl DeviceSyscalls<'_> {
         };
         let intent = Arc::new(marshal_intent(heap, obj, self.extra_keys));
         self.hook_stats.icc_hooks += 1;
-        separ_obs::counter_add("pep.icc_hooks", 1);
         if self.enforcement {
             let ctx = &mut *self.ctx;
             refill(&mut ctx.sender_app, self.package);

@@ -364,30 +364,6 @@ impl Trace {
         out
     }
 
-    /// Renders the counters and latency histograms in Prometheus text
-    /// exposition format (version 0.0.4).
-    ///
-    /// Counters become `separ_<name>_total` counter families;
-    /// histograms become native `separ_<name>_seconds` histogram
-    /// families (cumulative `le` buckets, `_sum`, `_count`) with
-    /// nanosecond samples scaled to seconds. Families appear in sorted
-    /// internal-name order, so two renders of the same state are
-    /// byte-identical.
-    pub fn prometheus(&self) -> String {
-        let mut w = crate::prometheus::PromWriter::new();
-        for (name, v) in &self.counters {
-            let family = format!("separ_{}_total", crate::prometheus::sanitize(name));
-            w.family(&family, "counter", name);
-            w.sample(&family, &[], *v as f64);
-        }
-        for (name, h) in &self.histograms {
-            let family = format!("separ_{}_seconds", crate::prometheus::sanitize(name));
-            w.family(&family, "histogram", name);
-            w.histogram(&family, &[], h, 1e9);
-        }
-        w.finish()
-    }
-
     /// Aggregates spans by name: count, total time, and self time
     /// (total minus direct children), sorted by descending total.
     pub fn span_rollup(&self) -> Vec<SpanRollup> {

@@ -10,13 +10,13 @@
 //!   guards, monotonic timestamps, thread ids), structured **events**
 //!   (key/value payloads attached to the active span) and **metrics**
 //!   (monotonic counters plus fixed-bucket latency [`Histogram`]s);
-//! * four exporters in [`export`]: Chrome trace-event JSON (loadable in
+//! * three exporters in [`export`]: Chrome trace-event JSON (loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)), a JSONL
-//!   event log, a human-readable text summary with per-span self/total
-//!   time, and Prometheus text exposition ([`Trace::prometheus`] over
-//!   the [`prometheus`] writer);
+//!   event log, and a human-readable text summary with per-span
+//!   self/total time; the [`prometheus`] writer renders `separ serve`'s
+//!   text exposition;
 //! * live-metrics primitives in [`live`] for long-running services:
-//!   [`Gauge`]s, rolling-window [`RollingHistogram`]s (windowed
+//!   rolling-window [`RollingHistogram`]s (windowed
 //!   p50/p90/p99 without stopping the collector) and per-scrape
 //!   [`CounterDeltas`] — `separ serve` builds its `metrics` endpoint
 //!   from these;
@@ -54,7 +54,7 @@ use std::sync::OnceLock;
 
 pub use collector::{AdoptGuard, Collector, EventRecord, ObsTimer, SpanGuard, SpanId, SpanRecord};
 pub use export::Trace;
-pub use live::{CounterDeltas, Gauge, RollingHistogram, ROLLING_WINDOWS};
+pub use live::{CounterDeltas, RollingHistogram, ROLLING_WINDOWS};
 pub use metrics::{Histogram, HistogramSnapshot, LATENCY_BOUNDS_NS};
 
 /// The process-global collector backing the free-function API.
@@ -117,11 +117,4 @@ pub fn timer() -> ObsTimer {
 /// the global collector (no-op for inert timers).
 pub fn observe(name: &'static str, t: ObsTimer) {
     global().observe(name, t);
-}
-
-/// Records a raw sample into the named histogram of the global collector
-/// (no-op while disabled). The value need not be a latency — `separ
-/// serve` records queue depths and batch sizes this way.
-pub fn observe_ns(name: &'static str, ns: u64) {
-    global().observe_ns(name, ns);
 }

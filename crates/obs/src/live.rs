@@ -1,5 +1,5 @@
-//! Live operational metrics for long-running services: gauges,
-//! rolling-window latency histograms, and counter delta snapshots.
+//! Live operational metrics for long-running services: rolling-window
+//! latency histograms and counter delta snapshots.
 //!
 //! The end-of-run [`Trace`](crate::export::Trace) snapshot answers
 //! "where did the time go" for a batch pipeline; a daemon serving
@@ -8,8 +8,6 @@
 //! primitives here are deliberately tiny and lock-light so they can sit
 //! on a hot request path:
 //!
-//! * [`Gauge`] — a last-value-wins instantaneous metric (queue depth,
-//!   subscriber count), one relaxed atomic;
 //! * [`RollingHistogram`] — a ring of fixed-width time slices, each a
 //!   decade-bucket [`Histogram`]; recording touches exactly one slice
 //!   mutex (uncontended in the common case) and snapshotting merges the
@@ -19,37 +17,10 @@
 //!   per-scrape deltas ("what advanced since the last `metrics` call").
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::metrics::{Histogram, HistogramSnapshot, LATENCY_BOUNDS_NS};
-
-/// A last-value-wins instantaneous metric.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A gauge reading 0.
-    pub const fn new() -> Gauge {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Replaces the current value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the current value by `d` (may be negative).
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// The standard rolling windows: label and width in seconds.
 pub const ROLLING_WINDOWS: [(&str, u64); 3] = [("10s", 10), ("1m", 60), ("5m", 300)];
@@ -211,15 +182,6 @@ mod tests {
     use super::*;
 
     const SEC: u64 = 1_000_000_000;
-
-    #[test]
-    fn gauge_sets_and_adjusts() {
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0);
-        g.set(7);
-        g.add(-3);
-        assert_eq!(g.get(), 4);
-    }
 
     #[test]
     fn rolling_window_sees_only_recent_slices() {

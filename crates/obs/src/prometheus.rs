@@ -9,8 +9,6 @@
 
 use std::fmt::Write as _;
 
-use crate::metrics::Histogram;
-
 /// Maps an internal metric name (`pdp.index.hit`) onto the Prometheus
 /// grammar (`pdp_index_hit`): every character outside
 /// `[a-zA-Z0-9_:]` becomes `_`, and a leading digit is prefixed.
@@ -98,29 +96,6 @@ impl PromWriter {
         self.out.push('\n');
     }
 
-    /// Writes a [`Histogram`] in native Prometheus histogram form:
-    /// cumulative `_bucket{le=...}` samples, the `+Inf` bucket, `_sum`
-    /// and `_count`. Raw sample values are divided by `scale` (use
-    /// `1e9` for nanosecond-valued histograms exposed in seconds).
-    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram, scale: f64) {
-        let bucket = format!("{name}_bucket");
-        let mut cum = 0u64;
-        let mut le = String::new();
-        for (i, &b) in h.bounds().iter().enumerate() {
-            cum += h.counts()[i];
-            le.clear();
-            push_value(b as f64 / scale, &mut le);
-            let mut ls: Vec<(&str, &str)> = labels.to_vec();
-            ls.push(("le", le.as_str()));
-            self.sample(&bucket, &ls, cum as f64);
-        }
-        let mut ls: Vec<(&str, &str)> = labels.to_vec();
-        ls.push(("le", "+Inf"));
-        self.sample(&bucket, &ls, h.count() as f64);
-        self.sample(&format!("{name}_sum"), labels, h.sum() as f64 / scale);
-        self.sample(&format!("{name}_count"), labels, h.count() as f64);
-    }
-
     /// The finished exposition text.
     pub fn finish(self) -> String {
         self.out
@@ -139,29 +114,20 @@ mod tests {
     }
 
     #[test]
-    fn renders_counter_and_histogram_families() {
-        let mut h = Histogram::new(&[1_000, 1_000_000]);
-        h.record(500);
-        h.record(500_000);
-        h.record(5_000_000);
+    fn renders_families_and_values() {
         let mut w = PromWriter::new();
         w.family("separ_requests_total", "counter", "requests served");
         w.sample("separ_requests_total", &[], 42.0);
-        w.family("separ_latency_seconds", "histogram", "request latency");
-        w.histogram("separ_latency_seconds", &[("type", "decide")], &h, 1e9);
-        let text = w.finish();
+        w.family("separ_latency_seconds", "gauge", "request latency");
+        w.sample("separ_latency_seconds", &[("quantile", "0.5")], 0.0055005);
         assert_eq!(
-            text,
+            w.finish(),
             "# HELP separ_requests_total requests served\n\
              # TYPE separ_requests_total counter\n\
              separ_requests_total 42\n\
              # HELP separ_latency_seconds request latency\n\
-             # TYPE separ_latency_seconds histogram\n\
-             separ_latency_seconds_bucket{type=\"decide\",le=\"0.000001\"} 1\n\
-             separ_latency_seconds_bucket{type=\"decide\",le=\"0.001\"} 2\n\
-             separ_latency_seconds_bucket{type=\"decide\",le=\"+Inf\"} 3\n\
-             separ_latency_seconds_sum{type=\"decide\"} 0.0055005\n\
-             separ_latency_seconds_count{type=\"decide\"} 3\n"
+             # TYPE separ_latency_seconds gauge\n\
+             separ_latency_seconds{quantile=\"0.5\"} 0.0055005\n"
         );
     }
 

@@ -31,15 +31,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use separ_analysis::cache::ModelCache;
+use separ_analysis::cache::{CacheStats, ModelCache};
 use separ_core::policy::{merge_delta, Policy};
 use separ_core::{Executor, IncrementalSession, SeparConfig, SessionOp, SignatureRegistry};
-use separ_enforce::{CompiledPolicySet, PromptHandler, SharedPdp};
+use separ_enforce::{CompiledPolicySet, PdpTotals, PromptHandler, SharedPdp};
 use separ_obs::json::Value;
 use separ_obs::prometheus::PromWriter;
 
 use crate::audit::{AuditRecord, AuditWriter};
-use crate::metrics::{kind_slot, obs_counters_prometheus, ServeMetrics};
+use crate::metrics::Prom::{Counter, Gauge, JsonOnly};
+use crate::metrics::{
+    json_fields, kind_slot, obs_counters_prometheus, prometheus_families, Metric, ServeMetrics,
+    HEALTH, METRICS, STATS,
+};
 use crate::protocol::{decide_response, error_response, ok_response, QueryWhat, Request};
 use crate::queue::{fulfill_batch, BatchOutcome, BatchSummary, ChurnQueue, PushError};
 use crate::store::SessionStore;
@@ -112,16 +116,6 @@ struct Published {
     total_syntheses: usize,
 }
 
-/// Monotonic service counters.
-#[derive(Debug, Default)]
-struct Counters {
-    requests: AtomicU64,
-    failed: AtomicU64,
-    batches: AtomicU64,
-    ops_coalesced: AtomicU64,
-    deadline_misses: AtomicU64,
-}
-
 /// What one request's outcome contributes to the audit log.
 #[derive(Debug, Default)]
 struct Outcome {
@@ -139,7 +133,6 @@ pub struct Daemon {
     pdp: SharedPdp,
     cache: Arc<ModelCache>,
     published: Arc<Mutex<Published>>,
-    counters: Arc<Counters>,
     metrics: Arc<ServeMetrics>,
     subs: Arc<Subscriptions>,
     audit: Option<AuditWriter>,
@@ -203,7 +196,6 @@ impl Daemon {
                 .map_err(|e| ServeError(e.to_string()))?;
         }
         let queue = Arc::new(ChurnQueue::new(cfg.queue_capacity));
-        let counters = Arc::new(Counters::default());
         let metrics = Arc::new(ServeMetrics::new());
         let subs = Arc::new(Subscriptions::new(cfg.subscriber_buffer));
         let audit = match &cfg.audit_path {
@@ -217,7 +209,6 @@ impl Daemon {
             let queue = Arc::clone(&queue);
             let pdp = pdp.clone();
             let published = Arc::clone(&published);
-            let counters = Arc::clone(&counters);
             let metrics = Arc::clone(&metrics);
             let subs = Arc::clone(&subs);
             let batch_max = cfg.batch_max;
@@ -225,7 +216,7 @@ impl Daemon {
                 .name("separ-serve-worker".into())
                 .spawn(move || {
                     worker_loop(
-                        session, store, queue, pdp, published, counters, metrics, subs, batch_max,
+                        session, store, queue, pdp, published, metrics, subs, batch_max,
                     )
                 })
                 .map_err(|e| ServeError(format!("worker thread: {e}")))?
@@ -235,7 +226,6 @@ impl Daemon {
             pdp,
             cache,
             published,
-            counters,
             metrics,
             subs,
             audit,
@@ -258,26 +248,19 @@ impl Daemon {
     /// trailing newline). Never panics on malformed input — every error
     /// becomes an `{"ok":false,...}` response.
     ///
-    /// Every request gets a process-unique id (attached to its obs
-    /// span, the slow log, and the audit log) and its latency recorded
-    /// into the per-type rolling windows behind `metrics`.
+    /// Every request gets a process-unique id (carried by the slow log
+    /// and the audit log) and its latency recorded into the per-type
+    /// rolling windows behind `metrics`. Nothing is recorded per request
+    /// in the obs collector, which a long-running daemon never clears.
     pub fn handle(&self, line: &str) -> String {
         let req_id = self.req_ids.fetch_add(1, Ordering::Relaxed) + 1;
         let started = Instant::now();
-        let mut span = separ_obs::span("serve.request");
-        // Formatting the id allocates; an inert span would drop it.
-        if span.id().is_some() {
-            span.set_arg("req_id", req_id.to_string());
-        }
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        separ_obs::counter_add("serve.requests", 1);
+        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let parsed = Request::parse(line.trim());
         let (kind, slot) = match &parsed {
             Ok(request) => (request.kind(), request.kind_slot()),
             Err(_) => ("invalid", kind_slot("invalid")),
         };
-        span.set_arg("cmd", kind);
-        drop(span);
         let (response, outcome) = match parsed {
             Ok(request) => self.dispatch(request),
             Err(e) => {
@@ -294,8 +277,7 @@ impl Daemon {
         }
         if let Some(slow_ms) = self.slow_ms {
             if ns >= slow_ms.saturating_mul(1_000_000) {
-                self.metrics.slow_requests.add(1);
-                separ_obs::counter_add("serve.slow", 1);
+                self.metrics.slow_requests.fetch_add(1, Ordering::Relaxed);
                 eprintln!(
                     "{{\"slow_request\":true,\"req_id\":{req_id},\"cmd\":\"{kind}\",\"ms\":{}}}",
                     ns / 1_000_000
@@ -315,7 +297,7 @@ impl Daemon {
                     error: outcome.error.as_deref(),
                 });
                 if written {
-                    self.metrics.audit_records.add(1);
+                    self.metrics.audit_records.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -401,11 +383,11 @@ impl Daemon {
                 };
                 (decide_response(&decision), outcome)
             }
-            Request::Stats => (self.stats(), Outcome::default()),
+            Request::Stats => (self.view(STATS), Outcome::default()),
             Request::Metrics { prometheus } => {
                 (self.metrics_response(prometheus), Outcome::default())
             }
-            Request::Health => (self.health(), Outcome::default()),
+            Request::Health => (self.view(HEALTH), Outcome::default()),
             // A subscription is a connection-level upgrade, not a
             // request/response exchange: the socket server intercepts
             // it before `handle`; reaching here means the caller can't
@@ -419,9 +401,16 @@ impl Daemon {
     }
 
     fn fail(&self, message: String) -> String {
-        self.counters.failed.fetch_add(1, Ordering::Relaxed);
-        separ_obs::counter_add("serve.requests.failed", 1);
+        self.metrics.failed.fetch_add(1, Ordering::Relaxed);
         error_response(&message)
+    }
+
+    /// Answers a request line the server refused before handing it to
+    /// [`Daemon::handle`] (an over-long line): counted as a failed
+    /// request, and answered with an error.
+    pub(crate) fn refuse(&self, message: String) -> String {
+        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        self.fail(message)
     }
 
     fn churn(&self, op: SessionOp, deadline_ms: Option<u64>) -> String {
@@ -452,10 +441,7 @@ impl Daemon {
             None => {
                 // The op IS accepted and will be applied; only the
                 // confirmation wait expired.
-                self.counters
-                    .deadline_misses
-                    .fetch_add(1, Ordering::Relaxed);
-                separ_obs::counter_add("serve.deadline_miss", 1);
+                self.metrics.deadline_misses.fetch_add(1, Ordering::Relaxed);
                 ok_response(vec![("accepted".into(), Value::Bool(true))])
             }
         }
@@ -488,340 +474,68 @@ impl Daemon {
         }
     }
 
-    fn stats(&self) -> String {
-        let batches = self.counters.batches.load(Ordering::Relaxed);
-        let ops = self.counters.ops_coalesced.load(Ordering::Relaxed);
-        let coalescing = if batches == 0 {
-            1.0
-        } else {
-            ops as f64 / batches as f64
-        };
-        let cache = self.cache.stats();
-        ok_response(vec![
-            (
-                "uptime_ms".into(),
-                Value::Num(self.metrics.uptime_ms() as f64),
-            ),
-            (
-                "requests".into(),
-                Value::Num(self.counters.requests.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "failed".into(),
-                Value::Num(self.counters.failed.load(Ordering::Relaxed) as f64),
-            ),
-            ("batches".into(), Value::Num(batches as f64)),
-            ("ops_coalesced".into(), Value::Num(ops as f64)),
-            ("coalescing_factor".into(), Value::Num(coalescing)),
-            (
-                "deadline_misses".into(),
-                Value::Num(self.counters.deadline_misses.load(Ordering::Relaxed) as f64),
-            ),
-            ("queue_depth".into(), Value::Num(self.queue.depth() as f64)),
-            (
-                "cache".into(),
-                Value::Obj(vec![
-                    ("memory_hits".into(), Value::Num(cache.memory_hits as f64)),
-                    ("disk_hits".into(), Value::Num(cache.disk_hits as f64)),
-                    ("misses".into(), Value::Num(cache.misses as f64)),
-                    ("evicted".into(), Value::Num(cache.evicted as f64)),
-                ]),
-            ),
-        ])
+    /// One reading of the daemon's state for a view to render.
+    fn reading(&self) -> Reading<'_> {
+        Reading {
+            daemon: self,
+            decisions: self.pdp.totals(),
+            cache: self.cache.stats(),
+        }
     }
 
-    /// The `metrics` response: live gauges, per-type rolling latency
-    /// windows, PDP/cache totals, and per-scrape counter deltas — as
-    /// structured JSON, or (with `prometheus`) as text exposition
-    /// carried in the `body` field.
+    /// The `stats` or the `health` response: the registry's metrics in
+    /// that view. `health` reports liveness (worker thread running),
+    /// readiness (accepting requests) and staleness (last-batch age).
+    fn view(&self, view: u8) -> String {
+        ok_response(json_fields(DAEMON_METRICS, &self.reading(), view))
+    }
+
+    /// The `metrics` response: the registry's metrics, per-type rolling
+    /// latency windows, and the obs collector's counters with their
+    /// per-scrape deltas — as structured JSON, or (with `prometheus`) as
+    /// text exposition carried in the `body` field.
     fn metrics_response(&self, prometheus: bool) -> String {
+        let reading = self.reading();
         if prometheus {
+            // Registry families (fixed order), windowed latency
+            // quantiles, then every obs counter (sorted): byte-stable
+            // across scrapes of the same state.
+            let mut w = PromWriter::new();
+            prometheus_families(DAEMON_METRICS, &reading, &mut w);
+            self.metrics.rolling_prometheus(&mut w);
+            obs_counters_prometheus(&mut w);
             return ok_response(vec![
                 ("format".into(), Value::Str("prometheus".into())),
-                ("body".into(), Value::Str(self.prometheus_text())),
+                ("body".into(), Value::Str(w.finish())),
             ]);
         }
-        let batches = self.counters.batches.load(Ordering::Relaxed);
-        let ops = self.counters.ops_coalesced.load(Ordering::Relaxed);
-        let coalescing = if batches == 0 {
-            1.0
-        } else {
-            ops as f64 / batches as f64
-        };
-        let totals = self.pdp.totals();
-        let cache = self.cache.stats();
-        let counters = separ_obs::global().counters();
-        let obj = |m: &std::collections::BTreeMap<String, u64>| {
-            Value::Obj(
-                m.iter()
-                    .map(|(k, &v)| (k.clone(), Value::Num(v as f64)))
-                    .collect(),
-            )
-        };
-        ok_response(vec![
-            (
-                "uptime_ms".into(),
-                Value::Num(self.metrics.uptime_ms() as f64),
-            ),
-            ("queue_depth".into(), Value::Num(self.queue.depth() as f64)),
-            ("subscribers".into(), Value::Num(self.subs.count() as f64)),
-            (
-                "subscribers_dropped".into(),
-                Value::Num(self.subs.dropped() as f64),
-            ),
-            ("seq".into(), Value::Num(self.subs.seq() as f64)),
-            (
-                "last_batch_age_ms".into(),
-                match self.metrics.last_batch_age_ms() {
-                    Some(ms) => Value::Num(ms as f64),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "requests".into(),
-                Value::Num(self.counters.requests.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "failed".into(),
-                Value::Num(self.counters.failed.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "slow_requests".into(),
-                Value::Num(self.metrics.slow_requests.get() as f64),
-            ),
-            (
-                "audit_records".into(),
-                Value::Num(self.metrics.audit_records.get() as f64),
-            ),
-            ("batches".into(), Value::Num(batches as f64)),
-            ("ops_coalesced".into(), Value::Num(ops as f64)),
-            ("coalescing_factor".into(), Value::Num(coalescing)),
-            (
-                "deadline_misses".into(),
-                Value::Num(self.counters.deadline_misses.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "pdp".into(),
-                Value::Obj(vec![
-                    ("evaluations".into(), Value::Num(totals.evaluations as f64)),
-                    ("allowed".into(), Value::Num(totals.allowed as f64)),
-                    ("denied".into(), Value::Num(totals.denied as f64)),
-                    ("prompts".into(), Value::Num(totals.prompts as f64)),
-                    ("swaps".into(), Value::Num(totals.swaps as f64)),
-                    ("policies".into(), Value::Num(totals.policies as f64)),
-                ]),
-            ),
-            (
-                "cache".into(),
-                Value::Obj(vec![
-                    ("memory_hits".into(), Value::Num(cache.memory_hits as f64)),
-                    ("disk_hits".into(), Value::Num(cache.disk_hits as f64)),
-                    ("misses".into(), Value::Num(cache.misses as f64)),
-                    ("evicted".into(), Value::Num(cache.evicted as f64)),
-                ]),
-            ),
+        let counters = separ_obs::global()
+            .counters()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), Value::Num(v as f64)))
+            .collect();
+        let deltas = self
+            .metrics
+            .counter_deltas()
+            .into_iter()
+            .map(|(k, v)| (k, Value::Num(v as f64)))
+            .collect();
+        let mut fields = json_fields(DAEMON_METRICS, &reading, METRICS);
+        fields.extend([
             ("rolling".into(), self.metrics.rolling_json()),
-            (
-                "counters".into(),
-                Value::Obj(
-                    counters
-                        .iter()
-                        .map(|(&k, &v)| (k.to_string(), Value::Num(v as f64)))
-                        .collect(),
-                ),
-            ),
-            ("counters_delta".into(), obj(&self.metrics.counter_deltas())),
-        ])
+            ("counters".into(), Value::Obj(counters)),
+            ("counters_delta".into(), Value::Obj(deltas)),
+        ]);
+        ok_response(fields)
     }
 
-    /// The full Prometheus text exposition: daemon gauges and counters
-    /// first (fixed order), then windowed latency quantiles, then every
-    /// process-global obs counter (sorted) — byte-stable across scrapes
-    /// of the same state.
-    fn prometheus_text(&self) -> String {
-        let mut w = PromWriter::new();
-        let gauge = |w: &mut PromWriter, name: &str, help: &str, v: f64| {
-            w.family(name, "gauge", help);
-            w.sample(name, &[], v);
-        };
-        let counter = |w: &mut PromWriter, name: &str, help: &str, v: f64| {
-            w.family(name, "counter", help);
-            w.sample(name, &[], v);
-        };
-        gauge(
-            &mut w,
-            "separ_uptime_seconds",
-            "seconds since daemon start",
-            self.metrics.uptime_ms() as f64 / 1_000.0,
-        );
-        gauge(
-            &mut w,
-            "separ_queue_depth",
-            "pending churn ops",
-            self.queue.depth() as f64,
-        );
-        gauge(
-            &mut w,
-            "separ_subscribers",
-            "connected policy-delta subscribers",
-            self.subs.count() as f64,
-        );
-        if let Some(ms) = self.metrics.last_batch_age_ms() {
-            gauge(
-                &mut w,
-                "separ_last_batch_age_seconds",
-                "seconds since the last applied batch",
-                ms as f64 / 1_000.0,
-            );
-        }
-        counter(
-            &mut w,
-            "separ_policy_delta_seq",
-            "policy-delta events published",
-            self.subs.seq() as f64,
-        );
-        counter(
-            &mut w,
-            "separ_subscribers_dropped_total",
-            "subscribers dropped for lagging",
-            self.subs.dropped() as f64,
-        );
-        counter(
-            &mut w,
-            "separ_requests_total",
-            "requests served",
-            self.counters.requests.load(Ordering::Relaxed) as f64,
-        );
-        counter(
-            &mut w,
-            "separ_requests_failed_total",
-            "requests answered with an error",
-            self.counters.failed.load(Ordering::Relaxed) as f64,
-        );
-        counter(
-            &mut w,
-            "separ_slow_requests_total",
-            "requests over the slow-log threshold",
-            self.metrics.slow_requests.get() as f64,
-        );
-        counter(
-            &mut w,
-            "separ_audit_records_total",
-            "audit records written",
-            self.metrics.audit_records.get() as f64,
-        );
-        counter(
-            &mut w,
-            "separ_batches_total",
-            "analysis batches applied",
-            self.counters.batches.load(Ordering::Relaxed) as f64,
-        );
-        counter(
-            &mut w,
-            "separ_ops_coalesced_total",
-            "churn ops folded into batches",
-            self.counters.ops_coalesced.load(Ordering::Relaxed) as f64,
-        );
-        counter(
-            &mut w,
-            "separ_deadline_misses_total",
-            "confirmation waits that expired",
-            self.counters.deadline_misses.load(Ordering::Relaxed) as f64,
-        );
-        let totals = self.pdp.totals();
-        counter(
-            &mut w,
-            "separ_pdp_evaluations_total",
-            "decisions evaluated",
-            totals.evaluations as f64,
-        );
-        counter(
-            &mut w,
-            "separ_pdp_allowed_total",
-            "decisions that allowed the operation",
-            totals.allowed as f64,
-        );
-        counter(
-            &mut w,
-            "separ_pdp_denied_total",
-            "decisions that refused the operation",
-            totals.denied as f64,
-        );
-        counter(
-            &mut w,
-            "separ_pdp_prompts_total",
-            "decisions that prompted the user",
-            totals.prompts as f64,
-        );
-        counter(
-            &mut w,
-            "separ_pdp_swaps_total",
-            "policy-set swaps published",
-            totals.swaps as f64,
-        );
-        gauge(
-            &mut w,
-            "separ_pdp_policies",
-            "policies in the live set",
-            totals.policies as f64,
-        );
-        let cache = self.cache.stats();
-        counter(
-            &mut w,
-            "separ_cache_memory_hits_total",
-            "extraction-cache memory hits",
-            cache.memory_hits as f64,
-        );
-        counter(
-            &mut w,
-            "separ_cache_disk_hits_total",
-            "extraction-cache disk hits",
-            cache.disk_hits as f64,
-        );
-        counter(
-            &mut w,
-            "separ_cache_misses_total",
-            "extraction-cache misses",
-            cache.misses as f64,
-        );
-        counter(
-            &mut w,
-            "separ_cache_evicted_total",
-            "extraction-cache evictions",
-            cache.evicted as f64,
-        );
-        self.metrics.rolling_prometheus(&mut w);
-        obs_counters_prometheus(&mut w);
-        w.finish()
-    }
-
-    /// The `health` response: liveness (worker thread running),
-    /// readiness (accepting requests) and staleness (last-batch age).
-    fn health(&self) -> String {
-        let live = self
-            .worker
+    /// Whether the analysis worker is running.
+    fn worker_live(&self) -> bool {
+        self.worker
             .lock()
             .expect("worker lock")
             .as_ref()
-            .map(|h| !h.is_finished())
-            .unwrap_or(false);
-        ok_response(vec![
-            ("ready".into(), Value::Bool(live)),
-            ("live".into(), Value::Bool(live)),
-            (
-                "uptime_ms".into(),
-                Value::Num(self.metrics.uptime_ms() as f64),
-            ),
-            ("queue_depth".into(), Value::Num(self.queue.depth() as f64)),
-            (
-                "last_batch_age_ms".into(),
-                match self.metrics.last_batch_age_ms() {
-                    Some(ms) => Value::Num(ms as f64),
-                    None => Value::Null,
-                },
-            ),
-            ("seq".into(), Value::Num(self.subs.seq() as f64)),
-        ])
+            .is_some_and(|h| !h.is_finished())
     }
 
     /// Registers a policy-delta subscriber: it receives one event line
@@ -845,12 +559,6 @@ impl Daemon {
             ("subscribed".into(), Value::Bool(true)),
             ("seq".into(), Value::Num(self.subs.seq() as f64)),
         ])
-    }
-
-    /// The daemon's live metrics registry (bench harnesses read the
-    /// uptime epoch and record ancillary samples through this).
-    pub fn live_metrics(&self) -> &ServeMetrics {
-        &self.metrics
     }
 
     fn shutdown(&self) -> String {
@@ -895,6 +603,227 @@ impl Drop for Daemon {
     }
 }
 
+/// One reading of the daemon that its views render from: the PDP's and
+/// the cache's counters are read once, so the numbers in one response
+/// agree with each other.
+pub(crate) struct Reading<'a> {
+    daemon: &'a Daemon,
+    decisions: PdpTotals,
+    cache: CacheStats,
+}
+
+fn num(n: impl Into<u64>) -> Value {
+    Value::Num(n.into() as f64)
+}
+
+/// Every metric the daemon reports, each declared once: JSON key, the
+/// views that carry it, Prometheus family, and reader. List order is
+/// the Prometheus exposition order and the JSON field order.
+static DAEMON_METRICS: &[Metric] = &[
+    Metric {
+        key: "ready",
+        views: HEALTH,
+        prom: JsonOnly,
+        read: |r| Value::Bool(r.daemon.worker_live()),
+    },
+    Metric {
+        key: "live",
+        views: HEALTH,
+        prom: JsonOnly,
+        read: |r| Value::Bool(r.daemon.worker_live()),
+    },
+    Metric {
+        key: "uptime_ms",
+        views: STATS | METRICS | HEALTH,
+        prom: Gauge("separ_uptime_seconds", "seconds since daemon start"),
+        read: |r| num(r.daemon.metrics.uptime_ms()),
+    },
+    Metric {
+        key: "queue_depth",
+        views: STATS | METRICS | HEALTH,
+        prom: Gauge("separ_queue_depth", "pending churn ops"),
+        read: |r| num(r.daemon.queue.depth() as u64),
+    },
+    Metric {
+        key: "subscribers",
+        views: METRICS,
+        prom: Gauge("separ_subscribers", "connected policy-delta subscribers"),
+        read: |r| num(r.daemon.subs.count() as u64),
+    },
+    Metric {
+        key: "last_batch_age_ms",
+        views: METRICS | HEALTH,
+        prom: Gauge(
+            "separ_last_batch_age_seconds",
+            "seconds since the last applied batch",
+        ),
+        read: |r| {
+            r.daemon
+                .metrics
+                .last_batch_age_ms()
+                .map_or(Value::Null, num)
+        },
+    },
+    Metric {
+        key: "seq",
+        views: METRICS | HEALTH,
+        prom: Counter("separ_policy_delta_seq", "policy-delta events published"),
+        read: |r| num(r.daemon.subs.seq()),
+    },
+    Metric {
+        key: "subscribers_dropped",
+        views: METRICS,
+        prom: Counter(
+            "separ_subscribers_dropped_total",
+            "subscribers dropped for lagging",
+        ),
+        read: |r| num(r.daemon.subs.dropped()),
+    },
+    Metric {
+        key: "requests",
+        views: STATS | METRICS,
+        prom: Counter("separ_requests_total", "requests served"),
+        read: |r| num(r.daemon.metrics.requests.load(Ordering::Relaxed)),
+    },
+    Metric {
+        key: "failed",
+        views: STATS | METRICS,
+        prom: Counter(
+            "separ_requests_failed_total",
+            "requests answered with an error",
+        ),
+        read: |r| num(r.daemon.metrics.failed.load(Ordering::Relaxed)),
+    },
+    Metric {
+        key: "slow_requests",
+        views: METRICS,
+        prom: Counter(
+            "separ_slow_requests_total",
+            "requests over the slow-log threshold",
+        ),
+        read: |r| num(r.daemon.metrics.slow_requests.load(Ordering::Relaxed)),
+    },
+    Metric {
+        key: "audit_records",
+        views: METRICS,
+        prom: Counter("separ_audit_records_total", "audit records written"),
+        read: |r| num(r.daemon.metrics.audit_records.load(Ordering::Relaxed)),
+    },
+    Metric {
+        key: "batches",
+        views: STATS | METRICS,
+        prom: Counter("separ_batches_total", "analysis batches applied"),
+        read: |r| num(r.daemon.metrics.batches.load(Ordering::Relaxed)),
+    },
+    Metric {
+        key: "ops_coalesced",
+        views: STATS | METRICS,
+        prom: Counter("separ_ops_coalesced_total", "churn ops folded into batches"),
+        read: |r| num(r.daemon.metrics.ops_coalesced.load(Ordering::Relaxed)),
+    },
+    Metric {
+        key: "coalescing_factor",
+        views: STATS | METRICS,
+        prom: JsonOnly,
+        read: |r| {
+            let batches = r.daemon.metrics.batches.load(Ordering::Relaxed);
+            let ops = r.daemon.metrics.ops_coalesced.load(Ordering::Relaxed);
+            Value::Num(if batches == 0 {
+                1.0
+            } else {
+                ops as f64 / batches as f64
+            })
+        },
+    },
+    Metric {
+        key: "deadline_misses",
+        views: STATS | METRICS,
+        prom: Counter(
+            "separ_deadline_misses_total",
+            "confirmation waits that expired",
+        ),
+        read: |r| num(r.daemon.metrics.deadline_misses.load(Ordering::Relaxed)),
+    },
+    Metric {
+        key: "pdp/evaluations",
+        views: METRICS,
+        prom: Counter("separ_pdp_evaluations_total", "decisions evaluated"),
+        read: |r| num(r.decisions.evaluations),
+    },
+    Metric {
+        key: "pdp/allowed",
+        views: METRICS,
+        prom: Counter(
+            "separ_pdp_allowed_total",
+            "decisions that allowed the operation",
+        ),
+        read: |r| num(r.decisions.allowed),
+    },
+    Metric {
+        key: "pdp/denied",
+        views: METRICS,
+        prom: Counter(
+            "separ_pdp_denied_total",
+            "decisions that refused the operation",
+        ),
+        read: |r| num(r.decisions.denied),
+    },
+    Metric {
+        key: "pdp/prompts",
+        views: METRICS,
+        prom: Counter(
+            "separ_pdp_prompts_total",
+            "decisions that prompted the user",
+        ),
+        read: |r| num(r.decisions.prompts),
+    },
+    Metric {
+        key: "pdp/swaps",
+        views: METRICS,
+        prom: Counter("separ_pdp_swaps_total", "policy-set swaps published"),
+        read: |r| num(r.decisions.swaps),
+    },
+    Metric {
+        key: "pdp/policies",
+        views: METRICS,
+        prom: Gauge("separ_pdp_policies", "policies in the live set"),
+        read: |r| num(r.decisions.policies as u64),
+    },
+    Metric {
+        key: "cache/memory_hits",
+        views: STATS | METRICS,
+        prom: Counter(
+            "separ_cache_memory_hits_total",
+            "extraction-cache memory hits",
+        ),
+        read: |r| num(r.cache.memory_hits),
+    },
+    Metric {
+        key: "cache/disk_hits",
+        views: STATS | METRICS,
+        prom: Counter("separ_cache_disk_hits_total", "extraction-cache disk hits"),
+        read: |r| num(r.cache.disk_hits),
+    },
+    Metric {
+        key: "cache/misses",
+        views: STATS | METRICS,
+        prom: Counter("separ_cache_misses_total", "extraction-cache misses"),
+        read: |r| num(r.cache.misses),
+    },
+    Metric {
+        key: "cache/corrupt",
+        views: STATS | METRICS,
+        prom: JsonOnly,
+        read: |r| num(r.cache.corrupt),
+    },
+    Metric {
+        key: "cache/evicted",
+        views: STATS | METRICS,
+        prom: Counter("separ_cache_evicted_total", "extraction-cache evictions"),
+        read: |r| num(r.cache.evicted),
+    },
+];
+
 fn packages_of(session: &IncrementalSession) -> Vec<String> {
     session.apps().iter().map(|a| a.package.clone()).collect()
 }
@@ -915,24 +844,20 @@ fn worker_loop(
     queue: Arc<ChurnQueue>,
     pdp: SharedPdp,
     published: Arc<Mutex<Published>>,
-    counters: Arc<Counters>,
     metrics: Arc<ServeMetrics>,
     subs: Arc<Subscriptions>,
     batch_max: usize,
 ) {
     while let Some(batch) = queue.take_batch(batch_max) {
-        let _span = separ_obs::span("serve.batch");
+        let _span = separ_obs::span("serve.apply_batch");
         let started = Instant::now();
         let ops: Vec<SessionOp> = batch.iter().map(|(op, _)| op.clone()).collect();
         let outcome = match session.apply_batch(ops) {
             Ok(delta) => {
-                counters.batches.fetch_add(1, Ordering::Relaxed);
-                counters
+                metrics.batches.fetch_add(1, Ordering::Relaxed);
+                metrics
                     .ops_coalesced
                     .fetch_add(delta.ops_coalesced as u64, Ordering::Relaxed);
-                separ_obs::counter_add("serve.batches", 1);
-                separ_obs::counter_add("serve.ops", delta.ops_coalesced as u64);
-                separ_obs::observe_ns("serve.batch", started.elapsed().as_nanos() as u64);
                 let summary = BatchSummary {
                     ops: delta.ops_coalesced,
                     added: delta.added.len(),

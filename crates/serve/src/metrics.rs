@@ -1,20 +1,25 @@
-//! Live service metrics behind the `metrics` request: per-request-type
-//! rolling latency windows, gauges, and per-scrape counter deltas.
+//! Live service metrics behind the `stats`, `metrics` and `health`
+//! requests: the daemon's counters, per-request-type rolling latency
+//! windows, per-scrape counter deltas, and the metric registry every
+//! view renders from.
 //!
 //! Everything here is designed to sit *beside* the hot paths, not in
 //! them: recording a request latency touches one slice mutex of a
 //! [`RollingHistogram`] (tens of nanoseconds against a decide round
 //! trip measured in hundreds of microseconds — `serve_load` measures
-//! and asserts the ratio), and gauges are single relaxed atomics. The
+//! and asserts the ratio), and counters are single relaxed atomics. The
 //! expensive work — merging windows, walking counters, rendering JSON
 //! or Prometheus text — happens only when someone actually scrapes.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use separ_obs::json::Value;
 use separ_obs::prometheus::{sanitize, PromWriter};
-use separ_obs::{CounterDeltas, Gauge, HistogramSnapshot, RollingHistogram};
+use separ_obs::{CounterDeltas, HistogramSnapshot, RollingHistogram};
+
+use crate::daemon::Reading;
 
 /// Every request kind the daemon tracks a rolling latency window for.
 /// `batch` is recorded by the analysis worker (one sample per coalesced
@@ -38,19 +43,29 @@ pub fn kind_slot(kind: &str) -> Option<usize> {
     REQUEST_KINDS.iter().position(|&k| k == kind)
 }
 
-/// The daemon's live metrics registry.
+/// The daemon's live metrics: the only owner of the counts it serves.
 ///
 /// One instance per [`Daemon`](crate::Daemon); shared with the analysis
 /// worker. All recording methods are `&self` and thread-safe.
 pub struct ServeMetrics {
     started: Instant,
     rolling: Vec<RollingHistogram>,
-    /// Requests slower than the configured `--slow-ms` (cumulative).
-    pub slow_requests: Gauge,
-    /// Audit records written (cumulative); 0 when auditing is off.
-    pub audit_records: Gauge,
+    /// Requests handled.
+    pub(crate) requests: AtomicU64,
+    /// Requests answered with an error.
+    pub(crate) failed: AtomicU64,
+    /// Requests slower than the configured `--slow-ms`.
+    pub(crate) slow_requests: AtomicU64,
+    /// Audit records written; 0 when auditing is off.
+    pub(crate) audit_records: AtomicU64,
+    /// Analysis batches applied.
+    pub(crate) batches: AtomicU64,
+    /// Churn ops folded into those batches.
+    pub(crate) ops_coalesced: AtomicU64,
+    /// Churn confirmation waits that expired.
+    pub(crate) deadline_misses: AtomicU64,
     /// Nanoseconds-from-start of the last applied batch; 0 = never.
-    last_batch_ns: Gauge,
+    last_batch_ns: AtomicU64,
     deltas: Mutex<CounterDeltas>,
 }
 
@@ -63,9 +78,14 @@ impl ServeMetrics {
                 .iter()
                 .map(|_| RollingHistogram::standard())
                 .collect(),
-            slow_requests: Gauge::new(),
-            audit_records: Gauge::new(),
-            last_batch_ns: Gauge::new(),
+            requests: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
+            slow_requests: AtomicU64::new(0),
+            audit_records: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            ops_coalesced: AtomicU64::new(0),
+            deadline_misses: AtomicU64::new(0),
+            last_batch_ns: AtomicU64::new(0),
             deltas: Mutex::new(CounterDeltas::new()),
         }
     }
@@ -86,19 +106,19 @@ impl ServeMetrics {
 
     /// Marks a batch as applied now (drives `last_batch_age_ms`).
     pub fn mark_batch(&self) {
-        self.last_batch_ns
-            .set(self.started.elapsed().as_nanos() as i64);
+        let now = self.started.elapsed().as_nanos() as u64;
+        self.last_batch_ns.store(now.max(1), Ordering::Relaxed);
     }
 
     /// Milliseconds since the last applied batch; `None` before the
     /// first one.
     pub fn last_batch_age_ms(&self) -> Option<u64> {
-        let at = self.last_batch_ns.get();
-        if at <= 0 {
+        let at = self.last_batch_ns.load(Ordering::Relaxed);
+        if at == 0 {
             return None;
         }
-        let now = self.started.elapsed().as_nanos() as i64;
-        Some((now.saturating_sub(at) / 1_000_000).max(0) as u64)
+        let now = self.started.elapsed().as_nanos() as u64;
+        Some(now.saturating_sub(at) / 1_000_000)
     }
 
     /// The rolling windows of every request kind with traffic, as the
@@ -182,6 +202,85 @@ fn window_json(w: &HistogramSnapshot) -> Value {
         ("max_us".into(), us(w.max())),
         ("mean_us".into(), us(w.mean())),
     ])
+}
+
+/// The [`Metric::views`] bit for the `stats` response.
+pub(crate) const STATS: u8 = 1;
+/// The [`Metric::views`] bit for the `metrics` response (and its
+/// Prometheus exposition).
+pub(crate) const METRICS: u8 = 2;
+/// The [`Metric::views`] bit for the `health` response.
+pub(crate) const HEALTH: u8 = 4;
+
+/// How a [`Metric`] is exported to Prometheus: as a counter or a gauge
+/// family, each with its name and HELP text, or not at all.
+pub(crate) enum Prom {
+    Counter(&'static str, &'static str),
+    Gauge(&'static str, &'static str),
+    JsonOnly,
+}
+
+/// One daemon metric, declared once: where it appears, what it is
+/// called there, and how to read it.
+pub(crate) struct Metric {
+    /// The JSON key; `section/key` nests it in the `section` object.
+    pub key: &'static str,
+    /// The views that report it: [`STATS`] | [`METRICS`] | [`HEALTH`].
+    pub views: u8,
+    /// Its Prometheus family.
+    pub prom: Prom,
+    /// Its current value: a number, a flag, or `null` for "not yet"
+    /// (which exports no family).
+    pub read: fn(&Reading<'_>) -> Value,
+}
+
+/// The metrics in `view`, in list order, as JSON fields; a `section/key`
+/// joins the `section` object opened by the section's first metric.
+pub(crate) fn json_fields(
+    list: &[Metric],
+    reading: &Reading<'_>,
+    view: u8,
+) -> Vec<(String, Value)> {
+    let mut fields: Vec<(String, Value)> = Vec::new();
+    for metric in list.iter().filter(|m| m.views & view != 0) {
+        let value = (metric.read)(reading);
+        let Some((section, key)) = metric.key.split_once('/') else {
+            fields.push((metric.key.to_string(), value));
+            continue;
+        };
+        match fields.iter_mut().find(|(k, _)| k == section) {
+            Some((_, Value::Obj(members))) => members.push((key.to_string(), value)),
+            _ => fields.push((
+                section.to_string(),
+                Value::Obj(vec![(key.to_string(), value)]),
+            )),
+        }
+    }
+    fields
+}
+
+/// Appends one single-sample family per exported metric, in list order;
+/// a metric reading `null` is left out. A value the JSON keeps in
+/// milliseconds (a `_ms` key) is exported in seconds, Prometheus's base
+/// unit.
+pub(crate) fn prometheus_families(list: &[Metric], reading: &Reading<'_>, w: &mut PromWriter) {
+    for metric in list {
+        let (name, kind, help) = match metric.prom {
+            Prom::Counter(name, help) => (name, "counter", help),
+            Prom::Gauge(name, help) => (name, "gauge", help),
+            Prom::JsonOnly => continue,
+        };
+        let Value::Num(v) = (metric.read)(reading) else {
+            continue;
+        };
+        let scale = if metric.key.ends_with("_ms") {
+            1e3
+        } else {
+            1.0
+        };
+        w.family(name, kind, help);
+        w.sample(name, &[], v / scale);
+    }
 }
 
 /// Renders the obs-counter section of the Prometheus exposition: every

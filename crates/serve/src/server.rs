@@ -9,7 +9,7 @@
 //! has been served and drains; in-flight connections finish their
 //! current request.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -18,6 +18,15 @@ use std::sync::Arc;
 
 use crate::daemon::{Daemon, ServeError};
 use crate::protocol::Request;
+
+/// The longest request line a connection may send, newline excluded:
+/// 16 MiB. An `install` carries its package hex-encoded, two characters
+/// per byte, and the largest package the corpus produces (tables I–II,
+/// the case studies, and 4,000-app markets) encodes to about 80 KB, a
+/// line of about 160 KB. A longer line is answered with an error and
+/// its connection closed, so a client that never sends a newline cannot
+/// grow the server's buffer without bound.
+pub(crate) const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// Where the server listens.
 #[derive(Debug, Clone)]
@@ -108,8 +117,22 @@ fn connection_loop(stream: Box<dyn Connection>, daemon: &Daemon) -> bool {
         return false;
     };
     let mut writer = stream;
-    for line in BufReader::new(reader).lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(reader);
+    loop {
+        let line = match read_line(&mut reader, MAX_LINE_BYTES) {
+            Ok(Line::Text(line)) => line,
+            Ok(Line::TooLong) => {
+                let reply = daemon.refuse(format!(
+                    "request line longer than {MAX_LINE_BYTES} bytes; closing the connection"
+                ));
+                let _ = writer
+                    .write_all(reply.as_bytes())
+                    .and_then(|()| writer.write_all(b"\n"))
+                    .and_then(|()| writer.flush());
+                break;
+            }
+            Ok(Line::End) | Err(_) => break,
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -133,6 +156,41 @@ fn connection_loop(stream: Box<dyn Connection>, daemon: &Daemon) -> bool {
         }
     }
     false
+}
+
+/// One read from a connection.
+#[derive(Debug, PartialEq, Eq)]
+enum Line {
+    /// A line, with its newline if it had one.
+    Text(String),
+    /// More than the cap arrived without a newline.
+    TooLong,
+    /// The client closed the connection.
+    End,
+}
+
+/// Reads one line of at most `cap` bytes (newline excluded), buffering
+/// no more than `cap + 1` bytes whatever the client sends. A final line
+/// without a newline still counts, as in [`BufRead::lines`].
+///
+/// # Errors
+///
+/// Fails on a read error or a line that is not UTF-8.
+fn read_line(reader: &mut impl BufRead, cap: usize) -> std::io::Result<Line> {
+    let mut buf = Vec::new();
+    reader
+        .by_ref()
+        .take(cap as u64 + 1)
+        .read_until(b'\n', &mut buf)?;
+    if buf.is_empty() {
+        return Ok(Line::End);
+    }
+    if buf.len() > cap && buf.last() != Some(&b'\n') {
+        return Ok(Line::TooLong);
+    }
+    String::from_utf8(buf)
+        .map(Line::Text)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// Pushes the subscription acknowledgement and then one event line per
@@ -188,5 +246,61 @@ impl Connection for UnixStream {
 impl Connection for TcpStream {
     fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>> {
         Ok(Box::new(self.try_clone()?))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lines(input: &[u8], cap: usize) -> Vec<Line> {
+        let mut reader = BufReader::with_capacity(4, input);
+        let mut out = Vec::new();
+        loop {
+            match read_line(&mut reader, cap).expect("in-memory read") {
+                Line::End => return out,
+                Line::TooLong => {
+                    out.push(Line::TooLong);
+                    return out;
+                }
+                line => out.push(line),
+            }
+        }
+    }
+
+    fn text(s: &str) -> Line {
+        Line::Text(s.to_string())
+    }
+
+    #[test]
+    fn lines_up_to_the_cap_are_read_and_longer_ones_refused() {
+        assert_eq!(
+            lines(b"abc\r\n12345678\n\nlast", 8),
+            vec![
+                text("abc\r\n"),
+                text("12345678\n"),
+                text("\n"),
+                text("last")
+            ]
+        );
+        assert_eq!(
+            lines(b"ok\n123456789\nnever", 8),
+            vec![text("ok\n"), Line::TooLong]
+        );
+        // No newline at all: refused after cap + 1 bytes, however much
+        // more the client has sent.
+        let endless = vec![b'a'; 1 << 16];
+        assert_eq!(lines(&endless, 8), vec![Line::TooLong]);
+        let mut reader = BufReader::new(&endless[..]);
+        assert_eq!(read_line(&mut reader, 8).expect("read"), Line::TooLong);
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("rest");
+        assert_eq!(rest.len(), endless.len() - 9, "read stops at cap + 1");
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_an_error() {
+        let mut reader = BufReader::new(&b"\xff\xfe\n"[..]);
+        assert!(read_line(&mut reader, 8).is_err());
     }
 }

@@ -560,7 +560,8 @@ fn cmd_enforce(args: &[String]) -> CliResult {
     let (pkg, class) =
         launch.ok_or_else(|| usage("enforce: --launch <pkg> <Class> is required"))?;
     // PDP decision latencies land in a histogram on the global
-    // collector; --stats prints it after the run.
+    // collector; --stats prints it after the run, next to the hook, PDP
+    // and audit counters.
     separ::obs::global().enable();
     let apks: Vec<_> = files
         .iter()
@@ -586,10 +587,15 @@ fn cmd_enforce(args: &[String]) -> CliResult {
     for e in device.audit.events() {
         println!("  {e:?}");
     }
+    // Read before the throughput probe, whose decisions the PDP also
+    // counts.
+    let (hooks, decisions) = (device.hook_stats(), device.pdp().shared().totals());
     if let Some(n) = threads {
         probe_pdp_throughput(&device, n);
     }
     if print_stats {
+        let recorded = device.audit.recorded();
+        println!("\n{hooks:?}\n{decisions:?}\naudit: {recorded} recorded, {dropped} dropped");
         println!("\nobservability summary:");
         print!("{}", separ::obs::global().snapshot().text_summary());
     }

@@ -397,9 +397,6 @@ fn policy_fingerprint(policies: &[separ::core::Policy]) -> Vec<String> {
 
 #[test]
 fn mutating_one_app_reextracts_only_that_app() {
-    separ::obs::global().enable();
-    let counters_before = separ::obs::global().snapshot().counters().clone();
-
     let market = generate(&MarketSpec::scaled(8, 21));
     let mut packages: Vec<Vec<u8>> = market
         .iter()
@@ -433,15 +430,6 @@ fn mutating_one_app_reextracts_only_that_app() {
     let stats = model_cache.stats();
     assert_eq!(stats.memory_hits as usize, packages.len() - 1);
     assert_eq!(stats.misses as usize, packages.len() + 1);
-
-    // The same counters are observable through separ-obs (deltas are
-    // `>=` because the collector is process-global and tests share it).
-    let counters = separ::obs::global().snapshot().counters().clone();
-    let delta = |name: &str| {
-        counters.get(name).copied().unwrap_or(0) - counters_before.get(name).copied().unwrap_or(0)
-    };
-    assert!(delta("ame.cache.hit") >= (packages.len() - 1) as u64);
-    assert!(delta("ame.cache.miss") >= (packages.len() + 1) as u64);
 }
 
 #[test]
