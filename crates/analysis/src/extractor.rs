@@ -49,8 +49,6 @@ pub fn extract_apk_with(apk: &Apk, options: crate::absint::AnalysisOptions) -> A
     let index = crate::index::ApkIndex::new(analyzed);
     let mut components = Vec::with_capacity(analyzed.manifest.components.len());
     let mut instructions = 0u64;
-    let mut summary_hits = 0u64;
-    let mut summary_misses = 0u64;
     let mut dynamic_filters: Vec<(String, String)> = Vec::new();
     for decl in &analyzed.manifest.components {
         let facts = {
@@ -63,8 +61,6 @@ pub fn extract_apk_with(apk: &Apk, options: crate::absint::AnalysisOptions) -> A
             facts
         };
         instructions += facts.instructions_visited;
-        summary_hits += facts.summary_hits;
-        summary_misses += facts.summary_misses;
         dynamic_filters.extend(facts.dynamic_filters.iter().cloned());
         let sent_intents = flatten_intents(&facts.intents);
         components.push(ComponentModel {
@@ -101,8 +97,6 @@ pub fn extract_apk_with(apk: &Apk, options: crate::absint::AnalysisOptions) -> A
     // Intra-app passive-intent resolution (Algorithm 1); the bundle-level
     // pass in the ASE re-runs it across apps.
     crate::model::update_passive_intent_targets(std::slice::from_mut(&mut model));
-    separ_obs::counter_add("ame.summary.hit", summary_hits);
-    separ_obs::counter_add("ame.summary.miss", summary_misses);
     model.stats = ExtractionStats {
         duration: start.elapsed(),
         app_size: apk.size_metric(),

@@ -1,7 +1,7 @@
 //! Microbenchmarks of the separ-obs probes.
 //!
 //! The headline number is the **disabled** path: probes stay compiled
-//! into release binaries, so a disabled span/event/counter call must be
+//! into release binaries, so a disabled span/event/timer call must be
 //! a single atomic load and nothing else. The enabled numbers bound
 //! what `--trace` costs when it is on.
 
@@ -19,9 +19,6 @@ fn bench_disabled(c: &mut Criterion) {
     group.bench_function("event", |b| {
         b.iter(|| collector.event("bench.noop", black_box(Vec::new())));
     });
-    group.bench_function("counter_add", |b| {
-        b.iter(|| collector.counter_add("bench.noop", black_box(1)));
-    });
     group.bench_function("timer_observe", |b| {
         b.iter(|| collector.observe("bench.noop", black_box(collector.timer())));
     });
@@ -33,10 +30,6 @@ fn bench_enabled(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_enabled");
     group.bench_function("span_open_close", |b| {
         b.iter(|| black_box(collector.span("bench.span")));
-        collector.reset();
-    });
-    group.bench_function("counter_add", |b| {
-        b.iter(|| collector.counter_add("bench.counter", black_box(1)));
         collector.reset();
     });
     group.bench_function("timer_observe", |b| {

@@ -724,12 +724,6 @@ pub(crate) fn synthesize_all(
                 }
             },
         );
-        if separ_obs::enabled() {
-            let kept: usize = plans.iter().map(|&(_, k, _)| k).sum();
-            let dropped: usize = plans.iter().map(|&(_, _, d)| d).sum();
-            separ_obs::counter_add("slice.kept", kept as u64);
-            separ_obs::counter_add("slice.dropped", dropped as u64);
-        }
         drop(slice_span);
     } else {
         plans.resize(selected.len(), (SlicePlan::Full, apps.len(), 0));

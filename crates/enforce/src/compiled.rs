@@ -30,9 +30,10 @@
 //! single relaxed-ordering load on the sustained path. Readers always
 //! hold a strong reference to the set they are reading, so reclamation
 //! of retired sets is plain `Arc` refcounting: no grace periods, no
-//! hazard pointers, no reader-side locks. Evaluation and prompt counts
-//! live in cache-line-padded relaxed atomics, striped per reader, so
-//! sixteen concurrent runtimes never contend on a counter line.
+//! hazard pointers, no reader-side locks. Evaluation, receiver-index
+//! hit and prompt counts live in cache-line-padded relaxed atomics,
+//! striped per reader, so sixteen concurrent runtimes never contend on
+//! a counter line; [`SharedPdp::totals`] sums them.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -377,21 +378,21 @@ impl CompiledPolicySet {
     /// `None` when no policy matches (allow). Pure: prompting and
     /// counters are the caller's business.
     pub fn decide(&self, event: PolicyEvent, ctx: &IccContext) -> Option<usize> {
+        self.decide_indexed(event, ctx).0
+    }
+
+    /// [`CompiledPolicySet::decide`], plus whether the receiver index
+    /// had a bucket for `ctx` (`false` means only the fallback list was
+    /// scanned).
+    fn decide_indexed(&self, event: PolicyEvent, ctx: &IccContext) -> (Option<usize>, bool) {
         let low = self.lower(ctx);
         let index = match event {
             PolicyEvent::IccSend => &self.send,
             PolicyEvent::IccReceive => &self.receive,
         };
-        let bucket: &[u32] = match low.receiver.and_then(|r| index.by_receiver.get(&r)) {
-            Some(b) => {
-                separ_obs::counter_add("pdp.index.hit", 1);
-                b
-            }
-            None => {
-                separ_obs::counter_add("pdp.index.fallback_scan", 1);
-                &[]
-            }
-        };
+        let bucket = low.receiver.and_then(|r| index.by_receiver.get(&r));
+        let indexed = bucket.is_some();
+        let bucket: &[u32] = bucket.map_or(&[], Vec::as_slice);
         let fallback: &[u32] = &index.fallback;
         // Merge the two priority-ascending candidate lists; the first
         // candidate whose residual conditions hold decides.
@@ -415,10 +416,10 @@ impl CompiledPolicySet {
                     fi += 1;
                     f
                 }
-                (None, None) => return None,
+                (None, None) => return (None, indexed),
             } as usize;
             if self.matchers[next].matches(&low) {
-                return Some(next);
+                return (Some(next), indexed);
             }
         }
     }
@@ -470,6 +471,7 @@ struct SharedInner {
     /// stale reader — never on the sustained decision path.
     slot: Mutex<Arc<CompiledPolicySet>>,
     evaluations: Stripes,
+    index_hits: Stripes,
     prompts: Stripes,
     denied: Stripes,
     readers: AtomicUsize,
@@ -494,6 +496,7 @@ impl SharedPdp {
                 version: AtomicU64::new(1),
                 slot: Mutex::new(Arc::new(set)),
                 evaluations: Stripes::new(),
+                index_hits: Stripes::new(),
                 prompts: Stripes::new(),
                 denied: Stripes::new(),
                 readers: AtomicUsize::new(0),
@@ -562,6 +565,7 @@ impl SharedPdp {
         let denied = self.inner.denied.sum();
         PdpTotals {
             evaluations,
+            index_hits: self.inner.index_hits.sum(),
             allowed: evaluations.saturating_sub(denied),
             denied,
             prompts: self.inner.prompts.sum(),
@@ -577,6 +581,10 @@ impl SharedPdp {
 pub struct PdpTotals {
     /// Decisions evaluated across all readers since construction.
     pub evaluations: u64,
+    /// Evaluations whose receiver had a bucket in the receiver index;
+    /// the other `evaluations - index_hits` scanned only the fallback
+    /// list.
+    pub index_hits: u64,
     /// Evaluations whose outcome let the event proceed (including
     /// prompt-consented ones).
     pub allowed: u64,
@@ -631,7 +639,11 @@ impl PdpReader {
     ) -> Decision {
         self.refresh();
         self.inner.evaluations.add(self.stripe, 1);
-        let Some(i) = self.set.decide(event, ctx) else {
+        let (decided, indexed) = self.set.decide_indexed(event, ctx);
+        if indexed {
+            self.inner.index_hits.add(self.stripe, 1);
+        }
+        let Some(i) = decided else {
             return Decision::Allow;
         };
         let p = &self.set.policies()[i];
@@ -829,5 +841,34 @@ mod tests {
         assert!(matches!(d, Decision::Deny { policy_id: 0, .. }));
         assert_eq!(shared.evaluations(), 2);
         assert_eq!(shared.prompts(), 0);
+    }
+
+    #[test]
+    fn index_hits_count_evaluations_answered_from_a_receiver_bucket() {
+        let shared = SharedPdp::new(CompiledPolicySet::compile(
+            vec![policy(
+                0,
+                PolicyEvent::IccReceive,
+                vec![Condition::ReceiverIs("LR;".into())],
+                PolicyAction::Deny,
+            )],
+            vec![],
+        ));
+        let mut reader = shared.reader();
+        let mut prompt = PromptHandler::AlwaysDeny;
+        let mut evaluate = |ctx: &IccContext| {
+            let before = shared.totals();
+            reader.evaluate(PolicyEvent::IccReceive, ctx, &mut prompt);
+            let after = shared.totals();
+            assert_eq!(after.evaluations, before.evaluations + 1);
+            after.index_hits - before.index_hits
+        };
+        assert_eq!(evaluate(&recv_ctx("LR;")), 1, "LR; has a bucket");
+        let mut receiverless = recv_ctx("LR;");
+        receiverless.receiver_component = None;
+        assert_eq!(evaluate(&receiverless), 0, "no receiver, no bucket");
+        assert_eq!(evaluate(&recv_ctx("LOther;")), 0, "LOther; has none");
+        let totals = shared.totals();
+        assert_eq!((totals.evaluations, totals.index_hits), (3, 1));
     }
 }

@@ -1,4 +1,4 @@
-//! The thread-safe span/event/metric collector.
+//! The thread-safe span/event/histogram collector.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -68,7 +68,6 @@ pub struct EventRecord {
 struct Inner {
     spans: Vec<SpanRecord>,
     events: Vec<EventRecord>,
-    counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
@@ -92,8 +91,7 @@ fn thread_id() -> u64 {
     })
 }
 
-/// A thread-safe collector of spans, events, counters and latency
-/// histograms.
+/// A thread-safe collector of spans, events and latency histograms.
 ///
 /// All instrumentation entry points first load one atomic `enabled`
 /// flag; while disabled they return without reading the clock, taking
@@ -238,14 +236,6 @@ impl Collector {
         self.inner.lock().unwrap().events.push(rec);
     }
 
-    /// Adds `n` to the named monotonic counter (no-op while disabled).
-    pub fn counter_add(&self, name: &'static str, n: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        *self.inner.lock().unwrap().counters.entry(name).or_insert(0) += n;
-    }
-
     /// Starts a latency timer. Returns an inert timer (no clock read)
     /// while disabled.
     pub fn timer(&self) -> ObsTimer {
@@ -353,32 +343,18 @@ impl Collector {
         }
     }
 
-    /// A cheap owned copy of just the monotonic counters — no span or
-    /// event clone, so live-metrics endpoints can poll it on every
-    /// scrape. Pair with [`crate::live::CounterDeltas`] for per-scrape
-    /// deltas.
-    pub fn counters(&self) -> BTreeMap<&'static str, u64> {
-        self.inner.lock().unwrap().counters.clone()
-    }
-
-    /// A cheap owned copy of just the latency histograms.
-    pub fn histograms(&self) -> BTreeMap<&'static str, Histogram> {
-        self.inner.lock().unwrap().histograms.clone()
-    }
-
     /// An owned snapshot of everything recorded so far.
     pub fn snapshot(&self) -> Trace {
         let inner = self.inner.lock().unwrap();
         Trace::build(
             inner.spans.clone(),
             inner.events.clone(),
-            inner.counters.clone(),
             inner.histograms.clone(),
         )
     }
 
     /// A snapshot restricted to the subtree rooted at `root`
-    /// (inclusive), with metrics included whole. Use this in tests that
+    /// (inclusive), with histograms included whole. Use this in tests that
     /// share the process-global collector: spans recorded by other
     /// concurrently-running tests fall outside the subtree and are
     /// excluded.
@@ -393,15 +369,10 @@ impl Collector {
             .filter(|e| keep.contains(&e.span))
             .cloned()
             .collect();
-        Trace::build(
-            spans,
-            events,
-            inner.counters.clone(),
-            inner.histograms.clone(),
-        )
+        Trace::build(spans, events, inner.histograms.clone())
     }
 
-    /// Clears all recorded spans, events, counters and histograms
+    /// Clears all recorded spans, events and histograms
     /// (enabled state is unchanged).
     pub fn reset(&self) {
         let mut inner = self.inner.lock().unwrap();

@@ -24,7 +24,6 @@ use crate::metrics::Histogram;
 pub struct Trace {
     spans: Vec<SpanRecord>,
     events: Vec<EventRecord>,
-    counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
@@ -55,7 +54,6 @@ impl Trace {
     pub(crate) fn build(
         spans: Vec<SpanRecord>,
         events: Vec<EventRecord>,
-        counters: BTreeMap<&'static str, u64>,
         histograms: BTreeMap<&'static str, Histogram>,
     ) -> Trace {
         // Index spans and group events by their original span id
@@ -184,7 +182,6 @@ impl Trace {
         Trace {
             spans: out_spans,
             events: out_events,
-            counters,
             histograms,
         }
     }
@@ -199,11 +196,6 @@ impl Trace {
     /// span in canonical order).
     pub fn events(&self) -> &[EventRecord] {
         &self.events
-    }
-
-    /// The monotonic counters at snapshot time.
-    pub fn counters(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counters
     }
 
     /// The latency histograms at snapshot time.
@@ -310,7 +302,7 @@ impl Trace {
     }
 
     /// Renders a human-readable summary: per-span-name rollup (count,
-    /// total and self time), counters, and histograms.
+    /// total and self time) and histograms.
     pub fn text_summary(&self) -> String {
         let mut out = String::new();
         let rollup = self.span_rollup();
@@ -328,12 +320,6 @@ impl Trace {
                     format_ns(r.total_ns),
                     format_ns(r.self_ns),
                 ));
-            }
-        }
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (k, v) in &self.counters {
-                out.push_str(&format!("  {k:<28} {v}\n"));
             }
         }
         if !self.histograms.is_empty() {

@@ -8,24 +8,25 @@
 //!
 //! * a thread-safe [`Collector`] with hierarchical **spans** (RAII
 //!   guards, monotonic timestamps, thread ids), structured **events**
-//!   (key/value payloads attached to the active span) and **metrics**
-//!   (monotonic counters plus fixed-bucket latency [`Histogram`]s);
+//!   (key/value payloads attached to the active span) and fixed-bucket
+//!   latency [`Histogram`]s. It holds no counters: every count has one
+//!   owner outside the collector (the PDP's totals, the device's hook
+//!   stats, the daemon's metric registry), which counts whether or not
+//!   tracing is on;
 //! * three exporters in [`export`]: Chrome trace-event JSON (loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)), a JSONL
 //!   event log, and a human-readable text summary with per-span
 //!   self/total time; the [`prometheus`] writer renders `separ serve`'s
 //!   text exposition;
-//! * live-metrics primitives in [`live`] for long-running services:
-//!   rolling-window [`RollingHistogram`]s (windowed
-//!   p50/p90/p99 without stopping the collector) and per-scrape
-//!   [`CounterDeltas`] — `separ serve` builds its `metrics` endpoint
-//!   from these;
+//! * rolling-window [`RollingHistogram`]s in [`live`] for long-running
+//!   services (windowed p50/p90/p99 that never stop recorders) —
+//!   `separ serve` builds its per-request latency windows from these;
 //! * the workspace's one JSON codec, [`json`]: the string escaper every
 //!   JSON writer uses and the [`json::Value`] tree that policy I/O and
 //!   the serve protocol read and write through.
 //!
 //! A process-global collector ([`global`]) backs the free-function API
-//! ([`span`], [`event`], [`counter_add`], [`timer`]/[`observe`]). It
+//! ([`span`], [`event`], [`timer`]/[`observe`]). It
 //! starts **disabled**: every instrumentation call first checks one
 //! atomic flag and returns immediately, so the probes are cheap enough
 //! to stay compiled into release binaries (the bench crate pins the
@@ -54,7 +55,7 @@ use std::sync::OnceLock;
 
 pub use collector::{AdoptGuard, Collector, EventRecord, ObsTimer, SpanGuard, SpanId, SpanRecord};
 pub use export::Trace;
-pub use live::{CounterDeltas, RollingHistogram, ROLLING_WINDOWS};
+pub use live::{RollingHistogram, ROLLING_WINDOWS};
 pub use metrics::{Histogram, HistogramSnapshot, LATENCY_BOUNDS_NS};
 
 /// The process-global collector backing the free-function API.
@@ -99,12 +100,6 @@ pub fn adopt_span(parent: SpanId) -> AdoptGuard<'static> {
 /// construction with [`enabled`].
 pub fn event(name: &'static str, args: Vec<(&'static str, String)>) {
     global().event(name, args);
-}
-
-/// Adds to a monotonic counter on the global collector (no-op while
-/// disabled).
-pub fn counter_add(name: &'static str, n: u64) {
-    global().counter_add(name, n);
 }
 
 /// Starts a latency timer against the global collector. Returns an inert

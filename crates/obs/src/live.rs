@@ -1,22 +1,15 @@
-//! Live operational metrics for long-running services: rolling-window
-//! latency histograms and counter delta snapshots.
+//! Live latency windows for long-running services.
 //!
 //! The end-of-run [`Trace`](crate::export::Trace) snapshot answers
 //! "where did the time go" for a batch pipeline; a daemon serving
 //! decisions for days needs the *windowed* version of the same
-//! question — p50/p99 over the last ten seconds, not since boot. The
-//! primitives here are deliberately tiny and lock-light so they can sit
-//! on a hot request path:
-//!
-//! * [`RollingHistogram`] — a ring of fixed-width time slices, each a
-//!   decade-bucket [`Histogram`]; recording touches exactly one slice
-//!   mutex (uncontended in the common case) and snapshotting merges the
-//!   slices covering the requested window without ever stopping
-//!   recorders;
-//! * [`CounterDeltas`] — turns the collector's monotonic counters into
-//!   per-scrape deltas ("what advanced since the last `metrics` call").
+//! question — p50/p99 over the last ten seconds, not since boot.
+//! [`RollingHistogram`] answers it: a ring of fixed-width time slices,
+//! each a decade-bucket [`Histogram`]. Recording touches exactly one
+//! slice mutex (uncontended in the common case), so it can sit on a hot
+//! request path, and snapshotting merges the slices covering the
+//! requested window without ever stopping recorders.
 
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -149,34 +142,6 @@ impl std::fmt::Debug for RollingHistogram {
     }
 }
 
-/// A delta-snapshot tracker over monotonic counters: each call to
-/// [`CounterDeltas::delta`] reports how far every counter advanced
-/// since the previous call (first call: since zero).
-#[derive(Debug, Default)]
-pub struct CounterDeltas {
-    last: BTreeMap<String, u64>,
-}
-
-impl CounterDeltas {
-    /// A tracker with an all-zero baseline.
-    pub fn new() -> CounterDeltas {
-        CounterDeltas::default()
-    }
-
-    /// Advances the baseline to `current` and returns the per-counter
-    /// deltas. Counters that did not move are reported as 0; a counter
-    /// that went backwards (collector reset) is reported from zero.
-    pub fn delta(&mut self, current: &BTreeMap<&'static str, u64>) -> BTreeMap<String, u64> {
-        current
-            .iter()
-            .map(|(&k, &v)| {
-                let prev = self.last.insert(k.to_string(), v).unwrap_or(0);
-                (k.to_string(), if v >= prev { v - prev } else { v })
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,18 +200,5 @@ mod tests {
         let total = r.window(Duration::from_secs(600)).count();
         assert!(total <= 40_000);
         assert!(total > 0);
-    }
-
-    #[test]
-    fn counter_deltas_report_advancement_only() {
-        let mut d = CounterDeltas::new();
-        let mut c: BTreeMap<&'static str, u64> = BTreeMap::new();
-        c.insert("a", 5);
-        c.insert("b", 2);
-        assert_eq!(d.delta(&c).get("a"), Some(&5));
-        c.insert("a", 9);
-        let snap = d.delta(&c);
-        assert_eq!(snap.get("a"), Some(&4));
-        assert_eq!(snap.get("b"), Some(&0));
     }
 }

@@ -1,4 +1,4 @@
-//! Monotonic counters and fixed-bucket latency histograms.
+//! Fixed-bucket latency histograms (the collector keeps no counters).
 
 /// Default latency bucket upper bounds, in nanoseconds: one decade per
 /// bucket from 100 ns to 1 s, plus an implicit overflow bucket.

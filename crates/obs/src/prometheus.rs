@@ -9,21 +9,6 @@
 
 use std::fmt::Write as _;
 
-/// Maps an internal metric name (`pdp.index.hit`) onto the Prometheus
-/// grammar (`pdp_index_hit`): every character outside
-/// `[a-zA-Z0-9_:]` becomes `_`, and a leading digit is prefixed.
-pub fn sanitize(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphanumeric() || c == '_' || c == ':';
-        if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-        }
-        out.push(if ok { c } else { '_' });
-    }
-    out
-}
-
 fn escape_label(v: &str, out: &mut String) {
     for c in v.chars() {
         match c {
@@ -105,13 +90,6 @@ impl PromWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sanitizes_names() {
-        assert_eq!(sanitize("pdp.index.hit"), "pdp_index_hit");
-        assert_eq!(sanitize("9lives"), "_9lives");
-        assert_eq!(sanitize("a-b c"), "a_b_c");
-    }
 
     #[test]
     fn renders_families_and_values() {

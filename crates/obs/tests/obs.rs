@@ -116,7 +116,6 @@ fn disabled_collector_records_nothing_and_hands_out_inert_guards() {
     span.set_arg("k", "v");
     drop(span);
     c.event("ghost.event", vec![("k", "v".to_string())]);
-    c.counter_add("ghost.counter", 1);
     let t = c.timer();
     assert!(!t.is_live());
     c.observe("ghost.lat", t);
@@ -126,7 +125,6 @@ fn disabled_collector_records_nothing_and_hands_out_inert_guards() {
     let trace = c.snapshot();
     assert!(trace.spans().is_empty());
     assert!(trace.events().is_empty());
-    assert!(trace.counters().is_empty());
     assert!(trace.histograms().is_empty());
 }
 
@@ -258,15 +256,12 @@ fn subtree_queries_see_only_the_rooted_subtree() {
 }
 
 #[test]
-fn text_summary_reports_spans_counters_and_histograms() {
+fn text_summary_reports_spans_and_histograms() {
     let c = Collector::new();
     drop(c.span("work"));
-    c.counter_add("widgets", 3);
     c.observe_ns("lat", 5_000);
     let summary = c.snapshot().text_summary();
     assert!(summary.contains("work"));
-    assert!(summary.contains("widgets"));
-    assert!(summary.contains("3"));
     assert!(summary.contains("lat"));
     assert!(summary.contains("count=1"));
 }

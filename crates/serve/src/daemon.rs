@@ -41,8 +41,7 @@ use separ_obs::prometheus::PromWriter;
 use crate::audit::{AuditRecord, AuditWriter};
 use crate::metrics::Prom::{Counter, Gauge, JsonOnly};
 use crate::metrics::{
-    json_fields, kind_slot, obs_counters_prometheus, prometheus_families, Metric, ServeMetrics,
-    HEALTH, METRICS, STATS,
+    json_fields, kind_slot, prometheus_families, Metric, ServeMetrics, HEALTH, METRICS, STATS,
 };
 use crate::protocol::{decide_response, error_response, ok_response, QueryWhat, Request};
 use crate::queue::{fulfill_batch, BatchOutcome, BatchSummary, ChurnQueue, PushError};
@@ -251,7 +250,8 @@ impl Daemon {
     /// Every request gets a process-unique id (carried by the slow log
     /// and the audit log) and its latency recorded into the per-type
     /// rolling windows behind `metrics`. Nothing is recorded per request
-    /// in the obs collector, which a long-running daemon never clears.
+    /// in the obs collector: an embedder that turns it on and never
+    /// clears it would grow with every request.
     pub fn handle(&self, line: &str) -> String {
         let req_id = self.req_ids.fetch_add(1, Ordering::Relaxed) + 1;
         let started = Instant::now();
@@ -490,42 +490,24 @@ impl Daemon {
         ok_response(json_fields(DAEMON_METRICS, &self.reading(), view))
     }
 
-    /// The `metrics` response: the registry's metrics, per-type rolling
-    /// latency windows, and the obs collector's counters with their
-    /// per-scrape deltas — as structured JSON, or (with `prometheus`) as
-    /// text exposition carried in the `body` field.
+    /// The `metrics` response: the registry's metrics and per-type
+    /// rolling latency windows — as structured JSON, or (with
+    /// `prometheus`) as text exposition carried in the `body` field.
     fn metrics_response(&self, prometheus: bool) -> String {
         let reading = self.reading();
         if prometheus {
-            // Registry families (fixed order), windowed latency
-            // quantiles, then every obs counter (sorted): byte-stable
-            // across scrapes of the same state.
+            // Registry families (fixed order), then windowed latency
+            // quantiles: byte-stable across scrapes of the same state.
             let mut w = PromWriter::new();
             prometheus_families(DAEMON_METRICS, &reading, &mut w);
             self.metrics.rolling_prometheus(&mut w);
-            obs_counters_prometheus(&mut w);
             return ok_response(vec![
                 ("format".into(), Value::Str("prometheus".into())),
                 ("body".into(), Value::Str(w.finish())),
             ]);
         }
-        let counters = separ_obs::global()
-            .counters()
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), Value::Num(v as f64)))
-            .collect();
-        let deltas = self
-            .metrics
-            .counter_deltas()
-            .into_iter()
-            .map(|(k, v)| (k, Value::Num(v as f64)))
-            .collect();
         let mut fields = json_fields(DAEMON_METRICS, &reading, METRICS);
-        fields.extend([
-            ("rolling".into(), self.metrics.rolling_json()),
-            ("counters".into(), Value::Obj(counters)),
-            ("counters_delta".into(), Value::Obj(deltas)),
-        ]);
+        fields.push(("rolling".into(), self.metrics.rolling_json()));
         ok_response(fields)
     }
 
@@ -745,10 +727,28 @@ static DAEMON_METRICS: &[Metric] = &[
         read: |r| num(r.daemon.metrics.deadline_misses.load(Ordering::Relaxed)),
     },
     Metric {
+        key: "backpressure_waits",
+        views: METRICS,
+        prom: Counter(
+            "separ_backpressure_waits_total",
+            "churn requests that waited on a full queue",
+        ),
+        read: |r| num(r.daemon.queue.backpressure_waits()),
+    },
+    Metric {
         key: "pdp/evaluations",
         views: METRICS,
         prom: Counter("separ_pdp_evaluations_total", "decisions evaluated"),
         read: |r| num(r.decisions.evaluations),
+    },
+    Metric {
+        key: "pdp/index_hits",
+        views: METRICS,
+        prom: Counter(
+            "separ_pdp_index_hits_total",
+            "decisions whose receiver had a bucket in the receiver index",
+        ),
+        read: |r| num(r.decisions.index_hits),
     },
     Metric {
         key: "pdp/allowed",

@@ -1,7 +1,6 @@
 //! Live service metrics behind the `stats`, `metrics` and `health`
 //! requests: the daemon's counters, per-request-type rolling latency
-//! windows, per-scrape counter deltas, and the metric registry every
-//! view renders from.
+//! windows, and the metric registry every view renders from.
 //!
 //! Everything here is designed to sit *beside* the hot paths, not in
 //! them: recording a request latency touches one slice mutex of a
@@ -12,12 +11,11 @@
 //! or Prometheus text — happens only when someone actually scrapes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use separ_obs::json::Value;
-use separ_obs::prometheus::{sanitize, PromWriter};
-use separ_obs::{CounterDeltas, HistogramSnapshot, RollingHistogram};
+use separ_obs::prometheus::PromWriter;
+use separ_obs::{HistogramSnapshot, RollingHistogram};
 
 use crate::daemon::Reading;
 
@@ -66,7 +64,6 @@ pub struct ServeMetrics {
     pub(crate) deadline_misses: AtomicU64,
     /// Nanoseconds-from-start of the last applied batch; 0 = never.
     last_batch_ns: AtomicU64,
-    deltas: Mutex<CounterDeltas>,
 }
 
 impl ServeMetrics {
@@ -86,7 +83,6 @@ impl ServeMetrics {
             ops_coalesced: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
             last_batch_ns: AtomicU64::new(0),
-            deltas: Mutex::new(CounterDeltas::new()),
         }
     }
 
@@ -167,13 +163,6 @@ impl ServeMetrics {
                 );
             }
         }
-    }
-
-    /// Per-scrape deltas of the process-global obs counters (empty when
-    /// the collector is disabled). Advances the scrape baseline.
-    pub fn counter_deltas(&self) -> std::collections::BTreeMap<String, u64> {
-        let current = separ_obs::global().counters();
-        self.deltas.lock().expect("deltas lock").delta(&current)
     }
 }
 
@@ -280,17 +269,6 @@ pub(crate) fn prometheus_families(list: &[Metric], reading: &Reading<'_>, w: &mu
         };
         w.family(name, kind, help);
         w.sample(name, &[], v / scale);
-    }
-}
-
-/// Renders the obs-counter section of the Prometheus exposition: every
-/// global counter as its own `separ_<name>_total` family, in sorted
-/// (BTreeMap) order so repeated scrapes are byte-stable.
-pub fn obs_counters_prometheus(w: &mut PromWriter) {
-    for (name, value) in separ_obs::global().counters() {
-        let prom = format!("separ_{}_total", sanitize(name));
-        w.family(&prom, "counter", "process-global observability counter");
-        w.sample(&prom, &[], value as f64);
     }
 }
 

@@ -94,8 +94,8 @@ pub enum Request {
     },
     /// Service counters.
     Stats,
-    /// Live operational metrics (rolling latency windows, gauges,
-    /// counter deltas); `prometheus` selects text exposition.
+    /// Live operational metrics (gauges, counters and rolling latency
+    /// windows); `prometheus` selects text exposition.
     Metrics {
         /// `true` = Prometheus text exposition in the `body` field,
         /// `false` = structured JSON.

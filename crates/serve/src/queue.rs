@@ -17,6 +17,7 @@
 //!   empty. Shutdown therefore loses nothing.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -111,6 +112,7 @@ pub struct ChurnQueue {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
+    backpressure_waits: AtomicU64,
 }
 
 impl ChurnQueue {
@@ -124,12 +126,19 @@ impl ChurnQueue {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
+            backpressure_waits: AtomicU64::new(0),
         }
     }
 
     /// Current number of pending (accepted, not yet drained) ops.
     pub fn depth(&self) -> usize {
         self.inner.lock().expect("queue lock").ops.len()
+    }
+
+    /// Pushes that found the queue full and had to wait, since
+    /// construction (whether or not the wait ended in acceptance).
+    pub fn backpressure_waits(&self) -> u64 {
+        self.backpressure_waits.load(Ordering::Relaxed)
     }
 
     /// Enqueues `op`, blocking while the queue is full for at most
@@ -143,6 +152,7 @@ impl ChurnQueue {
     pub fn push(&self, op: SessionOp, deadline: Duration) -> Result<Ticket, PushError> {
         let mut inner = self.inner.lock().expect("queue lock");
         let start = Instant::now();
+        let mut waited = false;
         loop {
             if inner.closed {
                 return Err(PushError::Closed);
@@ -150,7 +160,10 @@ impl ChurnQueue {
             if inner.ops.len() < self.capacity {
                 break;
             }
-            separ_obs::counter_add("serve.backpressure", 1);
+            if !waited {
+                waited = true;
+                self.backpressure_waits.fetch_add(1, Ordering::Relaxed);
+            }
             let Some(remaining) = deadline.checked_sub(start.elapsed()) else {
                 return Err(PushError::Backpressure);
             };
@@ -244,11 +257,13 @@ mod tests {
     fn full_queue_applies_backpressure_until_drained() {
         let q = Arc::new(ChurnQueue::new(1));
         q.push(op("a"), Duration::from_secs(1)).expect("accepted");
+        assert_eq!(q.backpressure_waits(), 0);
         // Immediate deadline: rejected, not dropped-after-accept.
         assert_eq!(
             q.push(op("b"), Duration::ZERO).unwrap_err(),
             PushError::Backpressure
         );
+        assert_eq!(q.backpressure_waits(), 1);
         // A consumer draining concurrently unblocks the producer.
         let q2 = Arc::clone(&q);
         let drainer = thread::spawn(move || {
@@ -258,6 +273,8 @@ mod tests {
         q.push(op("c"), Duration::from_secs(5)).expect("unblocked");
         drainer.join().expect("drainer");
         assert_eq!(q.depth(), 1);
+        // One count per push that waited, however often it woke.
+        assert!(q.backpressure_waits() <= 2);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! clients, while the churn itself funnels through the daemon's single
 //! coalescing worker. The accept loop ends after a `shutdown` request
 //! has been served and drains; in-flight connections finish their
-//! current request.
+//! current request. Threads of closed connections are reaped as new
+//! connections arrive, so the server holds one thread per open
+//! connection, not one per connection it ever accepted.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -15,6 +17,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use crate::daemon::{Daemon, ServeError};
 use crate::protocol::Request;
@@ -66,7 +69,7 @@ pub fn serve(daemon: Daemon, endpoint: &Endpoint) -> Result<(), ServeError> {
     };
     let daemon = Arc::new(daemon);
     let stopping = Arc::new(AtomicBool::new(false));
-    let mut handlers = Vec::new();
+    let mut handlers = ConnectionThreads::default();
     loop {
         let stream: Box<dyn Connection> = match &listener {
             Listener::Unix(l) => match l.accept() {
@@ -84,26 +87,46 @@ pub fn serve(daemon: Daemon, endpoint: &Endpoint) -> Result<(), ServeError> {
         let daemon = Arc::clone(&daemon);
         let stopping_for_conn = Arc::clone(&stopping);
         let endpoint_for_conn = endpoint.clone();
-        handlers.push(std::thread::spawn(move || {
+        handlers.spawn(move || {
             if connection_loop(stream, &daemon) {
                 stopping_for_conn.store(true, Ordering::Release);
                 // Unblock the accept loop with a throwaway connection.
                 nudge(&endpoint_for_conn);
             }
-        }));
+        });
         if stopping.load(Ordering::Acquire) {
             break;
         }
     }
-    for h in handlers {
-        let _ = h.join();
-    }
+    handlers.join_all();
     if let Endpoint::Unix(path) = endpoint {
         let _ = std::fs::remove_file(path);
     }
     // `shutdown` already drained via handle(); this covers the
     // accept-error exit path.
     daemon.drain()
+}
+
+/// The handles of the connection threads that may still be running.
+#[derive(Default)]
+struct ConnectionThreads(Vec<JoinHandle<()>>);
+
+impl ConnectionThreads {
+    /// Starts a connection thread, first joining the threads that have
+    /// finished: an unjoined thread keeps its stack until it is joined.
+    fn spawn(&mut self, f: impl FnOnce() + Send + 'static) {
+        for finished in self.0.extract_if(.., |h| h.is_finished()) {
+            let _ = finished.join();
+        }
+        self.0.push(std::thread::spawn(f));
+    }
+
+    /// Waits for every remaining connection thread.
+    fn join_all(self) {
+        for h in self.0 {
+            let _ = h.join();
+        }
+    }
 }
 
 /// One connection: read a line, answer a line. Returns `true` if this
@@ -296,6 +319,26 @@ mod tests {
         let mut rest = Vec::new();
         reader.read_to_end(&mut rest).expect("rest");
         assert_eq!(rest.len(), endless.len() - 9, "read stops at cap + 1");
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped_as_new_ones_start() {
+        // Sequential connections: each thread finishes before the next
+        // is accepted, so the next spawn reaps it.
+        let mut threads = ConnectionThreads::default();
+        let mut most = 0;
+        for _ in 0..300 {
+            threads.spawn(|| {});
+            while !threads.0.last().expect("just spawned").is_finished() {
+                std::thread::yield_now();
+            }
+            most = most.max(threads.0.len());
+        }
+        assert_eq!(
+            most, 1,
+            "300 sequential connections retained {most} handles"
+        );
+        threads.join_all();
     }
 
     #[test]

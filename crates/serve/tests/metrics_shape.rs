@@ -145,9 +145,19 @@ fn expected_families(with_batch_age: bool) -> Vec<(String, String, String)> {
             "confirmation waits that expired",
         ),
         fam(
+            "separ_backpressure_waits_total",
+            "counter",
+            "churn requests that waited on a full queue",
+        ),
+        fam(
             "separ_pdp_evaluations_total",
             "counter",
             "decisions evaluated",
+        ),
+        fam(
+            "separ_pdp_index_hits_total",
+            "counter",
+            "decisions whose receiver had a bucket in the receiver index",
         ),
         fam(
             "separ_pdp_allowed_total",
@@ -286,11 +296,10 @@ fn telemetry_views_keep_their_shape() {
             "ops_coalesced",
             "coalescing_factor",
             "deadline_misses",
+            "backpressure_waits",
             "pdp",
             "cache",
             "rolling",
-            "counters",
-            "counters_delta",
         ])
     );
     assert_eq!(num(&metrics, "requests"), 26);
@@ -299,6 +308,7 @@ fn telemetry_views_keep_their_shape() {
     assert_eq!(num(&metrics, "subscribers"), 0);
     assert_eq!(num(&metrics, "slow_requests"), 0);
     assert_eq!(num(&metrics, "audit_records"), 0);
+    assert_eq!(num(&metrics, "backpressure_waits"), 0);
     assert!(metrics
         .get("last_batch_age_ms")
         .and_then(Value::as_u64)
@@ -308,6 +318,7 @@ fn telemetry_views_keep_their_shape() {
         keys(pdp),
         sorted(&[
             "evaluations",
+            "index_hits",
             "allowed",
             "denied",
             "prompts",
@@ -316,15 +327,15 @@ fn telemetry_views_keep_their_shape() {
         ])
     );
     assert_eq!(num(pdp, "evaluations"), 20);
+    // The scripted decides name no receiver: none is answered from the
+    // receiver index.
+    assert_eq!(num(pdp, "index_hits"), 0);
     assert_eq!(num(pdp, "allowed") + num(pdp, "denied"), 20);
     assert_eq!(num(pdp, "swaps"), 1);
     let cache_keys = keys(metrics.get("cache").expect("cache section"));
     for key in ["memory_hits", "disk_hits", "misses", "evicted"] {
         assert!(cache_keys.contains(&key), "metrics.cache.{key}");
     }
-    // With the collector off, the obs passthrough is empty.
-    assert!(keys(metrics.get("counters").expect("counters")).is_empty());
-    assert!(keys(metrics.get("counters_delta").expect("deltas")).is_empty());
     let rolling = metrics.get("rolling").expect("rolling windows");
     for kind in ["install", "decide", "batch", "invalid", "health", "stats"] {
         assert!(rolling.get(kind).is_some(), "rolling.{kind}");
@@ -358,6 +369,8 @@ fn telemetry_views_keep_their_shape() {
     assert_eq!(samples, expected_samples);
     assert!(body.contains("\nsepar_requests_total 28\n"));
     assert!(body.contains("\nsepar_pdp_evaluations_total 20\n"));
+    assert!(body.contains("\nsepar_pdp_index_hits_total 0\n"));
+    assert!(body.contains("\nsepar_backpressure_waits_total 0\n"));
     let kinds: BTreeSet<&str> = body
         .lines()
         .filter_map(|l| l.strip_prefix("separ_request_latency_seconds_count{type=\""))

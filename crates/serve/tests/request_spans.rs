@@ -1,8 +1,8 @@
-//! A long-running daemon records nothing per request in the global
-//! collector: `separ serve` turns the collector on and never exports or
-//! clears its spans, so a per-request span would grow the process
-//! without bound. The request id travels in the slow log and the audit
-//! log instead.
+//! A daemon records nothing per request in the global collector, even
+//! when its embedder turns the collector on: nothing in the daemon
+//! exports or clears recorded spans, so a per-request span would grow
+//! the process without bound. The request id travels in the slow log
+//! and the audit log instead.
 //!
 //! This file is a test binary of its own because it enables the
 //! process-global collector.

@@ -41,7 +41,7 @@ use std::process::ExitCode;
 use separ::analysis::diagnostics::{self, Severity};
 use separ::core::{policy_io, Separ, SeparConfig};
 use separ::dex::codec;
-use separ::enforce::{Device, PromptHandler};
+use separ::enforce::{Device, HookStats, PdpTotals, PromptHandler};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -491,7 +491,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
     }
     let endpoint =
         endpoint.ok_or_else(|| usage("serve: need --socket <path> or --listen <addr>"))?;
-    separ::obs::global().enable();
     let daemon = Daemon::start(cfg).map_err(|e| format!("serve: {e}"))?;
     let (restored, skipped) = daemon.restored();
     if restored > 0 || skipped > 0 {
@@ -587,12 +586,7 @@ fn cmd_enforce(args: &[String]) -> CliResult {
     for e in device.audit.events() {
         println!("  {e:?}");
     }
-    // Read before the throughput probe, whose decisions the PDP also
-    // counts.
-    let (hooks, decisions) = (device.hook_stats(), device.pdp().shared().totals());
-    if let Some(n) = threads {
-        probe_pdp_throughput(&device, n);
-    }
+    let (hooks, decisions) = run_counters_then_probe(&device, threads);
     if print_stats {
         let recorded = device.audit.recorded();
         println!("\n{hooks:?}\n{decisions:?}\naudit: {recorded} recorded, {dropped} dropped");
@@ -600,6 +594,17 @@ fn cmd_enforce(args: &[String]) -> CliResult {
         print!("{}", separ::obs::global().snapshot().text_summary());
     }
     Ok(())
+}
+
+/// Reads the run's hook and PDP counters, then runs the `--threads`
+/// throughput probe if one was asked for. The PDP counts the probe's
+/// decisions too, so the counters `--stats` prints must be read first.
+fn run_counters_then_probe(device: &Device, threads: Option<usize>) -> (HookStats, PdpTotals) {
+    let counters = (device.hook_stats(), device.pdp().shared().totals());
+    if let Some(n) = threads {
+        probe_pdp_throughput(device, n);
+    }
+    counters
 }
 
 /// Post-run sustained-throughput probe: `n` reader threads evaluate the
@@ -735,5 +740,33 @@ mod tests {
             assert!(matches!(err, CliError::Failed(_)), "{name}: {err:?}");
             assert_eq!(err.exit_code(), 1, "{name}");
         }
+    }
+
+    #[test]
+    fn enforce_stats_counters_exclude_the_throughput_probe() {
+        use separ::corpus::motivating;
+        let apps = vec![
+            motivating::navigator_app(),
+            motivating::messenger_app(false),
+            motivating::malicious_app("+15550000"),
+        ];
+        let report = Separ::new().analyze_apks(&apps[..2]).expect("analyzes");
+        let mut device = Device::new(apps);
+        device.install_policies(
+            report.policies,
+            report.apps.iter().map(|a| a.package.clone()).collect(),
+            PromptHandler::AlwaysDeny,
+        );
+        assert!(device.launch("com.navigator", motivating::LOCATION_FINDER));
+        device.run_until_idle();
+        let run = device.pdp().shared().totals();
+        assert!(run.evaluations > 0, "the run decided something");
+        let (_, printed) = run_counters_then_probe(&device, Some(1));
+        assert_eq!(printed, run, "--stats prints the run's totals");
+        let after = device.pdp().shared().totals();
+        assert!(
+            after.evaluations > run.evaluations,
+            "the probe ran and the PDP counted it"
+        );
     }
 }
