@@ -67,130 +67,21 @@ pub struct CacheStats {
     /// File-store entries rejected as corrupt (each also counts as a
     /// miss).
     pub corrupt: u64,
-    /// File-store entries evicted by the LRU size cap.
-    pub evicted: u64,
 }
 
-/// The file-backed half of a [`ModelCache`]: a directory of
-/// self-checking entries plus, when capped, LRU accounting so a
-/// long-running process (the `separ serve` daemon) cannot grow the
-/// directory without bound.
-#[derive(Debug)]
-struct DiskStore {
-    dir: PathBuf,
-    /// Total-bytes cap on the entry files; `None` = unbounded.
-    cap_bytes: Option<u64>,
-    lru: Mutex<LruState>,
-}
-
-/// Recency bookkeeping for the capped file store. `seq` is a logical
-/// clock: every hit or admit stamps the entry, eviction removes the
-/// smallest stamps first.
-#[derive(Debug, Default)]
-struct LruState {
-    entries: HashMap<[u8; 32], (u64, u64)>, // key -> (size, last-use seq)
-    total: u64,
-    seq: u64,
-}
-
-impl DiskStore {
-    /// Rebuilds LRU state from the directory contents (oldest mtime =
-    /// least recent), so a restarted process caps correctly from the
-    /// first admit.
-    fn open(dir: PathBuf, cap_bytes: Option<u64>) -> DiskStore {
-        let mut found: Vec<([u8; 32], u64, std::time::SystemTime)> = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(key) = parse_entry_name(&name.to_string_lossy()) else {
-                    continue;
-                };
-                let Ok(meta) = entry.metadata() else {
-                    continue;
-                };
-                let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-                found.push((key, meta.len(), mtime));
-            }
-        }
-        found.sort_by_key(|&(_, _, mtime)| mtime);
-        let mut lru = LruState::default();
-        for (key, size, _) in found {
-            lru.seq += 1;
-            lru.total += size;
-            lru.entries.insert(key, (size, lru.seq));
-        }
-        DiskStore {
-            dir,
-            cap_bytes,
-            lru: Mutex::new(lru),
-        }
-    }
-
-    fn path(&self, key: &[u8; 32]) -> PathBuf {
-        self.dir.join(entry_name(key))
-    }
-
-    /// Marks `key` most-recently-used.
-    fn touch(&self, key: &[u8; 32]) {
-        let mut lru = self.lru.lock().expect("lru lock");
-        lru.seq += 1;
-        let seq = lru.seq;
-        if let Some(entry) = lru.entries.get_mut(key) {
-            entry.1 = seq;
-        }
-    }
-
-    /// Records an admitted entry and evicts least-recently-used files
-    /// until the store fits the cap again (never the just-admitted key).
-    /// Returns how many entries were evicted.
-    fn admit(&self, key: [u8; 32], size: u64) -> u64 {
-        let mut lru = self.lru.lock().expect("lru lock");
-        lru.seq += 1;
-        let seq = lru.seq;
-        if let Some(&(old_size, _)) = lru.entries.get(&key) {
-            lru.total -= old_size;
-        }
-        lru.total += size;
-        lru.entries.insert(key, (size, seq));
-        let Some(cap) = self.cap_bytes else { return 0 };
-        let mut evicted = 0;
-        while lru.total > cap && lru.entries.len() > 1 {
-            let Some((&victim, _)) = lru
-                .entries
-                .iter()
-                .filter(|&(k, _)| *k != key)
-                .min_by_key(|&(_, &(_, seq))| seq)
-            else {
-                break;
-            };
-            let (size, _) = lru.entries.remove(&victim).expect("victim present");
-            lru.total -= size;
-            let _ = std::fs::remove_file(self.path(&victim));
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Drops a vanished or corrupt entry from the accounting.
-    fn forget(&self, key: &[u8; 32]) {
-        let mut lru = self.lru.lock().expect("lru lock");
-        if let Some((size, _)) = lru.entries.remove(key) {
-            lru.total -= size;
-        }
-    }
-}
-
-/// A content-addressed [`AppModel`] cache. Cheap to share: clone the
+/// A content-addressed [`AppModel`] cache for a batch run (`separ
+/// analyze --model-cache`): neither half is ever pruned, so it grows
+/// with every distinct package it sees. Cheap to share: clone the
 /// [`Arc`] it is typically held in.
 #[derive(Debug)]
 pub struct ModelCache {
     memory: Mutex<HashMap<[u8; 32], Arc<AppModel>>>,
-    disk: Option<DiskStore>,
+    /// The file-backed store's directory, if any.
+    disk: Option<PathBuf>,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
-    evicted: AtomicU64,
 }
 
 impl Default for ModelCache {
@@ -209,28 +100,14 @@ impl ModelCache {
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
         }
     }
 
-    /// A cache with an unbounded file-backed store under `dir` (created
-    /// if absent; falls back to memory-only if the directory cannot be
-    /// created).
+    /// A cache with a file-backed store under `dir` (created if absent;
+    /// falls back to memory-only if the directory cannot be created).
     pub fn with_dir(dir: impl Into<PathBuf>) -> ModelCache {
-        ModelCache::with_dir_capped(dir, None)
-    }
-
-    /// A cache with a file-backed store under `dir`, capped at
-    /// `cap_bytes` total entry bytes. When an admit pushes the store
-    /// over the cap, least-recently-used entries are deleted (and
-    /// counted as [`CacheStats::evicted`]) until
-    /// it fits; the entry being admitted is never the victim. Recency
-    /// survives restarts via file mtimes.
-    pub fn with_dir_capped(dir: impl Into<PathBuf>, cap_bytes: Option<u64>) -> ModelCache {
         let dir = dir.into();
-        let disk = std::fs::create_dir_all(&dir)
-            .ok()
-            .map(|()| DiskStore::open(dir, cap_bytes));
+        let disk = std::fs::create_dir_all(&dir).ok().map(|()| dir);
         ModelCache {
             disk,
             ..ModelCache::new()
@@ -249,7 +126,6 @@ impl ModelCache {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
         }
     }
 
@@ -283,18 +159,12 @@ impl ModelCache {
     fn lookup(&self, key: &[u8; 32]) -> Option<(Arc<AppModel>, CacheOutcome)> {
         if let Some(m) = self.memory.lock().expect("cache lock").get(key) {
             self.memory_hits.fetch_add(1, Ordering::Relaxed);
-            // A memory hit is still a use: keep the file store's recency
-            // honest so the entry isn't the next LRU victim.
-            if let Some(disk) = &self.disk {
-                disk.touch(key);
-            }
             return Some((Arc::clone(m), CacheOutcome::MemoryHit));
         }
         if let Some(disk) = &self.disk {
-            if let Ok(data) = std::fs::read(disk.path(key)) {
+            if let Ok(data) = std::fs::read(disk.join(entry_name(key))) {
                 match decode_entry(&data) {
                     Some(model) => {
-                        disk.touch(key);
                         let model = Arc::new(model);
                         self.memory
                             .lock()
@@ -306,7 +176,6 @@ impl ModelCache {
                     None => {
                         // Detected corruption: count it and fall through
                         // to re-extraction (which overwrites the entry).
-                        disk.forget(key);
                         self.corrupt.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -320,13 +189,7 @@ impl ModelCache {
         let model = Arc::new(model);
         if let Some(disk) = &self.disk {
             // Best effort: a failed write degrades to a future miss.
-            let entry = encode_entry(&model);
-            if std::fs::write(disk.path(&key), &entry).is_ok() {
-                let evicted = disk.admit(key, entry.len() as u64);
-                if evicted > 0 {
-                    self.evicted.fetch_add(evicted, Ordering::Relaxed);
-                }
-            }
+            let _ = std::fs::write(disk.join(entry_name(&key)), encode_entry(&model));
         }
         self.memory
             .lock()
@@ -344,20 +207,6 @@ fn entry_name(key: &[u8; 32]) -> String {
     }
     name.push_str(".model");
     name
-}
-
-/// Inverse of [`entry_name`]: recovers the content key from a store
-/// file name, or `None` for foreign files.
-fn parse_entry_name(name: &str) -> Option<[u8; 32]> {
-    let hex = name.strip_suffix(".model")?;
-    if hex.len() != 64 {
-        return None;
-    }
-    let mut key = [0u8; 32];
-    for (i, byte) in key.iter_mut().enumerate() {
-        *byte = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).ok()?;
-    }
-    Some(key)
 }
 
 // ---------------------------------------------------------------------
@@ -967,91 +816,5 @@ mod tests {
         let (_, outcome) = cache.get_or_extract(&bytes).expect("decodes");
         assert_eq!(outcome, CacheOutcome::DiskHit);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn tiny_app(package: &str) -> Apk {
-        let mut apk = ApkBuilder::new(package);
-        apk.add_component(ComponentDecl::new("LMain;", ComponentKind::Activity));
-        let mut cb = apk.class_extends("LMain;", class::ACTIVITY);
-        let mut m = cb.method("onCreate", 2, false, false);
-        m.ret_void();
-        m.finish();
-        cb.finish();
-        apk.finish()
-    }
-
-    fn store_files(dir: &std::path::Path) -> usize {
-        std::fs::read_dir(dir)
-            .map(|rd| {
-                rd.flatten()
-                    .filter(|e| parse_entry_name(&e.file_name().to_string_lossy()).is_some())
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    #[test]
-    fn capped_store_evicts_least_recently_used() {
-        let dir = std::env::temp_dir().join(format!(
-            "separ-model-cache-lru-{}-evict",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let packages: Vec<_> = (0..4)
-            .map(|i| separ_dex::codec::encode(&tiny_app(&format!("com.lru.a{i}"))))
-            .collect();
-        let entry_size =
-            encode_entry(&crate::extractor::extract(&packages[0]).expect("decodes")).len() as u64;
-        // Room for exactly two entries.
-        let cache = ModelCache::with_dir_capped(&dir, Some(entry_size * 2));
-        cache.get_or_extract(&packages[0]).expect("decodes");
-        cache.get_or_extract(&packages[1]).expect("decodes");
-        assert_eq!(cache.stats().evicted, 0);
-        assert_eq!(store_files(&dir), 2);
-        // Refresh entry 0, then admit entry 2: entry 1 is now the LRU
-        // victim.
-        cache.get_or_extract(&packages[0]).expect("decodes");
-        cache.get_or_extract(&packages[2]).expect("decodes");
-        assert_eq!(cache.stats().evicted, 1);
-        assert_eq!(store_files(&dir), 2);
-        let on_disk = |bytes: &[u8]| dir.join(entry_name(&ModelCache::key(bytes))).exists();
-        assert!(on_disk(&packages[0]), "recently-used entry survives");
-        assert!(!on_disk(&packages[1]), "LRU entry evicted");
-        assert!(on_disk(&packages[2]), "just-admitted entry never evicted");
-        // An evicted entry re-extracts as a plain miss in a fresh process.
-        let cache = ModelCache::with_dir_capped(&dir, Some(entry_size * 2));
-        let (_, outcome) = cache.get_or_extract(&packages[1]).expect("decodes");
-        assert_eq!(outcome, CacheOutcome::Miss);
-        assert_eq!(cache.stats().evicted, 1, "admit over cap evicts again");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn uncapped_store_never_evicts() {
-        let dir = std::env::temp_dir().join(format!(
-            "separ-model-cache-lru-{}-uncapped",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ModelCache::with_dir(&dir);
-        for i in 0..4 {
-            let bytes = separ_dex::codec::encode(&tiny_app(&format!("com.lru.b{i}")));
-            cache.get_or_extract(&bytes).expect("decodes");
-        }
-        assert_eq!(cache.stats().evicted, 0);
-        assert_eq!(store_files(&dir), 4);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn entry_names_round_trip() {
-        let key = sha256(b"name round trip");
-        assert_eq!(parse_entry_name(&entry_name(&key)), Some(key));
-        assert_eq!(parse_entry_name("manifest.json"), None);
-        assert_eq!(parse_entry_name("abc.model"), None);
-        assert_eq!(
-            parse_entry_name(&format!("{}x.model", "0".repeat(63))),
-            None
-        );
     }
 }

@@ -12,16 +12,14 @@
 //! the whole policy set.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
-use separ_analysis::cache::ModelCache;
 use separ_analysis::model::{update_passive_intent_targets, AppModel};
 use separ_analysis::slicing::{self, AppSummary};
 use separ_logic::LogicError;
 
 use crate::exec::Executor;
 use crate::exploit::Exploit;
-use crate::pipeline::{derive_policies, synthesize_all, AnalyzeError};
+use crate::pipeline::{derive_policies, synthesize_all};
 use crate::policy::{Policy, PolicyKey};
 use crate::signature::{Sensitivity, SignatureRegistry};
 use crate::SeparConfig;
@@ -88,8 +86,6 @@ pub struct IncrementalSession {
     summaries: Vec<AppSummary>,
     /// Cached exploits per registered signature (same order as registry).
     cache: Vec<Vec<Exploit>>,
-    /// Content-hash model cache consulted by [`IncrementalSession::install_package`].
-    model_cache: Option<Arc<ModelCache>>,
     policies: Vec<Policy>,
     total_syntheses: usize,
 }
@@ -123,20 +119,11 @@ impl IncrementalSession {
             config,
             apps,
             summaries,
-            model_cache: None,
             policies: Vec::new(),
             total_syntheses: 0,
         };
         session.rerun(|_| true)?;
         Ok(session)
-    }
-
-    /// Attaches a content-hash model cache, consulted (and populated) by
-    /// [`IncrementalSession::install_package`] so re-installing unchanged
-    /// packages skips extraction.
-    pub fn with_model_cache(mut self, cache: Arc<ModelCache>) -> IncrementalSession {
-        self.model_cache = Some(cache);
-        self
     }
 
     /// The current bundle models.
@@ -357,22 +344,6 @@ impl IncrementalSession {
     /// Returns a [`LogicError`] if a signature is ill-typed.
     pub fn install(&mut self, app: AppModel) -> Result<PolicyDelta, LogicError> {
         self.apply_batch(vec![SessionOp::Install(app)])
-    }
-
-    /// Installs an app from its binary package, extracting its model
-    /// first (through the attached [`ModelCache`], when present — an
-    /// unchanged package re-installs without re-extraction).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalyzeError::Dex`] if the package fails to decode, or
-    /// [`AnalyzeError::Logic`] if a signature is ill-typed.
-    pub fn install_package(&mut self, bytes: &[u8]) -> Result<PolicyDelta, AnalyzeError> {
-        let model = match &self.model_cache {
-            Some(cache) => (*cache.get_or_extract(bytes)?.0).clone(),
-            None => separ_analysis::extractor::extract(bytes)?,
-        };
-        Ok(self.install(model)?)
     }
 
     /// Uninstalls an app from the bundle (full re-analysis).

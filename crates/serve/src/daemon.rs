@@ -4,7 +4,7 @@
 //! ```text
 //! connection threads                     analysis worker (one thread)
 //! ──────────────────                     ───────────────────────────
-//! decode + extract (ModelCache) ─┐
+//! decode + extract ──────────────┐
 //! enqueue op, get Ticket ────────┼─▶ ChurnQueue ─▶ take_batch(max)
 //! wait(deadline) ◀───────────────┘        │           apply_batch (ONE pass)
 //!                                         │           SharedPdp::publish
@@ -31,7 +31,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use separ_analysis::cache::{CacheStats, ModelCache};
 use separ_core::policy::{merge_delta, Policy};
 use separ_core::{Executor, IncrementalSession, SeparConfig, SessionOp, SignatureRegistry};
 use separ_enforce::{CompiledPolicySet, PdpTotals, PromptHandler, SharedPdp};
@@ -62,8 +61,6 @@ pub struct ServeConfig {
     pub default_deadline: Duration,
     /// Persistent session-store directory; `None` = in-memory only.
     pub store_dir: Option<std::path::PathBuf>,
-    /// Extraction-cache size cap (the store is never capped).
-    pub cache_cap_bytes: Option<u64>,
     /// Log requests slower than this many milliseconds to stderr (one
     /// JSON line each); `None` disables the slow log.
     pub slow_ms: Option<u64>,
@@ -84,7 +81,6 @@ impl Default for ServeConfig {
             batch_max: 32,
             default_deadline: Duration::from_secs(30),
             store_dir: None,
-            cache_cap_bytes: None,
             slow_ms: None,
             audit_path: None,
             audit_max_bytes: 8 * 1024 * 1024,
@@ -130,7 +126,6 @@ struct Outcome {
 pub struct Daemon {
     queue: Arc<ChurnQueue>,
     pdp: SharedPdp,
-    cache: Arc<ModelCache>,
     published: Arc<Mutex<Published>>,
     metrics: Arc<ServeMetrics>,
     subs: Arc<Subscriptions>,
@@ -175,12 +170,6 @@ impl Daemon {
             None => Default::default(),
         };
         let (restored_apps, restore_skipped) = (restored.apps.len(), restored.skipped);
-        // The extraction cache lives *inside* the store dir when one is
-        // configured, so a single flag places all daemon state.
-        let cache = Arc::new(match &cfg.store_dir {
-            Some(dir) => ModelCache::with_dir_capped(dir.join("cache"), cfg.cache_cap_bytes),
-            None => ModelCache::new(),
-        });
         let session =
             IncrementalSession::new(SignatureRegistry::standard(), cfg.config, restored.apps)
                 .map_err(|e| ServeError(format!("initial analysis: {e}")))?;
@@ -223,7 +212,6 @@ impl Daemon {
         Ok(Daemon {
             queue,
             pdp,
-            cache,
             published,
             metrics,
             subs,
@@ -312,8 +300,8 @@ impl Daemon {
                 // Extraction happens here, on the caller's thread: it
                 // parallelizes across connections and the worker only
                 // sees ready models.
-                let model = match self.cache.get_or_extract(&bytes) {
-                    Ok((model, _)) => (*model).clone(),
+                let model = match separ_analysis::extractor::extract(&bytes) {
+                    Ok(model) => model,
                     Err(e) => {
                         let e = format!("install: {e}");
                         let outcome = Outcome {
@@ -479,7 +467,6 @@ impl Daemon {
         Reading {
             daemon: self,
             decisions: self.pdp.totals(),
-            cache: self.cache.stats(),
         }
     }
 
@@ -585,13 +572,12 @@ impl Drop for Daemon {
     }
 }
 
-/// One reading of the daemon that its views render from: the PDP's and
-/// the cache's counters are read once, so the numbers in one response
-/// agree with each other.
+/// One reading of the daemon that its views render from: the PDP's
+/// counters are read once, so the numbers in one response agree with
+/// each other.
 pub(crate) struct Reading<'a> {
     daemon: &'a Daemon,
     decisions: PdpTotals,
-    cache: CacheStats,
 }
 
 fn num(n: impl Into<u64>) -> Value {
@@ -789,39 +775,6 @@ static DAEMON_METRICS: &[Metric] = &[
         prom: Gauge("separ_pdp_policies", "policies in the live set"),
         read: |r| num(r.decisions.policies as u64),
     },
-    Metric {
-        key: "cache/memory_hits",
-        views: STATS | METRICS,
-        prom: Counter(
-            "separ_cache_memory_hits_total",
-            "extraction-cache memory hits",
-        ),
-        read: |r| num(r.cache.memory_hits),
-    },
-    Metric {
-        key: "cache/disk_hits",
-        views: STATS | METRICS,
-        prom: Counter("separ_cache_disk_hits_total", "extraction-cache disk hits"),
-        read: |r| num(r.cache.disk_hits),
-    },
-    Metric {
-        key: "cache/misses",
-        views: STATS | METRICS,
-        prom: Counter("separ_cache_misses_total", "extraction-cache misses"),
-        read: |r| num(r.cache.misses),
-    },
-    Metric {
-        key: "cache/corrupt",
-        views: STATS | METRICS,
-        prom: JsonOnly,
-        read: |r| num(r.cache.corrupt),
-    },
-    Metric {
-        key: "cache/evicted",
-        views: STATS | METRICS,
-        prom: Counter("separ_cache_evicted_total", "extraction-cache evictions"),
-        read: |r| num(r.cache.evicted),
-    },
 ];
 
 fn packages_of(session: &IncrementalSession) -> Vec<String> {
@@ -848,10 +801,9 @@ fn worker_loop(
     subs: Arc<Subscriptions>,
     batch_max: usize,
 ) {
-    while let Some(batch) = queue.take_batch(batch_max) {
+    while let Some((ops, tickets)) = queue.take_batch(batch_max) {
         let _span = separ_obs::span("serve.apply_batch");
         let started = Instant::now();
-        let ops: Vec<SessionOp> = batch.iter().map(|(op, _)| op.clone()).collect();
         let outcome = match session.apply_batch(ops) {
             Ok(delta) => {
                 metrics.batches.fetch_add(1, Ordering::Relaxed);
@@ -904,7 +856,7 @@ fn worker_loop(
             }
             Err(e) => BatchOutcome::Failed(Arc::from(e.to_string().as_str())),
         };
-        fulfill_batch(&batch, &outcome);
+        fulfill_batch(&tickets, &outcome);
     }
     // Queue closed and drained: make the final state durable.
     if let Some(store) = &store {

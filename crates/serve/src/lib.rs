@@ -17,10 +17,10 @@
 //!   close-then-drain shutdown contract;
 //! * [`store`] — crash-consistent session persistence (content-addressed
 //!   model files + atomically replaced manifest);
-//! * [`daemon`] — the coalescing analysis worker wiring session, store,
-//!   extraction cache and [`SharedPdp`](separ_enforce::SharedPdp)
-//!   together; [`Daemon::handle`] is the whole service as a function
-//!   from request line to response line;
+//! * [`daemon`] — the coalescing analysis worker wiring session, store
+//!   and [`SharedPdp`](separ_enforce::SharedPdp) together;
+//!   [`Daemon::handle`] is the whole service as a function from request
+//!   line to response line;
 //! * [`server`] — unix-socket / TCP accept loop over [`Daemon::handle`].
 //!
 //! Operational telemetry rides on the same wire: [`metrics`] keeps

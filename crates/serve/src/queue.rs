@@ -187,9 +187,11 @@ impl ChurnQueue {
     }
 
     /// Blocks until at least one op is pending, then drains up to `max`
-    /// of them. Returns `None` only when the queue is closed **and**
-    /// empty — the drain contract shutdown relies on.
-    pub fn take_batch(&self, max: usize) -> Option<Vec<(SessionOp, Ticket)>> {
+    /// of them, returned as the ops (for the analysis pass to consume)
+    /// and their tickets, in the same order. Returns `None` only when the
+    /// queue is closed **and** empty — the drain contract shutdown relies
+    /// on.
+    pub fn take_batch(&self, max: usize) -> Option<(Vec<SessionOp>, Vec<Ticket>)> {
         let mut inner = self.inner.lock().expect("queue lock");
         while inner.ops.is_empty() {
             if inner.closed {
@@ -198,7 +200,7 @@ impl ChurnQueue {
             inner = self.not_empty.wait(inner).expect("queue wait");
         }
         let n = inner.ops.len().min(max.max(1));
-        let batch: Vec<(SessionOp, Ticket)> = inner.ops.drain(..n).collect();
+        let batch = inner.ops.drain(..n).unzip();
         self.not_full.notify_all();
         Some(batch)
     }
@@ -214,8 +216,8 @@ impl ChurnQueue {
 }
 
 /// Fulfills every ticket of a drained batch with the shared outcome.
-pub fn fulfill_batch(batch: &[(SessionOp, Ticket)], outcome: &BatchOutcome) {
-    for (_, ticket) in batch {
+pub fn fulfill_batch(tickets: &[Ticket], outcome: &BatchOutcome) {
+    for ticket in tickets {
         ticket.fulfill(outcome.clone());
     }
 }
@@ -235,8 +237,8 @@ mod tests {
         let t1 = q.push(op("a"), Duration::from_secs(1)).expect("accepted");
         let t2 = q.push(op("b"), Duration::from_secs(1)).expect("accepted");
         assert_eq!(q.depth(), 2);
-        let batch = q.take_batch(16).expect("batch");
-        assert_eq!(batch.len(), 2);
+        let (ops, tickets) = q.take_batch(16).expect("batch");
+        assert_eq!((ops.len(), tickets.len()), (2, 2));
         let summary = Arc::new(BatchSummary {
             ops: 2,
             added: 0,
@@ -244,7 +246,7 @@ mod tests {
             signatures_rerun: 0,
             policies: 0,
         });
-        fulfill_batch(&batch, &BatchOutcome::Done(Arc::clone(&summary)));
+        fulfill_batch(&tickets, &BatchOutcome::Done(Arc::clone(&summary)));
         for t in [t1, t2] {
             match t.wait(Duration::from_secs(1)) {
                 Some(BatchOutcome::Done(s)) => assert_eq!(*s, *summary),
@@ -287,8 +289,8 @@ mod tests {
             PushError::Closed
         );
         // The accepted op is still there...
-        let batch = q.take_batch(16).expect("accepted op survives close");
-        assert_eq!(batch.len(), 1);
+        let (ops, _) = q.take_batch(16).expect("accepted op survives close");
+        assert_eq!(ops.len(), 1);
         // ...and only then does the consumer see end-of-queue.
         assert!(q.take_batch(16).is_none());
     }
@@ -299,9 +301,9 @@ mod tests {
         let t = q.push(op("a"), Duration::from_secs(1)).expect("accepted");
         assert!(t.wait(Duration::from_millis(10)).is_none());
         // The op is still queued; a late fulfillment still lands.
-        let batch = q.take_batch(16).expect("batch");
+        let (_, tickets) = q.take_batch(16).expect("batch");
         fulfill_batch(
-            &batch,
+            &tickets,
             &BatchOutcome::Done(Arc::new(BatchSummary {
                 ops: 1,
                 added: 0,

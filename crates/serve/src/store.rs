@@ -18,10 +18,10 @@
 //! them. Model files carry their own checksums; a corrupt or missing file
 //! drops only that app from recovery (counted, never silently).
 //!
-//! The store is deliberately separate from the extraction
-//! [`ModelCache`](separ_analysis::cache::ModelCache): the cache is a
-//! performance artifact whose LRU cap may evict anything, while the store
-//! *is* the session — eviction must never eat device state.
+//! The store *is* the session, and it is the daemon's only model
+//! storage: the daemon keeps no extraction cache, so an app's model file
+//! goes with the app. Anything else under the directory — such as the
+//! `cache/` of extracted models that older daemons kept — is ignored.
 //!
 //! A store assumes it is its directory's only writer (one daemon per
 //! store): it remembers which model files it restored or wrote, and

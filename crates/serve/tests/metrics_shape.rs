@@ -181,26 +181,6 @@ fn expected_families(with_batch_age: bool) -> Vec<(String, String, String)> {
         ),
         fam("separ_pdp_policies", "gauge", "policies in the live set"),
         fam(
-            "separ_cache_memory_hits_total",
-            "counter",
-            "extraction-cache memory hits",
-        ),
-        fam(
-            "separ_cache_disk_hits_total",
-            "counter",
-            "extraction-cache disk hits",
-        ),
-        fam(
-            "separ_cache_misses_total",
-            "counter",
-            "extraction-cache misses",
-        ),
-        fam(
-            "separ_cache_evicted_total",
-            "counter",
-            "extraction-cache evictions",
-        ),
-        fam(
             "separ_request_latency_seconds",
             "gauge",
             "windowed request latency quantiles by request type",
@@ -256,7 +236,6 @@ fn telemetry_views_keep_their_shape() {
             "coalescing_factor",
             "deadline_misses",
             "queue_depth",
-            "cache",
         ])
     );
     assert_eq!(num(&stats, "requests"), 25);
@@ -269,13 +248,6 @@ fn telemetry_views_keep_their_shape() {
         stats.get("coalescing_factor").and_then(Value::as_f64),
         Some(1.0)
     );
-    let cache = stats.get("cache").expect("cache section");
-    let cache_keys = keys(cache);
-    for key in ["memory_hits", "disk_hits", "misses", "evicted"] {
-        assert!(cache_keys.contains(&key), "stats.cache.{key}");
-    }
-    assert_eq!(num(cache, "misses"), 1);
-    assert_eq!(num(cache, "memory_hits"), 0);
 
     let metrics = parse_ok(&daemon.handle(r#"{"cmd":"metrics"}"#));
     assert_eq!(
@@ -298,7 +270,6 @@ fn telemetry_views_keep_their_shape() {
             "deadline_misses",
             "backpressure_waits",
             "pdp",
-            "cache",
             "rolling",
         ])
     );
@@ -332,10 +303,6 @@ fn telemetry_views_keep_their_shape() {
     assert_eq!(num(pdp, "index_hits"), 0);
     assert_eq!(num(pdp, "allowed") + num(pdp, "denied"), 20);
     assert_eq!(num(pdp, "swaps"), 1);
-    let cache_keys = keys(metrics.get("cache").expect("cache section"));
-    for key in ["memory_hits", "disk_hits", "misses", "evicted"] {
-        assert!(cache_keys.contains(&key), "metrics.cache.{key}");
-    }
     let rolling = metrics.get("rolling").expect("rolling windows");
     for kind in ["install", "decide", "batch", "invalid", "health", "stats"] {
         assert!(rolling.get(kind).is_some(), "rolling.{kind}");

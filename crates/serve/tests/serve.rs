@@ -172,38 +172,54 @@ fn restart_recovers_the_session_without_reextraction() {
         store_dir: Some(dir.clone()),
         ..serial_config()
     };
-    let policies_before;
-    {
-        let daemon = Daemon::start(cfg()).expect("boots");
-        assert_eq!(daemon.restored(), (0, 0));
-        for apk in [
-            separ_corpus::motivating::navigator_app(),
-            separ_corpus::motivating::malicious_app("+15550000"),
-        ] {
-            let line = format!(r#"{{"cmd":"install","bytes_hex":"{}"}}"#, package_hex(&apk));
-            parse_ok(&daemon.handle(&line));
-        }
-        policies_before = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"policies"}"#));
-        parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
-    }
-    // A "new process": same store, fresh daemon.
-    let daemon = Daemon::start(cfg()).expect("reboots");
-    assert_eq!(daemon.restored(), (2, 0), "both models recovered");
-    let v = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"summary"}"#));
-    assert_eq!(v.get("apps").and_then(Value::as_u64), Some(2));
-    // Recovery went through the store, not the extractor: the fresh
-    // extraction cache was never consulted.
-    let v = parse_ok(&daemon.handle(r#"{"cmd":"stats"}"#));
-    let cache = v.get("cache").expect("cache stats");
-    assert_eq!(cache.get("misses").and_then(Value::as_u64), Some(0));
-    // And the policy set is the same one, byte for byte.
-    let policies_after = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"policies"}"#));
+    let installs = [
+        separ_corpus::motivating::navigator_app(),
+        separ_corpus::motivating::malicious_app("+15550000"),
+    ]
+    .map(|apk| format!(r#"{{"cmd":"install","bytes_hex":"{}"}}"#, package_hex(&apk)));
     let ser = |v: &Value| {
         let mut s = String::new();
         v.get("policies").expect("set").write_into(&mut s);
         s
     };
+    let policies_before;
+    {
+        let daemon = Daemon::start(cfg()).expect("boots");
+        assert_eq!(daemon.restored(), (0, 0));
+        for line in &installs {
+            parse_ok(&daemon.handle(line));
+        }
+        // The session store is the daemon's only model storage: no
+        // extraction cache beside it.
+        let mut entries: Vec<String> = std::fs::read_dir(&dir)
+            .expect("store dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        entries.sort();
+        assert_eq!(entries, ["manifest.json", "models"]);
+        policies_before = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"policies"}"#));
+        parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+    }
+    // A store written by an older daemon also holds a `cache/`
+    // directory of extracted models; a new daemon ignores it.
+    std::fs::create_dir_all(dir.join("cache")).expect("leftover cache dir");
+    std::fs::write(dir.join("cache").join("stale.model"), b"junk").expect("leftover entry");
+    // A "new process": same store, fresh daemon.
+    let daemon = Daemon::start(cfg()).expect("reboots");
+    assert_eq!(daemon.restored(), (2, 0), "both models recovered");
+    let v = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"summary"}"#));
+    assert_eq!(v.get("apps").and_then(Value::as_u64), Some(2));
+    // And the policy set is the same one, byte for byte.
+    let policies_after = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"policies"}"#));
     assert_eq!(ser(&policies_before), ser(&policies_after));
+    // The restored model is the one the package extracts to: re-sending
+    // an installed package's identical bytes changes no policy.
+    let v = parse_ok(&daemon.handle(&installs[0]));
+    let batch = v.get("batch").expect("confirmed");
+    assert_eq!(batch.get("added").and_then(Value::as_u64), Some(0));
+    assert_eq!(batch.get("removed").and_then(Value::as_u64), Some(0));
+    let policies_reinstalled = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"policies"}"#));
+    assert_eq!(ser(&policies_before), ser(&policies_reinstalled));
     parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,13 +14,11 @@
 //! separ lint <app.sdex>... [--json]        verify packages, report diagnostics
 //!                                          (including Info-severity relevance findings)
 //! separ enforce <app.sdex>... --policies <file> --launch <pkg> <Class>
-//!                             [--stats] [--threads <n>]
-//!                                          run a bundle under enforcement;
-//!                                          --threads adds a post-run PDP
-//!                                          throughput probe with n readers
+//!                             [--stats]
+//!                                          run a bundle under enforcement
 //! separ serve --socket <path> | --listen <addr>
 //!             [--store <dir>] [--queue <n>] [--batch-max <n>]
-//!             [--deadline-ms <n>] [--cache-cap-mb <n>] [--threads <n>]
+//!             [--deadline-ms <n>] [--threads <n>]
 //!             [--slow-ms <n>] [--audit <file>] [--audit-max-kb <n>]
 //!                                          run the continuous analysis
 //!                                          daemon: line-delimited JSON
@@ -41,7 +39,7 @@ use std::process::ExitCode;
 use separ::analysis::diagnostics::{self, Severity};
 use separ::core::{policy_io, Separ, SeparConfig};
 use separ::dex::codec;
-use separ::enforce::{Device, HookStats, PdpTotals, PromptHandler};
+use separ::enforce::{Device, PromptHandler};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -453,13 +451,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 cfg.default_deadline = std::time::Duration::from_millis(ms);
                 i += 1;
             }
-            "--cache-cap-mb" => {
-                let mb: u64 = value(i)?
-                    .parse()
-                    .map_err(|e| usage(format!("serve: --cache-cap-mb: {e}")))?;
-                cfg.cache_cap_bytes = Some(mb * 1024 * 1024);
-                i += 1;
-            }
             "--threads" => {
                 cfg.config.threads = value(i)?
                     .parse()
@@ -511,23 +502,10 @@ fn cmd_enforce(args: &[String]) -> CliResult {
     let mut policy_file: Option<String> = None;
     let mut launch: Option<(String, String)> = None;
     let mut print_stats = false;
-    let mut threads: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--stats" => print_stats = true,
-            "--threads" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .ok_or_else(|| usage("enforce: --threads needs a count"))?
-                    .parse()
-                    .map_err(|e| usage(format!("enforce: --threads: {e}")))?;
-                if n == 0 {
-                    return Err(usage("enforce: --threads must be at least 1"));
-                }
-                threads = Some(n);
-            }
             "--policies" => {
                 i += 1;
                 policy_file = Some(
@@ -586,65 +564,15 @@ fn cmd_enforce(args: &[String]) -> CliResult {
     for e in device.audit.events() {
         println!("  {e:?}");
     }
-    let (hooks, decisions) = run_counters_then_probe(&device, threads);
     if print_stats {
+        let hooks = device.hook_stats();
+        let decisions = device.pdp().shared().totals();
         let recorded = device.audit.recorded();
         println!("\n{hooks:?}\n{decisions:?}\naudit: {recorded} recorded, {dropped} dropped");
         println!("\nobservability summary:");
         print!("{}", separ::obs::global().snapshot().text_summary());
     }
     Ok(())
-}
-
-/// Reads the run's hook and PDP counters, then runs the `--threads`
-/// throughput probe if one was asked for. The PDP counts the probe's
-/// decisions too, so the counters `--stats` prints must be read first.
-fn run_counters_then_probe(device: &Device, threads: Option<usize>) -> (HookStats, PdpTotals) {
-    let counters = (device.hook_stats(), device.pdp().shared().totals());
-    if let Some(n) = threads {
-        probe_pdp_throughput(device, n);
-    }
-    counters
-}
-
-/// Post-run sustained-throughput probe: `n` reader threads evaluate the
-/// installed policy set concurrently against per-policy engineered
-/// contexts (each policy gets one hit and one near-miss probe). Readers
-/// share the device's compiled set through the lock-free swap handle, so
-/// this measures exactly what emulated runtimes pay per intercepted ICC
-/// call.
-fn probe_pdp_throughput(device: &Device, n: usize) {
-    use std::time::Instant;
-    let shared = device.pdp().shared();
-    let probes = separ::enforce::probe_contexts(device.pdp().policies());
-    if probes.is_empty() {
-        println!("\npdp throughput: no policies installed, nothing to probe");
-        return;
-    }
-    const ROUNDS: usize = 2_000;
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..n {
-            s.spawn(|| {
-                let mut reader = shared.reader();
-                let mut prompt = PromptHandler::AlwaysDeny;
-                for _ in 0..ROUNDS {
-                    for (event, ctx) in &probes {
-                        reader.evaluate(*event, ctx, &mut prompt);
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-    let decisions = (n * ROUNDS * probes.len()) as f64;
-    println!(
-        "\npdp throughput: {} reader(s) x {} decisions in {:.1} ms = {:.0} decisions/sec",
-        n,
-        decisions as u64 / n as u64,
-        elapsed.as_secs_f64() * 1e3,
-        decisions / elapsed.as_secs_f64()
-    );
 }
 
 /// `separ demo`: the whole Figure 1 story in one command.
@@ -713,16 +641,17 @@ mod tests {
     #[test]
     fn every_subcommand_exits_2_on_a_usage_error_and_1_on_a_failed_run() {
         type Cmd = fn(&[String]) -> CliResult;
-        let usage_errors: [(&str, Cmd, &[&str]); 9] = [
+        let usage_errors: [(&str, Cmd, &[&str]); 10] = [
             ("pack", cmd_pack, &[]),
             ("analyze", cmd_analyze, &[]),
             ("analyze", cmd_analyze, &["a.sdex", "--threads", "many"]),
             ("disasm", cmd_disasm, &[]),
             ("enforce", cmd_enforce, &["a.sdex", "--bogus"]),
             ("enforce", cmd_enforce, &["a.sdex", "--launch", "pkg"]),
-            ("enforce", cmd_enforce, &["a.sdex", "--threads", "0"]),
+            ("enforce", cmd_enforce, &["a.sdex", "--threads", "2"]),
             ("serve", cmd_serve, &["--bogus"]),
             ("serve", cmd_serve, &["--queue"]),
+            ("serve", cmd_serve, &["--cache-cap-mb", "64"]),
         ];
         for (name, cmd, args) in usage_errors {
             let err = cmd(&strings(args)).expect_err(name);
@@ -740,33 +669,5 @@ mod tests {
             assert!(matches!(err, CliError::Failed(_)), "{name}: {err:?}");
             assert_eq!(err.exit_code(), 1, "{name}");
         }
-    }
-
-    #[test]
-    fn enforce_stats_counters_exclude_the_throughput_probe() {
-        use separ::corpus::motivating;
-        let apps = vec![
-            motivating::navigator_app(),
-            motivating::messenger_app(false),
-            motivating::malicious_app("+15550000"),
-        ];
-        let report = Separ::new().analyze_apks(&apps[..2]).expect("analyzes");
-        let mut device = Device::new(apps);
-        device.install_policies(
-            report.policies,
-            report.apps.iter().map(|a| a.package.clone()).collect(),
-            PromptHandler::AlwaysDeny,
-        );
-        assert!(device.launch("com.navigator", motivating::LOCATION_FINDER));
-        device.run_until_idle();
-        let run = device.pdp().shared().totals();
-        assert!(run.evaluations > 0, "the run decided something");
-        let (_, printed) = run_counters_then_probe(&device, Some(1));
-        assert_eq!(printed, run, "--stats prints the run's totals");
-        let after = device.pdp().shared().totals();
-        assert!(
-            after.evaluations > run.evaluations,
-            "the probe ran and the PDP counted it"
-        );
     }
 }

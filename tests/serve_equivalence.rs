@@ -6,7 +6,7 @@
 //!
 //! The daemon is driven through [`Daemon::handle`], the same line-in/
 //! line-out surface the socket server wraps, so the whole pipeline is
-//! under test: wire parsing → extraction cache → churn queue →
+//! under test: wire parsing → extraction → churn queue →
 //! coalesced incremental re-analysis → published snapshot → wire
 //! serialization. Policies are compared modulo `id` (dense per-derivation
 //! renumbering is presentation, not identity), exploits by their full
