@@ -4,7 +4,7 @@
 //! modules (Listing 4): components with their filters, permissions,
 //! sensitive data-flow paths, and the Intents they send.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -188,43 +188,49 @@ impl AppModel {
 /// targets the departed version contributed. Long-lived sessions
 /// (`IncrementalSession`, `separ serve`) depend on this idempotence.
 pub fn update_passive_intent_targets(apps: &mut [AppModel]) {
-    for app in apps.iter_mut() {
-        for c in &mut app.components {
-            for p in &mut c.sent_intents {
-                if p.is_passive {
-                    p.resolved_targets.clear();
-                }
-            }
-        }
-    }
-    // Collect (requester component class, requested target class).
-    let mut requesters: Vec<(String, String)> = Vec::new();
+    retarget_passive_intents(apps);
+}
+
+/// [`update_passive_intent_targets`], reporting which apps it changed: the
+/// indices (ascending) of the apps in which some passive intent's resolved
+/// targets differ from what they were before the call. A bundle whose
+/// models were saved after an earlier resolution of the same bundle
+/// reports none.
+pub fn retarget_passive_intents(apps: &mut [AppModel]) -> Vec<usize> {
+    // Requested target class -> the classes requesting a result from it.
+    let mut requesters: HashMap<String, BTreeSet<String>> = HashMap::new();
     for app in apps.iter() {
         for c in &app.components {
             for i in &c.sent_intents {
                 if i.requests_result {
                     if let Some(t) = &i.explicit_target {
-                        requesters.push((c.class.clone(), t.clone()));
+                        requesters
+                            .entry(t.clone())
+                            .or_default()
+                            .insert(c.class.clone());
                     }
                 }
             }
         }
     }
-    for app in apps.iter_mut() {
+    let none = BTreeSet::new();
+    let mut changed = Vec::new();
+    for (index, app) in apps.iter_mut().enumerate() {
+        let mut app_changed = false;
         for c in &mut app.components {
-            let sender = c.class.clone();
+            let targets = requesters.get(&c.class).unwrap_or(&none);
             for p in &mut c.sent_intents {
-                if !p.is_passive {
-                    continue;
-                }
-                for (req_sender, req_target) in &requesters {
-                    if *req_target == sender {
-                        p.resolved_targets.insert(req_sender.clone());
-                    }
+                if p.is_passive && p.resolved_targets != *targets {
+                    p.resolved_targets.clone_from(targets);
+                    app_changed = true;
                 }
             }
         }
+        if app_changed {
+            changed.push(index);
+        }
     }
+    changed
 }
 
 #[cfg(test)]
@@ -289,6 +295,26 @@ mod tests {
         update_passive_intent_targets(&mut apps);
         let passive = &apps[1].components[0].sent_intents[0];
         assert!(passive.resolved_targets.contains("LA;"));
+    }
+
+    #[test]
+    fn retargeting_reports_exactly_the_apps_it_changed() {
+        let a = app(
+            "a",
+            vec![component("LA;", vec![intent(false, true, Some("LB;"))])],
+        );
+        let b = app("b", vec![component("LB;", vec![intent(true, false, None)])]);
+        let c = app("c", vec![component("LC;", vec![intent(true, false, None)])]);
+        let mut apps = vec![a, b, c];
+        assert_eq!(retarget_passive_intents(&mut apps), vec![1]);
+        // Resolution is idempotent: a second pass changes nothing.
+        assert!(retarget_passive_intents(&mut apps).is_empty());
+        // Without its requester, B's passive intent loses its target.
+        apps.remove(0);
+        assert_eq!(retarget_passive_intents(&mut apps), vec![0]);
+        assert!(apps[0].components[0].sent_intents[0]
+            .resolved_targets
+            .is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 
-use separ_analysis::model::{update_passive_intent_targets, AppModel};
+use separ_analysis::model::{retarget_passive_intents, update_passive_intent_targets, AppModel};
 use separ_analysis::slicing::{self, AppSummary};
 use separ_logic::LogicError;
 
@@ -109,9 +109,26 @@ impl IncrementalSession {
     pub fn new(
         registry: SignatureRegistry,
         config: SeparConfig,
-        mut apps: Vec<AppModel>,
+        apps: Vec<AppModel>,
     ) -> Result<IncrementalSession, LogicError> {
-        update_passive_intent_targets(&mut apps);
+        Ok(IncrementalSession::resume(registry, config, apps)?.0)
+    }
+
+    /// [`IncrementalSession::new`] over a bundle restored from storage,
+    /// also returning the indices of the apps whose models passive-intent
+    /// resolution changed (see [`retarget_passive_intents`]). None means
+    /// the session's models equal the ones given, so a store holding them
+    /// needs no re-persist.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`LogicError`] if a signature is ill-typed.
+    pub fn resume(
+        registry: SignatureRegistry,
+        config: SeparConfig,
+        mut apps: Vec<AppModel>,
+    ) -> Result<(IncrementalSession, Vec<usize>), LogicError> {
+        let retargeted = retarget_passive_intents(&mut apps);
         let summaries = slicing::summarize_bundle(&apps);
         let mut session = IncrementalSession {
             cache: vec![Vec::new(); registry.len()],
@@ -123,7 +140,7 @@ impl IncrementalSession {
             total_syntheses: 0,
         };
         session.rerun(|_| true)?;
-        Ok(session)
+        Ok((session, retargeted))
     }
 
     /// The current bundle models.

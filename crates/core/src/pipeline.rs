@@ -794,7 +794,8 @@ pub(crate) fn derive_policies<'a>(
     exploits: impl Iterator<Item = &'a Exploit>,
 ) -> Vec<Policy> {
     let _span = separ_obs::span("pipeline.derive_policies");
-    let mut recipients = IntendedRecipients::new(apps);
+    let exploits: Vec<&Exploit> = exploits.collect();
+    let recipients = IntendedRecipients::new(apps, &exploits);
     let mut policies = Vec::new();
     for e in exploits {
         let intended = recipients.of(e);
@@ -807,27 +808,59 @@ pub(crate) fn derive_policies<'a>(
 /// victim intent (used to scope `ReceiverNotIn` policy conditions).
 ///
 /// Which components' filters accept an intent depends only on its action,
-/// so the bundle is scanned once per distinct hijacked action and each
-/// exploit then only removes its victim class from that set.
+/// so one pass over the bundle's filters indexes, for every hijacked
+/// action, the classes it reaches; each exploit then only removes its
+/// victim class from that set.
 struct IntendedRecipients<'a> {
-    apps: &'a [AppModel],
-    /// Component classes (sorted) whose filters match an intent carrying
-    /// the keyed action.
-    by_action: HashMap<Option<String>, BTreeSet<String>>,
+    /// Component classes (sorted, distinct) whose filters match an intent
+    /// carrying the keyed action (`None`: an intent with no action).
+    by_action: HashMap<Option<&'a str>, Vec<&'a str>>,
 }
 
 impl<'a> IntendedRecipients<'a> {
-    fn new(apps: &'a [AppModel]) -> IntendedRecipients<'a> {
-        IntendedRecipients {
-            apps,
-            by_action: HashMap::new(),
+    fn new(apps: &'a [AppModel], exploits: &[&'a Exploit]) -> IntendedRecipients<'a> {
+        let mut by_action: HashMap<Option<&'a str>, Vec<&'a str>> = exploits
+            .iter()
+            .filter_map(|e| match e {
+                Exploit::IntentHijack {
+                    hijacked_action, ..
+                } => Some((hijacked_action.as_deref(), Vec::new())),
+                _ => None,
+            })
+            .collect();
+        if by_action.is_empty() {
+            return IntendedRecipients { by_action };
         }
+        // An intent carrying only an action matches a filter iff the bare
+        // intent does (the category and data tests, and a non-empty action
+        // list) and, when it has an action, the filter lists it.
+        let bare = resolution::IntentData::new();
+        for c in apps.iter().flat_map(|app| &app.components) {
+            for f in &c.filters {
+                if !resolution::filter_matches(&bare, f) {
+                    continue;
+                }
+                if let Some(classes) = by_action.get_mut(&None) {
+                    classes.push(&c.class);
+                }
+                for action in &f.actions {
+                    if let Some(classes) = by_action.get_mut(&Some(action.as_str())) {
+                        classes.push(&c.class);
+                    }
+                }
+            }
+        }
+        for classes in by_action.values_mut() {
+            classes.sort_unstable();
+            classes.dedup();
+        }
+        IntendedRecipients { by_action }
     }
 
     /// The intended recipients of `exploit`'s hijacked intent: every
     /// matching component class except the victim's, sorted; empty for
     /// other exploit kinds.
-    fn of(&mut self, exploit: &Exploit) -> Vec<String> {
+    fn of(&self, exploit: &Exploit) -> Vec<String> {
         let Exploit::IntentHijack {
             victim_component,
             hijacked_action,
@@ -836,21 +869,12 @@ impl<'a> IntendedRecipients<'a> {
         else {
             return Vec::new();
         };
-        let apps = self.apps;
         self.by_action
-            .entry(hijacked_action.clone())
-            .or_insert_with(|| {
-                let mut intent = resolution::IntentData::new();
-                intent.action = hijacked_action.as_deref().map(Into::into);
-                apps.iter()
-                    .flat_map(|app| &app.components)
-                    .filter(|c| resolution::any_filter_matches(&intent, &c.filters))
-                    .map(|c| c.class.clone())
-                    .collect()
-            })
-            .iter()
-            .filter(|class| *class != victim_component)
-            .cloned()
+            .get(&hijacked_action.as_deref())
+            .into_iter()
+            .flatten()
+            .filter(|class| **class != victim_component.as_str())
+            .map(|class| class.to_string())
             .collect()
     }
 }
@@ -1148,7 +1172,8 @@ mod tests {
             assert!(probes
                 .iter()
                 .any(|e| matches!(e, Exploit::IntentHijack { .. })));
-            let mut recipients = IntendedRecipients::new(&report.apps);
+            let recipients =
+                IntendedRecipients::new(&report.apps, &probes.iter().collect::<Vec<_>>());
             let mut nonempty = 0;
             for e in &probes {
                 let expected = intended_recipients_by_scan(&report.apps, e);

@@ -292,7 +292,8 @@ pub enum CnfEncoding {
 /// and records how large the emitted CNF was.
 #[derive(Debug, Default)]
 pub struct CnfMap {
-    input_vars: HashMap<u32, Var>,
+    /// `input_vars[label]`: the solver variable of a reachable input.
+    input_vars: Vec<Option<Var>>,
     clauses: usize,
     aux_vars: usize,
 }
@@ -301,12 +302,15 @@ impl CnfMap {
     /// The solver variable allocated for a circuit input, if it was
     /// reachable from the asserted root.
     pub fn var_for_input(&self, label: u32) -> Option<Var> {
-        self.input_vars.get(&label).copied()
+        self.input_vars.get(label as usize).copied().flatten()
     }
 
-    /// Iterates over `(input label, solver var)` pairs.
+    /// Iterates over `(input label, solver var)` pairs, by label.
     pub fn inputs(&self) -> impl Iterator<Item = (u32, Var)> + '_ {
-        self.input_vars.iter().map(|(&l, &v)| (l, v))
+        self.input_vars
+            .iter()
+            .enumerate()
+            .filter_map(|(l, v)| Some((l as u32, (*v)?)))
     }
 
     /// Number of clauses this lowering handed to the solver (before the
@@ -319,6 +323,14 @@ impl CnfMap {
     pub fn num_aux_vars(&self) -> usize {
         self.aux_vars
     }
+
+    fn set_input(&mut self, label: u32, v: Var) {
+        let i = label as usize;
+        if self.input_vars.len() <= i {
+            self.input_vars.resize(i + 1, None);
+        }
+        self.input_vars[i] = Some(v);
+    }
 }
 
 /// Polarity bits: whether a gate is observed positively and/or negatively
@@ -330,17 +342,18 @@ fn flip_polarity(p: u8) -> u8 {
     ((p & POL_POS) << 1) | ((p & POL_NEG) >> 1)
 }
 
-/// Computes each reachable gate's polarity set from `root`.
+/// Computes each gate's polarity set from `root`, indexed by gate; `0`
+/// marks a gate the root does not reach.
 ///
 /// A gate has positive polarity if some path from the root reaches it
 /// through an even number of negations, negative polarity for an odd
 /// number; both bits can be set.
-fn polarities(circuit: &Circuit, root: BoolRef) -> HashMap<u32, u8> {
-    let mut pol: HashMap<u32, u8> = HashMap::new();
+fn polarities(circuit: &Circuit, root: BoolRef) -> Vec<u8> {
+    let mut pol = vec![0u8; circuit.gates.len()];
     let seed = if root.negated() { POL_NEG } else { POL_POS };
     let mut work: Vec<(u32, u8)> = vec![(root.index(), seed)];
     while let Some((idx, p)) = work.pop() {
-        let entry = pol.entry(idx).or_insert(0);
+        let entry = &mut pol[idx as usize];
         if *entry & p == p {
             continue;
         }
@@ -367,7 +380,10 @@ pub fn assert_circuit(circuit: &Circuit, root: BoolRef, solver: &mut Solver) -> 
 ///
 /// Gates are lowered in creation order (children always precede parents in
 /// a hash-consed circuit), so variable numbering is deterministic for a
-/// given circuit and root.
+/// given circuit and root. The numbering, and the order of clauses and of
+/// their literals, is part of the solver's search order (see the
+/// [`sat`](crate::sat) solver docs), and `tests/solver_trajectory.rs`
+/// checks it byte for byte against the reference lowering.
 pub fn assert_circuit_with(
     circuit: &Circuit,
     root: BoolRef,
@@ -384,75 +400,200 @@ pub fn assert_circuit_with(
         return map;
     }
     let pol = polarities(circuit, root);
-    let mut indices: Vec<u32> = pol.keys().copied().collect();
-    indices.sort_unstable();
-    let mut gate_lit: HashMap<u32, Lit> = HashMap::new();
-    let signed = |gate_lit: &HashMap<u32, Lit>, r: BoolRef| -> Lit {
-        let l = gate_lit[&r.index()];
+    // Every slot read below belongs to a reachable gate lowered earlier;
+    // unreachable slots keep this placeholder.
+    let mut gate_lit: Vec<Lit> = vec![Lit(0); circuit.gates.len()];
+    let signed = |gate_lit: &[Lit], r: BoolRef| -> Lit {
+        let l = gate_lit[r.index() as usize];
         if r.negated() {
             !l
         } else {
             l
         }
     };
-    for idx in indices {
+    let mut clause: Vec<Lit> = Vec::new();
+    for (idx, &reached) in pol.iter().enumerate() {
+        if reached == 0 {
+            continue;
+        }
         let p = match encoding {
-            CnfEncoding::PlaistedGreenbaum => pol[&idx],
+            CnfEncoding::PlaistedGreenbaum => reached,
             CnfEncoding::Tseitin => POL_POS | POL_NEG,
         };
-        match &circuit.gates[idx as usize] {
+        gate_lit[idx] = match &circuit.gates[idx] {
             Gate::True => unreachable!("constants never appear inside gates"),
             Gate::Input(label) => {
                 let v = solver.new_var();
-                map.input_vars.insert(*label, v);
-                gate_lit.insert(idx, v.positive());
+                map.set_input(*label, v);
+                v.positive()
             }
             Gate::And(children) => {
-                let child_lits: Vec<Lit> = children.iter().map(|&c| signed(&gate_lit, c)).collect();
                 let g = solver.new_var().positive();
                 map.aux_vars += 1;
                 if p & POL_POS != 0 {
                     // g => child, for each child
-                    for &cl in &child_lits {
-                        solver.add_clause(&[!g, cl]);
+                    for &c in children {
+                        solver.add_clause(&[!g, signed(&gate_lit, c)]);
                         map.clauses += 1;
                     }
                 }
                 if p & POL_NEG != 0 {
                     // (children) => g
-                    let mut clause: Vec<Lit> = child_lits.iter().map(|&c| !c).collect();
+                    clause.clear();
+                    clause.extend(children.iter().map(|&c| !signed(&gate_lit, c)));
                     clause.push(g);
                     solver.add_clause(&clause);
                     map.clauses += 1;
                 }
-                gate_lit.insert(idx, g);
+                g
             }
             Gate::Or(children) => {
-                let child_lits: Vec<Lit> = children.iter().map(|&c| signed(&gate_lit, c)).collect();
                 let g = solver.new_var().positive();
                 map.aux_vars += 1;
                 if p & POL_NEG != 0 {
                     // child => g, for each child
-                    for &cl in &child_lits {
-                        solver.add_clause(&[!cl, g]);
+                    for &c in children {
+                        solver.add_clause(&[!signed(&gate_lit, c), g]);
                         map.clauses += 1;
                     }
                 }
                 if p & POL_POS != 0 {
                     // g => (children)
-                    let mut clause = child_lits.clone();
+                    clause.clear();
+                    clause.extend(children.iter().map(|&c| signed(&gate_lit, c)));
                     clause.push(!g);
                     solver.add_clause(&clause);
                     map.clauses += 1;
                 }
-                gate_lit.insert(idx, g);
+                g
             }
-        }
+        };
     }
-    let root_lit = signed(&gate_lit, BoolRef::new(root.index(), root.negated()));
+    let root_lit = signed(&gate_lit, root);
     solver.add_clause(&[root_lit]);
     map.clauses += 1;
     map
+}
+
+/// The CNF lowering as it was before its gate-indexed tables: a reference
+/// oracle for tests only (see [`crate::sat::reference`]). It must emit the
+/// same variables and clauses, in the same order, as
+/// [`assert_circuit_with`].
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
+pub mod reference {
+    use std::collections::HashMap;
+
+    use super::{flip_polarity, BoolRef, Circuit, CnfEncoding, CnfMap, Gate, POL_NEG, POL_POS};
+    use crate::sat::reference::Solver;
+    use crate::sat::Lit;
+
+    fn polarities(circuit: &Circuit, root: BoolRef) -> HashMap<u32, u8> {
+        let mut pol: HashMap<u32, u8> = HashMap::new();
+        let seed = if root.negated() { POL_NEG } else { POL_POS };
+        let mut work: Vec<(u32, u8)> = vec![(root.index(), seed)];
+        while let Some((idx, p)) = work.pop() {
+            let entry = pol.entry(idx).or_insert(0);
+            if *entry & p == p {
+                continue;
+            }
+            *entry |= p;
+            if let Gate::And(children) | Gate::Or(children) = &circuit.gates[idx as usize] {
+                for c in children {
+                    let cp = if c.negated() { flip_polarity(p) } else { p };
+                    work.push((c.index(), cp));
+                }
+            }
+        }
+        pol
+    }
+
+    /// The reference counterpart of [`super::assert_circuit_with`],
+    /// lowering into the reference solver.
+    pub fn assert_circuit_with(
+        circuit: &Circuit,
+        root: BoolRef,
+        solver: &mut Solver,
+        encoding: CnfEncoding,
+    ) -> CnfMap {
+        let mut map = CnfMap::default();
+        if root.is_const_true() {
+            return map;
+        }
+        if root.is_const_false() {
+            solver.add_clause(&[]);
+            map.clauses = 1;
+            return map;
+        }
+        let pol = polarities(circuit, root);
+        let mut indices: Vec<u32> = pol.keys().copied().collect();
+        indices.sort_unstable();
+        let mut gate_lit: HashMap<u32, Lit> = HashMap::new();
+        let signed = |gate_lit: &HashMap<u32, Lit>, r: BoolRef| -> Lit {
+            let l = gate_lit[&r.index()];
+            if r.negated() {
+                !l
+            } else {
+                l
+            }
+        };
+        for idx in indices {
+            let p = match encoding {
+                CnfEncoding::PlaistedGreenbaum => pol[&idx],
+                CnfEncoding::Tseitin => POL_POS | POL_NEG,
+            };
+            match &circuit.gates[idx as usize] {
+                Gate::True => unreachable!("constants never appear inside gates"),
+                Gate::Input(label) => {
+                    let v = solver.new_var();
+                    map.set_input(*label, v);
+                    gate_lit.insert(idx, v.positive());
+                }
+                Gate::And(children) => {
+                    let child_lits: Vec<Lit> =
+                        children.iter().map(|&c| signed(&gate_lit, c)).collect();
+                    let g = solver.new_var().positive();
+                    map.aux_vars += 1;
+                    if p & POL_POS != 0 {
+                        for &cl in &child_lits {
+                            solver.add_clause(&[!g, cl]);
+                            map.clauses += 1;
+                        }
+                    }
+                    if p & POL_NEG != 0 {
+                        let mut clause: Vec<Lit> = child_lits.iter().map(|&c| !c).collect();
+                        clause.push(g);
+                        solver.add_clause(&clause);
+                        map.clauses += 1;
+                    }
+                    gate_lit.insert(idx, g);
+                }
+                Gate::Or(children) => {
+                    let child_lits: Vec<Lit> =
+                        children.iter().map(|&c| signed(&gate_lit, c)).collect();
+                    let g = solver.new_var().positive();
+                    map.aux_vars += 1;
+                    if p & POL_NEG != 0 {
+                        for &cl in &child_lits {
+                            solver.add_clause(&[!cl, g]);
+                            map.clauses += 1;
+                        }
+                    }
+                    if p & POL_POS != 0 {
+                        let mut clause = child_lits.clone();
+                        clause.push(!g);
+                        solver.add_clause(&clause);
+                        map.clauses += 1;
+                    }
+                    gate_lit.insert(idx, g);
+                }
+            }
+        }
+        let root_lit = signed(&gate_lit, BoolRef::new(root.index(), root.negated()));
+        solver.add_clause(&[root_lit]);
+        map.clauses += 1;
+        map
+    }
 }
 
 #[cfg(test)]

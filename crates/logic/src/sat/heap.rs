@@ -74,45 +74,64 @@ impl ActivityHeap {
         }
     }
 
+    #[cfg(test)]
+    pub(crate) fn layout(&self) -> &[u32] {
+        &self.heap
+    }
+
+    /// Moves the variable at `i` up past every parent with strictly lower
+    /// activity. The variable is held aside while parents slide down into
+    /// the hole, so each level costs one write instead of a swap; the final
+    /// layout is the one pairwise swaps would produce.
     fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let x = self.heap[i];
+        let ax = activity[x as usize];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if activity[self.heap[i] as usize] > activity[self.heap[parent] as usize] {
-                self.swap(i, parent);
+            let p = self.heap[parent];
+            if ax > activity[p as usize] {
+                self.heap[i] = p;
+                self.positions[p as usize] = i as u32;
                 i = parent;
             } else {
                 break;
             }
         }
+        self.heap[i] = x;
+        self.positions[x as usize] = i as u32;
     }
 
+    /// Moves the variable at `i` down while a child has strictly higher
+    /// activity, preferring the left child on ties (as a swap-based sift
+    /// comparing left first does).
     fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let x = self.heap[i];
+        let ax = activity[x as usize];
+        let len = self.heap.len();
         loop {
             let left = 2 * i + 1;
-            let right = 2 * i + 2;
-            let mut largest = i;
-            if left < self.heap.len()
-                && activity[self.heap[left] as usize] > activity[self.heap[largest] as usize]
-            {
-                largest = left;
-            }
-            if right < self.heap.len()
-                && activity[self.heap[right] as usize] > activity[self.heap[largest] as usize]
-            {
-                largest = right;
-            }
-            if largest == i {
+            if left >= len {
                 break;
             }
-            self.swap(i, largest);
-            i = largest;
+            let right = left + 1;
+            let child = if right < len
+                && activity[self.heap[right] as usize] > activity[self.heap[left] as usize]
+            {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if activity[c as usize] > ax {
+                self.heap[i] = c;
+                self.positions[c as usize] = i as u32;
+                i = child;
+            } else {
+                break;
+            }
         }
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.positions[self.heap[a] as usize] = a as u32;
-        self.positions[self.heap[b] as usize] = b as u32;
+        self.heap[i] = x;
+        self.positions[x as usize] = i as u32;
     }
 }
 
@@ -157,6 +176,38 @@ mod tests {
         activity[0] = 10.0;
         heap.bumped(v(0), &activity);
         assert_eq!(heap.pop(&activity), Some(v(0)));
+    }
+
+    /// Random inserts, activity bumps (many of them ties) and pops leave
+    /// the hole-sifting heap in exactly the layout of the swapping one.
+    #[test]
+    fn hole_sifting_keeps_the_swapping_layout() {
+        use crate::sat::reference::heap::ActivityHeap as SwapHeap;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x4EA9);
+        for _ in 0..40 {
+            let n = rng.gen_range(1..64);
+            let mut activity: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0..4u8))).collect();
+            let mut holes = ActivityHeap::new();
+            let mut swaps = SwapHeap::new();
+            for _ in 0..400 {
+                let var = v(rng.gen_range(0..n));
+                match rng.gen_range(0..3) {
+                    0 => {
+                        holes.insert(var, &activity);
+                        swaps.insert(var, &activity);
+                    }
+                    1 => {
+                        activity[var.index()] += f64::from(rng.gen_range(0..3u8));
+                        holes.bumped(var, &activity);
+                        swaps.bumped(var, &activity);
+                    }
+                    _ => assert_eq!(holes.pop(&activity), swaps.pop(&activity)),
+                }
+                assert_eq!(holes.layout(), swaps.layout());
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,9 @@
 
 mod heap;
 mod lit;
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
+pub mod reference;
 mod solver;
 
 pub use lit::{LBool, Lit, Var};

@@ -10,6 +10,26 @@
 //! Default decision polarity is *false*, which biases found models toward
 //! few positive relation tuples — a cheap head start for minimal-scenario
 //! generation.
+//!
+//! # The search order is part of the output
+//!
+//! Exploit synthesis enumerates minimal models until a scenario limit, and
+//! at market scale most signatures reach it, so *which* models come first
+//! decides which exploits are reported. Any change here must therefore
+//! keep every decision: variable numbering, clause and literal order,
+//! watch-list order, heap tie-breaking, learnt clauses and restarts. Make
+//! the same search cheaper, never a different one. The solver as it was
+//! before its arena rewrite is kept as a test-only oracle
+//! (`sat::reference`), and `tests/solver_trajectory.rs` checks the two
+//! step by step: results, models, [`SolverStats`] and
+//! [`Solver::to_dimacs`].
+//!
+//! Clauses live in one flat arena of literals. A clause is named by the
+//! arena offset of its first literal; the two words before it hold the
+//! clause's creation number (which indexes [`ClauseInfo`]) and its length
+//! word, so propagation reaches a watched clause with a single lookup.
+//! Deleted clauses stay in the arena (their watchers are dropped lazily as
+//! propagation meets them), so clause names are stable.
 
 use super::heap::ActivityHeap;
 use super::lit::{LBool, Lit, Var};
@@ -23,16 +43,19 @@ pub enum SolveResult {
     Unsat,
 }
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
+/// Top bit of a clause's length word: the clause is deleted.
+const DELETED: u32 = 1 << 31;
+
+/// What propagation never reads about a clause, by creation number.
+#[derive(Debug, Clone, Copy)]
+struct ClauseInfo {
     learnt: bool,
-    deleted: bool,
     activity: f64,
 }
 
 #[derive(Copy, Clone, Debug)]
 struct Watcher {
+    /// The clause's arena offset.
     clause: u32,
     /// A literal of the clause other than the watched one; if it is already
     /// true the clause is satisfied and the watcher need not be inspected.
@@ -43,7 +66,7 @@ struct Watcher {
 const SOLVER_TICK_CONFLICTS: u64 = 4096;
 
 /// Statistics accumulated across `solve` calls.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of conflicts encountered.
     pub conflicts: u64,
@@ -76,7 +99,13 @@ pub struct SolverStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Each clause's arena offset, in creation order.
+    clauses: Vec<u32>,
+    /// Per clause, in creation order.
+    info: Vec<ClauseInfo>,
+    /// Every clause as `[number, length word, literals...]`, back to back;
+    /// the two header words are raw `u32`s stored as `Lit` bits.
+    arena: Vec<Lit>,
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     polarity: Vec<bool>,
@@ -93,6 +122,12 @@ pub struct Solver {
     ok: bool,
     n_original: usize,
     stats: SolverStats,
+    /// Scratch buffer `add_clause` normalizes into.
+    add_buf: Vec<Lit>,
+}
+
+fn value_of(assigns: &[LBool], lit: Lit) -> LBool {
+    assigns[lit.var().index()].under_sign(lit.is_positive())
 }
 
 impl Solver {
@@ -144,7 +179,21 @@ impl Solver {
     }
 
     fn lit_value(&self, lit: Lit) -> LBool {
-        self.assigns[lit.var().index()].under_sign(lit.is_positive())
+        value_of(&self.assigns, lit)
+    }
+
+    /// The length word of clause `c`: its length, plus [`DELETED`].
+    fn len_word(&self, c: u32) -> u32 {
+        self.arena[c as usize - 1].0
+    }
+
+    fn range(&self, c: u32) -> std::ops::Range<usize> {
+        let start = c as usize;
+        start..start + (self.len_word(c) & !DELETED) as usize
+    }
+
+    fn lits(&self, c: u32) -> &[Lit] {
+        &self.arena[self.range(c)]
     }
 
     /// Adds a clause. Returns `false` if the formula became trivially
@@ -157,41 +206,63 @@ impl Solver {
             return false;
         }
         self.cancel_until(0);
-        let mut cl: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        for &l in &sorted {
+        let mut cl = std::mem::take(&mut self.add_buf);
+        cl.clear();
+        cl.extend_from_slice(lits);
+        cl.sort_unstable();
+        cl.dedup();
+        // Filter in place, keeping the unassigned literals. Sorting puts
+        // `!l` (`2v`) right before `l` (`2v + 1`), and both are unassigned
+        // if either is, so a tautology shows as equal neighbours.
+        let mut kept = 0;
+        let mut satisfied = false;
+        for i in 0..cl.len() {
+            let l = cl[i];
             debug_assert!(l.var().index() < self.num_vars(), "literal out of range");
             match self.lit_value(l) {
-                LBool::True => return true, // satisfied at level 0
-                LBool::False => continue,   // falsified at level 0: drop literal
+                LBool::True => {
+                    satisfied = true; // satisfied at level 0
+                    break;
+                }
+                LBool::False => continue, // falsified at level 0: drop literal
                 LBool::Undef => {}
             }
-            if cl.contains(&!l) {
-                return true; // tautology
+            if kept > 0 && cl[kept - 1] == !l {
+                satisfied = true; // tautology
+                break;
             }
-            cl.push(l);
+            cl[kept] = l;
+            kept += 1;
         }
-        match cl.len() {
-            0 => {
-                self.ok = false;
-                false
+        cl.truncate(kept);
+        let ok = if satisfied {
+            true
+        } else {
+            match cl.len() {
+                0 => {
+                    self.ok = false;
+                    false
+                }
+                1 => {
+                    self.unchecked_enqueue(cl[0], None);
+                    self.ok = self.propagate().is_none();
+                    self.ok
+                }
+                _ => {
+                    self.attach(&cl, false);
+                    true
+                }
             }
-            1 => {
-                self.unchecked_enqueue(cl[0], None);
-                self.ok = self.propagate().is_none();
-                self.ok
-            }
-            _ => {
-                self.attach(cl, false);
-                true
-            }
-        }
+        };
+        self.add_buf = cl;
+        ok
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
-        let idx = self.clauses.len() as u32;
+    fn attach(&mut self, lits: &[Lit], learnt: bool) -> u32 {
+        let number = self.clauses.len() as u32;
+        self.arena.push(Lit(number));
+        self.arena.push(Lit(lits.len() as u32));
+        let idx = self.arena.len() as u32;
         self.watches[(!lits[0]).index()].push(Watcher {
             clause: idx,
             blocker: lits[1],
@@ -200,12 +271,12 @@ impl Solver {
             clause: idx,
             blocker: lits[0],
         });
-        self.clauses.push(Clause {
-            lits,
+        self.clauses.push(idx);
+        self.info.push(ClauseInfo {
             learnt,
-            deleted: false,
             activity: 0.0,
         });
+        self.arena.extend_from_slice(lits);
         if learnt {
             self.stats.learnts += 1;
         } else {
@@ -238,20 +309,24 @@ impl Solver {
             self.polarity[v.index()] = lit.is_positive();
             self.assigns[v.index()] = LBool::Undef;
             self.reason[v.index()] = None;
-            if !self.order.contains(v) {
-                self.order.insert(v, &self.activity);
-            }
+            self.order.insert(v, &self.activity);
         }
         self.trail_lim.truncate(target as usize);
         self.qhead = self.trail.len();
     }
 
-    /// Unit propagation; returns the index of a conflicting clause, if any.
+    /// Unit propagation; returns the conflicting clause, if any.
+    ///
+    /// A watcher whose blocker is true is kept without loading its clause,
+    /// even if that clause was deleted; deleted clauses never propagate,
+    /// and their watchers are dropped the first time the clause would be
+    /// loaded. The live watchers keep their order either way.
     fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let lit = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !lit;
             let mut watchers = std::mem::take(&mut self.watches[lit.index()]);
             let mut kept = 0;
             let mut conflict = None;
@@ -259,40 +334,41 @@ impl Solver {
             while i < watchers.len() {
                 let w = watchers[i];
                 i += 1;
-                if self.clauses[w.clause as usize].deleted {
-                    continue; // drop watcher of deleted clause
-                }
-                if self.lit_value(w.blocker) == LBool::True {
+                if value_of(&self.assigns, w.blocker) == LBool::True {
                     watchers[kept] = w;
                     kept += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
-                // Normalize so that the false literal (!lit) is at slot 1.
-                let false_lit = !lit;
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                let start = w.clause as usize;
+                let len_word = self.arena[start - 1].0;
+                if len_word & DELETED != 0 {
+                    continue; // drop watcher of deleted clause
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
-                if first != w.blocker && self.lit_value(first) == LBool::True {
-                    watchers[kept] = Watcher {
-                        clause: w.clause,
-                        blocker: first,
-                    };
+                let lits = &mut self.arena[start..start + len_word as usize];
+                // Normalize so that the false literal (!lit) is at slot 1.
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
+                }
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                let first_value = value_of(&self.assigns, first);
+                // This clause's watcher, with `first` as its blocker.
+                let watcher = Watcher {
+                    clause: w.clause,
+                    blocker: first,
+                };
+                if first != w.blocker && first_value == LBool::True {
+                    watchers[kept] = watcher;
                     kept += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
                 let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    let cand = self.clauses[ci].lits[k];
-                    if self.lit_value(cand) != LBool::False {
-                        self.clauses[ci].lits.swap(1, k);
-                        self.watches[(!cand).index()].push(Watcher {
-                            clause: w.clause,
-                            blocker: first,
-                        });
+                for k in 2..lits.len() {
+                    let cand = lits[k];
+                    if value_of(&self.assigns, cand) != LBool::False {
+                        lits.swap(1, k);
+                        self.watches[(!cand).index()].push(watcher);
                         moved = true;
                         break;
                     }
@@ -301,12 +377,9 @@ impl Solver {
                     continue;
                 }
                 // Clause is unit or conflicting.
-                watchers[kept] = Watcher {
-                    clause: w.clause,
-                    blocker: first,
-                };
+                watchers[kept] = watcher;
                 kept += 1;
-                if self.lit_value(first) == LBool::False {
+                if first_value == LBool::False {
                     conflict = Some(w.clause);
                     // Copy remaining watchers back and stop.
                     while i < watchers.len() {
@@ -339,10 +412,11 @@ impl Solver {
         self.order.bumped(v, &self.activity);
     }
 
-    fn bump_clause(&mut self, c: usize) {
-        self.clauses[c].activity += self.cla_inc;
-        if self.clauses[c].activity > 1e20 {
-            for cl in &mut self.clauses {
+    fn bump_clause(&mut self, c: u32) {
+        let number = self.arena[c as usize - 2].0 as usize;
+        self.info[number].activity += self.cla_inc;
+        if self.info[number].activity > 1e20 {
+            for cl in &mut self.info {
                 cl.activity *= 1e-20;
             }
             self.cla_inc *= 1e-20;
@@ -357,12 +431,12 @@ impl Solver {
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         loop {
-            self.bump_clause(conflict as usize);
-            let start = usize::from(p.is_some());
-            // Clone needed literals to appease borrowck cheaply: clause lits
-            // are short (learnt from small scopes).
-            let lits: Vec<Lit> = self.clauses[conflict as usize].lits[start..].to_vec();
-            for q in lits {
+            self.bump_clause(conflict);
+            let range = self.range(conflict);
+            // A reason clause's first literal is the one it implied (`p`).
+            let skip = usize::from(p.is_some());
+            for k in range.start + skip..range.end {
+                let q = self.arena[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -401,7 +475,7 @@ impl Solver {
         for (i, &q) in learnt.iter().enumerate() {
             let redundant = i > 0
                 && self.reason[q.var().index()].is_some_and(|r| {
-                    self.clauses[r as usize].lits.iter().all(|&l| {
+                    self.lits(r).iter().all(|&l| {
                         l.var() == q.var()
                             || self.seen[l.var().index()]
                             || self.level[l.var().index()] == 0
@@ -434,25 +508,33 @@ impl Solver {
         (learnt, backjump)
     }
 
+    /// Deletes the less active half of the learnt clauses longer than two
+    /// literals, except locked ones.
+    ///
+    /// A clause is locked while it is the reason of an assignment. Only a
+    /// clause's first literal is ever implied by it (propagation and
+    /// learning both enqueue `lits[0]`, and slot 0 is never swapped while
+    /// that literal is true), so the MiniSat test — is this clause the
+    /// reason of its own first literal — finds exactly the locked clauses.
     fn reduce_db(&mut self) {
-        let mut learnt_idx: Vec<usize> = self
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted && c.lits.len() > 2)
-            .map(|(i, _)| i)
+        // Live learnt clauses longer than two literals, by creation number.
+        let mut learnt_idx: Vec<usize> = (0..self.clauses.len())
+            .filter(|&i| {
+                let len_word = self.len_word(self.clauses[i]);
+                self.info[i].learnt && len_word > 2 && len_word & DELETED == 0
+            })
             .collect();
         learnt_idx.sort_by(|&a, &b| {
-            self.clauses[a]
+            self.info[a]
                 .activity
-                .partial_cmp(&self.clauses[b].activity)
+                .partial_cmp(&self.info[b].activity)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let locked: Vec<Option<u32>> = self.reason.clone();
-        let is_locked = |i: usize| locked.contains(&Some(i as u32));
         for &i in learnt_idx.iter().take(learnt_idx.len() / 2) {
-            if !is_locked(i) {
-                self.clauses[i].deleted = true;
+            let c = self.clauses[i];
+            let first = self.arena[c as usize];
+            if self.reason[first.var().index()] != Some(c) {
+                self.arena[c as usize - 1].0 |= DELETED;
                 self.stats.learnts = self.stats.learnts.saturating_sub(1);
             }
         }
@@ -476,11 +558,11 @@ impl Solver {
         use std::fmt::Write;
         let mut body = String::new();
         let mut count = 0usize;
-        for cl in &self.clauses {
-            if cl.learnt || cl.deleted {
+        for (&c, info) in self.clauses.iter().zip(&self.info) {
+            if info.learnt || self.len_word(c) & DELETED != 0 {
                 continue;
             }
-            for &l in &cl.lits {
+            for &l in self.lits(c) {
                 let v = l.var().index() + 1;
                 let _ = write!(
                     body,
@@ -589,7 +671,7 @@ impl Solver {
                         self.unchecked_enqueue(learnt[0], None);
                     }
                 } else {
-                    let ci = self.attach(learnt.clone(), true);
+                    let ci = self.attach(&learnt, true);
                     self.unchecked_enqueue(learnt[0], Some(ci));
                 }
                 self.var_inc /= 0.95;
@@ -632,7 +714,7 @@ impl Solver {
 }
 
 /// The Luby restart sequence (1, 1, 2, 1, 1, 2, 4, ...).
-fn luby(i: u64) -> u64 {
+pub(super) fn luby(i: u64) -> u64 {
     let mut size = 1u64;
     let mut seq = 0u32;
     let mut x = i;

@@ -2,6 +2,8 @@
 //! two expressions are equivalent iff the bounded model finder proves
 //! their equality has no counterexample.
 
+mod support;
+
 use proptest::prelude::*;
 
 use separ_logic::ast::Expr;
@@ -9,24 +11,7 @@ use separ_logic::relation::{RelationDecl, Tuple, TupleSet};
 use separ_logic::universe::Universe;
 use separ_logic::Problem;
 
-const N_ATOMS: usize = 4;
-
-/// A problem with three free binary relations over a small universe.
-fn setup() -> (Problem, [Expr; 3]) {
-    let mut u = Universe::new();
-    let atoms: Vec<_> = (0..N_ATOMS).map(|i| u.add(format!("a{i}"))).collect();
-    let mut pairs = TupleSet::new(2);
-    for &x in &atoms {
-        for &y in &atoms {
-            pairs.insert(Tuple::binary(x, y));
-        }
-    }
-    let mut p = Problem::new(u);
-    let r = p.relation(RelationDecl::free("r", pairs.clone()));
-    let s = p.relation(RelationDecl::free("s", pairs.clone()));
-    let t = p.relation(RelationDecl::free("t", pairs));
-    (p, [Expr::relation(r), Expr::relation(s), Expr::relation(t)])
-}
+use support::{edge_sets, setup, N_ATOMS};
 
 /// Asserts a law `lhs = rhs` holds for ALL instances (no counterexample).
 fn assert_law(lhs: Expr, rhs: Expr) {
@@ -92,8 +77,8 @@ proptest! {
     /// set implementation.
     #[test]
     fn operators_match_reference_sets(
-        r_edges in prop::collection::btree_set((0usize..N_ATOMS, 0usize..N_ATOMS), 0..8),
-        s_edges in prop::collection::btree_set((0usize..N_ATOMS, 0usize..N_ATOMS), 0..8),
+        r_edges in edge_sets(),
+        s_edges in edge_sets(),
     ) {
         let mut u = Universe::new();
         let atoms: Vec<_> = (0..N_ATOMS).map(|i| u.add(format!("a{i}"))).collect();

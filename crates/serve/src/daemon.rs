@@ -22,9 +22,11 @@
 //!
 //! With a store directory configured, every batch persists the bundle
 //! manifest; on startup the daemon restores the persisted models and
-//! re-synthesizes from them **without re-extracting** any package.
-//! Shutdown closes the queue, drains what was accepted, persists, and
-//! fsyncs — accepted requests are never lost (see
+//! re-synthesizes from them **without re-extracting** any package, and
+//! persists only if the restored store differs from the new session.
+//! Shutdown closes the queue, drains what was accepted, persists again if
+//! a batch failed or its persist did, and fsyncs — accepted requests are
+//! never lost (see
 //! `crate::queue`'s close-then-drain contract).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,18 +172,23 @@ impl Daemon {
             None => Default::default(),
         };
         let (restored_apps, restore_skipped) = (restored.apps.len(), restored.skipped);
-        let session =
-            IncrementalSession::new(SignatureRegistry::standard(), cfg.config, restored.apps)
+        let (session, retargeted) =
+            IncrementalSession::resume(SignatureRegistry::standard(), cfg.config, restored.apps)
                 .map_err(|e| ServeError(format!("initial analysis: {e}")))?;
         let pdp = SharedPdp::new(CompiledPolicySet::compile(
             session.policies().to_vec(),
             packages_of(&session),
         ));
         let published = Arc::new(Mutex::new(snapshot_of(&session)));
+        // Persist at boot only when the disk differs from the session.
+        let disk_differs =
+            !restored.found_manifest || restore_skipped > 0 || !retargeted.is_empty();
         if let Some(store) = &store {
-            store
-                .persist(session.apps())
-                .map_err(|e| ServeError(e.to_string()))?;
+            if disk_differs {
+                store
+                    .persist(session.apps())
+                    .map_err(|e| ServeError(e.to_string()))?;
+            }
         }
         let queue = Arc::new(ChurnQueue::new(cfg.queue_capacity));
         let metrics = Arc::new(ServeMetrics::new());
@@ -538,7 +545,7 @@ impl Daemon {
     }
 
     /// Closes the queue, joins the worker (which drains every accepted
-    /// op, persists, and fsyncs), idempotently.
+    /// op and leaves the store persisted and fsynced), idempotently.
     ///
     /// # Errors
     ///
@@ -801,8 +808,12 @@ fn worker_loop(
     subs: Arc<Subscriptions>,
     batch_max: usize,
 ) {
+    // Whether the store holds the session as it is now: true after boot
+    // (`Daemon::start` persisted whatever differed) and after every
+    // successful batch persist.
+    let mut saved = true;
     while let Some((ops, tickets)) = queue.take_batch(batch_max) {
-        let _span = separ_obs::span("serve.apply_batch");
+        let span = separ_obs::span("serve.apply_batch");
         let started = Instant::now();
         let outcome = match session.apply_batch(ops) {
             Ok(delta) => {
@@ -848,19 +859,37 @@ fn worker_loop(
                 let line: Arc<str> = Arc::from(event.to_line().as_str());
                 subs.publish(&line);
                 if let Some(store) = &store {
-                    if let Err(e) = store.persist(session.apps()) {
-                        eprintln!("separ serve: store persist failed: {e}");
-                    }
+                    saved = match store.persist(session.apps()) {
+                        Ok(()) => true,
+                        Err(e) => {
+                            eprintln!("separ serve: store persist failed: {e}");
+                            false
+                        }
+                    };
                 }
                 BatchOutcome::Done(Arc::new(summary))
             }
-            Err(e) => BatchOutcome::Failed(Arc::from(e.to_string().as_str())),
+            Err(e) => {
+                // A failed pass may have left the session's models ahead
+                // of the store.
+                saved = false;
+                BatchOutcome::Failed(Arc::from(e.to_string().as_str()))
+            }
         };
+        // Close the batch span before any reply goes out, so a client
+        // holding its reply sees its batch fully traced.
+        drop(span);
         fulfill_batch(&tickets, &outcome);
     }
-    // Queue closed and drained: make the final state durable.
+    // Queue closed and drained: make the final state durable, writing it
+    // first only if a persist failed since boot.
     if let Some(store) = &store {
-        if let Err(e) = store.persist(session.apps()).and_then(|()| store.sync()) {
+        let persisted = if saved {
+            Ok(())
+        } else {
+            store.persist(session.apps())
+        };
+        if let Err(e) = persisted.and_then(|()| store.sync()) {
             eprintln!("separ serve: final store sync failed: {e}");
         }
     }

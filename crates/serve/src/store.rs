@@ -27,6 +27,14 @@
 //! store): it remembers which model files it restored or wrote, and
 //! re-persisting an unchanged app neither stats nor rewrites its file.
 //! Encoding and hashing run on the store's [`Executor`].
+//!
+//! Boot persists only on change: the daemon calls
+//! [`SessionStore::persist`] at start-up only when the disk differs from
+//! the session it just built — restore skipped an entry, passive-intent
+//! resolution changed a restored model, or there was no manifest yet. A
+//! restart on an unchanged store encodes, hashes, writes and lists
+//! nothing; orphaned model files a crash may have left wait for the next
+//! persist to be collected.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -46,6 +54,8 @@ pub struct Restored {
     /// Manifest entries that could not be recovered (missing or corrupt
     /// model file).
     pub skipped: usize,
+    /// Whether a manifest was found (`false` for a fresh store).
+    pub found_manifest: bool,
 }
 
 /// A store error (always carries the offending path's context).
@@ -204,7 +214,10 @@ impl SessionStore {
         // Decoded serially: the models live as long as the session, and
         // allocating them on short-lived executor threads spreads them
         // over extra malloc arenas, raising peak RSS.
-        let mut restored = Restored::default();
+        let mut restored = Restored {
+            found_manifest: true,
+            ..Restored::default()
+        };
         let mut known = self.known();
         for entry in apps_field {
             let model = entry.get("model").and_then(Value::as_str).and_then(|hex| {

@@ -224,6 +224,93 @@ fn restart_recovers_the_session_without_reextraction() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What a boot could have written to a store: the manifest's and every
+/// model file's name, inode and modification time. A rewrite replaces the
+/// manifest by rename, which always changes its inode.
+fn store_files(dir: &std::path::Path) -> Vec<(String, u64, std::time::SystemTime)> {
+    use std::os::unix::fs::MetadataExt;
+    let entry = |path: std::path::PathBuf| {
+        let meta = std::fs::metadata(&path).expect("store file");
+        let name = path
+            .file_name()
+            .expect("named")
+            .to_string_lossy()
+            .into_owned();
+        (name, meta.ino(), meta.modified().expect("mtime"))
+    };
+    let mut files: Vec<_> = std::fs::read_dir(dir.join("models"))
+        .expect("models dir")
+        .map(|e| entry(e.expect("entry").path()))
+        .collect();
+    files.sort();
+    files.push(entry(dir.join("manifest.json")));
+    files
+}
+
+#[test]
+fn boots_on_an_unchanged_store_write_nothing() {
+    let dir = tmp("unchanged");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || ServeConfig {
+        store_dir: Some(dir.clone()),
+        ..serial_config()
+    };
+    {
+        let daemon = Daemon::start(cfg()).expect("boots");
+        for apk in [
+            separ_corpus::motivating::navigator_app(),
+            separ_corpus::motivating::malicious_app("+15550000"),
+        ] {
+            parse_ok(&daemon.handle(&format!(
+                r#"{{"cmd":"install","bytes_hex":"{}"}}"#,
+                package_hex(&apk)
+            )));
+        }
+        parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+    }
+    let saved = store_files(&dir);
+    assert_eq!(saved.len(), 3, "two models and the manifest: {saved:?}");
+    for boot in 1..=2 {
+        let daemon = Daemon::start(cfg()).expect("reboots");
+        assert_eq!(daemon.restored(), (2, 0));
+        assert_eq!(store_files(&dir), saved, "boot {boot} wrote to the store");
+        parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+        assert_eq!(
+            store_files(&dir),
+            saved,
+            "shutdown {boot} wrote to the store"
+        );
+    }
+    // A corrupt entry makes the disk differ from the session: the boot
+    // rewrites the manifest without it and collects its model file.
+    let corrupt = dir.join("models").join(&saved[0].0);
+    std::fs::write(&corrupt, b"not a model").expect("corrupts");
+    let daemon = Daemon::start(cfg()).expect("boots past a corrupt entry");
+    assert_eq!(daemon.restored(), (1, 1));
+    let rewritten = store_files(&dir);
+    assert_eq!(rewritten.len(), 2, "{rewritten:?}");
+    assert_ne!(rewritten[1].1, saved[2].1, "manifest rewritten at boot");
+    assert!(
+        !corrupt.exists(),
+        "the unrecoverable model file is collected"
+    );
+    let manifest = Value::parse(
+        std::fs::read_to_string(dir.join("manifest.json"))
+            .expect("manifest")
+            .trim(),
+    )
+    .expect("manifest parses");
+    assert_eq!(
+        manifest
+            .get("apps")
+            .and_then(Value::as_arr)
+            .map(<[Value]>::len),
+        Some(1)
+    );
+    parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The shutdown guarantee: ops that were *accepted* (enqueued) before
 /// shutdown are applied and persisted even if their requesters never
 /// waited for confirmation — a drain, not a drop.

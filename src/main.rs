@@ -473,7 +473,11 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 let kb: u64 = value(i)?
                     .parse()
                     .map_err(|e| usage(format!("serve: --audit-max-kb: {e}")))?;
-                cfg.audit_max_bytes = kb * 1024;
+                cfg.audit_max_bytes = kb.checked_mul(1024).ok_or_else(|| {
+                    usage(format!(
+                        "serve: --audit-max-kb: {kb} KiB overflows a byte count"
+                    ))
+                })?;
                 i += 1;
             }
             f => return Err(usage(format!("serve: unknown option {f}"))),
@@ -636,6 +640,18 @@ mod tests {
             assert_eq!(err, usage(format!("analyze: unknown option {flag}")));
             assert_eq!(err.exit_code(), 2, "{flag}");
         }
+    }
+
+    #[test]
+    fn serve_rejects_an_audit_cap_that_overflows_bytes() {
+        // 2^54 KiB is 2^64 bytes: it would wrap to 0.
+        let err = cmd_serve(&strings(&["--audit-max-kb", "18014398509481984"]))
+            .expect_err("overflowing cap");
+        assert_eq!(
+            err,
+            usage("serve: --audit-max-kb: 18014398509481984 KiB overflows a byte count")
+        );
+        assert_eq!(err.exit_code(), 2);
     }
 
     #[test]
