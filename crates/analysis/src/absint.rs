@@ -25,13 +25,13 @@
 //! # Method summaries
 //!
 //! The interpreter runs each component's entry points repeatedly (once per
-//! bounded field-fixpoint round). The reference behavior —
-//! [`AnalysisStrategy::PerContext`] — clears its `(method, abstract args)`
-//! memo table before every entry point, re-analyzing every reachable
-//! method per run. The default [`AnalysisStrategy::Summaries`] keeps those
-//! entries as *validated summaries* instead: each records the field/intent
-//! state it read (with versions), the methods its computation entered, and
-//! the recursive calls its computation saw blocked. A later run may reuse
+//! bounded field-fixpoint round). The reference behavior (the test-only
+//! `AnalysisStrategy::PerContext` behind the crate's `reference` feature)
+//! clears its `(method, abstract args)` memo table before every entry
+//! point, re-analyzing every reachable method per run. The interpreter
+//! keeps those entries as *validated summaries* instead: each records the
+//! field/intent state it read (with versions), the methods its computation
+//! entered, and the recursive calls its computation saw blocked. A later run may reuse
 //! the entry — skipping the whole subtree — exactly when replaying it
 //! would reproduce the reference result: same inlining depth, all read
 //! dependencies unchanged, every previously-entered callee currently
@@ -84,7 +84,9 @@ pub struct AbstractIntent {
 }
 
 /// How the interpreter reuses work across entry points and fixpoint
-/// rounds.
+/// rounds: a test-only choice (a default build always keeps summaries).
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalysisStrategy {
     /// Memoized per-method summaries, revalidated across runs against
@@ -112,7 +114,9 @@ pub struct AnalysisOptions {
     /// negatives).
     pub model_dynamic_receivers: bool,
     /// Work-reuse strategy; changes performance, never extracted facts
-    /// (apart from the visit/hit counters).
+    /// (apart from the visit/hit counters). Test-only.
+    #[cfg(any(test, feature = "reference"))]
+    #[doc(hidden)]
     pub strategy: AnalysisStrategy,
 }
 
@@ -121,6 +125,7 @@ impl Default for AnalysisOptions {
         AnalysisOptions {
             prune_dead_branches: true,
             model_dynamic_receivers: false,
+            #[cfg(any(test, feature = "reference"))]
             strategy: AnalysisStrategy::Summaries,
         }
     }
@@ -373,10 +378,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Starts one entry-point run: the reference strategy forgets all
-    /// memoized analyses; the summary strategy keeps them for validation.
+    /// Starts one entry-point run. Memoized analyses are kept for
+    /// validation; the reference strategy forgets them all.
     fn begin_run(&mut self) {
         self.run += 1;
+        #[cfg(any(test, feature = "reference"))]
         if self.options.strategy == AnalysisStrategy::PerContext {
             self.memo.clear();
         }

@@ -169,14 +169,6 @@ impl Lint {
             .any(|d| d.severity == Severity::Error)
     }
 
-    /// Number of Error-severity findings.
-    pub fn error_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count()
-    }
-
     /// Returns `true` if some scope must be quarantined before analysis.
     pub fn needs_quarantine(&self) -> bool {
         !self.method_quarantine.is_empty() || !self.class_quarantine.is_empty()

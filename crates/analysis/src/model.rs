@@ -151,11 +151,6 @@ impl AppModel {
         self.components.iter().find(|c| c.class == class)
     }
 
-    /// All exported components.
-    pub fn exported_components(&self) -> impl Iterator<Item = &ComponentModel> + '_ {
-        self.components.iter().filter(|c| c.exported)
-    }
-
     /// Total number of sent-intent entities across components.
     pub fn num_intents(&self) -> usize {
         self.components.iter().map(|c| c.sent_intents.len()).sum()

@@ -13,8 +13,9 @@
 //!
 //! [`Router`] indexes the installed manifests so the runtime resolves an
 //! intent by looking up its candidates instead of scanning every
-//! installed filter; [`route_by_scan`] is that scan, retained as the
-//! reference the router is tested against.
+//! installed filter. That scan, `route_by_scan`, is retained as the
+//! reference the router is tested against, behind the crate's test-only
+//! `reference` feature.
 //!
 //! An intent's strings are `Arc<str>`, so the runtime moves one across
 //! the ICC bus (heap object → wire form → heap object) by refcount.
@@ -149,9 +150,9 @@ fn admits(decl: &ComponentDecl, kind: ComponentKind, same_app: bool) -> bool {
 ///
 /// Three lookups narrow the candidates; each candidate still passes the
 /// export rule and (for implicit intents) [`any_filter_matches`], so the
-/// router returns exactly what [`route_by_scan`] returns, in the same
-/// order. Slot lists are built in (app, component) order, and a lookup
-/// borrows its key (`&str`) rather than building a `String`.
+/// router returns exactly what the `route_by_scan` reference returns, in
+/// the same order. Slot lists are built in (app, component) order, and a
+/// lookup borrows its key (`&str`) rather than building a `String`.
 #[derive(Clone, Debug, Default)]
 pub struct Router {
     /// Action → per-kind components with a filter declaring it.
@@ -242,7 +243,9 @@ impl Router {
 
 /// The reference for [`Router::route`]: the same result by a linear scan
 /// over every installed component. Kept as the executable specification
-/// the router is tested against; the runtime never calls it.
+/// the router is tested against; the runtime never calls it. Test-only.
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
 pub fn route_by_scan<'m>(
     manifests: impl IntoIterator<Item = &'m Manifest>,
     kind: ComponentKind,

@@ -101,7 +101,6 @@ impl IccAnalyzer for DidFailAnalyzer {
         // No reachability pruning: dead-code flows are extracted too.
         let options = AnalysisOptions {
             prune_dead_branches: false,
-            model_dynamic_receivers: false,
             ..AnalysisOptions::default()
         };
         let apps: Vec<AppModel> = apks.iter().map(|a| extract_apk_with(a, options)).collect();
@@ -170,7 +169,6 @@ impl IccAnalyzer for AmandroidAnalyzer {
 
     fn find_leaks(&self, apks: &[Apk]) -> BTreeSet<LeakPair> {
         let options = AnalysisOptions {
-            prune_dead_branches: true,
             model_dynamic_receivers: true,
             ..AnalysisOptions::default()
         };

@@ -2,15 +2,13 @@
 //! human-readable summary and a machine-readable `BENCH_pipeline.json`
 //! for before/after comparisons.
 //!
-//! Three full pipeline runs are profiled over the same generated market:
-//! the full-Tseitin encoding (the "before" configuration), the
-//! polarity-aware encoding with the shared per-bundle translation base,
-//! and the default configuration with signature-guided relevance slicing
-//! on top. The first two legs pin `slicing: false` so their numbers stay
-//! comparable with earlier revisions of this file. A paper-scale section
-//! re-runs synthesis at 4,000 apps with slicing on and off and asserts
-//! the sliced universe is strictly smaller for every signature while
-//! enumerating the same number of exploits.
+//! Two full pipeline runs are profiled over the same generated market:
+//! the unsliced reference path (`Separ::analyze_models_unsliced`, every
+//! signature against the shared per-bundle translation base) and the
+//! default pipeline with signature-guided relevance slicing on top. A
+//! paper-scale section re-runs synthesis at 4,000 apps both ways and
+//! asserts the sliced universe is strictly smaller for every signature
+//! while enumerating the same number of exploits.
 //! All timing comes from the separ-obs span tree — the per-stage fields
 //! of [`separ_core::BundleStats`] are span-derived projections, and the
 //! per-phase breakdown is the trace's own span rollup; this example adds
@@ -23,8 +21,9 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use separ_core::{BundleStats, Separ, SeparConfig};
-use separ_logic::CnfEncoding;
+use separ_analysis::extractor::extract_apk;
+use separ_core::{BundleStats, Executor, Report, Separ};
+use separ_dex::program::Apk;
 use separ_obs::Trace;
 
 /// One profiled pipeline configuration: name, span-derived wall time,
@@ -43,6 +42,28 @@ fn ms(d: Duration) -> f64 {
 
 fn ns_ms(ns: u64) -> f64 {
     ns as f64 / 1e6
+}
+
+/// [`Separ::analyze_apks`], or with `unsliced` the same spans and
+/// extraction stats around the unsliced reference synthesis.
+fn analyze(apks: &[Apk], unsliced: bool) -> Report {
+    let separ = Separ::new();
+    if !unsliced {
+        return separ.analyze_apks(apks).expect("well-typed signatures");
+    }
+    let obs = separ_obs::global();
+    let _root = obs.span("pipeline.analyze");
+    let extraction = obs.span("pipeline.extraction");
+    let extraction_id = extraction.id();
+    let models = Executor::new(0).ordered_map(apks, extract_apk);
+    drop(extraction);
+    let mut report = separ
+        .analyze_models_unsliced(models)
+        .expect("well-typed signatures");
+    report.stats.extraction_wall = obs.duration(extraction_id);
+    report.stats.extraction_cpu = obs.subtree_sum(extraction_id, "ame.extract");
+    report.stats.cache_misses = apks.len();
+    report
 }
 
 fn run_json(out: &mut String, run: &RunResult) {
@@ -164,37 +185,16 @@ fn main() {
 
     // --- Traced runs ---------------------------------------------------
     separ_obs::global().enable();
-    // The first two legs pin `slicing: false` to keep their numbers
-    // comparable with the pre-slicing revisions of this benchmark; the
-    // third is the shipping default (polarity encoding, shared base,
-    // relevance slicing).
-    let configs = [
-        (
-            "tseitin",
-            SeparConfig {
-                cnf_encoding: CnfEncoding::Tseitin,
-                slicing: false,
-                ..SeparConfig::default()
-            },
-        ),
-        (
-            "polarity-shared-base",
-            SeparConfig {
-                slicing: false,
-                ..SeparConfig::default()
-            },
-        ),
-        ("polarity-sliced", SeparConfig::default()),
-    ];
+    // The first leg is the unsliced reference (shared base, no slicing),
+    // kept comparable with the pre-slicing revisions of this benchmark;
+    // the second is the shipping pipeline.
+    let legs = [("polarity-shared-base", true), ("polarity-sliced", false)];
     let mut runs: Vec<RunResult> = Vec::new();
-    for (name, config) in configs {
+    for (name, unsliced) in legs {
         separ_obs::global().reset();
         let root = separ_obs::span("bench.run");
         let root_id = root.id();
-        let report = Separ::new()
-            .with_config(config)
-            .analyze_apks(&apks)
-            .expect("well-typed signatures");
+        let report = analyze(&apks, unsliced);
         drop(root);
         let wall = separ_obs::global().duration(root_id);
         let trace = separ_obs::global().snapshot_subtree(root_id);
@@ -220,31 +220,26 @@ fn main() {
         });
     }
 
-    let before = runs[0].stats.cnf_clauses as f64;
-    let after = runs[1].stats.cnf_clauses as f64;
-    let reduction = 100.0 * (before - after) / before;
-    println!("clause reduction: {reduction:.1}% ({before} -> {after})");
-
     // Slicing smoke: the sliced default must enumerate exactly as many
     // exploits as the unsliced polarity leg over the same bundle, while
     // never translating a larger formula.
     assert_eq!(
-        runs[1].exploits, runs[2].exploits,
+        runs[0].exploits, runs[1].exploits,
         "slicing changed the exploit count at 50 apps"
     );
     assert!(
-        runs[2].stats.cnf_clauses <= runs[1].stats.cnf_clauses
-            && runs[2].stats.primary_vars <= runs[1].stats.primary_vars,
+        runs[1].stats.cnf_clauses <= runs[0].stats.cnf_clauses
+            && runs[1].stats.primary_vars <= runs[0].stats.primary_vars,
         "slicing must not grow the formula"
     );
     println!(
         "slicing (50 apps): kept {} / dropped {} app slots, vars {} -> {}, clauses {} -> {}",
-        runs[2].stats.slice_kept,
-        runs[2].stats.slice_dropped,
+        runs[1].stats.slice_kept,
+        runs[1].stats.slice_dropped,
+        runs[0].stats.primary_vars,
         runs[1].stats.primary_vars,
-        runs[2].stats.primary_vars,
+        runs[0].stats.cnf_clauses,
         runs[1].stats.cnf_clauses,
-        runs[2].stats.cnf_clauses,
     );
 
     // --- Paper-scale extraction trajectory ------------------------------
@@ -266,7 +261,7 @@ fn main() {
     let t0 = Instant::now();
     let mut scale_components = 0usize;
     for apk in &scale_apks {
-        scale_components += separ_analysis::extractor::extract_apk(apk).components.len();
+        scale_components += extract_apk(apk).components.len();
     }
     let extract_wall = t0.elapsed();
     let extract_per_app = ms(extract_wall) / scale_n;
@@ -321,18 +316,12 @@ fn main() {
     // synthesis wall is span-derived like the 50-app legs) and demand a
     // strict per-signature reduction with identical exploit counts.
     let mut scale_runs: Vec<(&str, BundleStats, usize, Duration)> = Vec::new();
-    for (name, slicing) in [("unsliced", false), ("sliced", true)] {
+    for (name, unsliced) in [("unsliced", true), ("sliced", false)] {
         separ_obs::global().reset();
         separ_obs::global().enable();
         let root = separ_obs::span("bench.scale");
         let root_id = root.id();
-        let report = Separ::new()
-            .with_config(SeparConfig {
-                slicing,
-                ..SeparConfig::default()
-            })
-            .analyze_apks(&scale_apks)
-            .expect("well-typed signatures");
+        let report = analyze(&scale_apks, unsliced);
         drop(root);
         let wall = separ_obs::global().duration(root_id);
         separ_obs::global().disable();
@@ -380,7 +369,7 @@ fn main() {
     // span; extrapolate their no-op cost against the untraced wall time.
     // (An upper bound — it charges every probe at the measured hot-loop
     // cost.)
-    let spans_per_run = runs[1].trace.spans().len() as f64;
+    let spans_per_run = runs[0].trace.spans().len() as f64;
     let disabled_overhead_pct =
         100.0 * (spans_per_run * disabled_span_ns) / disabled_wall.as_nanos() as f64;
     println!(
@@ -450,7 +439,6 @@ fn main() {
             "  \"apps\": {},\n",
             "  \"components\": {},\n",
             "  \"intents\": {},\n",
-            "  \"clause_reduction_pct\": {:.2},\n",
             "  \"obs\": {{\n",
             "    \"disabled_wall_ms\": {:.3},\n",
             "    \"disabled_span_ns_per_op\": {:.2},\n",
@@ -477,7 +465,6 @@ fn main() {
         apks.len(),
         runs[0].stats.components,
         runs[0].stats.intents,
-        reduction,
         ms(disabled_wall),
         disabled_span_ns,
         spans_per_run as u64,

@@ -19,7 +19,7 @@ use separ_logic::LogicError;
 
 use crate::exec::Executor;
 use crate::exploit::Exploit;
-use crate::pipeline::{derive_policies, synthesize_all};
+use crate::pipeline::{derive_policies, synthesize_all, Slicing};
 use crate::policy::{Policy, PolicyKey};
 use crate::signature::{Sensitivity, SignatureRegistry};
 use crate::SeparConfig;
@@ -176,7 +176,7 @@ impl IncrementalSession {
             |sig| select(sig.sensitivity()),
             &self.apps,
             &self.config,
-            Some(&self.summaries),
+            Slicing::On(Some(&self.summaries)),
         )?;
         let mut reran = 0;
         for (slot, syn) in self.cache.iter_mut().zip(syntheses) {

@@ -27,7 +27,7 @@ use separ_analysis::slicing::{self, AppSummary};
 use separ_android::resolution;
 use separ_dex::error::DexError;
 use separ_dex::program::Apk;
-use separ_logic::{Atom, CnfEncoding, FinderOptions, LogicError, Problem, SolverStats};
+use separ_logic::{Atom, LogicError, Problem, SolverStats};
 
 use crate::encode::{AtomRegistry, BundleBase, Relations};
 use crate::exec::Executor;
@@ -37,7 +37,9 @@ use crate::policy::{finalize_policies, policies_for_exploit, Policy};
 use crate::signature::{SignatureRegistry, Synthesis, SynthesisContext, VulnerabilitySignature};
 use crate::vulns::DEFAULT_SCENARIO_LIMIT;
 
-/// Tunables for an analysis run.
+/// Tunables for an analysis run. There is one synthesis path: every
+/// signature is sliced to its footprint and lowered with the
+/// polarity-aware CNF encoding.
 #[derive(Debug, Clone, Copy)]
 pub struct SeparConfig {
     /// Worker threads for extraction and per-signature synthesis;
@@ -45,19 +47,6 @@ pub struct SeparConfig {
     pub threads: usize,
     /// Maximum minimal scenarios enumerated per signature.
     pub scenario_limit: usize,
-    /// CNF encoding for circuit lowering. The polarity-aware default
-    /// emits only the implication directions the root polarity requires;
-    /// [`CnfEncoding::Tseitin`] keeps the full biconditional encoding.
-    pub cnf_encoding: CnfEncoding,
-    /// Signature-guided relevance slicing: encode each signature against
-    /// only the apps its declared footprint can range over and drop the
-    /// malicious free rows its facts never constrain, instead of
-    /// translating every signature against the whole bundle. On by
-    /// default; sound by construction (the differential suite
-    /// `tests/slicing_equivalence.rs` proves exploits and policies are
-    /// identical either way). `false` is the unsliced reference the
-    /// suite compares against.
-    pub slicing: bool,
 }
 
 impl Default for SeparConfig {
@@ -65,8 +54,6 @@ impl Default for SeparConfig {
         SeparConfig {
             threads: 0,
             scenario_limit: DEFAULT_SCENARIO_LIMIT,
-            cnf_encoding: CnfEncoding::default(),
-            slicing: true,
         }
     }
 }
@@ -78,13 +65,6 @@ impl SeparConfig {
         SeparConfig {
             threads: 1,
             ..SeparConfig::default()
-        }
-    }
-
-    /// The model-finder options this configuration induces.
-    pub fn finder_options(&self) -> FinderOptions {
-        FinderOptions {
-            encoding: self.cnf_encoding,
         }
     }
 }
@@ -114,7 +94,7 @@ pub struct SignatureStats {
     /// Exploit scenarios the signature decoded.
     pub exploits: usize,
     /// Apps the relevance slice kept for this signature (equals the
-    /// bundle size when slicing is off or the footprint keeps everything).
+    /// bundle size when the footprint keeps everything).
     pub slice_kept: usize,
     /// Apps the relevance slice excluded from this signature's universe.
     pub slice_dropped: usize,
@@ -157,10 +137,9 @@ pub struct BundleStats {
     /// Signatures that translated from the shared per-bundle base.
     pub shared_base_reuse: usize,
     /// App slots kept across per-signature relevance slices (sums over
-    /// signatures: `apps × signatures` when slicing is off).
+    /// signatures: at most `apps × signatures`).
     pub slice_kept: usize,
-    /// App slots dropped across per-signature relevance slices (always
-    /// zero when slicing is off).
+    /// App slots dropped across per-signature relevance slices.
     pub slice_dropped: usize,
     /// Total SAT conflicts across signatures.
     pub conflicts: u64,
@@ -389,32 +368,12 @@ impl Separ {
     /// Returns a [`LogicError`] if a signature produced an ill-typed
     /// specification.
     pub fn analyze_apks(&self, apks: &[Apk]) -> Result<Report, LogicError> {
-        let obs = separ_obs::global();
-        let _root = obs.span("pipeline.analyze");
-        let extraction = obs.span("pipeline.extraction");
-        let extraction_id = extraction.id();
-        let (apps, hits, misses) = match &self.model_cache {
-            None => {
-                let apps = self.executor().ordered_map(apks, extract_apk);
-                let misses = apps.len();
-                (apps, 0, misses)
-            }
-            Some(cache) => {
-                let results = self
-                    .executor()
-                    .ordered_map(apks, |apk| cache.get_or_extract_apk(apk));
-                collect_cached(results)
-            }
-        };
-        drop(extraction);
-        let mut report = self.analyze_models(apps)?;
-        // Wall time is the stage span; CPU time sums the per-app
-        // `ame.extract` spans the workers recorded beneath it.
-        report.stats.extraction_wall = obs.duration(extraction_id);
-        report.stats.extraction_cpu = obs.subtree_sum(extraction_id, "ame.extract");
-        report.stats.cache_hits = hits;
-        report.stats.cache_misses = misses;
-        Ok(report)
+        self.analyze_extracted(apks, |apk| {
+            Ok(match &self.model_cache {
+                Some(cache) => Extracted::Cached(cache.get_or_extract_apk(apk)),
+                None => Extracted::Fresh(extract_apk(apk)),
+            })
+        })
     }
 
     /// Analyzes a bundle of *binary* packages end to end: decode →
@@ -426,19 +385,49 @@ impl Separ {
     /// decode, or [`AnalyzeError::Logic`] if a signature produced an
     /// ill-typed specification.
     pub fn analyze_packages(&self, packages: &[Vec<u8>]) -> Result<Report, AnalyzeError> {
+        self.analyze_extracted(packages, |bytes| {
+            Ok(match &self.model_cache {
+                Some(cache) => Extracted::Cached(cache.get_or_extract(bytes)?),
+                None => Extracted::Fresh(extract(bytes)?),
+            })
+        })
+    }
+
+    /// Extracts every input on the executor under a
+    /// `pipeline.extraction` span, analyzes the models, and fills the
+    /// report's extraction stats.
+    fn analyze_extracted<T, E>(
+        &self,
+        inputs: &[T],
+        extract: impl Fn(&T) -> Result<Extracted, E> + Sync,
+    ) -> Result<Report, E>
+    where
+        T: Sync,
+        E: From<LogicError> + Send,
+    {
         let obs = separ_obs::global();
         let _root = obs.span("pipeline.analyze");
         let extraction = obs.span("pipeline.extraction");
         let extraction_id = extraction.id();
-        let results =
-            self.executor()
-                .try_ordered_map(packages, |bytes| match &self.model_cache {
-                    Some(cache) => cache.get_or_extract(bytes),
-                    None => extract(bytes).map(|m| (Arc::new(m), CacheOutcome::Miss)),
-                })?;
-        let (apps, hits, misses) = collect_cached(results);
+        let results = self.executor().try_ordered_map(inputs, extract)?;
         drop(extraction);
+        let hits = results
+            .iter()
+            .filter(|e| matches!(e, Extracted::Cached((_, o)) if o.is_hit()))
+            .count();
+        let misses = results.len() - hits;
+        // Passive-intent resolution mutates the models: one the cache
+        // shares is cloned, a freshly extracted one is moved.
+        let apps = results
+            .into_iter()
+            .map(|e| match e {
+                Extracted::Fresh(m) => m,
+                Extracted::Cached((m, _)) => AppModel::clone(&m),
+            })
+            .collect();
         let mut report = self.analyze_models(apps)?;
+        // Wall time is the stage span; CPU time sums the per-app
+        // `ame.extract` spans the workers recorded beneath it.
         report.stats.extraction_wall = obs.duration(extraction_id);
         report.stats.extraction_cpu = obs.subtree_sum(extraction_id, "ame.extract");
         report.stats.cache_hits = hits;
@@ -452,7 +441,29 @@ impl Separ {
     ///
     /// Returns a [`LogicError`] if a signature produced an ill-typed
     /// specification.
-    pub fn analyze_models(&self, mut apps: Vec<AppModel>) -> Result<Report, LogicError> {
+    pub fn analyze_models(&self, apps: Vec<AppModel>) -> Result<Report, LogicError> {
+        self.analyze_models_with(apps, Slicing::On(None))
+    }
+
+    /// [`Separ::analyze_models`] with every signature translated against
+    /// the whole bundle: the unsliced reference that the slicing
+    /// differential suites compare against. Test-only.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`LogicError`] if a signature produced an ill-typed
+    /// specification.
+    #[cfg(any(test, feature = "reference"))]
+    #[doc(hidden)]
+    pub fn analyze_models_unsliced(&self, apps: Vec<AppModel>) -> Result<Report, LogicError> {
+        self.analyze_models_with(apps, Slicing::Off)
+    }
+
+    fn analyze_models_with(
+        &self,
+        mut apps: Vec<AppModel>,
+        mode: Slicing<'_>,
+    ) -> Result<Report, LogicError> {
         let obs = separ_obs::global();
         // Bundle-level Algorithm 1: passive intents may cross apps.
         let resolution = obs.span("pipeline.resolution");
@@ -476,7 +487,7 @@ impl Separ {
             |_| true,
             &apps,
             &self.config,
-            None,
+            mode,
         )?;
         drop(synthesis);
         stats.synthesis_wall = obs.duration(synthesis_id);
@@ -535,14 +546,12 @@ impl Separ {
     }
 }
 
-/// Unpacks per-app cache results into owned models plus hit/miss tallies
-/// (the models are cloned out of their [`Arc`]s because the bundle-level
-/// passive-intent resolution mutates them).
-fn collect_cached(results: Vec<(Arc<AppModel>, CacheOutcome)>) -> (Vec<AppModel>, usize, usize) {
-    let hits = results.iter().filter(|(_, o)| o.is_hit()).count();
-    let misses = results.len() - hits;
-    let apps = results.into_iter().map(|(m, _)| (*m).clone()).collect();
-    (apps, hits, misses)
+/// One package's model as extraction hands it over.
+enum Extracted {
+    /// Extracted by this run, owned outright.
+    Fresh(AppModel),
+    /// Looked up in or inserted into a [`ModelCache`], which shares it.
+    Cached((Arc<AppModel>, CacheOutcome)),
 }
 
 /// One signature's synthesis result plus the observability/slicing
@@ -557,6 +566,19 @@ pub(crate) struct SignatureRun {
     pub slice_kept: usize,
     /// Apps the relevance slice dropped for this signature.
     pub slice_dropped: usize,
+}
+
+/// How [`synthesize_all`] picks each signature's universe.
+#[derive(Clone, Copy)]
+pub(crate) enum Slicing<'a> {
+    /// Slice every signature to its declared [`Footprint`], with the
+    /// bundle's capability summaries if the caller has them (`None`
+    /// summarizes the bundle, under an `ase.slice` span).
+    On(Option<&'a [AppSummary]>),
+    /// Translate every signature against the whole bundle: the unsliced
+    /// reference path.
+    #[cfg(any(test, feature = "reference"))]
+    Off,
 }
 
 /// How one signature's universe is prepared for translation.
@@ -630,25 +652,21 @@ fn apply_footprint(
 /// registry order (`None` where `select` declined). Shared by the full
 /// pipeline and [`crate::IncrementalSession`] re-runs.
 ///
-/// With [`SeparConfig::slicing`] on, each signature's declared
-/// [`Footprint`] is intersected with the bundle's capability summaries
-/// first: the signature translates against a base built over only the
-/// apps its slice kept, with the malicious free rows its facts never
-/// constrain dropped from the upper bounds. Signatures whose slices (and
-/// footprints) coincide share one prepared base; a signature whose slice
-/// is empty skips translation and solving entirely. With slicing off,
-/// every signature shares the one whole-bundle base.
-///
-/// `summaries` lets [`crate::IncrementalSession`] pass its cached
-/// per-app capability summaries; `None` summarizes the bundle here
-/// (under an `ase.slice` span).
+/// Each signature's declared [`Footprint`] is intersected with the
+/// bundle's capability summaries first: the signature translates against
+/// a base built over only the apps its slice kept, with the malicious
+/// free rows its facts never constrain dropped from the upper bounds.
+/// Signatures whose slices (and footprints) coincide share one prepared
+/// base; a signature whose slice is empty skips translation and solving
+/// entirely. On the unsliced reference path every signature shares the
+/// one whole-bundle base.
 pub(crate) fn synthesize_all(
     executor: &Executor,
     registry: &SignatureRegistry,
     select: impl Fn(&dyn VulnerabilitySignature) -> bool,
     apps: &[AppModel],
     config: &SeparConfig,
-    summaries: Option<&[AppSummary]>,
+    mode: Slicing<'_>,
 ) -> Result<Vec<Option<SignatureRun>>, LogicError> {
     let selected: Vec<(usize, &dyn VulnerabilitySignature)> = registry
         .iter()
@@ -665,69 +683,73 @@ pub(crate) fn synthesize_all(
     // depend on executor fan-out order), then build the prepared bases on
     // the executor.
     let mut plans: Vec<(SlicePlan, usize, usize)> = Vec::with_capacity(selected.len());
-    let mut prepared: Vec<PreparedBase> = Vec::new();
-    if config.slicing {
-        let slice_span = separ_obs::span("ase.slice");
-        let computed: Vec<AppSummary>;
-        let summaries: &[AppSummary] = match summaries {
-            Some(s) => s,
-            None => {
-                computed = slicing::summarize_bundle(apps);
-                &computed
-            }
-        };
-        // Each distinct `(kept, footprint)` key gets the next slot; the
-        // keys' bases build largest slice first and land in slot order.
-        let mut by_key: std::collections::BTreeMap<(Vec<usize>, Footprint), usize> =
-            std::collections::BTreeMap::new();
-        let mut keys: Vec<(Vec<usize>, Footprint)> = Vec::new();
-        for (_, sig) in &selected {
-            let fp = sig.footprint();
-            if fp.is_everything() && !fp.tightens_mal() {
-                plans.push((SlicePlan::Full, apps.len(), 0));
-                continue;
-            }
-            let kept: Vec<usize> = slicing::select_apps(&fp.demands, summaries)
-                .into_iter()
-                .collect();
-            if kept.is_empty() {
-                plans.push((SlicePlan::Empty, 0, apps.len()));
-                continue;
-            }
-            let (kept_n, dropped_n) = (kept.len(), apps.len() - kept.len());
-            let slot = *by_key.entry((kept, fp)).or_insert_with_key(|key| {
-                keys.push(key.clone());
-                keys.len() - 1
-            });
-            plans.push((SlicePlan::Prepared(slot), kept_n, dropped_n));
+    let prepared: Vec<PreparedBase> = match mode {
+        #[cfg(any(test, feature = "reference"))]
+        Slicing::Off => {
+            plans.resize(selected.len(), (SlicePlan::Full, apps.len(), 0));
+            Vec::new()
         }
-        prepared = executor.ordered_map_by_cost(
-            &keys,
-            |(kept, _)| kept.len(),
-            |(kept, fp)| {
-                let sub_apps: Option<Vec<AppModel>> = if kept.len() == apps.len() {
-                    None
-                } else {
-                    Some(kept.iter().map(|&i| apps[i].clone()).collect())
-                };
-                let sub_summaries: Vec<&AppSummary> = kept.iter().map(|&i| &summaries[i]).collect();
-                let _base_span = separ_obs::span("pipeline.bundle_base");
-                let base = BundleBase::new_with(
-                    sub_apps.as_deref().unwrap_or(apps),
-                    |problem, atoms, rels| {
-                        apply_footprint(fp, &sub_summaries, problem, atoms, rels)
-                    },
-                );
-                PreparedBase {
-                    apps: sub_apps,
-                    base,
+        Slicing::On(summaries) => {
+            let _slice_span = separ_obs::span("ase.slice");
+            let computed: Vec<AppSummary>;
+            let summaries: &[AppSummary] = match summaries {
+                Some(s) => s,
+                None => {
+                    computed = slicing::summarize_bundle(apps);
+                    &computed
                 }
-            },
-        );
-        drop(slice_span);
-    } else {
-        plans.resize(selected.len(), (SlicePlan::Full, apps.len(), 0));
-    }
+            };
+            // Each distinct `(kept, footprint)` key gets the next slot; the
+            // keys' bases build largest slice first and land in slot order.
+            let mut by_key: std::collections::BTreeMap<(Vec<usize>, Footprint), usize> =
+                std::collections::BTreeMap::new();
+            let mut keys: Vec<(Vec<usize>, Footprint)> = Vec::new();
+            for (_, sig) in &selected {
+                let fp = sig.footprint();
+                if fp.is_everything() && !fp.tightens_mal() {
+                    plans.push((SlicePlan::Full, apps.len(), 0));
+                    continue;
+                }
+                let kept: Vec<usize> = slicing::select_apps(&fp.demands, summaries)
+                    .into_iter()
+                    .collect();
+                if kept.is_empty() {
+                    plans.push((SlicePlan::Empty, 0, apps.len()));
+                    continue;
+                }
+                let (kept_n, dropped_n) = (kept.len(), apps.len() - kept.len());
+                let slot = *by_key.entry((kept, fp)).or_insert_with_key(|key| {
+                    keys.push(key.clone());
+                    keys.len() - 1
+                });
+                plans.push((SlicePlan::Prepared(slot), kept_n, dropped_n));
+            }
+            executor.ordered_map_by_cost(
+                &keys,
+                |(kept, _)| kept.len(),
+                |(kept, fp)| {
+                    let sub_apps: Option<Vec<AppModel>> = if kept.len() == apps.len() {
+                        None
+                    } else {
+                        Some(kept.iter().map(|&i| apps[i].clone()).collect())
+                    };
+                    let sub_summaries: Vec<&AppSummary> =
+                        kept.iter().map(|&i| &summaries[i]).collect();
+                    let _base_span = separ_obs::span("pipeline.bundle_base");
+                    let base = BundleBase::new_with(
+                        sub_apps.as_deref().unwrap_or(apps),
+                        |problem, atoms, rels| {
+                            apply_footprint(fp, &sub_summaries, problem, atoms, rels)
+                        },
+                    );
+                    PreparedBase {
+                        apps: sub_apps,
+                        base,
+                    }
+                },
+            )
+        }
+    };
 
     // The whole-bundle base is only paid for when some plan needs it.
     let full_base = if plans.iter().any(|(p, _, _)| matches!(p, SlicePlan::Full)) {
@@ -739,7 +761,6 @@ pub(crate) fn synthesize_all(
         None
     };
 
-    let options = config.finder_options();
     type SignatureJob<'a> = (
         (usize, &'a dyn VulnerabilitySignature),
         (SlicePlan, usize, usize),
@@ -772,7 +793,6 @@ pub(crate) fn synthesize_all(
                 apps: ctx_apps,
                 base,
                 limit: config.scenario_limit,
-                options,
             })
             .map(|synthesis| SignatureRun {
                 synthesis,
@@ -1020,14 +1040,10 @@ mod tests {
 
     #[test]
     fn every_signature_reuses_the_shared_bundle_base() {
-        // Slicing off: this test pins the shared-base translation path,
+        // Unsliced: this test pins the shared-base translation path,
         // where all four signatures reuse the one whole-bundle base.
         let report = Separ::new()
-            .with_config(SeparConfig {
-                slicing: false,
-                ..SeparConfig::default()
-            })
-            .analyze_models(motivating_bundle())
+            .analyze_models_unsliced(motivating_bundle())
             .expect("succeeds");
         assert_eq!(report.stats.shared_base_reuse, 4);
         assert!(report.stats.cnf_clauses > 0);
@@ -1054,11 +1070,7 @@ mod tests {
             .analyze_models(motivating_bundle())
             .expect("succeeds");
         let unsliced = Separ::new()
-            .with_config(SeparConfig {
-                slicing: false,
-                ..SeparConfig::default()
-            })
-            .analyze_models(motivating_bundle())
+            .analyze_models_unsliced(motivating_bundle())
             .expect("succeeds");
         assert_eq!(result_sets(&sliced), result_sets(&unsliced));
         // Unsliced runs drop nothing and keep every app for every
@@ -1082,8 +1094,8 @@ mod tests {
         }
     }
 
-    /// Exploit/policy *sets* for encoding-robust comparison: enumeration
-    /// order may differ between CNF encodings under limit truncation.
+    /// Exploit/policy *sets* for an order-free comparison: enumeration
+    /// order may differ between the sliced and unsliced universes.
     fn result_sets(report: &Report) -> (BTreeSet<String>, BTreeSet<String>) {
         (
             report.exploits.iter().map(|e| format!("{e:?}")).collect(),
@@ -1098,28 +1110,6 @@ mod tests {
                 })
                 .collect(),
         )
-    }
-
-    #[test]
-    fn cnf_encodings_agree_on_exploits_and_policies() {
-        let pg = Separ::new()
-            .analyze_models(motivating_bundle())
-            .expect("succeeds");
-        let ts = Separ::new()
-            .with_config(SeparConfig {
-                cnf_encoding: separ_logic::CnfEncoding::Tseitin,
-                ..SeparConfig::default()
-            })
-            .analyze_models(motivating_bundle())
-            .expect("succeeds");
-        assert_eq!(result_sets(&pg), result_sets(&ts));
-        // The polarity-aware default emits strictly fewer clauses.
-        assert!(
-            pg.stats.cnf_clauses < ts.stats.cnf_clauses,
-            "PG {} vs Tseitin {}",
-            pg.stats.cnf_clauses,
-            ts.stats.cnf_clauses
-        );
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use separ_obs::json::Value;
 
-use crate::exploit::VulnKind;
 use crate::policy::{Condition, Policy, PolicyAction, PolicyEvent};
 
 /// Errors raised while reading a policy document.
@@ -208,15 +207,6 @@ pub fn from_json(text: &str) -> Result<Vec<Policy>, ParseError> {
         message: e.message,
     })?;
     from_value(&doc)
-}
-
-/// Convenience: serialize with the vulnerability names validated.
-pub fn validated_to_json(policies: &[Policy]) -> String {
-    debug_assert!(policies.iter().all(|p| VulnKind::ALL
-        .iter()
-        .any(|k| k.name() == p.vulnerability)
-        || !p.vulnerability.is_empty()));
-    to_json(policies)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use separ_analysis::model::AppModel;
-use separ_logic::{FinderOptions, LogicError, SolverStats};
+use separ_logic::{LogicError, SolverStats};
 
 use crate::encode::BundleBase;
 use crate::exploit::{Exploit, VulnKind};
@@ -36,8 +36,8 @@ pub struct Synthesis {
 }
 
 /// Everything a signature needs for one synthesis run against a bundle:
-/// the app models, the shared per-bundle encoding/translation, the
-/// scenario cap and the solver options.
+/// the app models, the shared per-bundle encoding/translation and the
+/// scenario cap.
 #[derive(Debug, Clone, Copy)]
 pub struct SynthesisContext<'a> {
     /// The (passive-intent-resolved) bundle models.
@@ -46,8 +46,6 @@ pub struct SynthesisContext<'a> {
     pub base: &'a BundleBase,
     /// Maximum minimal scenarios to enumerate.
     pub limit: usize,
-    /// CNF-encoding options for the model finder.
-    pub options: FinderOptions,
 }
 
 /// What parts of the bundle model a signature's verdict depends on, used
@@ -101,7 +99,7 @@ pub trait VulnerabilitySignature: SignatureFootprint + Send + Sync {
     fn synthesize_with(&self, ctx: &SynthesisContext<'_>) -> Result<Synthesis, LogicError>;
 
     /// Synthesizes up to `limit` exploit scenarios against the bundle,
-    /// building a private [`BundleBase`] with default [`FinderOptions`].
+    /// building a private [`BundleBase`].
     /// Convenience for one-off runs; the pipeline shares one base across
     /// the registry via [`VulnerabilitySignature::synthesize_with`].
     ///
@@ -115,7 +113,6 @@ pub trait VulnerabilitySignature: SignatureFootprint + Send + Sync {
             apps,
             base: &base,
             limit,
-            options: FinderOptions::default(),
         })
     }
 }

@@ -741,7 +741,7 @@ impl VulnerabilitySignature for TextualSignature {
         for f in resolved {
             problem.fact(f);
         }
-        let mut finder = problem.model_finder_from(ctx.base.base(), ctx.options)?;
+        let mut finder = problem.model_finder_from(ctx.base.base())?;
         let mut exploits: Vec<Exploit> = Vec::new();
         while exploits.len() < ctx.limit {
             let Some(instance) = finder.next_minimal_model() else {

@@ -48,7 +48,7 @@ fn enumerate<F>(
 where
     F: FnMut(&separ_logic::Instance) -> Option<Exploit>,
 {
-    let mut finder = problem.model_finder_from(ctx.base.base(), ctx.options)?;
+    let mut finder = problem.model_finder_from(ctx.base.base())?;
     let mut exploits: Vec<Exploit> = Vec::new();
     while exploits.len() < ctx.limit {
         let Some(instance) = finder.next_minimal_model() else {

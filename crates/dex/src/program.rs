@@ -1,7 +1,5 @@
 //! Programs: classes, methods, fields, and the APK container.
 
-use std::collections::HashMap;
-
 use crate::instr::Instr;
 use crate::manifest::Manifest;
 use crate::refs::{Pools, StrId, TypeId};
@@ -121,15 +119,6 @@ impl Dex {
             .flat_map(|c| &c.methods)
             .map(|m| m.code.len())
             .sum()
-    }
-
-    /// An index from class descriptor to class position, for bulk lookups.
-    pub fn class_index(&self) -> HashMap<&str, usize> {
-        self.classes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (self.pools.type_at(c.ty), i))
-            .collect()
     }
 }
 

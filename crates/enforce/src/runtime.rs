@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use separ_android::api::{self, ApiKind, IccMethod, IntentConfigKind};
-use separ_android::resolution::{self, IntentData, Router, Slot};
+use separ_android::resolution::{IntentData, Router, Slot};
 use separ_android::types::Resource;
 use separ_core::policy::{Policy, PolicyEvent};
 use separ_dex::manifest::ComponentKind;
@@ -347,12 +347,20 @@ impl Device {
     /// [`Device::receivers`] with the static receivers found by a linear
     /// scan over every installed component instead of the router: the
     /// reference oracle the router is tested against. Delivery never
-    /// uses it.
+    /// uses it. Test-only.
+    #[cfg(any(test, feature = "reference"))]
+    #[doc(hidden)]
     pub fn receivers_by_scan(&self, env: &Envelope) -> Vec<(usize, Arc<str>)> {
         let mut out = Vec::new();
         self.resolve(env, &mut Vec::new(), &mut out, |kind, slots| {
             let manifests = self.apps.iter().map(|a| &a.apk.manifest);
-            resolution::route_by_scan(manifests, kind, &env.intent, env.from_app, slots);
+            separ_android::resolution::route_by_scan(
+                manifests,
+                kind,
+                &env.intent,
+                env.from_app,
+                slots,
+            );
         });
         out
     }

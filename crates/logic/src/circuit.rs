@@ -3,11 +3,13 @@
 //! The relational-logic translator (the Kodkod analog) produces circuits
 //! rather than CNF directly: intermediate gates are shared aggressively via
 //! hash-consing, and only the gates reachable from the root formula get
-//! solver variables. Lowering is polarity-aware by default
-//! ([`CnfEncoding::PlaistedGreenbaum`]): each reachable gate's polarity is
-//! computed from the root first, and only the implication direction(s) that
-//! polarity requires are emitted. The classic bidirectional encoding stays
-//! available as [`CnfEncoding::Tseitin`].
+//! solver variables. Lowering is polarity-aware (Plaisted–Greenbaum): each
+//! reachable gate's polarity is computed from the root first, and only the
+//! implication direction(s) that polarity requires are emitted. The
+//! projections of the CNF's models onto the input variables are exactly the
+//! circuit's models, so model enumeration is unaffected. The classic
+//! bidirectional Tseitin encoding, which emits roughly twice the clauses,
+//! is a test-only oracle behind the crate's `reference` feature.
 
 use std::collections::HashMap;
 
@@ -270,7 +272,10 @@ impl Circuit {
     }
 }
 
-/// The CNF transformation used by [`assert_circuit_with`].
+/// The CNF transformation used by [`assert_circuit_with`]: a test-only
+/// choice ([`assert_circuit`] is always Plaisted–Greenbaum).
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
 #[derive(Debug, Default, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum CnfEncoding {
     /// Polarity-aware Plaisted–Greenbaum encoding (the default): each gate
@@ -368,15 +373,10 @@ fn polarities(circuit: &Circuit, root: BoolRef) -> Vec<u8> {
     pol
 }
 
-/// Asserts `root` into `solver` using the default (polarity-aware) encoding.
+/// Asserts `root` into `solver` with the polarity-aware encoding.
 ///
 /// Only gates reachable from `root` are translated. Returns the mapping
 /// from circuit inputs to solver variables.
-pub fn assert_circuit(circuit: &Circuit, root: BoolRef, solver: &mut Solver) -> CnfMap {
-    assert_circuit_with(circuit, root, solver, CnfEncoding::default())
-}
-
-/// Asserts `root` into `solver` with an explicit CNF encoding choice.
 ///
 /// Gates are lowered in creation order (children always precede parents in
 /// a hash-consed circuit), so variable numbering is deterministic for a
@@ -384,11 +384,30 @@ pub fn assert_circuit(circuit: &Circuit, root: BoolRef, solver: &mut Solver) -> 
 /// their literals, is part of the solver's search order (see the
 /// [`sat`](crate::sat) solver docs), and `tests/solver_trajectory.rs`
 /// checks it byte for byte against the reference lowering.
+pub fn assert_circuit(circuit: &Circuit, root: BoolRef, solver: &mut Solver) -> CnfMap {
+    lower(circuit, root, solver, false)
+}
+
+/// Asserts `root` into `solver` with an explicit CNF encoding choice: the
+/// test-only entry point of the Tseitin oracle.
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
 pub fn assert_circuit_with(
     circuit: &Circuit,
     root: BoolRef,
     solver: &mut Solver,
     encoding: CnfEncoding,
+) -> CnfMap {
+    lower(circuit, root, solver, encoding == CnfEncoding::Tseitin)
+}
+
+/// The lowering behind [`assert_circuit`]; `tseitin` defines every gate
+/// in both directions whatever its polarity (the reference encoding).
+pub(crate) fn lower(
+    circuit: &Circuit,
+    root: BoolRef,
+    solver: &mut Solver,
+    tseitin: bool,
 ) -> CnfMap {
     let mut map = CnfMap::default();
     if root.is_const_true() {
@@ -416,10 +435,7 @@ pub fn assert_circuit_with(
         if reached == 0 {
             continue;
         }
-        let p = match encoding {
-            CnfEncoding::PlaistedGreenbaum => reached,
-            CnfEncoding::Tseitin => POL_POS | POL_NEG,
-        };
+        let p = if tseitin { POL_POS | POL_NEG } else { reached };
         gate_lit[idx] = match &circuit.gates[idx] {
             Gate::True => unreachable!("constants never appear inside gates"),
             Gate::Input(label) => {
@@ -478,7 +494,7 @@ pub fn assert_circuit_with(
 /// The CNF lowering as it was before its gate-indexed tables: a reference
 /// oracle for tests only (see [`crate::sat::reference`]). It must emit the
 /// same variables and clauses, in the same order, as
-/// [`assert_circuit_with`].
+/// `assert_circuit_with`.
 #[cfg(any(test, feature = "reference"))]
 #[doc(hidden)]
 pub mod reference {

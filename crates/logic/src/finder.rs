@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::ast::{Formula, QuantVar};
-use crate::circuit::{assert_circuit_with, CnfEncoding};
+use crate::circuit;
 use crate::error::Result;
 use crate::instance::Instance;
 use crate::relation::{RelationDecl, RelationId, Tuple, TupleSet};
@@ -18,15 +18,15 @@ use crate::sat::{Lit, SolveResult, Solver, SolverStats, Var};
 use crate::translate::{build_base, translate, translate_from, Translation, TranslationBase};
 use crate::universe::Universe;
 
-/// Options controlling how a [`Problem`] is lowered into a [`ModelFinder`].
-///
-/// Every option preserves the model set: the default (polarity-aware CNF)
-/// is the production path, the Tseitin lowering is a reference for
-/// differential tests.
+/// Options controlling how a [`Problem`] is lowered into a test-only
+/// [`ModelFinder`] (see [`Problem::model_finder_with`]). Every option
+/// preserves the model set.
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
 #[derive(Debug, Default, Copy, Clone, PartialEq, Eq)]
 pub struct FinderOptions {
     /// CNF transformation for the circuit-to-solver lowering.
-    pub encoding: CnfEncoding,
+    pub encoding: circuit::CnfEncoding,
 }
 
 /// A bounded relational-logic problem.
@@ -136,23 +136,25 @@ impl Problem {
         v
     }
 
-    /// Translates the problem and returns a reusable model finder, using
-    /// default [`FinderOptions`].
+    /// Translates the problem and returns a reusable model finder.
     ///
     /// # Errors
     ///
     /// Returns an error if any fact is ill-typed.
     pub fn model_finder(&self) -> Result<ModelFinder> {
-        self.model_finder_with(FinderOptions::default())
+        self.build_finder(None, false)
     }
 
-    /// Translates the problem with explicit [`FinderOptions`].
+    /// Translates the problem with explicit [`FinderOptions`]: the
+    /// test-only entry point of the Tseitin oracle.
     ///
     /// # Errors
     ///
     /// Returns an error if any fact is ill-typed.
+    #[cfg(any(test, feature = "reference"))]
+    #[doc(hidden)]
     pub fn model_finder_with(&self, options: FinderOptions) -> Result<ModelFinder> {
-        self.build_finder(None, options)
+        self.build_finder(None, options.encoding == circuit::CnfEncoding::Tseitin)
     }
 
     /// Builds the reusable, fact-independent translation base (all leaf
@@ -170,19 +172,13 @@ impl Problem {
     /// # Errors
     ///
     /// Returns an error if any fact is ill-typed.
-    pub fn model_finder_from(
-        &self,
-        base: &TranslationBase,
-        options: FinderOptions,
-    ) -> Result<ModelFinder> {
-        self.build_finder(Some(base), options)
+    pub fn model_finder_from(&self, base: &TranslationBase) -> Result<ModelFinder> {
+        self.build_finder(Some(base), false)
     }
 
-    fn build_finder(
-        &self,
-        base: Option<&TranslationBase>,
-        options: FinderOptions,
-    ) -> Result<ModelFinder> {
+    /// `tseitin` selects the reference CNF encoding (see
+    /// [`circuit::lower`]).
+    fn build_finder(&self, base: Option<&TranslationBase>, tseitin: bool) -> Result<ModelFinder> {
         let conj = Formula::and(self.facts.iter().cloned());
         let mut span = separ_obs::span("logic.translate");
         let t0 = Instant::now();
@@ -190,7 +186,7 @@ impl Problem {
             Some(b) => translate_from(b, &self.universe, &self.relations, &conj)?,
             None => translate(&self.universe, &self.relations, &conj)?,
         };
-        let finder = self.finder_for(translation, options.encoding, base.is_some());
+        let finder = self.finder_for(translation, tseitin, base.is_some());
         span.set_arg("shared_base", base.is_some().to_string());
         span.set_arg("clauses", finder.cnf_clauses.to_string());
         drop(span);
@@ -205,16 +201,11 @@ impl Problem {
     fn finder_for(
         &self,
         translation: Translation,
-        encoding: CnfEncoding,
+        tseitin: bool,
         shared_base: bool,
     ) -> ModelFinder {
         let mut solver = Solver::new();
-        let cnf = assert_circuit_with(
-            &translation.circuit,
-            translation.root,
-            &mut solver,
-            encoding,
-        );
+        let cnf = circuit::lower(&translation.circuit, translation.root, &mut solver, tseitin);
         // Map each free tuple to its solver variable, if the tuple's input
         // survived into the CNF (inputs the formula never constrains do
         // not; they decode as absent, biasing toward minimal instances).
@@ -275,7 +266,7 @@ impl Problem {
                 .chain(std::iter::once(assertion.not())),
         );
         let translation = translate(&self.universe, &self.relations, &conj)?;
-        let mut finder = self.finder_for(translation, CnfEncoding::default(), false);
+        let mut finder = self.finder_for(translation, false, false);
         Ok(finder.next_model())
     }
 }
@@ -558,16 +549,15 @@ mod tests {
 
     #[test]
     fn encodings_and_sharing_agree_on_model_counts() {
-        for encoding in [CnfEncoding::PlaistedGreenbaum, CnfEncoding::Tseitin] {
+        for tseitin in [false, true] {
             let (mut p, r) = unary_problem(3);
             p.fact(Expr::relation(r).lone());
-            let options = FinderOptions { encoding };
-            let mut fresh = p.model_finder_with(options).expect("well-typed");
-            assert_eq!(count_models(&mut fresh), 4, "{encoding:?}");
+            let mut fresh = p.build_finder(None, tseitin).expect("well-typed");
+            assert_eq!(count_models(&mut fresh), 4, "tseitin: {tseitin}");
             let base = p.translation_base();
-            let mut shared = p.model_finder_from(&base, options).expect("well-typed");
+            let mut shared = p.build_finder(Some(&base), tseitin).expect("well-typed");
             assert!(shared.used_shared_base());
-            assert_eq!(count_models(&mut shared), 4, "{encoding:?} shared");
+            assert_eq!(count_models(&mut shared), 4, "tseitin: {tseitin}, shared");
         }
     }
 
@@ -578,7 +568,7 @@ mod tests {
         let pg = p.model_finder().expect("well-typed");
         let ts = p
             .model_finder_with(FinderOptions {
-                encoding: CnfEncoding::Tseitin,
+                encoding: circuit::CnfEncoding::Tseitin,
             })
             .expect("well-typed");
         assert!(

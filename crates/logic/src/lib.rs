@@ -46,9 +46,11 @@ pub mod translate;
 pub mod universe;
 
 pub use ast::{Expr, Formula, QuantVar};
-pub use circuit::CnfEncoding;
 pub use error::LogicError;
-pub use finder::{FinderOptions, ModelFinder, Problem};
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
+pub use finder::FinderOptions;
+pub use finder::{ModelFinder, Problem};
 pub use instance::Instance;
 pub use relation::{RelationDecl, RelationId, Tuple, TupleSet};
 pub use sat::SolverStats;

@@ -203,17 +203,6 @@ impl Trace {
         &self.histograms
     }
 
-    /// Sum of durations of all spans named `name`.
-    pub fn sum_named(&self, name: &str) -> std::time::Duration {
-        std::time::Duration::from_nanos(
-            self.spans
-                .iter()
-                .filter(|s| s.name == name)
-                .map(|s| s.dur_ns)
-                .sum(),
-        )
-    }
-
     /// Number of spans named `name`.
     pub fn count_named(&self, name: &str) -> usize {
         self.spans.iter().filter(|s| s.name == name).count()

@@ -632,7 +632,7 @@ mod tests {
 
     #[test]
     fn analyze_rejects_the_reference_path_flags() {
-        // The Tseitin and unsliced paths are library-only references, and
+        // The Tseitin and unsliced paths are test-only references, and
         // symmetry breaking no longer exists: each flag is a usage error,
         // reported before any package is read.
         for flag in ["--symmetry-breaking", "--encoding", "--no-slicing"] {

@@ -128,11 +128,8 @@ proptest! {
             // (the default), so this simultaneously proves delta == from-
             // scratch and sliced == unsliced across bundle mutations.
             let fresh = Separ::new()
-                .with_config(SeparConfig {
-                    slicing: false,
-                    ..SeparConfig::serial()
-                })
-                .analyze_models(shadow.clone())
+                .with_config(SeparConfig::serial())
+                .analyze_models_unsliced(shadow.clone())
                 .expect("full re-analysis succeeds");
             prop_assert_eq!(
                 fingerprint(session.policies()),

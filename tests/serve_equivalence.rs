@@ -209,11 +209,8 @@ proptest! {
         // slicing off (proving delta == scratch and sliced == unsliced
         // across the whole churn history at once).
         let fresh = Separ::new()
-            .with_config(SeparConfig {
-                slicing: false,
-                ..SeparConfig::serial()
-            })
-            .analyze_models(shadow.clone())
+            .with_config(SeparConfig::serial())
+            .analyze_models_unsliced(shadow.clone())
             .expect("full re-analysis succeeds");
         prop_assert_eq!(
             fingerprint(&daemon_policies),

@@ -31,15 +31,17 @@ fn market_models(total: usize, seed: u64) -> Vec<AppModel> {
         .collect()
 }
 
-/// One serial analysis over the extended registry (all five signatures).
+/// One serial analysis over the extended registry (all five signatures),
+/// sliced or on the unsliced reference path.
 fn run(models: &[AppModel], slicing: bool) -> Report {
-    Separ::with_registry(SignatureRegistry::extended())
-        .with_config(SeparConfig {
-            slicing,
-            ..SeparConfig::serial()
-        })
-        .analyze_models(models.to_vec())
-        .expect("analysis succeeds")
+    let separ =
+        Separ::with_registry(SignatureRegistry::extended()).with_config(SeparConfig::serial());
+    let report = if slicing {
+        separ.analyze_models(models.to_vec())
+    } else {
+        separ.analyze_models_unsliced(models.to_vec())
+    };
+    report.expect("analysis succeeds")
 }
 
 /// Exploits as an order-free set (enumeration order may legally differ
@@ -139,11 +141,8 @@ fn incremental_deltas_with_slicing_match_unsliced_scratch() {
         // The oracle deliberately disables slicing: a sliced delta run
         // must match the unsliced from-scratch reference.
         let fresh = Separ::new()
-            .with_config(SeparConfig {
-                slicing: false,
-                ..SeparConfig::serial()
-            })
-            .analyze_models(shadow.to_vec())
+            .with_config(SeparConfig::serial())
+            .analyze_models_unsliced(shadow.to_vec())
             .expect("scratch analysis succeeds");
         let session_exploits: BTreeSet<String> =
             session.exploits().map(|e| format!("{e:?}")).collect();
