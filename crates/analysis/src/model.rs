@@ -47,6 +47,21 @@ impl SentIntentModel {
         self.explicit_target.is_none()
     }
 
+    /// Returns `true` if another app can intercept the intent by declaring
+    /// a matching filter: an implicit, non-passive activity, service
+    /// start or broadcast (the encoding's `hijackable` relation).
+    pub fn is_hijackable(&self) -> bool {
+        self.is_implicit()
+            && !self.is_passive
+            && matches!(
+                self.via,
+                IccMethod::StartActivity
+                    | IccMethod::StartActivityForResult
+                    | IccMethod::StartService
+                    | IccMethod::SendBroadcast
+            )
+    }
+
     /// View of this intent as resolution-ready [`IntentData`].
     ///
     /// [`IntentData`]: separ_android::resolution::IntentData
@@ -93,6 +108,27 @@ pub struct ComponentModel {
     /// Whether the component registers receivers dynamically (observed so
     /// the limitation is explicit in reports).
     pub registers_dynamically: bool,
+}
+
+/// Resolution sees what AME modelled: the effective export status and
+/// the static filters, plus the runtime filters and export the
+/// dynamic-receiver profile attaches.
+impl separ_android::resolution::ComponentView for ComponentModel {
+    fn kind(&self) -> ComponentKind {
+        self.kind
+    }
+
+    fn class(&self) -> &str {
+        &self.class
+    }
+
+    fn is_exported(&self) -> bool {
+        self.exported
+    }
+
+    fn filters(&self) -> &[IntentFilterDecl] {
+        &self.filters
+    }
 }
 
 impl ComponentModel {

@@ -33,10 +33,12 @@
 //!    atoms/rows) from the universe leaves the minimal-model set of the
 //!    signature's facts unchanged.
 //! 2. Intent resolution ([`crate::model::update_passive_intent_targets`]
-//!    and the encoder's `canReceive` construction) is *pair-local*: a
-//!    `(intent, component)` row exists based only on the sending and
-//!    receiving app, never on third apps. So re-encoding an app subset
-//!    preserves exactly the rows among kept apps.
+//!    and the encoder's `canReceive` construction, a
+//!    [`separ_android::resolution::Router`] over the bundle) is
+//!    *pair-local*: a `(intent, component)` row exists based only on the
+//!    sending and receiving app, never on third apps (an explicit
+//!    intent's first-of-class lookup is per app). So re-encoding an app
+//!    subset preserves exactly the rows among kept apps.
 //!
 //! Monotonicity follows from the same shape: demand predicates are
 //! existential over the bundle, so installing an app can only grow every
@@ -217,18 +219,6 @@ fn tainted(extra_taints: &BTreeSet<Resource>) -> bool {
         .any(|r| r.is_source() && *r != Resource::Icc)
 }
 
-/// The delivery methods the `hijackable` encoding relation admits.
-fn hijackable_via(via: separ_android::api::IccMethod) -> bool {
-    use separ_android::api::IccMethod;
-    matches!(
-        via,
-        IccMethod::StartActivity
-            | IccMethod::StartActivityForResult
-            | IccMethod::StartService
-            | IccMethod::SendBroadcast
-    )
-}
-
 fn summarize_component(app: &AppModel, c: &ComponentModel) -> ComponentSummary {
     let mut caps = ComponentCaps::default();
     let mut tainted_sends = Vec::new();
@@ -241,7 +231,7 @@ fn summarize_component(app: &AppModel, c: &ComponentModel) -> ComponentSummary {
             passive: i.is_passive,
             data: i.as_intent_data(),
         });
-        if i.is_implicit() && !i.is_passive && hijackable_via(i.via) {
+        if i.is_hijackable() {
             caps.hijackable_tainted_sender = true;
         }
     }
@@ -281,13 +271,9 @@ pub fn summarize_app(app: &AppModel) -> AppSummary {
             || c.sent_intents.iter().any(|i| i.action.is_some())
     });
     let actionless_hijackable_send = app.components.iter().any(|c| {
-        c.sent_intents.iter().any(|i| {
-            i.action.is_none()
-                && i.is_implicit()
-                && !i.is_passive
-                && hijackable_via(i.via)
-                && tainted(&i.extra_taints)
-        })
+        c.sent_intents
+            .iter()
+            .any(|i| i.action.is_none() && i.is_hijackable() && tainted(&i.extra_taints))
     });
     AppSummary {
         package: app.package.clone(),
@@ -308,8 +294,9 @@ fn app_has_cap(s: &AppSummary, f: impl Fn(&ComponentCaps) -> bool) -> bool {
 
 /// Cross-app leak matching: keep every sender of a tainted intent that
 /// can resolve to some ICC-entry sink component, and every app owning a
-/// matched sink. Matching over-approximates the encoder's `canReceive`
-/// construction (kind, export and same-app restrictions are ignored);
+/// matched sink. Matching deliberately over-approximates the `Router`
+/// that builds the encoder's `canReceive` (kind, export, same-app and
+/// first-of-class restrictions are ignored);
 /// passive sends match every sink, over-approximating the Algorithm 1
 /// fixpoint without reading cross-app state.
 fn select_leak_channel(summaries: &[AppSummary], kept: &mut BTreeSet<usize>) {

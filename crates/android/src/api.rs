@@ -8,6 +8,8 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
+use separ_dex::manifest::ComponentKind;
+
 use crate::types::{perm, Resource};
 
 /// Classification of an API method.
@@ -79,6 +81,24 @@ impl IccMethod {
             self,
             IccMethod::StartActivityForResult | IccMethod::BindService
         )
+    }
+
+    /// The component kind the method delivers to; `None` for
+    /// [`IccMethod::SetResult`], whose reply goes back to the requester
+    /// rather than through resolution.
+    pub fn receiving_kind(self) -> Option<ComponentKind> {
+        match self {
+            IccMethod::StartActivity | IccMethod::StartActivityForResult => {
+                Some(ComponentKind::Activity)
+            }
+            IccMethod::StartService | IccMethod::BindService => Some(ComponentKind::Service),
+            IccMethod::SendBroadcast => Some(ComponentKind::Receiver),
+            IccMethod::ProviderQuery
+            | IccMethod::ProviderInsert
+            | IccMethod::ProviderUpdate
+            | IccMethod::ProviderDelete => Some(ComponentKind::Provider),
+            IccMethod::SetResult => None,
+        }
     }
 
     /// The API method name.
@@ -475,6 +495,27 @@ mod tests {
             ApiKind::PermissionCheck
         );
         assert_eq!(classify("LUnknown;", "whatever"), ApiKind::Neutral);
+    }
+
+    #[test]
+    fn receiving_kind_covers_every_method() {
+        use ComponentKind::{Activity, Provider, Receiver, Service};
+        let kinds = IccMethod::ALL.map(IccMethod::receiving_kind);
+        assert_eq!(
+            kinds,
+            [
+                Some(Activity),
+                Some(Activity),
+                None,
+                Some(Service),
+                Some(Service),
+                Some(Receiver),
+                Some(Provider),
+                Some(Provider),
+                Some(Provider),
+                Some(Provider),
+            ]
+        );
     }
 
     #[test]

@@ -1,9 +1,21 @@
-//! Intent resolution: the action, category and data tests.
+//! Intent resolution: the action, category and data tests, and the one
+//! delivery rule built on them.
 //!
 //! A faithful (slightly simplified, see below) transcription of Android's
-//! implicit-intent resolution, shared between the formal meta-model, the
-//! static analyzer, and the runtime router, so all three agree on who
-//! receives an intent.
+//! implicit-intent resolution. [`Router`] is the only answer to "which
+//! component receives this intent?": the runtime device routes every ICC
+//! through it over its manifests' [`ComponentDecl`]s, ASE's encoder builds
+//! `canReceive` from it over AME's component models, and policy
+//! derivation asks it for a hijacked intent's intended recipients. Both
+//! sides see a component through [`ComponentView`] (kind, class, effective
+//! export, filters), so all three agree on who receives an intent. Two
+//! deliberate exceptions stay outside the router:
+//!
+//! - passive (`setResult`) replies: the device answers a reply through the
+//!   envelope's `reply_to`, and the static model through Algorithm 1's
+//!   resolved target classes, not by resolution;
+//! - relevance slicing's leak-channel match, a deliberate
+//!   over-approximation that ignores kind and export.
 //!
 //! Simplification: Android's data test distinguishes scheme/authority/path
 //! hierarchies; sdex intents carry at most one data type and one scheme,
@@ -11,11 +23,10 @@
 //! matches filters declaring that data, and a filter declaring data only
 //! matches intents carrying it).
 //!
-//! [`Router`] indexes the installed manifests so the runtime resolves an
-//! intent by looking up its candidates instead of scanning every
-//! installed filter. That scan, `route_by_scan`, is retained as the
-//! reference the router is tested against, behind the crate's test-only
-//! `reference` feature.
+//! [`Router`] indexes the installed components so an intent resolves by
+//! looking up its candidates instead of scanning every installed filter.
+//! That scan, `route_by_scan`, is retained as the reference the router is
+//! tested against, behind the crate's test-only `reference` feature.
 //!
 //! An intent's strings are `Arc<str>`, so the runtime moves one across
 //! the ICC bus (heap object → wire form → heap object) by refcount.
@@ -23,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use separ_dex::manifest::{ComponentDecl, ComponentKind, IntentFilterDecl, Manifest};
+use separ_dex::manifest::{ComponentDecl, ComponentKind, IntentFilterDecl};
 
 /// A concrete intent, as carried across the ICC bus or abstracted by AME.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -131,9 +142,40 @@ pub fn any_filter_matches(intent: &IntentData, filters: &[IntentFilterDecl]) -> 
     filters.iter().any(|f| filter_matches(intent, f))
 }
 
-/// An installed component: (app index, index into that app's
-/// `manifest.components`). Routing yields slots; the caller names the
-/// component from its own tables.
+/// What intent resolution reads of an installed component.
+pub trait ComponentView {
+    /// The component kind.
+    fn kind(&self) -> ComponentKind;
+    /// The implementing class descriptor.
+    fn class(&self) -> &str;
+    /// Whether components of other apps may reach it (the explicit flag,
+    /// or implied by declaring a filter).
+    fn is_exported(&self) -> bool;
+    /// The intent filters it declares.
+    fn filters(&self) -> &[IntentFilterDecl];
+}
+
+impl ComponentView for ComponentDecl {
+    fn kind(&self) -> ComponentKind {
+        self.kind
+    }
+
+    fn class(&self) -> &str {
+        &self.class
+    }
+
+    fn is_exported(&self) -> bool {
+        self.is_effectively_exported()
+    }
+
+    fn filters(&self) -> &[IntentFilterDecl] {
+        &self.intent_filters
+    }
+}
+
+/// An installed component: (app index, index into that app's component
+/// list). Routing yields slots; the caller names the component from its
+/// own tables.
 pub type Slot = (usize, usize);
 
 /// One slot list per component kind, indexed by [`ComponentKind::tag`].
@@ -141,11 +183,11 @@ type ByKind = [Vec<Slot>; 4];
 
 /// The delivery rule every candidate must pass: the right kind, and
 /// exported unless sender and receiver are the same app.
-fn admits(decl: &ComponentDecl, kind: ComponentKind, same_app: bool) -> bool {
-    decl.kind == kind && (same_app || decl.is_effectively_exported())
+fn admits(component: &impl ComponentView, kind: ComponentKind, same_app: bool) -> bool {
+    component.kind() == kind && (same_app || component.is_exported())
 }
 
-/// An index over installed manifests answering "who may receive this
+/// An index over installed components answering "who may receive this
 /// intent" without scanning every component.
 ///
 /// Three lookups narrow the candidates; each candidate still passes the
@@ -161,23 +203,27 @@ pub struct Router {
     /// (an action-less intent passes [`action_test`] only on those).
     with_actions: ByKind,
     /// Class descriptor → the first component of that class in each app
-    /// (what [`Manifest::component`] finds).
+    /// (what [`separ_dex::manifest::Manifest::component`] finds).
     by_class: HashMap<String, Vec<Slot>>,
 }
 
 impl Router {
-    /// Indexes the manifests of the installed apps, in app-index order.
-    pub fn new<'m>(manifests: impl IntoIterator<Item = &'m Manifest>) -> Router {
+    /// Indexes the installed apps' components, in app-index order.
+    pub fn new<'c, C, A>(apps: impl IntoIterator<Item = A>) -> Router
+    where
+        C: ComponentView + 'c,
+        A: IntoIterator<Item = &'c C>,
+    {
         let mut router = Router::default();
-        for (app, manifest) in manifests.into_iter().enumerate() {
-            for (component, decl) in manifest.components.iter().enumerate() {
+        for (app, components) in apps.into_iter().enumerate() {
+            for (component, c) in components.into_iter().enumerate() {
                 let slot = (app, component);
-                let kind = usize::from(decl.kind.tag());
-                let same_class = router.by_class.entry(decl.class.clone()).or_default();
+                let kind = usize::from(c.kind().tag());
+                let same_class = router.by_class.entry(c.class().to_owned()).or_default();
                 if same_class.last().is_none_or(|&(a, _)| a != app) {
                     same_class.push(slot);
                 }
-                let actions = decl.intent_filters.iter().flat_map(|f| &f.actions);
+                let actions = c.filters().iter().flat_map(|f| &f.actions);
                 for action in actions.clone() {
                     let per_kind = router.by_action.entry(action.clone()).or_default();
                     // One entry per component, however many of its
@@ -215,12 +261,12 @@ impl Router {
 
     /// Appends to `out` the slots of the statically declared components
     /// of kind `kind` that receive `intent` sent by app `from_app`: the
-    /// named component for an explicit intent, else every component with
-    /// a matching filter. `manifest(i)` must return the manifest the
-    /// router was built with at app index `i`.
-    pub fn route<'m>(
+    /// first component of the named class in each app for an explicit
+    /// intent, else every component with a matching filter. `component`
+    /// must return the component the router was built with at a slot.
+    pub fn route<'c, C: ComponentView + 'c>(
         &self,
-        manifest: impl Fn(usize) -> &'m Manifest,
+        component: impl Fn(Slot) -> &'c C,
         kind: ComponentKind,
         intent: &IntentData,
         from_app: Option<usize>,
@@ -230,12 +276,12 @@ impl Router {
             Some(target) => (self.explicit(target), false),
             None => (self.implicit(kind, intent.action.as_deref()), true),
         };
-        for &(app, component) in slots {
-            let decl = &manifest(app).components[component];
-            if admits(decl, kind, from_app == Some(app))
-                && (!implicit || any_filter_matches(intent, &decl.intent_filters))
+        for &slot in slots {
+            let c = component(slot);
+            if admits(c, kind, from_app == Some(slot.0))
+                && (!implicit || any_filter_matches(intent, c.filters()))
             {
-                out.push((app, component));
+                out.push(slot);
             }
         }
     }
@@ -246,28 +292,31 @@ impl Router {
 /// the router is tested against; the runtime never calls it. Test-only.
 #[cfg(any(test, feature = "reference"))]
 #[doc(hidden)]
-pub fn route_by_scan<'m>(
-    manifests: impl IntoIterator<Item = &'m Manifest>,
+pub fn route_by_scan<'c, C, A>(
+    apps: impl IntoIterator<Item = A>,
     kind: ComponentKind,
     intent: &IntentData,
     from_app: Option<usize>,
     out: &mut Vec<Slot>,
-) {
-    for (app, manifest) in manifests.into_iter().enumerate() {
+) where
+    C: ComponentView + 'c,
+    A: IntoIterator<Item = &'c C>,
+{
+    for (app, components) in apps.into_iter().enumerate() {
         let same_app = from_app == Some(app);
-        let components = manifest.components.iter().enumerate();
+        let mut components = components.into_iter().enumerate();
         if let Some(target) = &intent.explicit_target {
             // The first component of the class, as `Manifest::component`.
-            let named = components.clone().find(|(_, d)| *d.class == **target);
-            if let Some((component, decl)) = named {
-                if admits(decl, kind, same_app) {
+            let named = components.find(|(_, c)| c.class() == &**target);
+            if let Some((component, c)) = named {
+                if admits(c, kind, same_app) {
                     out.push((app, component));
                 }
             }
             continue;
         }
-        for (component, decl) in components {
-            if admits(decl, kind, same_app) && any_filter_matches(intent, &decl.intent_filters) {
+        for (component, c) in components {
+            if admits(c, kind, same_app) && any_filter_matches(intent, c.filters()) {
                 out.push((app, component));
             }
         }
@@ -346,26 +395,21 @@ mod tests {
         assert!(!any_filter_matches(&bad_action, &[f]));
     }
 
-    fn manifest(package: &str, decls: Vec<ComponentDecl>) -> Manifest {
-        let mut m = Manifest::new(package);
-        m.components = decls;
-        m
-    }
-
     fn routed(
-        manifests: &[Manifest],
+        apps: &[Vec<ComponentDecl>],
         kind: ComponentKind,
         intent: &IntentData,
         from_app: Option<usize>,
     ) -> Vec<(usize, String)> {
         let mut indexed = Vec::new();
-        Router::new(manifests).route(|i| &manifests[i], kind, intent, from_app, &mut indexed);
+        let component = |(app, c): Slot| &apps[app][c];
+        Router::new(apps).route(component, kind, intent, from_app, &mut indexed);
         let mut scanned = Vec::new();
-        route_by_scan(manifests, kind, intent, from_app, &mut scanned);
+        route_by_scan(apps, kind, intent, from_app, &mut scanned);
         assert_eq!(indexed, scanned, "router and scan disagree on {intent:?}");
         indexed
             .into_iter()
-            .map(|(app, component)| (app, manifests[app].components[component].class.clone()))
+            .map(|(app, c)| (app, apps[app][c].class.clone()))
             .collect()
     }
 
@@ -380,10 +424,7 @@ mod tests {
         let mut rec = ComponentDecl::new("LRec;", ComponentKind::Receiver);
         rec.intent_filters.push(filter(&["GO"]));
         let silent = ComponentDecl::new("LSilent;", ComponentKind::Service);
-        let apps = [
-            manifest("a", vec![svc.clone(), private, rec]),
-            manifest("b", vec![svc, silent]),
-        ];
+        let apps = [vec![svc.clone(), private, rec], vec![svc, silent]];
         let go = IntentData::for_action("GO");
         let svc_a = (0, "LSvc;".to_string());
         let svc_b = (1, "LSvc;".to_string());
@@ -423,6 +464,24 @@ mod tests {
             None
         )
         .is_empty());
+    }
+
+    #[test]
+    fn explicit_intents_reach_the_first_component_of_the_class() {
+        let activity = ComponentDecl::new("LDup;", ComponentKind::Activity);
+        let mut service = ComponentDecl::new("LDup;", ComponentKind::Service);
+        service.exported = Some(true);
+        let apps = [vec![activity, service.clone()], vec![service]];
+        let explicit = IntentData::explicit("LDup;");
+        assert_eq!(
+            routed(&apps, ComponentKind::Service, &explicit, Some(0)),
+            vec![(1, "LDup;".into())],
+            "app 0's second `LDup;` is shadowed by its first"
+        );
+        assert_eq!(
+            routed(&apps, ComponentKind::Activity, &explicit, Some(0)),
+            vec![(0, "LDup;".into())]
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ use separ_android::api::IccMethod;
 use separ_android::resolution::{self, IntentData};
 use separ_android::types::Resource;
 use separ_core::{Exploit, Separ, VulnKind};
-use separ_dex::manifest::{ComponentKind, IntentFilterDecl};
+use separ_dex::manifest::IntentFilterDecl;
 use separ_dex::program::Apk;
 
 /// A leak finding: `(source component class, sink component class)`.
@@ -54,21 +54,6 @@ fn carries_sensitive(i: &separ_analysis::model::SentIntentModel) -> bool {
     i.extra_taints
         .iter()
         .any(|r| r.is_source() && *r != Resource::Icc)
-}
-
-fn receiving_kind(via: IccMethod) -> Option<ComponentKind> {
-    match via {
-        IccMethod::StartActivity | IccMethod::StartActivityForResult => {
-            Some(ComponentKind::Activity)
-        }
-        IccMethod::StartService | IccMethod::BindService => Some(ComponentKind::Service),
-        IccMethod::SendBroadcast => Some(ComponentKind::Receiver),
-        IccMethod::ProviderQuery
-        | IccMethod::ProviderInsert
-        | IccMethod::ProviderUpdate
-        | IccMethod::ProviderDelete => Some(ComponentKind::Provider),
-        IccMethod::SetResult => None,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -126,7 +111,7 @@ impl IccAnalyzer for DidFailAnalyzer {
                     if !carries_sensitive(intent) {
                         continue;
                     }
-                    let Some(kind) = receiving_kind(intent.via) else {
+                    let Some(kind) = intent.via.receiving_kind() else {
                         continue;
                     };
                     let data = intent.as_intent_data();
@@ -197,7 +182,7 @@ impl IccAnalyzer for AmandroidAnalyzer {
                     if !carries_sensitive(intent) {
                         continue;
                     }
-                    let Some(kind) = receiving_kind(intent.via) else {
+                    let Some(kind) = intent.via.receiving_kind() else {
                         continue;
                     };
                     for recv in &app.components {
@@ -263,7 +248,7 @@ mod tests {
     use super::*;
     use separ_android::api::class;
     use separ_dex::build::ApkBuilder;
-    use separ_dex::manifest::ComponentDecl;
+    use separ_dex::manifest::{ComponentDecl, ComponentKind};
 
     /// Builds a one-app leak; `explicit` picks addressing, `dead` guards
     /// the leak with unreachable code.

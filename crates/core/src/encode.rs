@@ -8,15 +8,16 @@
 //! constraint solver is free to configure — mimicking the adversary.
 //!
 //! Resolution between *known* intents and *known* components is
-//! precomputed with the shared Android resolution rules and encoded as the
-//! exact `canReceive` relation; everything involving the malicious app
-//! stays symbolic, which keeps the SAT search focused on adversary
+//! precomputed by the device's own delivery rule, a
+//! [`resolution::Router`] over the bundle's component models, and encoded
+//! as the exact `canReceive` relation; only passive replies keep
+//! Algorithm 1's class rule. Everything involving the malicious app stays
+//! symbolic, which keeps the SAT search focused on adversary
 //! capabilities, exactly the synthesis question the paper asks.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 use separ_analysis::model::AppModel;
-use separ_android::api::IccMethod;
 use separ_android::resolution;
 use separ_android::types::Resource;
 use separ_dex::manifest::ComponentKind;
@@ -244,22 +245,6 @@ impl BundleBase {
     }
 }
 
-/// The component kind an ICC method delivers to.
-fn receiving_kind(via: IccMethod) -> Option<ComponentKind> {
-    match via {
-        IccMethod::StartActivity | IccMethod::StartActivityForResult => {
-            Some(ComponentKind::Activity)
-        }
-        IccMethod::StartService | IccMethod::BindService => Some(ComponentKind::Service),
-        IccMethod::SendBroadcast => Some(ComponentKind::Receiver),
-        IccMethod::ProviderQuery
-        | IccMethod::ProviderInsert
-        | IccMethod::ProviderUpdate
-        | IccMethod::ProviderDelete => Some(ComponentKind::Provider),
-        IccMethod::SetResult => None,
-    }
-}
-
 /// Encoding tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct EncodeOptions {
@@ -305,8 +290,11 @@ pub fn encode_bundle_with(apps: &[AppModel], options: EncodeOptions) -> Encoded 
         .collect();
     let mal_app = universe.add("MalApp");
     let mut component_atoms = Vec::new();
+    // App `ai`'s components start at `component_atoms[first_component[ai]]`.
+    let mut first_component = Vec::with_capacity(apps.len());
     let mut intent_atoms = Vec::new();
     for (ai, app) in apps.iter().enumerate() {
+        first_component.push(component_atoms.len());
         for (ci, c) in app.components.iter().enumerate() {
             component_atoms.push((
                 (ai, ci),
@@ -382,8 +370,9 @@ pub fn encode_bundle_with(apps: &[AppModel], options: EncodeOptions) -> Encoded 
         ts
     };
 
-    // class descriptor -> component atoms (there may be same-class
-    // components in different apps).
+    let component_atom = |(ai, ci): CompIdx| component_atoms[first_component[ai] + ci].1;
+    // class descriptor -> component atoms, for passive replies (there may
+    // be same-class components in different apps).
     let mut by_class: BTreeMap<&str, Vec<(CompIdx, Atom)>> = BTreeMap::new();
     for &((ai, ci), atom) in &component_atoms {
         by_class
@@ -419,12 +408,7 @@ pub fn encode_bundle_with(apps: &[AppModel], options: EncodeOptions) -> Encoded 
     let sender = {
         let mut ts = TupleSet::new(2);
         for &((ai, ci, _), atom) in &intent_atoms {
-            // `component_atoms` is in (app, component) order.
-            let comp_atom = component_atoms
-                .binary_search_by_key(&(ai, ci), |&(idx, _)| idx)
-                .map(|i| component_atoms[i].1)
-                .expect("component of intent exists");
-            ts.insert(Tuple::binary(atom, comp_atom));
+            ts.insert(Tuple::binary(atom, component_atom((ai, ci))));
         }
         ts.insert(Tuple::binary(mal_intent, mal_comp));
         problem.relation(RelationDecl::exact("sender", ts))
@@ -463,28 +447,16 @@ pub fn encode_bundle_with(apps: &[AppModel], options: EncodeOptions) -> Encoded 
 
     // Precompute real-intent resolution.
     let can_receive = {
-        // Only a component with a filter declaring an implicit intent's
-        // action (any action, for an action-less intent) can pass the
-        // filter match, so candidates come from an action index.
-        let mut by_action: HashMap<&str, Vec<(CompIdx, Atom)>> = HashMap::new();
-        let mut with_actions: Vec<(CompIdx, Atom)> = Vec::new();
-        for &((ai, ci), atom) in &component_atoms {
-            let declared: BTreeSet<&str> = apps[ai].components[ci]
-                .filters
-                .iter()
-                .flat_map(|f| f.actions.iter().map(String::as_str))
-                .collect();
-            if !declared.is_empty() {
-                with_actions.push(((ai, ci), atom));
-            }
-            for a in declared {
-                by_action.entry(a).or_default().push(((ai, ci), atom));
-            }
-        }
+        let router = resolution::Router::new(apps.iter().map(|a| &a.components));
+        let component = |(ai, ci): CompIdx| &apps[ai].components[ci];
+        let mut slots = Vec::new();
         let mut lower = TupleSet::new(2);
         for &((ai, ci, ii), iatom) in &intent_atoms {
             let intent = &apps[ai].components[ci].sent_intents[ii];
             if intent.is_passive {
+                // The device does not resolve a reply: it answers it
+                // through the envelope's `reply_to`, which Algorithm 1's
+                // resolved target classes stand for.
                 for target_class in &intent.resolved_targets {
                     if let Some(cands) = by_class.get(target_class.as_str()) {
                         for &(_, catom) in cands {
@@ -494,36 +466,14 @@ pub fn encode_bundle_with(apps: &[AppModel], options: EncodeOptions) -> Encoded 
                 }
                 continue;
             }
-            let Some(kind) = receiving_kind(intent.via) else {
+            let Some(kind) = intent.via.receiving_kind() else {
                 continue;
             };
-            if let Some(target_class) = &intent.explicit_target {
-                if let Some(cands) = by_class.get(target_class.as_str()) {
-                    for &((tai, tci), catom) in cands {
-                        let target = &apps[tai].components[tci];
-                        if target.kind == kind && (tai == ai || target.exported) {
-                            lower.insert(Tuple::binary(iatom, catom));
-                        }
-                    }
-                }
-            } else {
-                let data = intent.as_intent_data();
-                let candidates = match &intent.action {
-                    Some(a) => by_action.get(a.as_str()).map_or(&[][..], Vec::as_slice),
-                    None => &with_actions,
-                };
-                for &((tai, tci), catom) in candidates {
-                    let target = &apps[tai].components[tci];
-                    if target.kind != kind {
-                        continue;
-                    }
-                    if tai != ai && !target.exported {
-                        continue;
-                    }
-                    if resolution::any_filter_matches(&data, &target.filters) {
-                        lower.insert(Tuple::binary(iatom, catom));
-                    }
-                }
+            slots.clear();
+            let data = intent.as_intent_data();
+            router.route(component, kind, &data, Some(ai), &mut slots);
+            for &slot in &slots {
+                lower.insert(Tuple::binary(iatom, component_atom(slot)));
             }
         }
         let mut upper = lower.clone();
@@ -623,17 +573,7 @@ pub fn encode_bundle_with(apps: &[AppModel], options: EncodeOptions) -> Encoded 
     let hijackable = {
         let mut ts = TupleSet::new(1);
         for &((ai, ci, ii), atom) in &intent_atoms {
-            let intent = &apps[ai].components[ci].sent_intents[ii];
-            let implicit_send = intent.is_implicit()
-                && !intent.is_passive
-                && matches!(
-                    intent.via,
-                    IccMethod::StartActivity
-                        | IccMethod::StartActivityForResult
-                        | IccMethod::StartService
-                        | IccMethod::SendBroadcast
-                );
-            if implicit_send {
+            if apps[ai].components[ci].sent_intents[ii].is_hijackable() {
                 ts.insert(Tuple::unary(atom));
             }
         }
@@ -803,6 +743,7 @@ pub(crate) mod tests_support {
 mod tests {
     use super::tests_support::{app, comp, sent};
     use super::*;
+    use separ_android::api::IccMethod;
     use separ_android::types::FlowPath;
     use separ_dex::manifest::IntentFilterDecl;
 

@@ -16,7 +16,7 @@
 //! fields are always populated. Timing consumers (the CLI, the bench
 //! crate) enable the collector first.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,6 +26,7 @@ use separ_analysis::model::{update_passive_intent_targets, AppModel};
 use separ_analysis::slicing::{self, AppSummary};
 use separ_android::resolution;
 use separ_dex::error::DexError;
+use separ_dex::manifest::ComponentKind;
 use separ_dex::program::Apk;
 use separ_logic::{Atom, LogicError, Problem, SolverStats};
 
@@ -815,95 +816,63 @@ pub(crate) fn derive_policies<'a>(
 ) -> Vec<Policy> {
     let _span = separ_obs::span("pipeline.derive_policies");
     let exploits: Vec<&Exploit> = exploits.collect();
-    let recipients = IntendedRecipients::new(apps, &exploits);
+    // Only hijack policies ask who else receives an intent.
+    let router = exploits
+        .iter()
+        .any(|e| matches!(e, Exploit::IntentHijack { .. }))
+        .then(|| resolution::Router::new(apps.iter().map(|a| &a.components)));
     let mut policies = Vec::new();
     for e in exploits {
-        let intended = recipients.of(e);
+        let intended = router
+            .as_ref()
+            .map_or_else(Vec::new, |router| intended_recipients(apps, router, e));
         policies.extend(policies_for_exploit(e, &intended));
     }
     finalize_policies(policies)
 }
 
-/// For hijack exploits, the components legitimately able to receive the
-/// victim intent (used to scope `ReceiverNotIn` policy conditions).
-///
-/// Which components' filters accept an intent depends only on its action,
-/// so one pass over the bundle's filters indexes, for every hijacked
-/// action, the classes it reaches; each exploit then only removes its
-/// victim class from that set.
-struct IntendedRecipients<'a> {
-    /// Component classes (sorted, distinct) whose filters match an intent
-    /// carrying the keyed action (`None`: an intent with no action).
-    by_action: HashMap<Option<&'a str>, Vec<&'a str>>,
+/// For a hijack exploit, the components legitimately able to receive the
+/// victim intent (used to scope `ReceiverNotIn` policy conditions): the
+/// classes `router` (built over `apps`) delivers the action-only intent
+/// to when the victim's app sends it, to any component kind (an
+/// `IntentHijack` exploit records no delivery method), minus the
+/// victim's class; sorted and distinct. Empty for other exploit kinds.
+fn intended_recipients(
+    apps: &[AppModel],
+    router: &resolution::Router,
+    exploit: &Exploit,
+) -> Vec<String> {
+    let Exploit::IntentHijack {
+        victim_app,
+        victim_component,
+        hijacked_action,
+        ..
+    } = exploit
+    else {
+        return Vec::new();
+    };
+    let mut intent = resolution::IntentData::new();
+    intent.action = hijacked_action.as_deref().map(Into::into);
+    let from_app = apps.iter().position(|a| a.package == *victim_app);
+    let component = |(ai, ci): resolution::Slot| &apps[ai].components[ci];
+    let mut slots = Vec::new();
+    for kind in ComponentKind::ALL {
+        router.route(component, kind, &intent, from_app, &mut slots);
+    }
+    let classes: BTreeSet<&str> = slots
+        .into_iter()
+        .map(|slot| component(slot).class.as_str())
+        .filter(|class| *class != victim_component)
+        .collect();
+    classes.into_iter().map(String::from).collect()
 }
 
-impl<'a> IntendedRecipients<'a> {
-    fn new(apps: &'a [AppModel], exploits: &[&'a Exploit]) -> IntendedRecipients<'a> {
-        let mut by_action: HashMap<Option<&'a str>, Vec<&'a str>> = exploits
-            .iter()
-            .filter_map(|e| match e {
-                Exploit::IntentHijack {
-                    hijacked_action, ..
-                } => Some((hijacked_action.as_deref(), Vec::new())),
-                _ => None,
-            })
-            .collect();
-        if by_action.is_empty() {
-            return IntendedRecipients { by_action };
-        }
-        // An intent carrying only an action matches a filter iff the bare
-        // intent does (the category and data tests, and a non-empty action
-        // list) and, when it has an action, the filter lists it.
-        let bare = resolution::IntentData::new();
-        for c in apps.iter().flat_map(|app| &app.components) {
-            for f in &c.filters {
-                if !resolution::filter_matches(&bare, f) {
-                    continue;
-                }
-                if let Some(classes) = by_action.get_mut(&None) {
-                    classes.push(&c.class);
-                }
-                for action in &f.actions {
-                    if let Some(classes) = by_action.get_mut(&Some(action.as_str())) {
-                        classes.push(&c.class);
-                    }
-                }
-            }
-        }
-        for classes in by_action.values_mut() {
-            classes.sort_unstable();
-            classes.dedup();
-        }
-        IntendedRecipients { by_action }
-    }
-
-    /// The intended recipients of `exploit`'s hijacked intent: every
-    /// matching component class except the victim's, sorted; empty for
-    /// other exploit kinds.
-    fn of(&self, exploit: &Exploit) -> Vec<String> {
-        let Exploit::IntentHijack {
-            victim_component,
-            hijacked_action,
-            ..
-        } = exploit
-        else {
-            return Vec::new();
-        };
-        self.by_action
-            .get(&hijacked_action.as_deref())
-            .into_iter()
-            .flatten()
-            .filter(|class| **class != victim_component.as_str())
-            .map(|class| class.to_string())
-            .collect()
-    }
-}
-
-/// Reference for [`IntendedRecipients`]: scans every component of the
+/// Reference for [`intended_recipients`]: scans every component of the
 /// bundle for each exploit.
 #[cfg(test)]
 pub(crate) fn intended_recipients_by_scan(apps: &[AppModel], exploit: &Exploit) -> Vec<String> {
     let Exploit::IntentHijack {
+        victim_app,
         victim_component,
         hijacked_action,
         ..
@@ -915,8 +884,9 @@ pub(crate) fn intended_recipients_by_scan(apps: &[AppModel], exploit: &Exploit) 
     intent.action = hijacked_action.as_deref().map(Into::into);
     let mut out = BTreeSet::new();
     for app in apps {
+        let same_app = app.package == *victim_app;
         for c in &app.components {
-            if c.class == *victim_component {
+            if c.class == *victim_component || !(same_app || c.exported) {
                 continue;
             }
             if resolution::any_filter_matches(&intent, &c.filters) {
@@ -1162,13 +1132,16 @@ mod tests {
             assert!(probes
                 .iter()
                 .any(|e| matches!(e, Exploit::IntentHijack { .. })));
-            let recipients =
-                IntendedRecipients::new(&report.apps, &probes.iter().collect::<Vec<_>>());
+            let router = resolution::Router::new(report.apps.iter().map(|a| &a.components));
             let mut nonempty = 0;
             for e in &probes {
                 let expected = intended_recipients_by_scan(&report.apps, e);
                 nonempty += usize::from(!expected.is_empty());
-                assert_eq!(recipients.of(e), expected, "{e}");
+                assert_eq!(
+                    intended_recipients(&report.apps, &router, e),
+                    expected,
+                    "{e}"
+                );
             }
             assert!(nonempty > 0, "some probe has intended recipients");
         }

@@ -130,13 +130,10 @@ impl ReceiverSpec {
 
 /// The receiver kind an ICC method requires.
 pub fn kind_for(via: IccMethod) -> ComponentKind {
-    match via {
-        IccMethod::StartActivity | IccMethod::StartActivityForResult => ComponentKind::Activity,
-        IccMethod::StartService | IccMethod::BindService => ComponentKind::Service,
-        IccMethod::SendBroadcast => ComponentKind::Receiver,
-        IccMethod::SetResult => ComponentKind::Activity,
-        _ => ComponentKind::Provider,
-    }
+    // A `setResult` reply is not resolved: it returns to the Activity
+    // that asked for it with `startActivityForResult`, so a reply case's
+    // receiver is an Activity.
+    via.receiving_kind().unwrap_or(ComponentKind::Activity)
 }
 
 /// The lifecycle entry-point method a component kind is driven through.

@@ -28,10 +28,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use separ_android::api::{self, ApiKind, IccMethod, IntentConfigKind};
-use separ_android::resolution::{IntentData, Router, Slot};
+use separ_android::resolution::{filter_matches, IntentData, Router, Slot};
 use separ_android::types::Resource;
 use separ_core::policy::{Policy, PolicyEvent};
-use separ_dex::manifest::ComponentKind;
+use separ_dex::manifest::{ComponentKind, IntentFilterDecl};
 use separ_dex::program::Apk;
 use separ_dex::vm::{Heap, Interner, ObjRef, Syscalls, Value, Vm, VmBuffers};
 use separ_dex::VmError;
@@ -98,7 +98,8 @@ struct InstalledApp {
 struct DynamicReceiver {
     app: usize,
     class: Arc<str>,
-    action: Arc<str>,
+    /// `IntentFilter(action)`, the filter `registerReceiver` installs.
+    filter: IntentFilterDecl,
 }
 
 /// Counters for the enforcement-overhead benchmark (RQ4).
@@ -153,7 +154,7 @@ impl Device {
     /// Boots a device with the given apps installed and no policies.
     pub fn new(apks: Vec<Apk>) -> Device {
         let meta = apks.iter().map(AppMeta::of).collect();
-        let router = Router::new(apks.iter().map(|a| &a.manifest));
+        let router = Router::new(apks.iter().map(|a| &a.manifest.components));
         Device {
             apps: apks
                 .into_iter()
@@ -264,7 +265,7 @@ impl Device {
     }
 
     fn rebuild_router(&mut self) {
-        self.router = Router::new(self.apps.iter().map(|a| &a.apk.manifest));
+        self.router = Router::new(self.apps.iter().map(|a| &a.apk.manifest.components));
     }
 
     /// Uninstalls an app. In-flight envelopes from or to it are dropped
@@ -353,9 +354,9 @@ impl Device {
     pub fn receivers_by_scan(&self, env: &Envelope) -> Vec<(usize, Arc<str>)> {
         let mut out = Vec::new();
         self.resolve(env, &mut Vec::new(), &mut out, |kind, slots| {
-            let manifests = self.apps.iter().map(|a| &a.apk.manifest);
+            let components = self.apps.iter().map(|a| &a.apk.manifest.components);
             separ_android::resolution::route_by_scan(
-                manifests,
+                components,
                 kind,
                 &env.intent,
                 env.from_app,
@@ -369,9 +370,9 @@ impl Device {
     /// buffer.
     fn route_into(&self, env: &Envelope, slots: &mut Vec<Slot>, out: &mut Vec<(usize, Arc<str>)>) {
         self.resolve(env, slots, out, |kind, slots| {
-            let manifest = |app: usize| &self.apps[app].apk.manifest;
+            let component = |(app, c): Slot| &self.apps[app].apk.manifest.components[c];
             self.router
-                .route(manifest, kind, &env.intent, env.from_app, slots);
+                .route(component, kind, &env.intent, env.from_app, slots);
         });
     }
 
@@ -386,15 +387,10 @@ impl Device {
         route: impl FnOnce(ComponentKind, &mut Vec<Slot>),
     ) {
         out.clear();
-        if env.via == IccMethod::SetResult {
+        let Some(kind) = env.via.receiving_kind() else {
+            // A reply goes back to the requester, not through resolution.
             out.extend(env.reply_to.iter().cloned());
             return;
-        }
-        let kind = match env.via {
-            IccMethod::StartActivity | IccMethod::StartActivityForResult => ComponentKind::Activity,
-            IccMethod::StartService | IccMethod::BindService => ComponentKind::Service,
-            IccMethod::SendBroadcast => ComponentKind::Receiver,
-            _ => ComponentKind::Provider,
         };
         slots.clear();
         route(kind, slots);
@@ -409,7 +405,7 @@ impl Device {
         // does not model them).
         if kind == ComponentKind::Receiver {
             for dr in &self.dynamic_receivers {
-                if Some(&*dr.action) == env.intent.action.as_deref() {
+                if filter_matches(&env.intent, &dr.filter) {
                     out.push((dr.app, Arc::clone(&dr.class)));
                 }
             }
@@ -926,7 +922,7 @@ impl Syscalls for DeviceSyscalls<'_> {
                     self.dynamic_receivers.push(DynamicReceiver {
                         app: self.app_idx,
                         class: Arc::clone(class),
-                        action: Arc::clone(action),
+                        filter: IntentFilterDecl::for_actions([&**action]),
                     });
                 }
                 Ok(Some(Value::Null))
@@ -1249,6 +1245,48 @@ mod tests {
         device.launch("com.dyn", "LMain;");
         device.run_until_idle();
         assert_eq!(device.audit.sinks_fired(Resource::Log).count(), 1);
+    }
+
+    #[test]
+    fn dynamic_receivers_match_their_registered_filter() {
+        // `registerReceiver(receiver, action)` installs `IntentFilter(action)`:
+        // it rejects a broadcast with categories or data and accepts an
+        // action-less one, like a static filter.
+        let mut apk = ApkBuilder::new("com.dyn");
+        apk.add_component(ComponentDecl::new("LMain;", ComponentKind::Activity));
+        apk.add_component(ComponentDecl::new("LDynRec;", ComponentKind::Receiver));
+        {
+            let mut cb = apk.class_extends("LMain;", class::ACTIVITY);
+            let mut m = cb.method("onCreate", 1, false, false);
+            let (c, a) = (m.reg(), m.reg());
+            m.const_string(c, "LDynRec;");
+            m.const_string(a, "com.dyn.EVENT");
+            m.invoke_virtual(class::CONTEXT, "registerReceiver", &[m.this(), c, a], true);
+            m.ret_void();
+            m.finish();
+            cb.finish();
+        }
+        let mut device = Device::new(vec![apk.finish()]);
+        device.launch("com.dyn", "LMain;");
+        device.run_until_idle();
+        let receivers = |intent: IntentData| {
+            device.receivers(&Envelope {
+                from_app: None,
+                from_component: "LSender;".into(),
+                via: IccMethod::SendBroadcast,
+                intent: Arc::new(intent),
+                reply_to: None,
+            })
+        };
+        let dyn_rec = vec![(0, Arc::from("LDynRec;"))];
+        assert_eq!(receivers(IntentData::for_action("com.dyn.EVENT")), dyn_rec);
+        assert_eq!(receivers(IntentData::new()), dyn_rec, "action-less");
+        assert!(receivers(IntentData::for_action("com.dyn.OTHER")).is_empty());
+        let categorized = IntentData::for_action("com.dyn.EVENT").with_category("cat.DEFAULT");
+        assert!(receivers(categorized).is_empty(), "categorized");
+        let mut typed = IntentData::for_action("com.dyn.EVENT");
+        typed.data_type = Some("text/plain".into());
+        assert!(receivers(typed).is_empty(), "typed");
     }
 
     #[test]
