@@ -226,6 +226,12 @@ pub fn entry_address(entry: &[u8]) -> [u8; 32] {
     sha256(&entry[..entry.len().min(HEADER_LEN)])
 }
 
+/// The content address of `model`: [`entry_address`] of its
+/// [`encode_entry`], the name a session store files it under.
+pub fn model_address(model: &AppModel) -> [u8; 32] {
+    entry_address(&encode_entry(model))
+}
+
 /// Serializes a model into a self-checking cache entry.
 pub fn encode_entry(model: &AppModel) -> Vec<u8> {
     let mut payload = Vec::new();
@@ -242,35 +248,52 @@ pub fn encode_entry(model: &AppModel) -> Vec<u8> {
 /// (bad magic, version mismatch, checksum failure, or malformed
 /// payload).
 pub fn decode_entry(data: &[u8]) -> Option<AppModel> {
-    if data.len() < 40 || &data[..4] != MAGIC {
+    decode_payload(entry_payload(data)?)
+}
+
+/// The payload of an entry whose magic, version and payload checksum
+/// check out; `None` on any of those failing. The costly half of
+/// [`decode_entry`] (hashing every byte), separable so callers can check
+/// many entries in parallel and decode them elsewhere.
+pub fn entry_payload(data: &[u8]) -> Option<&[u8]> {
+    if data.len() < HEADER_LEN || &data[..4] != MAGIC {
         return None;
     }
     if u32::from_le_bytes(data[4..8].try_into().ok()?) != VERSION {
         return None;
     }
-    let checksum: [u8; 32] = data[8..40].try_into().ok()?;
-    let payload = &data[40..];
-    if sha256(payload) != checksum {
-        return None;
-    }
+    let payload = &data[HEADER_LEN..];
+    (sha256(payload)[..] == data[8..HEADER_LEN]).then_some(payload)
+}
+
+/// Decodes a payload that [`entry_payload`] vouched for; `None` if it is
+/// malformed.
+pub fn decode_payload(payload: &[u8]) -> Option<AppModel> {
     let mut r = Reader(payload);
     let model = read_model(&mut r)?;
     // Trailing garbage is corruption too.
-    r.0.is_empty().then_some(model)
+    r.is_done().then_some(model)
 }
 
 // --- writing ---------------------------------------------------------
+//
+// The primitives (`write_u64`, `write_str`, `write_opt_str` and
+// `Reader`) are public: `separ_core::reuse` encodes exploit results with
+// the same little-endian, length-prefixed layout.
 
-fn write_u64(out: &mut Vec<u8>, v: u64) {
+/// Appends `v`, little-endian.
+pub fn write_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
+/// Appends `s`, prefixed by its byte length.
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
     write_u64(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }
 
-fn write_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
+/// Appends a presence byte (0 or 1), then the string if present.
+pub fn write_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
     match s {
         None => out.push(0),
         Some(s) => {
@@ -386,9 +409,21 @@ fn write_diagnostic(out: &mut Vec<u8>, d: &Diagnostic) {
 
 // --- reading ---------------------------------------------------------
 
-struct Reader<'a>(&'a [u8]);
+/// Reads what the `write_*` primitives wrote; every read returns `None`
+/// on malformed or missing bytes.
+pub struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
+    /// A reader over `data`.
+    pub fn new(data: &'a [u8]) -> Reader<'a> {
+        Reader(data)
+    }
+
+    /// Whether every byte has been read.
+    pub fn is_done(&self) -> bool {
+        self.0.is_empty()
+    }
+
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.0.len() < n {
             return None;
@@ -398,7 +433,8 @@ impl<'a> Reader<'a> {
         Some(head)
     }
 
-    fn u8(&mut self) -> Option<u8> {
+    /// One byte.
+    pub fn u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
     }
 
@@ -419,18 +455,20 @@ impl<'a> Reader<'a> {
     }
 
     /// A length prefix, sanity-bounded by the bytes actually remaining.
-    fn len(&mut self) -> Option<usize> {
+    pub fn prefix_len(&mut self) -> Option<usize> {
         let n = self.u64()?;
         (n <= self.0.len() as u64).then_some(n as usize)
     }
 
-    fn str(&mut self) -> Option<String> {
-        let n = self.len()?;
+    /// A [`write_str`] string.
+    pub fn str(&mut self) -> Option<String> {
+        let n = self.prefix_len()?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).ok()
     }
 
-    fn opt_str(&mut self) -> Option<Option<String>> {
+    /// A [`write_opt_str`] string.
+    pub fn opt_str(&mut self) -> Option<Option<String>> {
         match self.u8()? {
             0 => Some(None),
             1 => Some(Some(self.str()?)),
@@ -439,29 +477,30 @@ impl<'a> Reader<'a> {
     }
 
     fn str_vec(&mut self) -> Option<Vec<String>> {
-        let n = self.len()?;
+        let n = self.prefix_len()?;
         (0..n).map(|_| self.str()).collect()
     }
 
     fn str_set(&mut self) -> Option<std::collections::BTreeSet<String>> {
-        let n = self.len()?;
+        let n = self.prefix_len()?;
         (0..n).map(|_| self.str()).collect()
     }
 
-    fn resource(&mut self) -> Option<Resource> {
+    /// A resource, written as its index in [`Resource::ALL`].
+    pub fn resource(&mut self) -> Option<Resource> {
         Resource::ALL.get(self.u8()? as usize).copied()
     }
 }
 
 fn read_model(r: &mut Reader<'_>) -> Option<AppModel> {
     let package = r.str()?;
-    let n = r.len()?;
+    let n = r.prefix_len()?;
     let components = (0..n)
         .map(|_| read_component(r))
         .collect::<Option<Vec<_>>>()?;
     let uses_permissions = r.str_set()?;
     let defines_permissions = r.str_set()?;
-    let n = r.len()?;
+    let n = r.prefix_len()?;
     let diagnostics = (0..n)
         .map(|_| read_diagnostic(r))
         .collect::<Option<Vec<_>>>()?;
@@ -487,7 +526,7 @@ fn read_component(r: &mut Reader<'_>) -> Option<ComponentModel> {
     let class = r.str()?;
     let kind = *ComponentKind::ALL.get(r.u8()? as usize)?;
     let exported = r.bool()?;
-    let n = r.len()?;
+    let n = r.prefix_len()?;
     let filters = (0..n)
         .map(|_| {
             Some(IntentFilterDecl {
@@ -500,7 +539,7 @@ fn read_component(r: &mut Reader<'_>) -> Option<ComponentModel> {
         .collect::<Option<Vec<_>>>()?;
     let enforced_permission = r.opt_str()?;
     let dynamic_checks = r.str_set()?;
-    let n = r.len()?;
+    let n = r.prefix_len()?;
     let paths = (0..n)
         .map(|_| {
             Some(FlowPath {
@@ -509,7 +548,7 @@ fn read_component(r: &mut Reader<'_>) -> Option<ComponentModel> {
             })
         })
         .collect::<Option<_>>()?;
-    let n = r.len()?;
+    let n = r.prefix_len()?;
     let sent_intents = (0..n).map(|_| read_intent(r)).collect::<Option<Vec<_>>>()?;
     Some(ComponentModel {
         class,
@@ -533,7 +572,7 @@ fn read_intent(r: &mut Reader<'_>) -> Option<SentIntentModel> {
     let data_scheme = r.opt_str()?;
     let explicit_target = r.opt_str()?;
     let extra_keys = r.str_set()?;
-    let n = r.len()?;
+    let n = r.prefix_len()?;
     let extra_taints = (0..n).map(|_| r.resource()).collect::<Option<_>>()?;
     Some(SentIntentModel {
         via,
@@ -587,57 +626,67 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
         0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
         0x5be0cd19,
     ];
-    // Padded message: data ‖ 0x80 ‖ zeros ‖ bit-length (big-endian u64).
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    // Whole blocks are hashed in place; only the tail is copied out to
+    // be padded: tail ‖ 0x80 ‖ zeros ‖ bit-length (big-endian u64).
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut h, block);
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-    let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (hi, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *hi = hi.wrapping_add(v);
-        }
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let tail_len = if rest.len() < 56 { 64 } else { 128 };
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+    for block in tail[..tail_len].chunks_exact(64) {
+        compress(&mut h, block);
     }
     let mut out = [0u8; 32];
     for (chunk, hi) in out.chunks_exact_mut(4).zip(h) {
         chunk.copy_from_slice(&hi.to_be_bytes());
     }
     out
+}
+
+/// One SHA-256 compression round over a 64-byte block.
+fn compress(h: &mut [u32; 8], block: &[u8]) {
+    let mut w = [0u32; 64];
+    for (i, word) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (hi, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *hi = hi.wrapping_add(v);
+    }
 }
 
 #[cfg(test)]
@@ -698,6 +747,40 @@ mod tests {
             hex(&sha256(&long)),
             "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3"
         );
+        // Lengths on either side of the one- and two-block padding
+        // boundaries.
+        for (n, digest) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+            (
+                128,
+                "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e",
+            ),
+        ] {
+            assert_eq!(hex(&sha256(&vec![b'a'; n])), digest, "{n} bytes");
+        }
     }
 
     fn leaky_app() -> Apk {

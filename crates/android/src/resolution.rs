@@ -32,7 +32,7 @@
 //! the ICC bus (heap object → wire form → heap object) by refcount.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use separ_dex::manifest::{ComponentDecl, ComponentKind, IntentFilterDecl};
 
@@ -195,6 +195,11 @@ fn admits(component: &impl ComponentView, kind: ComponentKind, same_app: bool) -
 /// router returns exactly what the `route_by_scan` reference returns, in
 /// the same order. Slot lists are built in (app, component) order, and a
 /// lookup borrows its key (`&str`) rather than building a `String`.
+///
+/// The class index only serves explicit intents, so it is built on the
+/// first explicit lookup: a router that only ever routes implicit
+/// intents (policy derivation's hijack carve-out, a device whose apps
+/// only broadcast) never pays for it.
 #[derive(Clone, Debug, Default)]
 pub struct Router {
     /// Action → per-kind components with a filter declaring it.
@@ -202,9 +207,13 @@ pub struct Router {
     /// Per kind: components with at least one filter declaring an action
     /// (an action-less intent passes [`action_test`] only on those).
     with_actions: ByKind,
+    /// Components per app, in app-index order: every slot the router was
+    /// built over, for the class index.
+    components_per_app: Vec<usize>,
     /// Class descriptor → the first component of that class in each app
-    /// (what [`separ_dex::manifest::Manifest::component`] finds).
-    by_class: HashMap<String, Vec<Slot>>,
+    /// (what [`separ_dex::manifest::Manifest::component`] finds); built on
+    /// the first explicit lookup.
+    by_class: OnceLock<HashMap<String, Vec<Slot>>>,
 }
 
 impl Router {
@@ -216,13 +225,11 @@ impl Router {
     {
         let mut router = Router::default();
         for (app, components) in apps.into_iter().enumerate() {
+            router.components_per_app.push(0);
             for (component, c) in components.into_iter().enumerate() {
                 let slot = (app, component);
+                router.components_per_app[app] += 1;
                 let kind = usize::from(c.kind().tag());
-                let same_class = router.by_class.entry(c.class().to_owned()).or_default();
-                if same_class.last().is_none_or(|&(a, _)| a != app) {
-                    same_class.push(slot);
-                }
                 let actions = c.filters().iter().flat_map(|f| &f.actions);
                 for action in actions.clone() {
                     let per_kind = router.by_action.entry(action.clone()).or_default();
@@ -241,9 +248,30 @@ impl Router {
     }
 
     /// The candidates for an explicit intent naming `class`, in app
-    /// order.
-    fn explicit(&self, class: &str) -> &[Slot] {
-        self.by_class.get(class).map_or(&[], Vec::as_slice)
+    /// order. `component` names a slot's component, as for
+    /// [`Router::route`].
+    fn explicit<'c, C: ComponentView + 'c>(
+        &self,
+        component: &impl Fn(Slot) -> &'c C,
+        class: &str,
+    ) -> &[Slot] {
+        let by_class = self.by_class.get_or_init(|| {
+            let mut by_class: HashMap<String, Vec<Slot>> = HashMap::new();
+            for (app, &n) in self.components_per_app.iter().enumerate() {
+                for slot in (0..n).map(|c| (app, c)) {
+                    let class = component(slot).class();
+                    let same_class = match by_class.get_mut(class) {
+                        Some(same_class) => same_class,
+                        None => by_class.entry(class.to_owned()).or_default(),
+                    };
+                    if same_class.last().is_none_or(|&(a, _)| a != app) {
+                        same_class.push(slot);
+                    }
+                }
+            }
+            by_class
+        });
+        by_class.get(class).map_or(&[], Vec::as_slice)
     }
 
     /// The candidates for an implicit intent to a component of `kind`
@@ -273,7 +301,7 @@ impl Router {
         out: &mut Vec<Slot>,
     ) {
         let (slots, implicit) = match &intent.explicit_target {
-            Some(target) => (self.explicit(target), false),
+            Some(target) => (self.explicit(&component, target), false),
             None => (self.implicit(kind, intent.action.as_deref()), true),
         };
         for &slot in slots {

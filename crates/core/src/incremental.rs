@@ -5,22 +5,35 @@
 //! install, so "SEPAR's incremental analysis for policy synthesis can
 //! then be performed on permission-modified apps at runtime". An
 //! [`IncrementalSession`] keeps the bundle models and per-signature
-//! results alive; a permission toggle re-runs only the signatures whose
-//! declared [`Sensitivity`] covers permissions, while app installs and
-//! removals re-run everything (the bundle topology changed). Every change
-//! yields a [`PolicyDelta`] the enforcer can apply without re-deploying
-//! the whole policy set.
+//! results alive. A change re-plans the relevance slice of every
+//! signature it can affect: a permission toggle only the signatures
+//! whose declared [`Sensitivity`] covers permissions, an install or a
+//! removal all of them (the bundle topology changed). Each such
+//! signature is keyed by its slice ([`crate::reuse`]), and only the ones
+//! whose key moved are synthesized again; the others keep their result.
+//! Every change yields a [`PolicyDelta`] the enforcer can apply without
+//! re-deploying the whole policy set.
+//!
+//! The session keeps each model's content address next to it, computed
+//! only when a model is new or changed (an install, a permission toggle,
+//! a passive-intent retarget), so keying hashes 32 bytes per kept app
+//! rather than whole models. [`IncrementalSession::resume`] takes the
+//! addresses a store already names its models by, and asks the store for
+//! a result under each key before synthesizing: a restart over an
+//! unchanged store solves nothing.
 
 use std::collections::HashSet;
 
-use separ_analysis::model::{retarget_passive_intents, update_passive_intent_targets, AppModel};
+use separ_analysis::cache::model_address;
+use separ_analysis::model::{retarget_passive_intents, AppModel};
 use separ_analysis::slicing::{self, AppSummary};
 use separ_logic::LogicError;
 
 use crate::exec::Executor;
 use crate::exploit::Exploit;
-use crate::pipeline::{derive_policies, synthesize_all, Slicing};
+use crate::pipeline::{derive_policies, synthesize_all, Reuse, Slicing};
 use crate::policy::{Policy, PolicyKey};
+use crate::reuse::{ModelAddress, ResultKey};
 use crate::signature::{Sensitivity, SignatureRegistry};
 use crate::SeparConfig;
 
@@ -31,7 +44,9 @@ pub struct PolicyDelta {
     pub added: Vec<Policy>,
     /// Policies that are no longer needed.
     pub removed: Vec<Policy>,
-    /// How many signatures were re-run to compute this delta.
+    /// How many signatures were synthesized again to compute this delta
+    /// (a re-planned signature whose slice key did not change reuses its
+    /// result and is not counted).
     pub signatures_rerun: usize,
     /// How many apps had their relevance-slicing capability summary
     /// recomputed (summaries are app-local, so a change to one app never
@@ -84,11 +99,19 @@ pub struct IncrementalSession {
     /// Per-app capability summaries (same order as `apps`), kept current
     /// across changes so re-runs slice without re-summarizing the bundle.
     summaries: Vec<AppSummary>,
-    /// Cached exploits per registered signature (same order as registry).
-    cache: Vec<Vec<Exploit>>,
+    /// Per-app model content addresses (same order as `apps`).
+    addresses: Vec<ModelAddress>,
+    /// Per registered signature (same order as the registry): its current
+    /// exploits and the key of the slice they were synthesized for
+    /// (`None` while the bundle is empty).
+    results: Vec<(Option<ResultKey>, Vec<Exploit>)>,
     policies: Vec<Policy>,
     total_syntheses: usize,
 }
+
+/// Where a resuming session looks for a result synthesized by an
+/// earlier process: the exploits stored under a key, if any.
+pub type StoredResults<'a> = &'a dyn Fn(&ResultKey) -> Option<Vec<Exploit>>;
 
 impl std::fmt::Debug for IncrementalSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -109,37 +132,57 @@ impl IncrementalSession {
     pub fn new(
         registry: SignatureRegistry,
         config: SeparConfig,
-        apps: Vec<AppModel>,
+        mut apps: Vec<AppModel>,
     ) -> Result<IncrementalSession, LogicError> {
-        Ok(IncrementalSession::resume(registry, config, apps)?.0)
+        retarget_passive_intents(&mut apps);
+        let addresses = apps.iter().map(model_address).collect();
+        Ok(IncrementalSession::resume(registry, config, apps, addresses, &|_| None)?.0)
     }
 
-    /// [`IncrementalSession::new`] over a bundle restored from storage,
-    /// also returning the indices of the apps whose models passive-intent
-    /// resolution changed (see [`retarget_passive_intents`]). None means
-    /// the session's models equal the ones given, so a store holding them
-    /// needs no re-persist.
+    /// [`IncrementalSession::new`] over a bundle restored from storage.
+    /// `addresses[i]` must be the content address of `apps[i]`
+    /// (`separ_analysis::cache::model_address`), which a store that names
+    /// model files by it has at hand. Before synthesizing a signature,
+    /// the session asks `stored` for a result under its slice key, and
+    /// [`IncrementalSession::total_syntheses`] counts only the
+    /// signatures it had to synthesize.
+    ///
+    /// Also returns the indices of the apps whose models passive-intent
+    /// resolution changed (see [`retarget_passive_intents`]); their
+    /// addresses are recomputed. None means the session's models equal
+    /// the ones given, so a store holding them needs no re-persist.
     ///
     /// # Errors
     ///
     /// Returns a [`LogicError`] if a signature is ill-typed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addresses` and `apps` differ in length.
     pub fn resume(
         registry: SignatureRegistry,
         config: SeparConfig,
         mut apps: Vec<AppModel>,
+        mut addresses: Vec<ModelAddress>,
+        stored: StoredResults<'_>,
     ) -> Result<(IncrementalSession, Vec<usize>), LogicError> {
+        assert_eq!(apps.len(), addresses.len(), "one address per app");
         let retargeted = retarget_passive_intents(&mut apps);
+        for &i in &retargeted {
+            addresses[i] = model_address(&apps[i]);
+        }
         let summaries = slicing::summarize_bundle(&apps);
         let mut session = IncrementalSession {
-            cache: vec![Vec::new(); registry.len()],
+            results: vec![(None, Vec::new()); registry.len()],
             registry,
             config,
             apps,
             summaries,
+            addresses,
             policies: Vec::new(),
             total_syntheses: 0,
         };
-        session.rerun(|_| true)?;
+        session.rerun(|_| true, stored)?;
         Ok((session, retargeted))
     }
 
@@ -155,20 +198,53 @@ impl IncrementalSession {
 
     /// All currently known exploits.
     pub fn exploits(&self) -> impl Iterator<Item = &Exploit> + '_ {
-        self.cache.iter().flatten()
+        self.results.iter().flat_map(|(_, exploits)| exploits)
+    }
+
+    /// Each signature's current exploits with the key of the slice they
+    /// were synthesized for, in registry order: what a store keeps for
+    /// [`IncrementalSession::resume`] to find. A signature that a
+    /// permission toggle did not re-run keeps the key of the slice it was
+    /// last synthesized for, which may no longer be its current one.
+    pub fn results(&self) -> impl Iterator<Item = (&ResultKey, &[Exploit])> + '_ {
+        self.results
+            .iter()
+            .filter_map(|(key, exploits)| Some((key.as_ref()?, exploits.as_slice())))
     }
 
     /// Total signature syntheses performed over the session's lifetime
     /// (the incrementality measure: full re-analysis would be
-    /// `registry.len()` per change).
+    /// `registry.len()` per change). A signature whose result was reused
+    /// is not counted.
     pub fn total_syntheses(&self) -> usize {
         self.total_syntheses
     }
 
-    fn rerun(&mut self, select: impl Fn(Sensitivity) -> bool) -> Result<usize, LogicError> {
+    /// Re-plans the signatures `select` picks and synthesizes the ones
+    /// whose slice key differs from their current result's, taking a
+    /// result from `stored` where it has one; returns how many it
+    /// synthesized.
+    fn rerun(
+        &mut self,
+        select: impl Fn(Sensitivity) -> bool,
+        stored: StoredResults<'_>,
+    ) -> Result<usize, LogicError> {
         let _span = separ_obs::span("pipeline.incremental");
+        let results = &mut self.results;
+        let mut have = |i: usize, key: &ResultKey| {
+            if results[i].0 == Some(*key) {
+                return true;
+            }
+            match stored(key) {
+                Some(exploits) => {
+                    results[i] = (Some(*key), exploits);
+                    true
+                }
+                None => false,
+            }
+        };
         // Affected signatures re-solve in parallel on the shared executor;
-        // results land back in their registry slots, so the merged caches
+        // results land back in their registry slots, so the merged results
         // (and thus the policy set) are independent of thread count.
         let syntheses = synthesize_all(
             &Executor::new(self.config.threads),
@@ -177,17 +253,23 @@ impl IncrementalSession {
             &self.apps,
             &self.config,
             Slicing::On(Some(&self.summaries)),
+            Some(Reuse {
+                addresses: &self.addresses,
+                have: &mut have,
+            }),
         )?;
         let mut reran = 0;
-        for (slot, syn) in self.cache.iter_mut().zip(syntheses) {
+        for (slot, syn) in self.results.iter_mut().zip(syntheses) {
             if let Some(run) = syn {
-                *slot = run.synthesis.exploits;
+                *slot = (run.key, run.synthesis.exploits);
                 reran += 1;
             }
         }
         self.total_syntheses += reran;
-        // Re-derive the policy set from the merged caches.
-        self.policies = derive_policies(&self.apps, self.cache.iter().flatten());
+        // Re-derive the policy set from the merged results: hijack
+        // carve-outs read every app, so this runs even when every
+        // signature's result was reused.
+        self.policies = derive_policies(&self.apps, self.exploits());
         Ok(reran)
     }
 
@@ -225,8 +307,10 @@ impl IncrementalSession {
     /// editing), touched apps are re-summarized for slicing, passive
     /// intents re-resolve once if the topology changed — and then the
     /// affected signatures re-run a single time. A batch that only
-    /// toggles permissions re-runs only permission-sensitive signatures;
-    /// any install/update/uninstall re-runs everything. The returned
+    /// toggles permissions re-plans only permission-sensitive signatures;
+    /// any install/update/uninstall re-plans all of them. Of those, only
+    /// the signatures whose slice key changed are synthesized again
+    /// ([`PolicyDelta::signatures_rerun`] counts them). The returned
     /// delta is the net policy change of the whole batch, with
     /// [`PolicyDelta::ops_coalesced`] recording how many ops it folded.
     ///
@@ -245,38 +329,33 @@ impl IncrementalSession {
         for op in ops {
             match op {
                 SessionOp::Install(model) => {
+                    // Summaries never read the cross-app passive-resolution
+                    // results, so only the new app needs summarizing.
+                    let summary = slicing::summarize_app(&model);
+                    let address = model_address(&model);
                     match self.apps.iter().position(|a| a.package == model.package) {
                         // Reinstalling an installed package is an
                         // *update*: replace the model in its bundle slot
                         // instead of growing the app list.
                         Some(i) => {
                             self.apps[i] = model;
-                            self.summaries[i] = slicing::summarize_app(&self.apps[i]);
+                            self.summaries[i] = summary;
+                            self.addresses[i] = address;
                         }
                         None => {
                             self.apps.push(model);
-                            // Summaries never read the cross-app
-                            // passive-resolution results, so only the
-                            // new app needs summarizing.
-                            self.summaries.push(slicing::summarize_app(
-                                self.apps.last().expect("just pushed"),
-                            ));
+                            self.summaries.push(summary);
+                            self.addresses.push(address);
                         }
                     }
                     resliced += 1;
                     topology = true;
                 }
                 SessionOp::Uninstall(package) => {
-                    let before_len = self.apps.len();
-                    let (apps, summaries): (Vec<AppModel>, Vec<AppSummary>) =
-                        std::mem::take(&mut self.apps)
-                            .into_iter()
-                            .zip(std::mem::take(&mut self.summaries))
-                            .filter(|(a, _)| a.package != package)
-                            .unzip();
-                    self.apps = apps;
-                    self.summaries = summaries;
-                    if self.apps.len() != before_len {
+                    while let Some(i) = self.apps.iter().position(|a| a.package == package) {
+                        self.apps.remove(i);
+                        self.summaries.remove(i);
+                        self.addresses.remove(i);
                         topology = true;
                     }
                 }
@@ -285,7 +364,12 @@ impl IncrementalSession {
                     permission,
                     granted,
                 } => {
-                    for (app, summary) in self.apps.iter_mut().zip(self.summaries.iter_mut()) {
+                    let slots = self
+                        .apps
+                        .iter_mut()
+                        .zip(self.summaries.iter_mut())
+                        .zip(self.addresses.iter_mut());
+                    for ((app, summary), address) in slots {
                         if app.package == package {
                             let touched = if granted {
                                 app.uses_permissions.insert(permission.clone())
@@ -296,6 +380,7 @@ impl IncrementalSession {
                                 // Summaries are app-local: only the
                                 // toggled app's capability bits changed.
                                 *summary = slicing::summarize_app(app);
+                                *address = model_address(app);
                                 resliced += 1;
                                 permissions = true;
                             }
@@ -314,19 +399,21 @@ impl IncrementalSession {
             // Passive resolution is a pure function of the bundle
             // (recomputed from scratch), so one pass after all mutations
             // is exactly the from-scratch result.
-            update_passive_intent_targets(&mut self.apps);
+            for i in retarget_passive_intents(&mut self.apps) {
+                self.addresses[i] = model_address(&self.apps[i]);
+            }
         }
         let before = self.policies.clone();
         let reran = if self.apps.is_empty() {
-            for c in &mut self.cache {
-                c.clear();
+            for slot in &mut self.results {
+                *slot = (None, Vec::new());
             }
             self.policies.clear();
             0
         } else if topology {
-            self.rerun(|_| true)?
+            self.rerun(|_| true, &|_| None)?
         } else {
-            self.rerun(|s| s.permissions)?
+            self.rerun(|s| s.permissions, &|_| None)?
         };
         let mut delta = self.delta_from(before, reran, resliced);
         delta.ops_coalesced = ops_coalesced;
@@ -334,7 +421,7 @@ impl IncrementalSession {
     }
 
     /// Applies a Permission Manager change: grant or revoke `permission`
-    /// for `package`, re-running only permission-sensitive signatures.
+    /// for `package`, re-planning only permission-sensitive signatures.
     ///
     /// # Errors
     ///
@@ -352,8 +439,8 @@ impl IncrementalSession {
         }])
     }
 
-    /// Installs an app into the bundle (full re-analysis: the topology
-    /// changed). Installing a package that is already present behaves as
+    /// Installs an app into the bundle (every signature is re-planned: the
+    /// topology changed). Installing a package that is already present behaves as
     /// an update: the model is replaced in place.
     ///
     /// # Errors
@@ -363,7 +450,7 @@ impl IncrementalSession {
         self.apply_batch(vec![SessionOp::Install(app)])
     }
 
-    /// Uninstalls an app from the bundle (full re-analysis).
+    /// Uninstalls an app from the bundle (every signature is re-planned).
     ///
     /// # Errors
     ///
@@ -389,6 +476,7 @@ mod tests {
     use separ_android::api::IccMethod;
     use separ_android::types::{perm, FlowPath, Resource};
     use separ_dex::manifest::{ComponentKind, IntentFilterDecl};
+    use std::collections::HashMap;
 
     fn messenger_model() -> AppModel {
         let mut ms = comp("LMessageSender;", ComponentKind::Service);
@@ -606,9 +694,11 @@ mod tests {
             ])
             .expect("batch re-analysis succeeds");
         assert_eq!(delta.ops_coalesced, 4);
-        // One full pass over the registry, not one per op.
-        assert_eq!(s.total_syntheses(), after_init + 4);
-        assert_eq!(delta.signatures_rerun, 4);
+        // One pass over the registry, not one per op; of its four
+        // signatures, only the two whose slice the messenger joined are
+        // synthesized again (the others' slice keys did not move).
+        assert_eq!(delta.signatures_rerun, 2);
+        assert_eq!(s.total_syntheses(), after_init + 2);
         assert_eq!(s.apps().len(), 2);
         assert!(s
             .exploits()
@@ -666,5 +756,105 @@ mod tests {
         )
         .expect("scratch");
         assert_eq!(s.policies(), scratch.policies());
+    }
+
+    /// Every result `s` holds, by key.
+    fn stored_results(s: &IncrementalSession) -> HashMap<ResultKey, Vec<Exploit>> {
+        s.results()
+            .map(|(key, exploits)| (*key, exploits.to_vec()))
+            .collect()
+    }
+
+    fn resume_from(
+        s: &IncrementalSession,
+        config: SeparConfig,
+        stored: &HashMap<ResultKey, Vec<Exploit>>,
+    ) -> IncrementalSession {
+        let apps = s.snapshot();
+        let addresses = apps.iter().map(model_address).collect();
+        IncrementalSession::resume(
+            SignatureRegistry::standard(),
+            config,
+            apps,
+            addresses,
+            &|key| stored.get(key).cloned(),
+        )
+        .expect("resumes")
+        .0
+    }
+
+    #[test]
+    fn resuming_over_stored_results_synthesizes_nothing() {
+        let s = session();
+        let stored = stored_results(&s);
+        assert_eq!(stored.len(), 4, "one result per signature");
+        let resumed = resume_from(&s, SeparConfig::default(), &stored);
+        assert_eq!(resumed.total_syntheses(), 0);
+        assert_eq!(resumed.policies(), s.policies());
+        assert!(resumed.exploits().eq(s.exploits()));
+        assert_eq!(stored_results(&resumed), stored);
+        // Without stored results, or under another scenario limit (other
+        // keys), every signature is synthesized again, to the same output.
+        let none = resume_from(&s, SeparConfig::default(), &HashMap::new());
+        assert_eq!(none.total_syntheses(), 4);
+        assert_eq!(none.policies(), s.policies());
+        let config = SeparConfig {
+            scenario_limit: 65,
+            ..SeparConfig::default()
+        };
+        let other = resume_from(&s, config, &stored);
+        assert_eq!(other.total_syntheses(), 4);
+        assert_eq!(other.policies(), s.policies());
+        assert!(other.results().all(|(key, _)| !stored.contains_key(key)));
+    }
+
+    #[test]
+    fn changes_resynthesize_only_the_slices_they_touch() {
+        let mut s = session();
+        let before = stored_results(&s);
+        // Re-installing identical models moves no slice key.
+        let delta = s
+            .apply_batch(vec![
+                SessionOp::Install(navigator_model()),
+                SessionOp::Install(messenger_model()),
+            ])
+            .expect("reinstall");
+        assert_eq!(delta.signatures_rerun, 0);
+        assert!(delta.is_empty());
+        assert_eq!(stored_results(&s), before);
+        // A permission toggle re-plans the escalation signature only; the
+        // others keep the key they were synthesized for, even where the
+        // toggled model sits in their slice.
+        let delta = s
+            .set_permission("com.messenger", perm::SEND_SMS, false)
+            .expect("revoke");
+        assert_eq!(delta.signatures_rerun, 1);
+        let after = stored_results(&s);
+        assert_eq!(after.len(), 4);
+        assert_eq!(before.keys().filter(|k| after.contains_key(k)).count(), 3);
+        // Installing and removing an app leaves the session where a
+        // from-scratch analysis of the same bundle is.
+        s.install(app(
+            "com.extra",
+            vec![comp("LExtra;", ComponentKind::Activity)],
+        ))
+        .expect("install");
+        s.uninstall("com.extra").expect("uninstall");
+        let scratch = IncrementalSession::new(
+            SignatureRegistry::standard(),
+            SeparConfig::default(),
+            s.snapshot(),
+        )
+        .expect("scratch");
+        assert_eq!(s.policies(), scratch.policies());
+        assert!(s.exploits().eq(scratch.exploits()));
+        // Uninstalling every app clears the results and their keys.
+        s.apply_batch(vec![
+            SessionOp::Uninstall("com.nav".into()),
+            SessionOp::Uninstall("com.messenger".into()),
+        ])
+        .expect("empty");
+        assert_eq!(s.results().count(), 0);
+        assert_eq!(s.exploits().count(), 0);
     }
 }

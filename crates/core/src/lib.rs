@@ -23,6 +23,7 @@ pub mod incremental;
 pub mod pipeline;
 pub mod policy;
 pub mod policy_io;
+pub mod reuse;
 pub mod signature;
 pub mod spec;
 pub mod vulns;
@@ -36,6 +37,7 @@ pub use pipeline::{
     AnalyzeError, BundleStats, CountStats, Report, Separ, SeparConfig, SignatureStats,
 };
 pub use policy::{Condition, Policy, PolicyAction, PolicyEvent};
+pub use reuse::{ResultKey, SYNTHESIS_FORMAT};
 pub use separ_analysis::cache::{CacheOutcome, CacheStats, ModelCache};
 pub use signature::{SignatureRegistry, Synthesis, SynthesisContext, VulnerabilitySignature};
 pub use spec::TextualSignature;

@@ -35,6 +35,7 @@ use crate::exec::Executor;
 use crate::exploit::{Exploit, VulnKind};
 use crate::footprint::{Footprint, MalReceivers};
 use crate::policy::{finalize_policies, policies_for_exploit, Policy};
+use crate::reuse::{ModelAddress, ResultKey};
 use crate::signature::{SignatureRegistry, Synthesis, SynthesisContext, VulnerabilitySignature};
 use crate::vulns::DEFAULT_SCENARIO_LIMIT;
 
@@ -489,6 +490,7 @@ impl Separ {
             &apps,
             &self.config,
             mode,
+            None,
         )?;
         drop(synthesis);
         stats.synthesis_wall = obs.duration(synthesis_id);
@@ -567,6 +569,9 @@ pub(crate) struct SignatureRun {
     pub slice_kept: usize,
     /// Apps the relevance slice dropped for this signature.
     pub slice_dropped: usize,
+    /// The key of the slice synthesized (`None` on the batch path, which
+    /// keys nothing).
+    pub key: Option<ResultKey>,
 }
 
 /// How [`synthesize_all`] picks each signature's universe.
@@ -648,10 +653,22 @@ fn apply_footprint(
     }
 }
 
+/// What [`synthesize_all`] may skip: results its caller already holds,
+/// looked up by each selected signature's [`ResultKey`].
+pub(crate) struct Reuse<'a> {
+    /// Each app's model content address, in bundle order.
+    pub addresses: &'a [ModelAddress],
+    /// Whether a result of registry signature `i` synthesized for `key`
+    /// is at hand (the caller keeps it if so). Called serially, once per
+    /// selected signature in registry order, before any base is built.
+    pub have: &'a mut dyn FnMut(usize, &ResultKey) -> bool,
+}
+
 /// Runs `sig.synthesize_with` for every registry signature selected by
 /// `select`, fanned out on `executor`, returning per-signature results in
-/// registry order (`None` where `select` declined). Shared by the full
-/// pipeline and [`crate::IncrementalSession`] re-runs.
+/// registry order (`None` where `select` declined, or `reuse` already
+/// held the result). Shared by the full pipeline and
+/// [`crate::IncrementalSession`] re-runs.
 ///
 /// Each signature's declared [`Footprint`] is intersected with the
 /// bundle's capability summaries first: the signature translates against
@@ -661,6 +678,11 @@ fn apply_footprint(
 /// base; a signature whose slice is empty skips translation and solving
 /// entirely. On the unsliced reference path every signature shares the
 /// one whole-bundle base.
+///
+/// With `reuse`, every planned signature is keyed by its slice (see
+/// [`crate::reuse`]) before any base is built; a signature whose result
+/// is at hand builds, translates and solves nothing. The batch path
+/// passes no `reuse` and computes no keys.
 pub(crate) fn synthesize_all(
     executor: &Executor,
     registry: &SignatureRegistry,
@@ -668,6 +690,7 @@ pub(crate) fn synthesize_all(
     apps: &[AppModel],
     config: &SeparConfig,
     mode: Slicing<'_>,
+    reuse: Option<Reuse<'_>>,
 ) -> Result<Vec<Option<SignatureRun>>, LogicError> {
     let selected: Vec<(usize, &dyn VulnerabilitySignature)> = registry
         .iter()
@@ -681,30 +704,28 @@ pub(crate) fn synthesize_all(
     }
 
     // Plan each signature's universe up front (serially: plans must not
-    // depend on executor fan-out order), then build the prepared bases on
-    // the executor.
+    // depend on executor fan-out order).
     let mut plans: Vec<(SlicePlan, usize, usize)> = Vec::with_capacity(selected.len());
-    let prepared: Vec<PreparedBase> = match mode {
+    // Each distinct `(kept, footprint)` slice gets the next slot.
+    let mut slices: Vec<(Vec<usize>, Footprint)> = Vec::new();
+    let computed: Vec<AppSummary>;
+    let summaries: &[AppSummary] = match mode {
         #[cfg(any(test, feature = "reference"))]
         Slicing::Off => {
             plans.resize(selected.len(), (SlicePlan::Full, apps.len(), 0));
-            Vec::new()
+            &[]
         }
-        Slicing::On(summaries) => {
+        Slicing::On(given) => {
             let _slice_span = separ_obs::span("ase.slice");
-            let computed: Vec<AppSummary>;
-            let summaries: &[AppSummary] = match summaries {
+            let summaries = match given {
                 Some(s) => s,
                 None => {
                     computed = slicing::summarize_bundle(apps);
                     &computed
                 }
             };
-            // Each distinct `(kept, footprint)` key gets the next slot; the
-            // keys' bases build largest slice first and land in slot order.
             let mut by_key: std::collections::BTreeMap<(Vec<usize>, Footprint), usize> =
                 std::collections::BTreeMap::new();
-            let mut keys: Vec<(Vec<usize>, Footprint)> = Vec::new();
             for (_, sig) in &selected {
                 let fp = sig.footprint();
                 if fp.is_everything() && !fp.tightens_mal() {
@@ -720,40 +741,94 @@ pub(crate) fn synthesize_all(
                 }
                 let (kept_n, dropped_n) = (kept.len(), apps.len() - kept.len());
                 let slot = *by_key.entry((kept, fp)).or_insert_with_key(|key| {
-                    keys.push(key.clone());
-                    keys.len() - 1
+                    slices.push(key.clone());
+                    slices.len() - 1
                 });
                 plans.push((SlicePlan::Prepared(slot), kept_n, dropped_n));
             }
-            executor.ordered_map_by_cost(
-                &keys,
-                |(kept, _)| kept.len(),
-                |(kept, fp)| {
-                    let sub_apps: Option<Vec<AppModel>> = if kept.len() == apps.len() {
-                        None
-                    } else {
-                        Some(kept.iter().map(|&i| apps[i].clone()).collect())
-                    };
-                    let sub_summaries: Vec<&AppSummary> =
-                        kept.iter().map(|&i| &summaries[i]).collect();
-                    let _base_span = separ_obs::span("pipeline.bundle_base");
-                    let base = BundleBase::new_with(
-                        sub_apps.as_deref().unwrap_or(apps),
-                        |problem, atoms, rels| {
-                            apply_footprint(fp, &sub_summaries, problem, atoms, rels)
-                        },
-                    );
-                    PreparedBase {
-                        apps: sub_apps,
-                        base,
-                    }
-                },
-            )
+            summaries
         }
     };
 
-    // The whole-bundle base is only paid for when some plan needs it.
-    let full_base = if plans.iter().any(|(p, _, _)| matches!(p, SlicePlan::Full)) {
+    // Key every planned signature by its slice, and drop the ones whose
+    // result is at hand.
+    let mut keys: Vec<Option<ResultKey>> = vec![None; selected.len()];
+    let mut wanted = vec![true; selected.len()];
+    if let Some(Reuse { addresses, have }) = reuse {
+        let _reuse_span = separ_obs::span("ase.reuse");
+        let limit = config.scenario_limit;
+        for (j, ((i, sig), (plan, _, _))) in selected.iter().zip(&plans).enumerate() {
+            let key = match *plan {
+                SlicePlan::Full => ResultKey::of_slice(sig.name(), limit, addresses.iter()),
+                SlicePlan::Prepared(slot) => ResultKey::of_slice(
+                    sig.name(),
+                    limit,
+                    slices[slot].0.iter().map(|&a| &addresses[a]),
+                ),
+                SlicePlan::Empty => ResultKey::of_slice(sig.name(), limit, [].iter()),
+            };
+            if have(*i, &key) {
+                wanted[j] = false;
+            } else {
+                keys[j] = Some(key);
+            }
+        }
+    }
+    type SignatureJob<'a> = (
+        (usize, &'a dyn VulnerabilitySignature),
+        (SlicePlan, usize, usize),
+        Option<ResultKey>,
+    );
+    let mut jobs: Vec<SignatureJob> = selected
+        .into_iter()
+        .zip(plans)
+        .zip(keys)
+        .zip(wanted)
+        .filter_map(|(((sig, plan), key), wanted)| wanted.then_some((sig, plan, key)))
+        .collect();
+    if jobs.is_empty() {
+        return Ok(out);
+    }
+
+    // Build the prepared bases the remaining jobs translate against, in
+    // first-use order, on the executor.
+    let mut remap: Vec<Option<usize>> = vec![None; slices.len()];
+    let mut to_build: Vec<&(Vec<usize>, Footprint)> = Vec::new();
+    for (_, (plan, _, _), _) in &mut jobs {
+        if let SlicePlan::Prepared(slot) = plan {
+            *slot = *remap[*slot].get_or_insert_with(|| {
+                to_build.push(&slices[*slot]);
+                to_build.len() - 1
+            });
+        }
+    }
+    let prepared: Vec<PreparedBase> = executor.ordered_map_by_cost(
+        &to_build,
+        |(kept, _)| kept.len(),
+        |&(kept, fp)| {
+            let sub_apps: Option<Vec<AppModel>> = if kept.len() == apps.len() {
+                None
+            } else {
+                Some(kept.iter().map(|&i| apps[i].clone()).collect())
+            };
+            let sub_summaries: Vec<&AppSummary> = kept.iter().map(|&i| &summaries[i]).collect();
+            let _base_span = separ_obs::span("pipeline.bundle_base");
+            let base = BundleBase::new_with(
+                sub_apps.as_deref().unwrap_or(apps),
+                |problem, atoms, rels| apply_footprint(fp, &sub_summaries, problem, atoms, rels),
+            );
+            PreparedBase {
+                apps: sub_apps,
+                base,
+            }
+        },
+    );
+
+    // The whole-bundle base is only paid for when some job needs it.
+    let full_base = if jobs
+        .iter()
+        .any(|(_, (plan, _, _), _)| matches!(plan, SlicePlan::Full))
+    {
         let base_span = separ_obs::span("pipeline.bundle_base");
         let base = BundleBase::new(apps);
         drop(base_span);
@@ -762,16 +837,11 @@ pub(crate) fn synthesize_all(
         None
     };
 
-    type SignatureJob<'a> = (
-        (usize, &'a dyn VulnerabilitySignature),
-        (SlicePlan, usize, usize),
-    );
-    let jobs: Vec<SignatureJob> = selected.into_iter().zip(plans).collect();
     // The largest slice usually solves longest: start it first.
     let syntheses = executor.try_ordered_map_by_cost(
         &jobs,
-        |&(_, (_, kept, _))| kept,
-        |&((_, sig), (plan, kept, dropped))| {
+        |&(_, (_, kept, _), _)| kept,
+        |&((_, sig), (plan, kept, dropped), key)| {
             let mut span = separ_obs::span("ase.signature");
             span.set_arg("signature", sig.name());
             let span_id = span.id();
@@ -782,6 +852,7 @@ pub(crate) fn synthesize_all(
                         span: span_id,
                         slice_kept: kept,
                         slice_dropped: dropped,
+                        key,
                     });
                 }
                 SlicePlan::Full => (apps, full_base.as_ref().expect("full base was built")),
@@ -800,10 +871,11 @@ pub(crate) fn synthesize_all(
                 span: span_id,
                 slice_kept: kept,
                 slice_dropped: dropped,
+                key,
             })
         },
     )?;
-    for (((i, _), _), run) in jobs.into_iter().zip(syntheses) {
+    for (((i, _), _, _), run) in jobs.into_iter().zip(syntheses) {
         out[i] = Some(run);
     }
     Ok(out)

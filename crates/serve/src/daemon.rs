@@ -21,9 +21,10 @@
 //! (ops per batch) is the daemon's central performance metric.
 //!
 //! With a store directory configured, every batch persists the bundle
-//! manifest; on startup the daemon restores the persisted models and
-//! re-synthesizes from them **without re-extracting** any package, and
-//! persists only if the restored store differs from the new session.
+//! manifest and each signature's result; on startup the daemon restores
+//! the persisted models **without re-extracting** any package, reuses
+//! every stored result whose slice key still matches (re-synthesizing
+//! only the rest), and persists only what the store lacks.
 //! Shutdown closes the queue, drains what was accepted, persists again if
 //! a batch failed or its persist did, and fsyncs — accepted requests are
 //! never lost (see
@@ -34,7 +35,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use separ_core::policy::{merge_delta, Policy};
-use separ_core::{Executor, IncrementalSession, SeparConfig, SessionOp, SignatureRegistry};
+use separ_core::{
+    Executor, IncrementalSession, ResultKey, SeparConfig, SessionOp, SignatureRegistry,
+};
 use separ_enforce::{CompiledPolicySet, PdpTotals, PromptHandler, SharedPdp};
 use separ_obs::json::Value;
 use separ_obs::prometheus::PromWriter;
@@ -46,7 +49,7 @@ use crate::metrics::{
 };
 use crate::protocol::{decide_response, error_response, ok_response, QueryWhat, Request};
 use crate::queue::{fulfill_batch, BatchOutcome, BatchSummary, ChurnQueue, PushError};
-use crate::store::SessionStore;
+use crate::store::{SessionStore, StoreError};
 use crate::subscribe::{PolicyDeltaEvent, Subscription, Subscriptions};
 
 /// Daemon tuning knobs.
@@ -151,8 +154,8 @@ impl std::fmt::Debug for Daemon {
 
 impl Daemon {
     /// Boots the daemon: restores the session from the store (if any),
-    /// runs the initial synthesis, publishes the PDP, and starts the
-    /// analysis worker.
+    /// runs the initial synthesis (reusing the store's results), publishes
+    /// the PDP, and starts the analysis worker.
     ///
     /// # Errors
     ///
@@ -172,23 +175,34 @@ impl Daemon {
             None => Default::default(),
         };
         let (restored_apps, restore_skipped) = (restored.apps.len(), restored.skipped);
-        let (session, retargeted) =
-            IncrementalSession::resume(SignatureRegistry::standard(), cfg.config, restored.apps)
-                .map_err(|e| ServeError(format!("initial analysis: {e}")))?;
+        let stored = |key: &ResultKey| store.as_ref()?.load_result(key);
+        let (session, retargeted) = IncrementalSession::resume(
+            SignatureRegistry::standard(),
+            cfg.config,
+            restored.apps,
+            restored.addresses,
+            &stored,
+        )
+        .map_err(|e| ServeError(format!("initial analysis: {e}")))?;
         let pdp = SharedPdp::new(CompiledPolicySet::compile(
             session.policies().to_vec(),
             packages_of(&session),
         ));
         let published = Arc::new(Mutex::new(snapshot_of(&session)));
-        // Persist at boot only when the disk differs from the session.
-        let disk_differs =
-            !restored.found_manifest || restore_skipped > 0 || !retargeted.is_empty();
+        // Persist at boot only what the disk lacks: the models when they
+        // differ from the session's, the results when a signature had to
+        // be synthesized (its result had no file).
         if let Some(store) = &store {
-            if disk_differs {
-                store
-                    .persist(session.apps())
-                    .map_err(|e| ServeError(e.to_string()))?;
-            }
+            let models_differ =
+                !restored.found_manifest || restore_skipped > 0 || !retargeted.is_empty();
+            let saved = if models_differ {
+                save(store, &session)
+            } else if session.total_syntheses() > 0 {
+                store.persist_results(session.results())
+            } else {
+                Ok(())
+            };
+            saved.map_err(|e| ServeError(e.to_string()))?;
         }
         let queue = Arc::new(ChurnQueue::new(cfg.queue_capacity));
         let metrics = Arc::new(ServeMetrics::new());
@@ -784,6 +798,13 @@ static DAEMON_METRICS: &[Metric] = &[
     },
 ];
 
+/// Persists the session: its results first, so that the persist that
+/// collects result files keeps the current ones.
+fn save(store: &SessionStore, session: &IncrementalSession) -> Result<(), StoreError> {
+    store.persist_results(session.results())?;
+    store.persist(session.apps())
+}
+
 fn packages_of(session: &IncrementalSession) -> Vec<String> {
     session.apps().iter().map(|a| a.package.clone()).collect()
 }
@@ -859,7 +880,7 @@ fn worker_loop(
                 let line: Arc<str> = Arc::from(event.to_line().as_str());
                 subs.publish(&line);
                 if let Some(store) = &store {
-                    saved = match store.persist(session.apps()) {
+                    saved = match save(store, &session) {
                         Ok(()) => true,
                         Err(e) => {
                             eprintln!("separ serve: store persist failed: {e}");
@@ -884,11 +905,7 @@ fn worker_loop(
     // Queue closed and drained: make the final state durable, writing it
     // first only if a persist failed since boot.
     if let Some(store) = &store {
-        let persisted = if saved {
-            Ok(())
-        } else {
-            store.persist(session.apps())
-        };
+        let persisted = if saved { Ok(()) } else { save(store, &session) };
         if let Err(e) = persisted.and_then(|()| store.sync()) {
             eprintln!("separ serve: final store sync failed: {e}");
         }

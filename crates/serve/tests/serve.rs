@@ -196,7 +196,7 @@ fn restart_recovers_the_session_without_reextraction() {
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
             .collect();
         entries.sort();
-        assert_eq!(entries, ["manifest.json", "models"]);
+        assert_eq!(entries, ["manifest.json", "models", "results"]);
         policies_before = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"policies"}"#));
         parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
     }
@@ -209,6 +209,8 @@ fn restart_recovers_the_session_without_reextraction() {
     assert_eq!(daemon.restored(), (2, 0), "both models recovered");
     let v = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"summary"}"#));
     assert_eq!(v.get("apps").and_then(Value::as_u64), Some(2));
+    // Every signature's result was found in the store, none re-solved.
+    assert_eq!(v.get("total_syntheses").and_then(Value::as_u64), Some(0));
     // And the policy set is the same one, byte for byte.
     let policies_after = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"policies"}"#));
     assert_eq!(ser(&policies_before), ser(&policies_after));
@@ -224,9 +226,10 @@ fn restart_recovers_the_session_without_reextraction() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// What a boot could have written to a store: the manifest's and every
-/// model file's name, inode and modification time. A rewrite replaces the
-/// manifest by rename, which always changes its inode.
+/// What a boot could have written to a store: every model and result
+/// file's name, inode and modification time, then the manifest's. A
+/// rewrite replaces the manifest by rename, which always changes its
+/// inode.
 fn store_files(dir: &std::path::Path) -> Vec<(String, u64, std::time::SystemTime)> {
     use std::os::unix::fs::MetadataExt;
     let entry = |path: std::path::PathBuf| {
@@ -238,8 +241,9 @@ fn store_files(dir: &std::path::Path) -> Vec<(String, u64, std::time::SystemTime
             .into_owned();
         (name, meta.ino(), meta.modified().expect("mtime"))
     };
-    let mut files: Vec<_> = std::fs::read_dir(dir.join("models"))
-        .expect("models dir")
+    let mut files: Vec<_> = ["models", "results"]
+        .iter()
+        .flat_map(|sub| std::fs::read_dir(dir.join(sub)).expect("store subdir"))
         .map(|e| entry(e.expect("entry").path()))
         .collect();
     files.sort();
@@ -269,7 +273,15 @@ fn boots_on_an_unchanged_store_write_nothing() {
         parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
     }
     let saved = store_files(&dir);
-    assert_eq!(saved.len(), 3, "two models and the manifest: {saved:?}");
+    let models = |files: &[(String, u64, std::time::SystemTime)]| {
+        files.iter().filter(|f| f.0.ends_with(".model")).count()
+    };
+    let results = |files: &[(String, u64, std::time::SystemTime)]| {
+        files.iter().filter(|f| f.0.ends_with(".exploits")).count()
+    };
+    assert_eq!(models(&saved), 2, "{saved:?}");
+    assert!((1..=4).contains(&results(&saved)), "{saved:?}");
+    assert_eq!(saved.len(), models(&saved) + results(&saved) + 1);
     for boot in 1..=2 {
         let daemon = Daemon::start(cfg()).expect("reboots");
         assert_eq!(daemon.restored(), (2, 0));
@@ -283,13 +295,22 @@ fn boots_on_an_unchanged_store_write_nothing() {
     }
     // A corrupt entry makes the disk differ from the session: the boot
     // rewrites the manifest without it and collects its model file.
-    let corrupt = dir.join("models").join(&saved[0].0);
+    let model = saved
+        .iter()
+        .find(|f| f.0.ends_with(".model"))
+        .expect("a model");
+    let corrupt = dir.join("models").join(&model.0);
     std::fs::write(&corrupt, b"not a model").expect("corrupts");
     let daemon = Daemon::start(cfg()).expect("boots past a corrupt entry");
     assert_eq!(daemon.restored(), (1, 1));
     let rewritten = store_files(&dir);
-    assert_eq!(rewritten.len(), 2, "{rewritten:?}");
-    assert_ne!(rewritten[1].1, saved[2].1, "manifest rewritten at boot");
+    assert_eq!(models(&rewritten), 1, "{rewritten:?}");
+    assert!(results(&rewritten) <= 4, "{rewritten:?}");
+    assert_ne!(
+        rewritten.last().expect("manifest").1,
+        saved.last().expect("manifest").1,
+        "manifest rewritten at boot"
+    );
     assert!(
         !corrupt.exists(),
         "the unrecoverable model file is collected"
@@ -307,6 +328,122 @@ fn boots_on_an_unchanged_store_write_nothing() {
             .map(<[Value]>::len),
         Some(1)
     );
+    parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn summary_syntheses(daemon: &Daemon) -> u64 {
+    parse_ok(&daemon.handle(r#"{"cmd":"query","what":"summary"}"#))
+        .get("total_syntheses")
+        .and_then(Value::as_u64)
+        .expect("total_syntheses")
+}
+
+/// The published policies and exploits, as the wire carries them.
+fn published(daemon: &Daemon) -> (String, String) {
+    let field = |what: &str| {
+        let mut out = String::new();
+        parse_ok(&daemon.handle(&format!(r#"{{"cmd":"query","what":"{what}"}}"#)))
+            .get(what)
+            .expect("field")
+            .write_into(&mut out);
+        out
+    };
+    (field("policies"), field("exploits"))
+}
+
+#[test]
+fn damaged_or_foreign_results_fall_back_to_synthesis_with_identical_output() {
+    let dir = tmp("results");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = |scenario_limit| ServeConfig {
+        store_dir: Some(dir.clone()),
+        config: separ_core::SeparConfig {
+            threads: 1,
+            scenario_limit,
+        },
+        ..serial_config()
+    };
+    let limit = separ_core::SeparConfig::default().scenario_limit;
+    let expected = {
+        let daemon = Daemon::start(cfg(limit)).expect("boots");
+        for apk in [
+            separ_corpus::motivating::navigator_app(),
+            separ_corpus::motivating::messenger_app(false),
+            separ_corpus::motivating::malicious_app("+15550000"),
+        ] {
+            parse_ok(&daemon.handle(&format!(
+                r#"{{"cmd":"install","bytes_hex":"{}"}}"#,
+                package_hex(&apk)
+            )));
+        }
+        let expected = published(&daemon);
+        parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+        expected
+    };
+    let results_dir = dir.join("results");
+    let files = || -> Vec<std::path::PathBuf> {
+        let mut files: Vec<_> = std::fs::read_dir(&results_dir)
+            .expect("results dir")
+            .map(|e| e.expect("entry").path())
+            .collect();
+        files.sort();
+        files
+    };
+    let pristine: Vec<(std::path::PathBuf, Vec<u8>)> = files()
+        .into_iter()
+        .map(|p| {
+            let bytes = std::fs::read(&p).expect("result file");
+            (p, bytes)
+        })
+        .collect();
+    assert_eq!(pristine.len(), 4, "one result per signature");
+    let (victim, bytes) = &pristine[0];
+    let other = &pristine[1].1;
+    let mut flipped = bytes.clone();
+    let last = flipped.len() - 1;
+    flipped[last] ^= 0x1;
+    for (damage, content) in [
+        ("corrupt", Some(flipped)),
+        ("truncated", Some(bytes[..bytes.len() / 2].to_vec())),
+        ("another key's result", Some(other.clone())),
+        ("missing", None),
+    ] {
+        match &content {
+            Some(content) => std::fs::write(victim, content).expect("damages"),
+            None => std::fs::remove_file(victim).expect("removes"),
+        }
+        let daemon = Daemon::start(cfg(limit)).expect("boots");
+        assert_eq!(summary_syntheses(&daemon), 1, "{damage}: one re-solve");
+        assert_eq!(published(&daemon), expected, "{damage}: same output");
+        parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+        // The boot rewrote the result it had to synthesize.
+        assert_eq!(
+            std::fs::read(victim).expect("rewritten"),
+            *bytes,
+            "{damage}: result rewritten"
+        );
+        let daemon = Daemon::start(cfg(limit)).expect("boots");
+        assert_eq!(summary_syntheses(&daemon), 0, "{damage}: healed");
+        parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+    }
+    // Results recorded under another scenario limit are other keys: a
+    // boot at a new limit synthesizes every signature, as a store without
+    // results would, and the old results go at the next persist.
+    let other_limit = limit + 1;
+    let daemon = Daemon::start(cfg(other_limit)).expect("boots at another limit");
+    assert_eq!(summary_syntheses(&daemon), 4);
+    assert_eq!(published(&daemon), expected, "the limit does not bind here");
+    assert_eq!(files().len(), 8, "both limits' results until a persist");
+    parse_ok(&daemon.handle(&format!(
+        r#"{{"cmd":"install","bytes_hex":"{}"}}"#,
+        package_hex(&separ_corpus::motivating::navigator_app())
+    )));
+    assert_eq!(files().len(), 4, "only the current keys' results stay");
+    parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+    let daemon = Daemon::start(cfg(other_limit)).expect("reboots");
+    assert_eq!(summary_syntheses(&daemon), 0);
+    assert_eq!(published(&daemon), expected);
     parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
     let _ = std::fs::remove_dir_all(&dir);
 }
