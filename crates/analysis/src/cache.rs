@@ -476,9 +476,27 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn str_vec(&mut self) -> Option<Vec<String>> {
+    /// A length-prefixed list of at least `min_bytes` bytes per item,
+    /// read by `item` into a vector of exactly that many slots.
+    fn vec<T>(
+        &mut self,
+        min_bytes: usize,
+        mut item: impl FnMut(&mut Reader<'a>) -> Option<T>,
+    ) -> Option<Vec<T>> {
         let n = self.prefix_len()?;
-        (0..n).map(|_| self.str()).collect()
+        // Bounded by the bytes left before anything is allocated.
+        if n > self.0.len() / min_bytes {
+            return None;
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Some(out)
+    }
+
+    fn str_vec(&mut self) -> Option<Vec<String>> {
+        self.vec(8, Reader::str)
     }
 
     fn str_set(&mut self) -> Option<std::collections::BTreeSet<String>> {
@@ -492,18 +510,19 @@ impl<'a> Reader<'a> {
     }
 }
 
+// The fewest bytes a list item can be encoded in (every string costs at
+// least its 8-byte length prefix): bounds a list's length by the bytes
+// left before its vector is allocated.
+const MIN_COMPONENT_BYTES: usize = 8 + 2 + 8 + 1 + 8 + 8 + 8 + 8 + 1;
+const MIN_INTENT_BYTES: usize = 1 + 1 + 8 + 1 + 1 + 1 + 8 + 8 + 1 + 1 + 8;
+const MIN_DIAGNOSTIC_BYTES: usize = 1 + 8 + 8 + 1 + 8;
+
 fn read_model(r: &mut Reader<'_>) -> Option<AppModel> {
     let package = r.str()?;
-    let n = r.prefix_len()?;
-    let components = (0..n)
-        .map(|_| read_component(r))
-        .collect::<Option<Vec<_>>>()?;
+    let components = r.vec(MIN_COMPONENT_BYTES, read_component)?;
     let uses_permissions = r.str_set()?;
     let defines_permissions = r.str_set()?;
-    let n = r.prefix_len()?;
-    let diagnostics = (0..n)
-        .map(|_| read_diagnostic(r))
-        .collect::<Option<Vec<_>>>()?;
+    let diagnostics = r.vec(MIN_DIAGNOSTIC_BYTES, read_diagnostic)?;
     let secs = r.u64()?;
     let nanos = r.u32()?;
     let stats = ExtractionStats {
@@ -526,17 +545,14 @@ fn read_component(r: &mut Reader<'_>) -> Option<ComponentModel> {
     let class = r.str()?;
     let kind = *ComponentKind::ALL.get(r.u8()? as usize)?;
     let exported = r.bool()?;
-    let n = r.prefix_len()?;
-    let filters = (0..n)
-        .map(|_| {
-            Some(IntentFilterDecl {
-                actions: r.str_vec()?,
-                categories: r.str_vec()?,
-                data_types: r.str_vec()?,
-                data_schemes: r.str_vec()?,
-            })
+    let filters = r.vec(4 * 8, |r| {
+        Some(IntentFilterDecl {
+            actions: r.str_vec()?,
+            categories: r.str_vec()?,
+            data_types: r.str_vec()?,
+            data_schemes: r.str_vec()?,
         })
-        .collect::<Option<Vec<_>>>()?;
+    })?;
     let enforced_permission = r.opt_str()?;
     let dynamic_checks = r.str_set()?;
     let n = r.prefix_len()?;
@@ -548,8 +564,7 @@ fn read_component(r: &mut Reader<'_>) -> Option<ComponentModel> {
             })
         })
         .collect::<Option<_>>()?;
-    let n = r.prefix_len()?;
-    let sent_intents = (0..n).map(|_| read_intent(r)).collect::<Option<Vec<_>>>()?;
+    let sent_intents = r.vec(MIN_INTENT_BYTES, read_intent)?;
     Some(ComponentModel {
         class,
         kind,
@@ -622,26 +637,28 @@ const K: [u32; 64] = [
 
 /// Computes the SHA-256 digest of `data`.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
+    sha256_with(compress, data)
+}
+
+/// SHA-256 over `compress`, a function that folds whole 64-byte blocks
+/// into the state.
+fn sha256_with(compress: fn(&mut [u32; 8], &[u8]), data: &[u8]) -> [u8; 32] {
     let mut h: [u32; 8] = [
         0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
         0x5be0cd19,
     ];
     // Whole blocks are hashed in place; only the tail is copied out to
     // be padded: tail ‖ 0x80 ‖ zeros ‖ bit-length (big-endian u64).
-    let mut blocks = data.chunks_exact(64);
-    for block in &mut blocks {
-        compress(&mut h, block);
-    }
-    let rest = blocks.remainder();
+    let whole = data.len() - data.len() % 64;
+    compress(&mut h, &data[..whole]);
+    let rest = &data[whole..];
     let mut tail = [0u8; 128];
     tail[..rest.len()].copy_from_slice(rest);
     tail[rest.len()] = 0x80;
     let tail_len = if rest.len() < 56 { 64 } else { 128 };
     let bit_len = (data.len() as u64).wrapping_mul(8);
     tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-    for block in tail[..tail_len].chunks_exact(64) {
-        compress(&mut h, block);
-    }
+    compress(&mut h, &tail[..tail_len]);
     let mut out = [0u8; 32];
     for (chunk, hi) in out.chunks_exact_mut(4).zip(h) {
         chunk.copy_from_slice(&hi.to_be_bytes());
@@ -649,43 +666,145 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     out
 }
 
-/// One SHA-256 compression round over a 64-byte block.
-fn compress(h: &mut [u32; 8], block: &[u8]) {
-    let mut w = [0u32; 64];
-    for (i, word) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
+/// Folds whole 64-byte blocks into `h`, with the CPU's SHA extensions
+/// where it has them and [`compress_portable`] elsewhere.
+fn compress(h: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::available() {
+        // SAFETY: `available` checked at run time that this CPU has every
+        // instruction set `compress` is compiled for.
+        return unsafe { sha_ni::compress(h, blocks) };
     }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
+    compress_portable(h, blocks);
+}
+
+/// The SHA-256 compression function in portable code, one 64-byte block
+/// at a time.
+fn compress_portable(h: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        let mut w = [0u32; 64];
+        for (i, word) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = hh
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            hh = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (hi, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+            *hi = hi.wrapping_add(v);
+        }
     }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = hh
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = s0.wrapping_add(maj);
-        hh = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
+}
+
+/// The compression function on the x86-64 SHA extensions (SHA-NI).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    use super::K;
+
+    /// Whether this CPU has the instructions [`compress`] uses (the
+    /// detection is cached by the standard library).
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
     }
-    for (hi, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-        *hi = hi.wrapping_add(v);
+
+    /// Four big-endian words of `bytes` as one vector, the first in the
+    /// lowest lane.
+    #[target_feature(enable = "sse2")]
+    fn words(bytes: &[u8]) -> __m128i {
+        let word =
+            |i: usize| u32::from_be_bytes(bytes[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+        _mm_set_epi32(
+            word(3) as i32,
+            word(2) as i32,
+            word(1) as i32,
+            word(0) as i32,
+        )
+    }
+
+    /// Folds whole 64-byte blocks into `h`; bit-identical to
+    /// [`super::compress_portable`]. Callable only where [`available`]
+    /// holds: it runs instructions older CPUs do not have.
+    ///
+    /// The state is kept as the two vectors the round instruction takes,
+    /// (A, B, E, F) and (C, D, G, H) from the highest lane down; each
+    /// round pair adds four schedule words and their constants, and the
+    /// schedule is extended four words at a time (`msg1`, the `t-7`
+    /// words, `msg2`) in the four vectors `w`, used round-robin.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(h: &mut [u32; 8], blocks: &[u8]) {
+        let [a, b, c, d, e, f, g, hh] = h.map(|v| v as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, hh);
+        let k: [__m128i; 16] = std::array::from_fn(|i| {
+            _mm_set_epi32(
+                K[4 * i + 3] as i32,
+                K[4 * i + 2] as i32,
+                K[4 * i + 1] as i32,
+                K[4 * i] as i32,
+            )
+        });
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w: [__m128i; 4] = std::array::from_fn(|i| words(&block[16 * i..16 * i + 16]));
+            for i in 0..16 {
+                let msg = _mm_add_epi32(w[i % 4], k[i]);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+                if (3..15).contains(&i) {
+                    let t7 = _mm_alignr_epi8::<4>(w[i % 4], w[(i + 3) % 4]);
+                    let next = _mm_add_epi32(w[(i + 1) % 4], t7);
+                    w[(i + 1) % 4] = _mm_sha256msg2_epu32(next, w[i % 4]);
+                }
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(msg));
+                if (1..13).contains(&i) {
+                    w[(i + 3) % 4] = _mm_sha256msg1_epu32(w[(i + 3) % 4], w[i % 4]);
+                }
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *h = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|v| v as u32);
     }
 }
 
@@ -781,6 +900,135 @@ mod tests {
         ] {
             assert_eq!(hex(&sha256(&vec![b'a'; n])), digest, "{n} bytes");
         }
+    }
+
+    /// SHA-256 on the portable compression function alone.
+    fn sha256_portable(data: &[u8]) -> [u8; 32] {
+        sha256_with(compress_portable, data)
+    }
+
+    #[test]
+    fn dispatched_sha256_matches_the_portable_one_at_every_padding_length() {
+        // Every tail length of one and two blocks, and every padding
+        // case, over bytes that differ per position.
+        let data: Vec<u8> = (0..130u32).map(|i| (i * 151 + 7) as u8).collect();
+        for n in 0..=data.len() {
+            assert_eq!(sha256(&data[..n]), sha256_portable(&data[..n]), "{n} bytes");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn dispatched_sha256_matches_the_portable_one(
+            data in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..4097usize)
+        ) {
+            proptest::prop_assert_eq!(sha256(&data), sha256_portable(&data));
+        }
+    }
+
+    /// Every `Vec` in `model`, as (what, len, capacity).
+    fn vec_sizes(model: &AppModel) -> Vec<(&'static str, usize, usize)> {
+        let mut out = vec![
+            (
+                "components",
+                model.components.len(),
+                model.components.capacity(),
+            ),
+            (
+                "diagnostics",
+                model.diagnostics.len(),
+                model.diagnostics.capacity(),
+            ),
+        ];
+        for c in &model.components {
+            out.push(("filters", c.filters.len(), c.filters.capacity()));
+            out.push((
+                "sent_intents",
+                c.sent_intents.len(),
+                c.sent_intents.capacity(),
+            ));
+            for f in &c.filters {
+                for (what, v) in [
+                    ("actions", &f.actions),
+                    ("categories", &f.categories),
+                    ("data_types", &f.data_types),
+                    ("data_schemes", &f.data_schemes),
+                ] {
+                    out.push((what, v.len(), v.capacity()));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn decoding_sizes_every_vector_exactly() {
+        let strs =
+            |tag: &str, n: usize| -> Vec<String> { (0..n).map(|i| format!("{tag}{i}")).collect() };
+        // Lists of 0 to 6 items: on both sides of a collected vector's
+        // first capacity (4).
+        let filter = |n: usize| IntentFilterDecl {
+            actions: strs("a", n),
+            categories: strs("c", n + 1),
+            data_types: strs("t", 6 - n),
+            data_schemes: strs("s", n / 2),
+        };
+        let intent = SentIntentModel {
+            via: IccMethod::StartService,
+            action: Some("act".into()),
+            categories: Default::default(),
+            data_type: None,
+            data_scheme: None,
+            explicit_target: None,
+            extra_keys: Default::default(),
+            extra_taints: Default::default(),
+            requests_result: false,
+            is_passive: false,
+            resolved_targets: Default::default(),
+        };
+        let component = |n: usize| ComponentModel {
+            class: format!("LC{n};"),
+            kind: ComponentKind::Service,
+            exported: true,
+            filters: (0..n).map(filter).collect(),
+            enforced_permission: None,
+            dynamic_checks: Default::default(),
+            paths: Default::default(),
+            sent_intents: vec![intent.clone(); n],
+            used_permissions: Default::default(),
+            registers_dynamically: false,
+        };
+        let diagnostic = Diagnostic {
+            severity: Severity::Info,
+            app: "com.wide".into(),
+            location: "manifest".into(),
+            kind: DiagnosticKind::UnreachableCode,
+            message: "m".into(),
+        };
+        let wide = AppModel {
+            package: "com.wide".into(),
+            components: (0..7).map(component).collect(),
+            uses_permissions: Default::default(),
+            defines_permissions: Default::default(),
+            diagnostics: vec![diagnostic; 5],
+            stats: Default::default(),
+        };
+        let models = [wide, crate::extractor::extract_apk(&leaky_app())];
+        let mut seen = 0;
+        for model in &models {
+            let decoded = decode_entry(&encode_entry(model)).expect("valid entry");
+            assert_eq!(&decoded, model);
+            for (what, len, capacity) in vec_sizes(&decoded) {
+                assert_eq!(capacity, len, "{what} of {}", model.package);
+                seen += usize::from(len > 4);
+            }
+        }
+        assert!(
+            seen > 0,
+            "some list is longer than a default first allocation"
+        );
     }
 
     fn leaky_app() -> Apk {

@@ -6,11 +6,12 @@
 //! then be performed on permission-modified apps at runtime". An
 //! [`IncrementalSession`] keeps the bundle models and per-signature
 //! results alive. A change re-plans the relevance slice of every
-//! signature it can affect: a permission toggle only the signatures
-//! whose declared [`Sensitivity`] covers permissions, an install or a
-//! removal all of them (the bundle topology changed). Each such
-//! signature is keyed by its slice ([`crate::reuse`]), and only the ones
-//! whose key moved are synthesized again; the others keep their result.
+//! signature, and each signature is keyed by its slice
+//! ([`crate::reuse`]); only the ones whose key moved are synthesized
+//! again, the others keep their result. A permission toggle synthesizes
+//! only signatures whose declared [`Sensitivity`] covers permissions: the
+//! others keep their exploits, filed under their new slice key, so a
+//! store holding the session's results holds every current key.
 //! Every change yields a [`PolicyDelta`] the enforcer can apply without
 //! re-deploying the whole policy set.
 //!
@@ -141,8 +142,8 @@ impl IncrementalSession {
 
     /// [`IncrementalSession::new`] over a bundle restored from storage.
     /// `addresses[i]` must be the content address of `apps[i]`
-    /// (`separ_analysis::cache::model_address`), which a store that names
-    /// model files by it has at hand. Before synthesizing a signature,
+    /// (`separ_analysis::cache::model_address`), which a store that files
+    /// model entries under it has at hand. Before synthesizing a signature,
     /// the session asks `stored` for a result under its slice key, and
     /// [`IncrementalSession::total_syntheses`] counts only the
     /// signatures it had to synthesize.
@@ -201,11 +202,9 @@ impl IncrementalSession {
         self.results.iter().flat_map(|(_, exploits)| exploits)
     }
 
-    /// Each signature's current exploits with the key of the slice they
-    /// were synthesized for, in registry order: what a store keeps for
-    /// [`IncrementalSession::resume`] to find. A signature that a
-    /// permission toggle did not re-run keeps the key of the slice it was
-    /// last synthesized for, which may no longer be its current one.
+    /// Each signature's current exploits with the key of its current
+    /// slice, in registry order: what a store keeps for
+    /// [`IncrementalSession::resume`] to find.
     pub fn results(&self) -> impl Iterator<Item = (&ResultKey, &[Exploit])> + '_ {
         self.results
             .iter()
@@ -220,9 +219,10 @@ impl IncrementalSession {
         self.total_syntheses
     }
 
-    /// Re-plans the signatures `select` picks and synthesizes the ones
+    /// Re-plans every signature and synthesizes the ones `select` picks
     /// whose slice key differs from their current result's, taking a
-    /// result from `stored` where it has one; returns how many it
+    /// result from `stored` where it has one; a signature `select`
+    /// declines keeps its exploits under its new key. Returns how many it
     /// synthesized.
     fn rerun(
         &mut self,
@@ -230,9 +230,17 @@ impl IncrementalSession {
         stored: StoredResults<'_>,
     ) -> Result<usize, LogicError> {
         let _span = separ_obs::span("pipeline.incremental");
+        let declined: Vec<bool> = (self.registry.iter())
+            .map(|sig| !select(sig.sensitivity()))
+            .collect();
         let results = &mut self.results;
         let mut have = |i: usize, key: &ResultKey| {
             if results[i].0 == Some(*key) {
+                return true;
+            }
+            if declined[i] {
+                // The change cannot move this signature's exploits.
+                results[i].0 = Some(*key);
                 return true;
             }
             match stored(key) {
@@ -249,7 +257,6 @@ impl IncrementalSession {
         let syntheses = synthesize_all(
             &Executor::new(self.config.threads),
             &self.registry,
-            |sig| select(sig.sensitivity()),
             &self.apps,
             &self.config,
             Slicing::On(Some(&self.summaries)),
@@ -305,12 +312,13 @@ impl IncrementalSession {
     /// All model mutations land first (installs replacing same-named
     /// packages in place, uninstalls filtering, permission toggles
     /// editing), touched apps are re-summarized for slicing, passive
-    /// intents re-resolve once if the topology changed — and then the
-    /// affected signatures re-run a single time. A batch that only
-    /// toggles permissions re-plans only permission-sensitive signatures;
-    /// any install/update/uninstall re-plans all of them. Of those, only
-    /// the signatures whose slice key changed are synthesized again
-    /// ([`PolicyDelta::signatures_rerun`] counts them). The returned
+    /// intents re-resolve once if the topology changed — and then every
+    /// signature is re-planned a single time. Only the signatures whose
+    /// slice key changed are synthesized again
+    /// ([`PolicyDelta::signatures_rerun`] counts them), and of those, a
+    /// batch that only toggles permissions synthesizes only
+    /// permission-sensitive ones (the others keep their exploits under
+    /// their new key). The returned
     /// delta is the net policy change of the whole batch, with
     /// [`PolicyDelta::ops_coalesced`] recording how many ops it folded.
     ///
@@ -421,7 +429,7 @@ impl IncrementalSession {
     }
 
     /// Applies a Permission Manager change: grant or revoke `permission`
-    /// for `package`, re-planning only permission-sensitive signatures.
+    /// for `package`, synthesizing only permission-sensitive signatures.
     ///
     /// # Errors
     ///
@@ -476,7 +484,7 @@ mod tests {
     use separ_android::api::IccMethod;
     use separ_android::types::{perm, FlowPath, Resource};
     use separ_dex::manifest::{ComponentKind, IntentFilterDecl};
-    use std::collections::HashMap;
+    use std::collections::{BTreeSet, HashMap};
 
     fn messenger_model() -> AppModel {
         let mut ms = comp("LMessageSender;", ComponentKind::Service);
@@ -822,16 +830,30 @@ mod tests {
         assert_eq!(delta.signatures_rerun, 0);
         assert!(delta.is_empty());
         assert_eq!(stored_results(&s), before);
-        // A permission toggle re-plans the escalation signature only; the
-        // others keep the key they were synthesized for, even where the
-        // toggled model sits in their slice.
+        // A permission toggle synthesizes the escalation signature only;
+        // the others keep their exploits, filed under their new slice key
+        // where the toggled model sits in their slice, so a session
+        // resumed over the results synthesizes nothing.
         let delta = s
             .set_permission("com.messenger", perm::SEND_SMS, false)
             .expect("revoke");
         assert_eq!(delta.signatures_rerun, 1);
         let after = stored_results(&s);
         assert_eq!(after.len(), 4);
-        assert_eq!(before.keys().filter(|k| after.contains_key(k)).count(), 3);
+        let moved = before.keys().filter(|k| !after.contains_key(k)).count();
+        assert!(
+            moved > 1,
+            "the toggle re-keyed more than the synthesized signature"
+        );
+        let exploits = |r: &HashMap<ResultKey, Vec<Exploit>>| -> BTreeSet<String> {
+            r.values().flatten().map(|e| e.to_string()).collect()
+        };
+        let kept = exploits(&before).intersection(&exploits(&after)).count();
+        assert!(kept > 0, "the re-keyed signatures kept their exploits");
+        let resumed = resume_from(&s, SeparConfig::default(), &after);
+        assert_eq!(resumed.total_syntheses(), 0);
+        assert_eq!(resumed.policies(), s.policies());
+        assert!(resumed.exploits().eq(s.exploits()));
         // Installing and removing an app leaves the session where a
         // from-scratch analysis of the same bundle is.
         s.install(app(

@@ -486,7 +486,6 @@ impl Separ {
         let syntheses = synthesize_all(
             &self.executor(),
             &self.registry,
-            |_| true,
             &apps,
             &self.config,
             mode,
@@ -654,21 +653,20 @@ fn apply_footprint(
 }
 
 /// What [`synthesize_all`] may skip: results its caller already holds,
-/// looked up by each selected signature's [`ResultKey`].
+/// looked up by each signature's [`ResultKey`].
 pub(crate) struct Reuse<'a> {
     /// Each app's model content address, in bundle order.
     pub addresses: &'a [ModelAddress],
     /// Whether a result of registry signature `i` synthesized for `key`
     /// is at hand (the caller keeps it if so). Called serially, once per
-    /// selected signature in registry order, before any base is built.
+    /// signature in registry order, before any base is built.
     pub have: &'a mut dyn FnMut(usize, &ResultKey) -> bool,
 }
 
-/// Runs `sig.synthesize_with` for every registry signature selected by
-/// `select`, fanned out on `executor`, returning per-signature results in
-/// registry order (`None` where `select` declined, or `reuse` already
-/// held the result). Shared by the full pipeline and
-/// [`crate::IncrementalSession`] re-runs.
+/// Runs `sig.synthesize_with` for every registry signature, fanned out on
+/// `executor`, returning per-signature results in registry order (`None`
+/// where `reuse` already held the result). Shared by the full pipeline
+/// and [`crate::IncrementalSession`] re-runs.
 ///
 /// Each signature's declared [`Footprint`] is intersected with the
 /// bundle's capability summaries first: the signature translates against
@@ -686,33 +684,29 @@ pub(crate) struct Reuse<'a> {
 pub(crate) fn synthesize_all(
     executor: &Executor,
     registry: &SignatureRegistry,
-    select: impl Fn(&dyn VulnerabilitySignature) -> bool,
     apps: &[AppModel],
     config: &SeparConfig,
     mode: Slicing<'_>,
     reuse: Option<Reuse<'_>>,
 ) -> Result<Vec<Option<SignatureRun>>, LogicError> {
-    let selected: Vec<(usize, &dyn VulnerabilitySignature)> = registry
-        .iter()
-        .enumerate()
-        .filter(|(_, sig)| select(*sig))
-        .collect();
+    let signatures: Vec<(usize, &dyn VulnerabilitySignature)> =
+        registry.iter().enumerate().collect();
     let mut out: Vec<Option<SignatureRun>> = Vec::new();
     out.resize_with(registry.len(), || None);
-    if selected.is_empty() {
+    if signatures.is_empty() {
         return Ok(out);
     }
 
     // Plan each signature's universe up front (serially: plans must not
     // depend on executor fan-out order).
-    let mut plans: Vec<(SlicePlan, usize, usize)> = Vec::with_capacity(selected.len());
+    let mut plans: Vec<(SlicePlan, usize, usize)> = Vec::with_capacity(signatures.len());
     // Each distinct `(kept, footprint)` slice gets the next slot.
     let mut slices: Vec<(Vec<usize>, Footprint)> = Vec::new();
     let computed: Vec<AppSummary>;
     let summaries: &[AppSummary] = match mode {
         #[cfg(any(test, feature = "reference"))]
         Slicing::Off => {
-            plans.resize(selected.len(), (SlicePlan::Full, apps.len(), 0));
+            plans.resize(signatures.len(), (SlicePlan::Full, apps.len(), 0));
             &[]
         }
         Slicing::On(given) => {
@@ -726,7 +720,7 @@ pub(crate) fn synthesize_all(
             };
             let mut by_key: std::collections::BTreeMap<(Vec<usize>, Footprint), usize> =
                 std::collections::BTreeMap::new();
-            for (_, sig) in &selected {
+            for (_, sig) in &signatures {
                 let fp = sig.footprint();
                 if fp.is_everything() && !fp.tightens_mal() {
                     plans.push((SlicePlan::Full, apps.len(), 0));
@@ -752,12 +746,12 @@ pub(crate) fn synthesize_all(
 
     // Key every planned signature by its slice, and drop the ones whose
     // result is at hand.
-    let mut keys: Vec<Option<ResultKey>> = vec![None; selected.len()];
-    let mut wanted = vec![true; selected.len()];
+    let mut keys: Vec<Option<ResultKey>> = vec![None; signatures.len()];
+    let mut wanted = vec![true; signatures.len()];
     if let Some(Reuse { addresses, have }) = reuse {
         let _reuse_span = separ_obs::span("ase.reuse");
         let limit = config.scenario_limit;
-        for (j, ((i, sig), (plan, _, _))) in selected.iter().zip(&plans).enumerate() {
+        for (j, ((i, sig), (plan, _, _))) in signatures.iter().zip(&plans).enumerate() {
             let key = match *plan {
                 SlicePlan::Full => ResultKey::of_slice(sig.name(), limit, addresses.iter()),
                 SlicePlan::Prepared(slot) => ResultKey::of_slice(
@@ -779,7 +773,7 @@ pub(crate) fn synthesize_all(
         (SlicePlan, usize, usize),
         Option<ResultKey>,
     );
-    let mut jobs: Vec<SignatureJob> = selected
+    let mut jobs: Vec<SignatureJob> = signatures
         .into_iter()
         .zip(plans)
         .zip(keys)

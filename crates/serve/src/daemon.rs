@@ -190,11 +190,11 @@ impl Daemon {
         ));
         let published = Arc::new(Mutex::new(snapshot_of(&session)));
         // Persist at boot only what the disk lacks: the models when they
-        // differ from the session's, the results when a signature had to
-        // be synthesized (its result had no file).
+        // differ from the session's (or are in the first store layout),
+        // the results when a signature had to be synthesized (its result
+        // had no file).
         if let Some(store) = &store {
-            let models_differ =
-                !restored.found_manifest || restore_skipped > 0 || !retargeted.is_empty();
+            let models_differ = !restored.current || restore_skipped > 0 || !retargeted.is_empty();
             let saved = if models_differ {
                 save(store, &session)
             } else if session.total_syntheses() > 0 {

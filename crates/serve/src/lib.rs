@@ -15,8 +15,8 @@
 //! * [`protocol`] — the line-delimited JSON request/response grammar;
 //! * [`queue`] — bounded churn queue: backpressure, deadlines, and the
 //!   close-then-drain shutdown contract;
-//! * [`store`] — crash-consistent session persistence (content-addressed
-//!   model files + atomically replaced manifest);
+//! * [`store`] — crash-consistent session persistence (one model pack
+//!   per bundle + atomically replaced manifest);
 //! * [`daemon`] — the coalescing analysis worker wiring session, store
 //!   and [`SharedPdp`](separ_enforce::SharedPdp) together;
 //!   [`Daemon::handle`] is the whole service as a function from request

@@ -4,22 +4,33 @@
 //!
 //! ```text
 //! store/
-//!   manifest.json          {"version":1,"apps":[{"package":p,"model":hex},...]}
-//!   models/<hex>.model     self-checking entries (separ_analysis::cache codec)
+//!   manifest.json          {"version":2,"pack":hex,"apps":[[package,model,length],...]}
+//!   packs/<hex>.pack       the apps' self-checking model entries
+//!                          (separ_analysis::cache codec), concatenated
 //!   results/<key>.exploits self-checking exploit lists (separ_core::reuse codec)
 //! ```
 //!
 //! The manifest records the bundle **in session order** (order is part of
-//! session identity — policies are derived app-by-app); each entry points
-//! at a content-addressed model file, so an app update writes a new model
-//! file and flips one manifest pointer. The manifest is replaced
-//! atomically (write temp + rename), which gives crash consistency: a
-//! reader always sees either the old or the new manifest, never a torn
-//! one, and model files are written *before* the manifest that references
-//! them. Model files carry their own checksums, and restore checks that
-//! each file's content address is the name the manifest gives it; a
-//! corrupt, missing or misnamed file drops only that app from recovery
-//! (counted, never silently).
+//! session identity — policies are derived app-by-app): per app its
+//! package, the content address of its model entry, and the entry's
+//! length. The pack holds the entries in the same order, so an entry's
+//! offset is the sum of the lengths before it. A pack is named by a
+//! SHA-256 over its entries' addresses in order: persisting the same
+//! bundle again produces the same pack, and writes nothing.
+//!
+//! Crash consistency: [`SessionStore::persist`] streams the new pack into
+//! `packs/pack.tmp` and renames it to its name, then writes the manifest
+//! that names it the same way (temp + rename), and only then removes the
+//! packs and temp files the manifest does not name. A rename replaces a
+//! file atomically, so a reader sees the old manifest or the new one,
+//! never a torn one, and whichever it sees names a pack that is complete
+//! and still there: the old pack goes only after the new manifest is in
+//! place. A crash therefore restores exactly the old bundle or exactly
+//! the new one. Every entry carries its own checksum, and restore checks
+//! each entry's content address against the manifest's; a corrupt,
+//! truncated or misfiled entry drops only that app from recovery
+//! (counted, never silently), since the manifest's lengths place every
+//! other entry.
 //!
 //! A result file holds one signature's exploits, named by the
 //! [`ResultKey`] of the slice they were synthesized for. The key commits
@@ -36,54 +47,72 @@
 //! manifest's results behind for the next boot to reuse.
 //!
 //! The store *is* the session, and it is the daemon's only model
-//! storage: the daemon keeps no extraction cache, so an app's model file
-//! goes with the app. Anything else under the directory — such as the
-//! `cache/` of extracted models that older daemons kept — is ignored.
+//! storage: the daemon keeps no extraction cache. Anything else under the
+//! directory — such as the `cache/` of extracted models that older
+//! daemons kept — is ignored. A store of the first layout (a version-1
+//! manifest and one `models/<hex>.model` file per app) is read once; its
+//! boot counts the disk as differing from the session, so the next
+//! persist rewrites it as a pack and removes `models/`.
 //!
 //! A store assumes it is its directory's only writer (one daemon per
-//! store): it remembers which model and result files it restored or
-//! wrote, and re-persisting an unchanged app or result neither stats nor
-//! rewrites its file. Encoding and hashing, and restore's reading and
-//! checking of model files, run on the store's [`Executor`].
+//! store): it remembers which pack it restored or wrote and which result
+//! files it loaded or wrote, and re-persisting an unchanged bundle or
+//! result replaces no file. Persist encodes, hashes and writes one entry
+//! at a time on the calling thread, never holding more than one
+//! encoding. Restore opens the pack once and reads a chunk of entries
+//! (contiguous in the pack) with one positioned read, checks them on the
+//! store's [`Executor`], and decodes them on the calling thread, in
+//! manifest order.
 //!
 //! Boot persists only on change: the daemon calls
 //! [`SessionStore::persist`] at start-up only when the disk differs from
 //! the session it just built — restore skipped an entry, passive-intent
-//! resolution changed a restored model, or there was no manifest yet —
-//! and [`SessionStore::persist_results`] only when some signature's
-//! result had no file. A restart on an unchanged store encodes, hashes,
-//! writes and lists nothing, and solves nothing; orphaned model and
-//! result files a crash may have left wait for the next persist to be
+//! resolution changed a restored model, the store was of the first
+//! layout, or there was no manifest yet — and
+//! [`SessionStore::persist_results`] only when some signature's result
+//! had no file. A restart on an unchanged store encodes, hashes, writes
+//! and lists nothing, and solves nothing; orphaned packs and result
+//! files a crash may have left wait for the next persist to be
 //! collected.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use separ_analysis::cache::{decode_payload, encode_entry, entry_address, entry_payload};
+use separ_analysis::cache::{
+    decode_entry, decode_payload, encode_entry, entry_address, entry_payload, sha256,
+};
 use separ_analysis::model::AppModel;
 use separ_core::reuse::{decode_result, encode_result, ModelAddress};
 use separ_core::{Executor, Exploit, ResultKey};
 use separ_obs::json::Value;
 
-/// Model files restore reads and checks on the executor before decoding
-/// them: bounds the file bytes held at once.
-const RESTORE_CHUNK: usize = 256;
+/// Entries restore takes per positioned read (and per round of checks
+/// on the executor): bounds the entry bytes held at once.
+const CHUNK: usize = 256;
+
+/// The manifest version [`SessionStore::persist`] writes.
+const VERSION: u64 = 2;
 
 /// What [`SessionStore::restore`] recovered.
 #[derive(Debug, Default)]
 pub struct Restored {
     /// The recovered bundle models, in session order.
     pub apps: Vec<AppModel>,
-    /// Each recovered model's content address (the name the manifest
-    /// gives its file), in the same order.
+    /// Each recovered model's content address (the address the manifest
+    /// gives its entry), in the same order.
     pub addresses: Vec<ModelAddress>,
     /// Manifest entries that could not be recovered (missing, corrupt or
-    /// misnamed model file).
+    /// misfiled model entry).
     pub skipped: usize,
-    /// Whether a manifest was found (`false` for a fresh store).
-    pub found_manifest: bool,
+    /// Whether the disk holds the restored bundle in the current layout:
+    /// `false` for a fresh store, and for one of the first layout, which
+    /// the next [`SessionStore::persist`] rewrites.
+    pub current: bool,
 }
 
 /// A store error (always carries the offending path's context).
@@ -98,16 +127,25 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// Tags an I/O error with the path it happened on.
+fn io_error(path: &Path) -> impl FnOnce(std::io::Error) -> StoreError + '_ {
+    move |e| StoreError(format!("{}: {e}", path.display()))
+}
+
 /// The on-disk session store.
 #[derive(Debug)]
 pub struct SessionStore {
     dir: PathBuf,
     executor: Executor,
-    /// Hashes of the model files this store restored or wrote and has not
-    /// deleted since; `persist` takes these as present without a stat.
-    known: Mutex<HashSet<String>>,
+    /// The name of the pack the manifest names, when this store restored
+    /// or wrote it; persisting the bundle it holds writes nothing.
+    pack: Mutex<Option<String>>,
     /// Result files this store loaded or wrote, and the current keys.
     results: Mutex<ResultFiles>,
+    /// Filesystem steps [`SessionStore::persist`] completes before it
+    /// stops as a crash would (see [`SessionStore::step`]).
+    #[cfg(test)]
+    crash_after: std::sync::atomic::AtomicUsize,
 }
 
 /// What a [`SessionStore`] knows of its result files.
@@ -121,6 +159,15 @@ struct ResultFiles {
     live: HashSet<ResultKey>,
 }
 
+/// One manifest entry, placed in the pack.
+struct PackEntry {
+    /// The content address the manifest gives the entry (`None` if it
+    /// does not parse).
+    address: Option<ModelAddress>,
+    offset: u64,
+    len: u64,
+}
+
 impl SessionStore {
     /// Opens (creating if needed) the store under `dir`.
     ///
@@ -129,35 +176,35 @@ impl SessionStore {
     /// Fails if the directory tree cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> Result<SessionStore, StoreError> {
         let dir = dir.into();
-        for sub in ["models", "results"] {
+        for sub in ["packs", "results"] {
             let sub = dir.join(sub);
-            std::fs::create_dir_all(&sub)
-                .map_err(|e| StoreError(format!("{}: {e}", sub.display())))?;
+            std::fs::create_dir_all(&sub).map_err(io_error(&sub))?;
         }
         Ok(SessionStore {
             dir,
             executor: Executor::default(),
-            known: Mutex::new(HashSet::new()),
+            pack: Mutex::new(None),
             results: Mutex::new(ResultFiles::default()),
+            #[cfg(test)]
+            crash_after: std::sync::atomic::AtomicUsize::new(usize::MAX),
         })
     }
 
-    /// Runs [`SessionStore::persist`]'s encoding and hashing, and
-    /// [`SessionStore::restore`]'s reading and checking, on `executor`
-    /// (default: one worker per hardware thread).
+    /// Runs [`SessionStore::restore`]'s checking on `executor` (default:
+    /// one worker per hardware thread).
     pub fn with_executor(mut self, executor: Executor) -> SessionStore {
         self.executor = executor;
         self
     }
 
-    fn known(&self) -> std::sync::MutexGuard<'_, HashSet<String>> {
-        // The set is only a cache of what is on disk; a panic elsewhere
-        // cannot leave it claiming a file that was never written.
-        self.known.lock().unwrap_or_else(|e| e.into_inner())
+    fn pack(&self) -> std::sync::MutexGuard<'_, Option<String>> {
+        // Only a cache of what is on disk; a panic elsewhere cannot leave
+        // it naming a pack the manifest does not.
+        self.pack.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn result_files(&self) -> std::sync::MutexGuard<'_, ResultFiles> {
-        // As for `known`: only a cache of what is on disk.
+        // As for `pack`: only a cache of what is on disk.
         self.results.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -165,96 +212,118 @@ impl SessionStore {
         self.dir.join("manifest.json")
     }
 
-    fn model_path(&self, hex: &str) -> PathBuf {
-        self.dir.join("models").join(format!("{hex}.model"))
+    fn pack_path(&self, name: &str) -> PathBuf {
+        self.dir.join("packs").join(format!("{name}.pack"))
     }
 
     fn result_path(&self, key: &ResultKey) -> PathBuf {
         self.dir.join("results").join(format!("{key}.exploits"))
     }
 
-    /// Persists the current bundle: writes any model files not yet
-    /// present, atomically replaces the manifest, then removes orphaned
-    /// model files no manifest entry references and result files no key
-    /// of the last [`SessionStore::persist_results`] names.
+    /// Marks the end of one of [`SessionStore::persist`]'s filesystem
+    /// steps. In unit tests, a failpoint stops `persist` here once its
+    /// count of steps has run out, leaving the directory as a crash
+    /// after that step would.
+    fn step(&self) -> Result<(), StoreError> {
+        #[cfg(test)]
+        {
+            use std::sync::atomic::Ordering;
+            if self.crash_after.fetch_sub(1, Ordering::Relaxed) == 0 {
+                return Err(StoreError("failpoint: persist stopped".into()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Persists the current bundle: writes its pack unless the manifest
+    /// already names it, replaces the manifest, then removes the packs
+    /// and temp files the manifest does not name, a first-layout
+    /// `models/` directory, and the result files no key of the last
+    /// [`SessionStore::persist_results`] names.
     ///
     /// # Errors
     ///
-    /// Fails if a model file or the manifest cannot be written — in that
-    /// case the *previous* manifest remains intact and authoritative.
+    /// Fails if the pack or the manifest cannot be written — in that case
+    /// the *previous* manifest and the pack it names remain intact and
+    /// authoritative.
     pub fn persist(&self, apps: &[AppModel]) -> Result<(), StoreError> {
         let _span = separ_obs::span("serve.store.persist");
-        let mut known = self.known();
-        let hexes = {
-            let known: &HashSet<String> = &known;
-            self.executor.try_ordered_map(apps, |app| {
-                let encoded = encode_entry(app);
-                let hex = hex32(&entry_address(&encoded));
-                if !known.contains(&hex) {
-                    let path = self.model_path(&hex);
-                    if !path.exists() {
-                        std::fs::write(&path, &encoded)
-                            .map_err(|e| StoreError(format!("{}: {e}", path.display())))?;
-                    }
-                }
-                Ok(hex)
-            })?
-        };
-        let manifest = Value::Obj(vec![
-            ("version".into(), Value::Num(1.0)),
-            (
-                "apps".into(),
-                Value::Arr(
-                    apps.iter()
-                        .zip(&hexes)
-                        .map(|(app, hex)| {
-                            Value::Obj(vec![
-                                ("package".into(), Value::Str(app.package.clone())),
-                                ("model".into(), Value::Str(hex.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        let mut text = String::new();
-        manifest.write_into(&mut text);
-        text.push('\n');
-        let tmp = self.dir.join("manifest.json.tmp");
-        std::fs::write(&tmp, &text).map_err(|e| StoreError(format!("{}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, self.manifest_path())
-            .map_err(|e| StoreError(format!("{}: {e}", self.manifest_path().display())))?;
-        // Garbage-collect model files the new manifest no longer names.
-        // Best effort: a leaked file costs bytes, not correctness.
-        let live: HashSet<String> = hexes.into_iter().collect();
-        if let Ok(dir) = std::fs::read_dir(self.dir.join("models")) {
-            for entry in dir.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                let Some(hex) = name.strip_suffix(".model") else {
-                    continue;
-                };
-                if !live.contains(hex) {
-                    let _ = std::fs::remove_file(entry.path());
-                }
+        let mut current = self.pack();
+        let packs = self.dir.join("packs");
+        let tmp = packs.join("pack.tmp");
+        // Entries are encoded, hashed and streamed into the temp pack one
+        // at a time, in bundle order: each encoding is freed before the
+        // next is made, so persisting leaves no scattered small blocks
+        // in the caller's malloc arena.
+        let mut entries: Vec<(ModelAddress, usize)> = Vec::with_capacity(apps.len());
+        {
+            let mut out = BufWriter::new(File::create(&tmp).map_err(io_error(&tmp))?);
+            for app in apps {
+                let entry = encode_entry(app);
+                out.write_all(&entry).map_err(io_error(&tmp))?;
+                entries.push((entry_address(&entry), entry.len()));
+            }
+            out.into_inner()
+                .map_err(|e| e.into_error())
+                .map_err(io_error(&tmp))?;
+        }
+        self.step()?;
+        let addresses: Vec<u8> = entries.iter().flat_map(|(address, _)| *address).collect();
+        let name = hex32(&sha256(&addresses));
+        if current.as_deref() == Some(name.as_str()) {
+            // The manifest names this very bundle already.
+            let _ = std::fs::remove_file(&tmp);
+        } else {
+            let pack = self.pack_path(&name);
+            std::fs::rename(&tmp, &pack).map_err(io_error(&pack))?;
+            self.step()?;
+            let mut text = String::with_capacity(64 + apps.len() * 128);
+            let _ = write!(text, r#"{{"version":{VERSION},"pack":"{name}","apps":["#);
+            for (i, (app, (address, len))) in apps.iter().zip(&entries).enumerate() {
+                text.push_str(if i == 0 { "[" } else { ",[" });
+                separ_obs::json::write_str(&app.package, &mut text);
+                let _ = write!(text, r#","{}",{len}]"#, hex32(address));
+            }
+            text.push_str("]}\n");
+            let tmp = self.dir.join("manifest.json.tmp");
+            std::fs::write(&tmp, &text).map_err(io_error(&tmp))?;
+            self.step()?;
+            let manifest = self.manifest_path();
+            std::fs::rename(&tmp, &manifest).map_err(io_error(&manifest))?;
+            *current = Some(name.clone());
+            self.step()?;
+        }
+        // Garbage-collect what the manifest no longer names. Best effort:
+        // a leaked file costs bytes, not correctness.
+        let keep = format!("{name}.pack");
+        for entry in std::fs::read_dir(&packs).into_iter().flatten().flatten() {
+            if entry.file_name() != *keep {
+                let _ = std::fs::remove_file(entry.path());
+                self.step()?;
             }
         }
-        // Every live file was found, written or known above; everything
-        // else is gone or no longer vouched for.
-        *known = live;
+        let models = self.dir.join("models");
+        if models.exists() {
+            let _ = std::fs::remove_dir_all(&models);
+            self.step()?;
+        }
         // Likewise for results: anything but a current key's file goes
         // (an interrupted write's temp file too).
         let mut results = self.result_files();
-        if let Ok(dir) = std::fs::read_dir(self.dir.join("results")) {
-            let live: HashSet<String> = results
-                .live
-                .iter()
-                .map(|key| format!("{key}.exploits"))
-                .collect();
-            for entry in dir.flatten() {
-                if !live.contains(&*entry.file_name().to_string_lossy()) {
-                    let _ = std::fs::remove_file(entry.path());
-                }
+        let live: HashSet<String> = results
+            .live
+            .iter()
+            .map(|key| format!("{key}.exploits"))
+            .collect();
+        let results_dir = self.dir.join("results");
+        for entry in std::fs::read_dir(results_dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+        {
+            if !live.contains(&*entry.file_name().to_string_lossy()) {
+                let _ = std::fs::remove_file(entry.path());
+                self.step()?;
             }
         }
         let ResultFiles { on_disk, live } = &mut *results;
@@ -288,7 +357,7 @@ impl SessionStore {
             let tmp = path.with_extension("exploits.tmp");
             std::fs::write(&tmp, encode_result(key, exploits))
                 .and_then(|()| std::fs::rename(&tmp, &path))
-                .map_err(|e| StoreError(format!("{}: {e}", path.display())))?;
+                .map_err(io_error(&path))?;
             files.on_disk.insert(*key);
         }
         Ok(())
@@ -302,59 +371,97 @@ impl SessionStore {
         Some(exploits)
     }
 
-    /// Reads the manifest and decodes every referenced model. A missing
-    /// manifest is an empty (fresh) store, not an error.
+    /// Reads the manifest and decodes every model entry it names. A
+    /// missing manifest is an empty (fresh) store, not an error.
     ///
     /// # Errors
     ///
     /// Fails only on an unreadably malformed manifest; unrecoverable
-    /// *model* files merely count into [`Restored::skipped`].
+    /// *model* entries merely count into [`Restored::skipped`].
     pub fn restore(&self) -> Result<Restored, StoreError> {
         let _span = separ_obs::span("serve.store.restore");
         let path = self.manifest_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
+        let malformed = |what: &str| StoreError(format!("{}: {what}", path.display()));
+        let manifest = match std::fs::read_to_string(&path) {
+            Ok(text) => Value::parse(text.trim()).map_err(|e| malformed(&e.to_string()))?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Restored::default()),
-            Err(e) => return Err(StoreError(format!("{}: {e}", path.display()))),
+            Err(e) => return Err(io_error(&path)(e)),
         };
-        let manifest = Value::parse(text.trim())
-            .map_err(|e| StoreError(format!("{}: {e}", path.display())))?;
-        let apps_field = manifest
+        let apps = manifest
             .get("apps")
             .and_then(Value::as_arr)
-            .ok_or_else(|| StoreError(format!("{}: missing \"apps\"", path.display())))?;
+            .ok_or_else(|| malformed("missing \"apps\""))?;
+        match manifest.get("version").and_then(Value::as_u64) {
+            Some(1) => return Ok(self.restore_first_layout(apps)),
+            Some(VERSION) => {}
+            _ => return Err(malformed("unknown \"version\"")),
+        }
+        // The manifest as a compact list, the JSON tree dropped before
+        // any entry is read.
+        let pack = manifest
+            .get("pack")
+            .and_then(Value::as_str)
+            .filter(|name| parse_hex32(name).is_some())
+            .ok_or_else(|| malformed("missing \"pack\""))?
+            .to_string();
+        let mut entries = Vec::with_capacity(apps.len());
+        let mut offset = 0u64;
+        for entry in apps {
+            let field = |i: usize| entry.as_arr().and_then(|fields| fields.get(i));
+            let len = field(2)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| malformed("an entry without a length"))?;
+            let address = field(1).and_then(Value::as_str).and_then(parse_hex32);
+            entries.push(PackEntry {
+                address,
+                offset,
+                len,
+            });
+            offset = offset
+                .checked_add(len)
+                .ok_or_else(|| malformed("entry lengths overflow"))?;
+        }
+        drop(manifest);
         let mut restored = Restored {
-            found_manifest: true,
+            current: true,
             ..Restored::default()
         };
-        let mut known = self.known();
-        let entries: Vec<Option<(&str, ModelAddress)>> = apps_field
-            .iter()
-            .map(|entry| {
-                let hex = entry.get("model").and_then(Value::as_str)?;
-                Some((hex, parse_hex32(hex)?))
-            })
-            .collect();
-        for chunk in entries.chunks(RESTORE_CHUNK) {
-            // Files are read and checked (checksum, and content address
-            // against the manifest's name for them) on the executor.
+        // A missing pack loses every entry, one by one.
+        let file = File::open(self.pack_path(&pack)).ok();
+        let pack_len = file
+            .as_ref()
+            .and_then(|f| f.metadata().ok())
+            .map_or(0, |m| m.len());
+        let mut bytes = Vec::new();
+        for chunk in entries.chunks(CHUNK) {
+            // A chunk's entries are contiguous in the pack: one read
+            // takes the part of them the pack holds.
+            let (first, last) = (&chunk[0], &chunk[chunk.len() - 1]);
+            let start = first.offset.min(pack_len);
+            let end = (last.offset + last.len).min(pack_len);
+            bytes.clear();
+            bytes.resize(usize::try_from(end - start).unwrap_or(0), 0);
+            let read = file
+                .as_ref()
+                .is_some_and(|f| f.read_exact_at(&mut bytes, start).is_ok());
+            // Each entry is checked (content address against the
+            // manifest's, and payload checksum) on the executor.
             let payloads = self.executor.ordered_map(chunk, |entry| {
-                let (hex, address) = (*entry)?;
-                let mut bytes = std::fs::read(self.model_path(hex)).ok()?;
-                if entry_address(&bytes) != address {
+                if !read {
                     return None;
                 }
-                let header = bytes.len() - entry_payload(&bytes)?.len();
-                bytes.drain(..header);
-                Some(bytes)
+                // In range: offsets and lengths were summed checked.
+                let at = usize::try_from(entry.offset - start).ok()?;
+                let entry_bytes = bytes.get(at..at + usize::try_from(entry.len).ok()?)?;
+                (entry_address(entry_bytes) == entry.address?)
+                    .then(|| entry_payload(entry_bytes))?
             });
             // Decoded serially: the models live as long as the session,
             // and allocating them on short-lived executor threads spreads
             // them over extra malloc arenas, raising peak RSS.
             for (entry, payload) in chunk.iter().zip(payloads) {
-                match entry.zip(payload.as_deref().and_then(decode_payload)) {
-                    Some(((hex, address), model)) => {
-                        known.insert(hex.to_string());
+                match entry.address.zip(payload.and_then(decode_payload)) {
+                    Some((address, model)) => {
                         restored.apps.push(model);
                         restored.addresses.push(address);
                     }
@@ -362,11 +469,38 @@ impl SessionStore {
                 }
             }
         }
+        if file.is_some() {
+            *self.pack() = Some(pack);
+        }
         Ok(restored)
     }
 
-    /// Flushes the store to stable storage: fsyncs the manifest, every
-    /// model and result file, and the directories holding them. Called on
+    /// Restores a store of the first layout (`{"version":1,"apps":
+    /// [{"package":p,"model":hex},...]}` and `models/<hex>.model`); the
+    /// result is not `current`, so the boot rewrites the store as a pack.
+    fn restore_first_layout(&self, apps: &[Value]) -> Restored {
+        let mut restored = Restored::default();
+        for entry in apps {
+            let model = entry.get("model").and_then(Value::as_str).and_then(|hex| {
+                let address = parse_hex32(hex)?;
+                let file = self.dir.join("models").join(format!("{hex}.model"));
+                let bytes = std::fs::read(file).ok()?;
+                let model = (entry_address(&bytes) == address).then(|| decode_entry(&bytes));
+                Some((model??, address))
+            });
+            match model {
+                Some((model, address)) => {
+                    restored.apps.push(model);
+                    restored.addresses.push(address);
+                }
+                None => restored.skipped += 1,
+            }
+        }
+        restored
+    }
+
+    /// Flushes the store to stable storage: fsyncs the manifest, the pack
+    /// and every result file, and the directories holding them. Called on
     /// shutdown after the final [`SessionStore::persist`], making the
     /// drain-then-exit sequence durable.
     ///
@@ -376,7 +510,7 @@ impl SessionStore {
     pub fn sync(&self) -> Result<(), StoreError> {
         let _span = separ_obs::span("serve.store.sync");
         fsync_path(&self.manifest_path())?;
-        for sub in ["models", "results"] {
+        for sub in ["packs", "results"] {
             let sub = self.dir.join(sub);
             if let Ok(dir) = std::fs::read_dir(&sub) {
                 for entry in dir.flatten() {
@@ -390,14 +524,14 @@ impl SessionStore {
 }
 
 fn fsync_path(path: &Path) -> Result<(), StoreError> {
-    match std::fs::File::open(path) {
+    match File::open(path) {
         Ok(f) => f
             .sync_all()
             .map_err(|e| StoreError(format!("{}: fsync: {e}", path.display()))),
         // A store that never persisted has no manifest yet; nothing to
         // make durable.
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(StoreError(format!("{}: {e}", path.display()))),
+        Err(e) => Err(io_error(path)(e)),
     }
 }
 
@@ -432,6 +566,7 @@ fn hex32(key: &[u8; 32]) -> String {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::os::unix::fs::MetadataExt;
 
     fn app(package: &str) -> AppModel {
         AppModel {
@@ -448,6 +583,42 @@ mod tests {
         std::env::temp_dir().join(format!("separ-serve-store-{}-{tag}", std::process::id()))
     }
 
+    fn address_of(app: &AppModel) -> ModelAddress {
+        entry_address(&encode_entry(app))
+    }
+
+    /// The file names under `dir/sub`.
+    fn files(dir: &Path, sub: &str) -> BTreeSet<String> {
+        std::fs::read_dir(dir.join(sub))
+            .map(|d| {
+                d.flatten()
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    /// The one pack under `dir`.
+    fn the_pack(dir: &Path) -> PathBuf {
+        let packs = files(dir, "packs");
+        assert_eq!(packs.len(), 1, "{packs:?}");
+        dir.join("packs").join(packs.first().expect("one pack"))
+    }
+
+    /// Where `apps[i]`'s entry sits in the pack of `apps`.
+    fn span_of(apps: &[AppModel], i: usize) -> std::ops::Range<usize> {
+        let len = |a: &AppModel| encode_entry(a).len();
+        let start: usize = apps[..i].iter().map(len).sum();
+        start..start + len(&apps[i])
+    }
+
+    fn restore(dir: &Path) -> Restored {
+        SessionStore::open(dir)
+            .expect("reopens")
+            .restore()
+            .expect("restores")
+    }
+
     #[test]
     fn persist_restore_round_trips_in_order() {
         let dir = tmp("round");
@@ -456,12 +627,25 @@ mod tests {
         let apps = vec![app("com.b"), app("com.a"), app("com.c")];
         store.persist(&apps).expect("persists");
         store.sync().expect("syncs");
-        let restored = SessionStore::open(&dir)
-            .expect("reopens")
-            .restore()
-            .expect("restores");
+        let restored = restore(&dir);
         assert_eq!(restored.skipped, 0);
+        assert!(restored.current);
         assert_eq!(restored.apps, apps, "order and content survive");
+        let addresses: Vec<ModelAddress> = apps.iter().map(address_of).collect();
+        assert_eq!(restored.addresses, addresses);
+        // The manifest lists [package, address, length] per app.
+        let text = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+        let manifest = Value::parse(text.trim()).expect("parses");
+        assert_eq!(manifest.get("version").and_then(Value::as_u64), Some(2));
+        let first = &manifest.get("apps").and_then(Value::as_arr).expect("apps")[0];
+        let mut written = String::new();
+        first.write_into(&mut written);
+        let expected = format!(
+            r#"["com.b","{}",{}]"#,
+            hex32(&addresses[0]),
+            encode_entry(&apps[0]).len()
+        );
+        assert_eq!(written, expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -473,37 +657,28 @@ mod tests {
         let restored = store.restore().expect("restores");
         assert!(restored.apps.is_empty());
         assert_eq!(restored.skipped, 0);
+        assert!(!restored.current);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn repersist_drops_orphaned_models_and_corruption_skips_one_app() {
+    fn repersist_drops_orphaned_packs_and_corruption_skips_one_app() {
         let dir = tmp("gc");
         let _ = std::fs::remove_dir_all(&dir);
         let store = SessionStore::open(&dir).expect("opens");
         store
             .persist(&[app("com.a"), app("com.b")])
             .expect("persists");
-        let count = || {
-            std::fs::read_dir(dir.join("models"))
-                .map(|d| d.flatten().count())
-                .unwrap_or(0)
-        };
-        assert_eq!(count(), 2);
-        // Uninstall com.b: its model file is garbage-collected.
+        let old = the_pack(&dir);
+        // Uninstall com.b: a new pack replaces the old one.
         store.persist(&[app("com.a")]).expect("persists");
-        assert_eq!(count(), 1);
-        // Corrupt the surviving model: restore skips that app, reports it.
-        let model = std::fs::read_dir(dir.join("models"))
-            .expect("dir")
-            .flatten()
-            .next()
-            .expect("one model")
-            .path();
-        let mut data = std::fs::read(&model).expect("read");
+        let pack = the_pack(&dir);
+        assert_ne!(pack, old);
+        // Corrupt the surviving entry: restore skips that app, reports it.
+        let mut data = std::fs::read(&pack).expect("read");
         let mid = data.len() / 2;
         data[mid] ^= 0x1;
-        std::fs::write(&model, &data).expect("write");
+        std::fs::write(&pack, &data).expect("write");
         let restored = store.restore().expect("restores");
         assert!(restored.apps.is_empty());
         assert_eq!(restored.skipped, 1);
@@ -526,42 +701,58 @@ mod tests {
     }
 
     #[test]
-    fn repersisting_writes_nothing_and_gc_deletes_exactly_the_orphans() {
+    fn repersisting_writes_nothing_and_gc_keeps_exactly_the_named_pack() {
         let dir = tmp("scale");
         let _ = std::fs::remove_dir_all(&dir);
-        let files = || -> BTreeSet<String> {
-            std::fs::read_dir(dir.join("models"))
-                .expect("models dir")
-                .flatten()
-                .map(|e| e.file_name().to_string_lossy().into_owned())
-                .collect()
+        // Every file under the store with its inode: a rewrite replaces
+        // a file by rename, which changes its inode.
+        let inodes = || -> Vec<(String, u64)> {
+            let mut out: Vec<(String, u64)> = ["packs", "results"]
+                .iter()
+                .flat_map(|sub| {
+                    files(&dir, sub)
+                        .into_iter()
+                        .map(move |f| format!("{sub}/{f}"))
+                })
+                .chain(["manifest.json".to_string()])
+                .map(|f| {
+                    let ino = std::fs::metadata(dir.join(&f)).expect("stat").ino();
+                    (f, ino)
+                })
+                .collect();
+            out.sort();
+            out
         };
-        let file_of = |a: &AppModel| format!("{}.model", hex32(&entry_address(&encode_entry(a))));
         let apps: Vec<AppModel> = (0..1000).map(|i| app(&format!("com.app{i}"))).collect();
-        let all: BTreeSet<String> = apps.iter().map(file_of).collect();
-        assert_eq!(all.len(), 1000, "distinct apps get distinct files");
         let store = SessionStore::open(&dir).expect("opens");
         store.persist(&apps).expect("persists");
-        assert_eq!(files(), all);
+        let saved = inodes();
+        assert_eq!(files(&dir, "packs").len(), 1, "{saved:?}");
         // Unchanged bundle: by the same store, and by a fresh store that
-        // restored it, no model file is created (or deleted).
+        // restored it, no file is replaced, created or deleted.
         store.persist(&apps).expect("re-persists");
-        assert_eq!(files(), all);
+        assert_eq!(inodes(), saved);
         let reopened = SessionStore::open(&dir).expect("reopens");
         let restored = reopened.restore().expect("restores");
         assert_eq!(restored.apps, apps);
         reopened.persist(&restored.apps).expect("re-persists");
-        assert_eq!(files(), all);
-        // Uninstall every other app: exactly the dropped apps' files go.
+        assert_eq!(inodes(), saved);
+        // The same bundle persisted into another store gets the same
+        // pack name.
+        let other = tmp("scale-other");
+        let _ = std::fs::remove_dir_all(&other);
+        SessionStore::open(&other)
+            .expect("opens")
+            .persist(&apps)
+            .expect("persists");
+        assert_eq!(files(&other, "packs"), files(&dir, "packs"));
+        let _ = std::fs::remove_dir_all(&other);
+        // Uninstall every other app: one new pack, the old one collected.
         let kept: Vec<AppModel> = apps.iter().step_by(2).cloned().collect();
         reopened.persist(&kept).expect("persists the half");
-        let expected: BTreeSet<String> = kept.iter().map(file_of).collect();
-        assert_eq!(expected.len(), 500);
-        assert_eq!(files(), expected);
-        let restored = SessionStore::open(&dir)
-            .expect("reopens")
-            .restore()
-            .expect("restores");
+        the_pack(&dir);
+        assert_ne!(inodes(), saved);
+        let restored = restore(&dir);
         assert_eq!((restored.apps, restored.skipped), (kept, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -571,20 +762,20 @@ mod tests {
         let dir = tmp("misnamed");
         let _ = std::fs::remove_dir_all(&dir);
         let store = SessionStore::open(&dir).expect("opens");
-        let (a, b) = (app("com.a"), app("com.b"));
-        store.persist(&[a.clone(), b.clone()]).expect("persists");
-        let file_of = |m: &AppModel| {
-            dir.join("models")
-                .join(format!("{}.model", hex32(&entry_address(&encode_entry(m)))))
-        };
-        // `com.a`'s entry is intact, but the manifest names it as `com.b`.
-        std::fs::copy(file_of(&a), file_of(&b)).expect("copies");
-        let restored = SessionStore::open(&dir)
-            .expect("reopens")
-            .restore()
-            .expect("restores");
-        assert_eq!(restored.apps, std::slice::from_ref(&a));
-        assert_eq!(restored.addresses, [entry_address(&encode_entry(&a))]);
+        let apps = [app("com.a"), app("com.b")];
+        store.persist(&apps).expect("persists");
+        // `com.a`'s entry is intact, but it sits where the manifest files
+        // `com.b`'s.
+        let pack = the_pack(&dir);
+        let mut data = std::fs::read(&pack).expect("read");
+        let (a, b) = (span_of(&apps, 0), span_of(&apps, 1));
+        assert_eq!(a.len(), b.len());
+        let entry = data[a].to_vec();
+        data[b].copy_from_slice(&entry);
+        std::fs::write(&pack, &data).expect("write");
+        let restored = restore(&dir);
+        assert_eq!(restored.apps, &apps[..1]);
+        assert_eq!(restored.addresses, [address_of(&apps[0])]);
         assert_eq!(restored.skipped, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -593,36 +784,137 @@ mod tests {
     fn restore_reads_every_chunk_in_manifest_order() {
         let dir = tmp("chunks");
         let _ = std::fs::remove_dir_all(&dir);
-        let apps: Vec<AppModel> = (0..RESTORE_CHUNK * 2 + 3)
+        let apps: Vec<AppModel> = (0..CHUNK * 2 + 3)
             .map(|i| app(&format!("com.app{i}")))
             .collect();
         let store = SessionStore::open(&dir)
             .expect("opens")
             .with_executor(Executor::new(2));
         store.persist(&apps).expect("persists");
-        // Corrupt one entry in the second chunk.
-        let victim = &apps[RESTORE_CHUNK + 1];
-        let path = dir.join("models").join(format!(
-            "{}.model",
-            hex32(&entry_address(&encode_entry(victim)))
-        ));
-        let mut data = std::fs::read(&path).expect("read");
-        let last = data.len() - 1;
-        data[last] ^= 0x1;
-        std::fs::write(&path, &data).expect("write");
+        // Corrupt the last byte of one entry in the second chunk.
+        let victim = CHUNK + 1;
+        let pack = the_pack(&dir);
+        let mut data = std::fs::read(&pack).expect("read");
+        data[span_of(&apps, victim).end - 1] ^= 0x1;
+        std::fs::write(&pack, &data).expect("write");
         let restored = SessionStore::open(&dir)
             .expect("reopens")
             .with_executor(Executor::new(2))
             .restore()
             .expect("restores");
-        let expected: Vec<AppModel> = apps.iter().filter(|a| *a != victim).cloned().collect();
+        let mut expected = apps.clone();
+        expected.remove(victim);
         assert_eq!(restored.skipped, 1);
         assert_eq!(restored.apps, expected);
-        let addresses: Vec<[u8; 32]> = expected
-            .iter()
-            .map(|a| entry_address(&encode_entry(a)))
-            .collect();
+        let addresses: Vec<ModelAddress> = expected.iter().map(address_of).collect();
         assert_eq!(restored.addresses, addresses);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_truncated_or_missing_pack_loses_only_the_entries_it_lacks() {
+        let dir = tmp("truncated");
+        let _ = std::fs::remove_dir_all(&dir);
+        let apps: Vec<AppModel> = (0..5).map(|i| app(&format!("com.app{i}"))).collect();
+        SessionStore::open(&dir)
+            .expect("opens")
+            .persist(&apps)
+            .expect("persists");
+        let pack = the_pack(&dir);
+        let data = std::fs::read(&pack).expect("read");
+        // Cut inside the fourth entry: the first three survive.
+        std::fs::write(&pack, &data[..span_of(&apps, 3).end - 1]).expect("truncates");
+        let restored = restore(&dir);
+        assert_eq!((restored.apps, restored.skipped), (apps[..3].to_vec(), 2));
+        std::fs::remove_file(&pack).expect("removes");
+        let restored = restore(&dir);
+        assert_eq!((restored.apps.len(), restored.skipped), (0, 5));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_first_layout_store_is_read_once_and_rewritten_as_a_pack() {
+        let dir = tmp("first-layout");
+        let _ = std::fs::remove_dir_all(&dir);
+        let apps = [app("com.a"), app("com.b"), app("com.c")];
+        std::fs::create_dir_all(dir.join("models")).expect("models dir");
+        let mut manifest = String::from(r#"{"version":1,"apps":["#);
+        for (i, a) in apps.iter().enumerate() {
+            let hex = hex32(&address_of(a));
+            let file = dir.join("models").join(format!("{hex}.model"));
+            std::fs::write(file, encode_entry(a)).expect("model file");
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(
+                manifest,
+                r#"{sep}{{"package":"{}","model":"{hex}"}}"#,
+                a.package
+            );
+        }
+        manifest.push_str("]}\n");
+        std::fs::write(dir.join("manifest.json"), manifest).expect("manifest");
+        let store = SessionStore::open(&dir).expect("opens");
+        let restored = store.restore().expect("restores");
+        assert_eq!(restored.apps, apps);
+        assert_eq!(restored.skipped, 0);
+        assert!(!restored.current, "the first layout is rewritten");
+        store.persist(&restored.apps).expect("persists");
+        assert!(!dir.join("models").exists());
+        the_pack(&dir);
+        let restored = restore(&dir);
+        assert_eq!(restored.apps, apps);
+        assert!(restored.current);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_persist_cut_after_any_step_leaves_the_old_bundle_or_the_new() {
+        let dir = tmp("crash");
+        let old = [app("com.a"), app("com.b"), app("com.c")];
+        let new = [app("com.a"), app("com.d")];
+        let stale = ResultKey([7; 32]);
+        let mut finished = false;
+        let mut k = 0;
+        while !finished {
+            let _ = std::fs::remove_dir_all(&dir);
+            {
+                let store = SessionStore::open(&dir).expect("opens");
+                store.persist_results([(&stale, &[][..])]).expect("writes");
+                store.persist(&old).expect("persists");
+            }
+            // A daemon restored the old bundle; its next persist, of the
+            // new one (which no longer keeps the stale result), is cut
+            // after `k` filesystem steps.
+            let store = SessionStore::open(&dir).expect("reopens");
+            assert_eq!(store.restore().expect("restores").apps, old);
+            store.persist_results([]).expect("no results");
+            store
+                .crash_after
+                .store(k, std::sync::atomic::Ordering::Relaxed);
+            finished = store.persist(&new).is_ok();
+            let restored = restore(&dir);
+            assert_eq!(restored.skipped, 0, "cut after {k} step(s)");
+            if restored.apps != old {
+                assert_eq!(restored.apps, new, "cut after {k} step(s)");
+            }
+            // The next persist completes the store whatever was left.
+            let store = SessionStore::open(&dir).expect("reopens");
+            store.restore().expect("restores");
+            store.persist(&new).expect("persists");
+            assert_eq!(files(&dir, "packs").len(), 1);
+            assert_eq!(restore(&dir).apps, new);
+            k += 1;
+        }
+        // Pack write and rename, manifest write and rename, the old
+        // pack's removal and the stale result's.
+        assert_eq!(k, 7, "an uncut persist takes six steps");
+        // A crash while the temp pack was being written leaves a torn
+        // one: restore ignores it, and the next persist replaces it.
+        std::fs::write(dir.join("packs").join("pack.tmp"), b"SEPM torn").expect("torn");
+        assert_eq!(restore(&dir).apps, new);
+        let store = SessionStore::open(&dir).expect("reopens");
+        store.persist(&old).expect("persists");
+        assert_eq!(files(&dir, "packs").len(), 1);
+        assert_eq!(restore(&dir).apps, old);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -632,13 +924,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = SessionStore::open(&dir).expect("opens");
         let (k1, k2) = (ResultKey([1; 32]), ResultKey([2; 32]));
-        let results = || -> BTreeSet<String> {
-            std::fs::read_dir(dir.join("results"))
-                .expect("results dir")
-                .flatten()
-                .map(|e| e.file_name().to_string_lossy().into_owned())
-                .collect()
-        };
+        let results = || files(&dir, "results");
         let name = |k: &ResultKey| format!("{k}.exploits");
         store.persist_results([(&k1, &[][..])]).expect("writes");
         assert_eq!(results(), BTreeSet::from([name(&k1)]));

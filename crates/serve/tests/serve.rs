@@ -196,7 +196,7 @@ fn restart_recovers_the_session_without_reextraction() {
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
             .collect();
         entries.sort();
-        assert_eq!(entries, ["manifest.json", "models", "results"]);
+        assert_eq!(entries, ["manifest.json", "packs", "results"]);
         policies_before = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"policies"}"#));
         parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
     }
@@ -226,7 +226,7 @@ fn restart_recovers_the_session_without_reextraction() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// What a boot could have written to a store: every model and result
+/// What a boot could have written to a store: every pack and result
 /// file's name, inode and modification time, then the manifest's. A
 /// rewrite replaces the manifest by rename, which always changes its
 /// inode.
@@ -241,7 +241,7 @@ fn store_files(dir: &std::path::Path) -> Vec<(String, u64, std::time::SystemTime
             .into_owned();
         (name, meta.ino(), meta.modified().expect("mtime"))
     };
-    let mut files: Vec<_> = ["models", "results"]
+    let mut files: Vec<_> = ["packs", "results"]
         .iter()
         .flat_map(|sub| std::fs::read_dir(dir.join(sub)).expect("store subdir"))
         .map(|e| entry(e.expect("entry").path()))
@@ -273,15 +273,15 @@ fn boots_on_an_unchanged_store_write_nothing() {
         parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
     }
     let saved = store_files(&dir);
-    let models = |files: &[(String, u64, std::time::SystemTime)]| {
-        files.iter().filter(|f| f.0.ends_with(".model")).count()
+    let packs = |files: &[(String, u64, std::time::SystemTime)]| {
+        files.iter().filter(|f| f.0.ends_with(".pack")).count()
     };
     let results = |files: &[(String, u64, std::time::SystemTime)]| {
         files.iter().filter(|f| f.0.ends_with(".exploits")).count()
     };
-    assert_eq!(models(&saved), 2, "{saved:?}");
+    assert_eq!(packs(&saved), 1, "{saved:?}");
     assert!((1..=4).contains(&results(&saved)), "{saved:?}");
-    assert_eq!(saved.len(), models(&saved) + results(&saved) + 1);
+    assert_eq!(saved.len(), packs(&saved) + results(&saved) + 1);
     for boot in 1..=2 {
         let daemon = Daemon::start(cfg()).expect("reboots");
         assert_eq!(daemon.restored(), (2, 0));
@@ -294,40 +294,171 @@ fn boots_on_an_unchanged_store_write_nothing() {
         );
     }
     // A corrupt entry makes the disk differ from the session: the boot
-    // rewrites the manifest without it and collects its model file.
-    let model = saved
+    // rewrites the manifest and the pack without it and collects the
+    // old pack.
+    let pack = saved
         .iter()
-        .find(|f| f.0.ends_with(".model"))
-        .expect("a model");
-    let corrupt = dir.join("models").join(&model.0);
-    std::fs::write(&corrupt, b"not a model").expect("corrupts");
+        .find(|f| f.0.ends_with(".pack"))
+        .expect("a pack");
+    let corrupt = dir.join("packs").join(&pack.0);
+    let first_len = manifest_entries(&dir)[0].2;
+    let mut bytes = std::fs::read(&corrupt).expect("pack");
+    bytes[first_len as usize / 2] ^= 0x1;
+    std::fs::write(&corrupt, bytes).expect("corrupts");
     let daemon = Daemon::start(cfg()).expect("boots past a corrupt entry");
     assert_eq!(daemon.restored(), (1, 1));
     let rewritten = store_files(&dir);
-    assert_eq!(models(&rewritten), 1, "{rewritten:?}");
+    assert_eq!(packs(&rewritten), 1, "{rewritten:?}");
     assert!(results(&rewritten) <= 4, "{rewritten:?}");
     assert_ne!(
         rewritten.last().expect("manifest").1,
         saved.last().expect("manifest").1,
         "manifest rewritten at boot"
     );
-    assert!(
-        !corrupt.exists(),
-        "the unrecoverable model file is collected"
-    );
-    let manifest = Value::parse(
-        std::fs::read_to_string(dir.join("manifest.json"))
-            .expect("manifest")
-            .trim(),
+    assert!(!corrupt.exists(), "the damaged pack is collected");
+    assert_eq!(manifest_entries(&dir).len(), 1);
+    parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_restart_after_a_permission_toggle_solves_nothing() {
+    let dir = tmp("toggle");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || ServeConfig {
+        store_dir: Some(dir.clone()),
+        ..serial_config()
+    };
+    let before;
+    {
+        let daemon = Daemon::start(cfg()).expect("boots");
+        for apk in [
+            separ_corpus::motivating::navigator_app(),
+            separ_corpus::motivating::messenger_app(false),
+        ] {
+            parse_ok(&daemon.handle(&format!(
+                r#"{{"cmd":"install","bytes_hex":"{}"}}"#,
+                package_hex(&apk)
+            )));
+        }
+        // The toggle synthesizes only the permission-sensitive
+        // signature; the others keep their exploits, under the key of
+        // their new slice.
+        parse_ok(&daemon.handle(concat!(
+            r#"{"cmd":"set_permission","package":"com.messenger","#,
+            r#""permission":"android.permission.SEND_SMS","granted":false}"#
+        )));
+        before = published(&daemon);
+        parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+    }
+    let daemon = Daemon::start(cfg()).expect("reboots");
+    assert_eq!(daemon.restored(), (2, 0));
+    assert_eq!(summary_syntheses(&daemon), 0);
+    assert_eq!(published(&daemon), before);
+    parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The store manifest's `[package, model address, entry length]` rows.
+fn manifest_entries(dir: &std::path::Path) -> Vec<(String, String, u64)> {
+    let text = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+    let manifest = Value::parse(text.trim()).expect("manifest parses");
+    assert_eq!(manifest.get("version").and_then(Value::as_u64), Some(2));
+    manifest
+        .get("apps")
+        .and_then(Value::as_arr)
+        .expect("apps")
+        .iter()
+        .map(|row| {
+            let row = row.as_arr().expect("an array per app");
+            let text = |i: usize| row[i].as_str().expect("a string").to_string();
+            (text(0), text(1), row[2].as_u64().expect("a length"))
+        })
+        .collect()
+}
+
+#[test]
+fn a_first_layout_store_migrates_to_one_pack_at_boot() {
+    let dir = tmp("migrate");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || ServeConfig {
+        store_dir: Some(dir.clone()),
+        ..serial_config()
+    };
+    let policies = |daemon: &Daemon| {
+        let v = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"policies"}"#));
+        let mut s = String::new();
+        v.get("policies").expect("set").write_into(&mut s);
+        s
+    };
+    let before;
+    {
+        let daemon = Daemon::start(cfg()).expect("boots");
+        for apk in [
+            separ_corpus::motivating::navigator_app(),
+            separ_corpus::motivating::messenger_app(false),
+            separ_corpus::motivating::malicious_app("+15550000"),
+        ] {
+            parse_ok(&daemon.handle(&format!(
+                r#"{{"cmd":"install","bytes_hex":"{}"}}"#,
+                package_hex(&apk)
+            )));
+        }
+        before = policies(&daemon);
+        parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+    }
+    // Rewrite the store by hand in the first layout: one model file per
+    // app, named by its address, and a version-1 manifest naming them.
+    let entries = manifest_entries(&dir);
+    let pack = std::fs::read_dir(dir.join("packs"))
+        .expect("packs")
+        .next()
+        .expect("a pack")
+        .expect("entry")
+        .path();
+    let bytes = std::fs::read(&pack).expect("pack");
+    std::fs::create_dir_all(dir.join("models")).expect("models dir");
+    let mut offset = 0;
+    let mut apps = Vec::new();
+    for (package, address, len) in &entries {
+        let end = offset + *len as usize;
+        std::fs::write(
+            dir.join("models").join(format!("{address}.model")),
+            &bytes[offset..end],
+        )
+        .expect("model file");
+        offset = end;
+        apps.push(format!(r#"{{"package":"{package}","model":"{address}"}}"#));
+    }
+    assert_eq!(offset, bytes.len());
+    std::fs::remove_dir_all(dir.join("packs")).expect("drops the pack");
+    std::fs::write(
+        dir.join("manifest.json"),
+        format!("{{\"version\":1,\"apps\":[{}]}}\n", apps.join(",")),
     )
-    .expect("manifest parses");
-    assert_eq!(
-        manifest
-            .get("apps")
-            .and_then(Value::as_arr)
-            .map(<[Value]>::len),
-        Some(1)
-    );
+    .expect("first-layout manifest");
+    // The boot reads the first layout, solves nothing (the results are
+    // keyed by model content, not by layout), publishes the same
+    // policies byte for byte, and rewrites the store as one pack.
+    let daemon = Daemon::start(cfg()).expect("boots on the first layout");
+    assert_eq!(daemon.restored(), (3, 0));
+    assert_eq!(summary_syntheses(&daemon), 0);
+    assert_eq!(policies(&daemon), before);
+    assert_eq!(manifest_entries(&dir), entries);
+    assert!(!dir.join("models").exists(), "models/ removed");
+    let packs: Vec<_> = std::fs::read_dir(dir.join("packs"))
+        .expect("packs")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    assert_eq!(packs, [pack.file_name().expect("named")]);
+    assert_eq!(std::fs::read(&pack).expect("pack"), bytes);
+    parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+    // And the next boot finds the store current: it writes nothing.
+    let saved = store_files(&dir);
+    let daemon = Daemon::start(cfg()).expect("reboots");
+    assert_eq!(daemon.restored(), (3, 0));
+    assert_eq!(store_files(&dir), saved);
+    assert_eq!(policies(&daemon), before);
     parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -96,10 +96,6 @@ fn fingerprint(policies: &[Policy]) -> Vec<String> {
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
-/// Signatures of the standard registry that a permission toggle does not
-/// re-plan (hijack, launch and leakage).
-const PERMISSION_INSENSITIVE: u64 = 3;
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -129,9 +125,6 @@ proptest! {
         let mut daemon = Daemon::start(cfg()).expect("boots");
         let mut shadow: Vec<AppModel> = Vec::new();
         let mut next_spare = 0usize;
-        // Whether a permission toggle came after the last batch that
-        // re-planned every signature (an install, update or uninstall).
-        let mut toggled_since_replan = false;
         // Seed three apps through the daemon.
         for _ in 0..3 {
             parse_ok(&daemon.handle(&install_line(&packages[next_spare])));
@@ -146,7 +139,6 @@ proptest! {
                         parse_ok(&daemon.handle(&install_line(&packages[next_spare])));
                         shadow.push(models[next_spare].clone());
                         next_spare += 1;
-                        toggled_since_replan = false;
                     }
                 }
                 Op::Reinstall { app } => {
@@ -159,7 +151,6 @@ proptest! {
                     // An update with unchanged bytes: same model, same
                     // slot — the shadow resets any toggled permissions.
                     shadow[i] = models[pool].clone();
-                    toggled_since_replan = false;
                 }
                 Op::Uninstall { app } => {
                     if shadow.len() > 1 {
@@ -168,7 +159,6 @@ proptest! {
                             r#"{{"cmd":"uninstall","package":"{pkg}"}}"#
                         )));
                         shadow.retain(|a| a.package != pkg);
-                        toggled_since_replan = false;
                     }
                 }
                 Op::Toggle { app, perm, grant } => {
@@ -181,7 +171,6 @@ proptest! {
                         ),
                         pkg, perm, grant
                     )));
-                    toggled_since_replan = true;
                     for a in &mut shadow {
                         if a.package == pkg {
                             if *grant {
@@ -200,23 +189,14 @@ proptest! {
                     prop_assert_eq!(restored, shadow.len(), "store recovered the bundle");
                     prop_assert_eq!(skipped, 0);
                     // Every signature's result was stored under its
-                    // current slice key, so the reboot solves nothing —
-                    // unless a permission toggle came after the last
-                    // re-plan of every signature: the signatures it did
-                    // not re-plan keep the key they were synthesized
-                    // for, and re-solve here if the toggled model sits
-                    // in their slice.
+                    // current slice key — after a permission toggle too —
+                    // so the reboot solves nothing.
                     let v = parse_ok(&daemon.handle(r#"{"cmd":"query","what":"summary"}"#));
                     let syntheses = v
                         .get("total_syntheses")
                         .and_then(Value::as_u64)
                         .expect("summary counts syntheses");
-                    if toggled_since_replan {
-                        prop_assert!(syntheses <= PERMISSION_INSENSITIVE, "{:?}", ops);
-                    } else {
-                        prop_assert_eq!(syntheses, 0, "restart re-solved after {:?}", ops);
-                    }
-                    toggled_since_replan = false;
+                    prop_assert_eq!(syntheses, 0, "restart re-solved after {:?}", ops);
                 }
             }
         }
