@@ -484,7 +484,7 @@ impl<'a> Engine<'a> {
         if let Some(f) = self.dep_stack.last_mut() {
             f.deps.push((idx as u32, version));
         }
-        self.fields[idx].clone().unwrap_or_else(Val::top)
+        self.fields[idx].unwrap_or_else(Val::top)
     }
 
     /// Joins a value into a field, bumping its version when the readable
@@ -545,7 +545,7 @@ impl<'a> Engine<'a> {
                         .map(|(_, e)| e)
                         .expect("entry present");
                     entry.validated_run = run;
-                    let ret = entry.ret.clone();
+                    let ret = entry.ret;
                     if !self.dep_stack.is_empty() {
                         let blocked: Vec<(u64, u32)> = entry
                             .ext_blocked
@@ -608,7 +608,7 @@ impl<'a> Engine<'a> {
             parent.blocked.extend_from_slice(&keep_blocked);
         }
         let entry = MemoEntry {
-            ret: ret.clone(),
+            ret,
             depth: depth as u32,
             validated_run: self.run,
             deps,
@@ -637,9 +637,8 @@ impl<'a> Engine<'a> {
             regs: vec![Val::default(); num_regs],
             pending: Val::default(),
         };
-        for (i, v) in args.iter().enumerate().take(method.num_params as usize) {
-            init.regs[first_param + i] = v.clone();
-        }
+        let params = args.len().min(method.num_params as usize);
+        init.regs[first_param..first_param + params].copy_from_slice(&args[..params]);
         let mut ret = Val::default();
         if code.is_empty() {
             return ret;
@@ -647,22 +646,21 @@ impl<'a> Engine<'a> {
         let mut states: Vec<Option<Frame>> = vec![None; code.len()];
         states[0] = Some(init);
         let mut worklist = vec![0usize];
-        // Joins a state into a successor, re-queuing it on change. Takes
-        // the state by value so the last successor of a visit moves the
-        // working frame instead of cloning it.
+        // Joins a state into a successor, re-queuing it on change. A
+        // program point's frame is allocated once, when first reached.
         fn flow_into(
             states: &mut [Option<Frame>],
             worklist: &mut Vec<usize>,
             s: usize,
-            state: Frame,
+            state: &Frame,
         ) {
             if s >= states.len() {
                 return;
             }
             let changed = match &mut states[s] {
-                Some(existing) => existing.join(&state),
+                Some(existing) => existing.join(state),
                 slot @ None => {
-                    *slot = Some(state);
+                    *slot = Some(state.clone());
                     true
                 }
             };
@@ -670,13 +668,22 @@ impl<'a> Engine<'a> {
                 worklist.push(s);
             }
         }
+        // The working frame and the invoke-argument buffer live across
+        // visits, so a visit copies values into them without allocating.
+        // Every instruction reads its operands before writing its
+        // destination, so the working frame serves as both pre- and
+        // post-state.
+        let mut next = Frame {
+            regs: Vec::with_capacity(num_regs),
+            pending: Val::default(),
+        };
+        let mut arg_values: Vec<Val> = Vec::new();
         while let Some(pc) = worklist.pop() {
-            // One clone per visit: every instruction reads its operands
-            // before writing its destination, so the working frame can
-            // serve as both pre- and post-state.
-            let Some(mut next) = states[pc].clone() else {
+            let Some(state) = &states[pc] else {
                 continue;
             };
+            next.regs.clone_from(&state.regs);
+            next.pending = state.pending;
             self.visited += 1;
             let instr = &code[pc];
             // Fall-through / branch successors (at most two).
@@ -697,7 +704,7 @@ impl<'a> Engine<'a> {
                     succ1 = Some(pc + 1);
                 }
                 Instr::Move { dst, src } => {
-                    next.regs[dst.index()] = next.regs[src.index()].clone();
+                    next.regs[dst.index()] = next.regs[src.index()];
                     succ1 = Some(pc + 1);
                 }
                 Instr::NewInstance { dst, class } => {
@@ -724,8 +731,8 @@ impl<'a> Engine<'a> {
                 Instr::Invoke {
                     method: m, args, ..
                 } => {
-                    let arg_values: Vec<Val> =
-                        args.iter().map(|r| next.regs[r.index()].clone()).collect();
+                    arg_values.clear();
+                    arg_values.extend(args.iter().map(|r| next.regs[r.index()]));
                     next.pending = self.abstract_invoke(*m, &arg_values, depth);
                     succ1 = Some(pc + 1);
                 }
@@ -810,13 +817,8 @@ impl<'a> Engine<'a> {
                 }
                 Instr::Throw { .. } => {}
             }
-            match (succ1, succ2) {
-                (Some(a), Some(b)) => {
-                    flow_into(&mut states, &mut worklist, a, next.clone());
-                    flow_into(&mut states, &mut worklist, b, next);
-                }
-                (Some(a), None) => flow_into(&mut states, &mut worklist, a, next),
-                (None, _) => {}
+            for s in [succ1, succ2].into_iter().flatten() {
+                flow_into(&mut states, &mut worklist, s, &next);
             }
         }
         ret
@@ -948,18 +950,17 @@ impl<'a> Engine<'a> {
         let Some(receiver) = args.first() else {
             return;
         };
-        let intent_indices: Vec<u32> = receiver.intents.iter().collect();
         let rest = &args[1..];
-        let rest_strings: Vec<u32> = rest.iter().flat_map(|a| a.strings.iter()).collect();
+        let rest_strings = || rest.iter().flat_map(|a| a.strings.iter());
         let rest_unknown = rest.iter().any(|a| a.unknown && a.strings.is_empty());
         let dex = self.dex;
-        for idx in intent_indices {
+        for idx in receiver.intents.iter() {
             let idx = idx as usize;
             match kind {
                 IntentConfigKind::Init => {}
                 IntentConfigKind::SetAction => {
                     let entry = &mut self.intents[idx];
-                    for &s in &rest_strings {
+                    for s in rest_strings() {
                         entry.actions.insert(s);
                     }
                     if rest_unknown {
@@ -968,19 +969,19 @@ impl<'a> Engine<'a> {
                 }
                 IntentConfigKind::AddCategory => {
                     let entry = &mut self.intents[idx];
-                    for &s in &rest_strings {
+                    for s in rest_strings() {
                         entry.categories.insert(s);
                     }
                 }
                 IntentConfigKind::SetType => {
                     let entry = &mut self.intents[idx];
-                    for &s in &rest_strings {
+                    for s in rest_strings() {
                         entry.data_types.insert(s);
                     }
                 }
                 IntentConfigKind::SetData => {
                     let entry = &mut self.intents[idx];
-                    for &s in &rest_strings {
+                    for s in rest_strings() {
                         // The scheme is everything before the first ':'.
                         let text = dex.pools.str_at(StrId::from_index(s as usize));
                         let scheme = text.split(':').next().unwrap_or(text).to_string();
@@ -1006,7 +1007,7 @@ impl<'a> Engine<'a> {
                 }
                 IntentConfigKind::SetTarget => {
                     let entry = &mut self.intents[idx];
-                    for &s in &rest_strings {
+                    for s in rest_strings() {
                         let text = dex.pools.str_at(StrId::from_index(s as usize));
                         if text.starts_with('L') && text.ends_with(';') {
                             entry.targets.insert(s);

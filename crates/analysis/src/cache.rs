@@ -25,7 +25,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use separ_android::api::IccMethod;
 use separ_android::types::{FlowPath, Resource};
@@ -322,8 +321,10 @@ fn write_model(out: &mut Vec<u8>, m: &AppModel) {
     for d in &m.diagnostics {
         write_diagnostic(out, d);
     }
-    write_u64(out, m.stats.duration.as_secs());
-    out.extend_from_slice(&m.stats.duration.subsec_nanos().to_le_bytes());
+    // Twelve reserved bytes, once the extraction wall time: written as zero
+    // so an entry, and so its address, depends only on the package, and
+    // skipped on read, since older entries hold a real time.
+    out.extend_from_slice(&[0; 12]);
     write_u64(out, m.stats.app_size as u64);
     write_u64(out, m.stats.instructions_visited);
     write_u64(out, m.stats.quarantined_methods as u64);
@@ -523,10 +524,10 @@ fn read_model(r: &mut Reader<'_>) -> Option<AppModel> {
     let uses_permissions = r.str_set()?;
     let defines_permissions = r.str_set()?;
     let diagnostics = r.vec(MIN_DIAGNOSTIC_BYTES, read_diagnostic)?;
-    let secs = r.u64()?;
-    let nanos = r.u32()?;
+    // The twelve reserved bytes (see `write_model`).
+    r.u64()?;
+    r.u32()?;
     let stats = ExtractionStats {
-        duration: Duration::new(secs, nanos),
         app_size: r.u64()? as usize,
         instructions_visited: r.u64()?,
         quarantined_methods: r.u64()? as usize,
@@ -1136,12 +1137,8 @@ mod tests {
         let (repaired, outcome) = cache.get_or_extract(&bytes).expect("decodes");
         assert_eq!(outcome, CacheOutcome::Miss, "corruption falls back");
         assert_eq!(cache.stats().corrupt, 1);
-        // Re-extraction reproduces the model (wall time aside).
-        let mut repaired = (*repaired).clone();
-        let mut cold = (*cold).clone();
-        repaired.stats.duration = Duration::ZERO;
-        cold.stats.duration = Duration::ZERO;
-        assert_eq!(repaired, cold);
+        // Re-extraction reproduces the model.
+        assert_eq!(*repaired, *cold);
         // The corrupt entry was overwritten with a good one.
         let cache = ModelCache::with_dir(&dir);
         let (_, outcome) = cache.get_or_extract(&bytes).expect("decodes");

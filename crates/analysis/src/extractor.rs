@@ -4,8 +4,6 @@
 //! code analyses, and emits [`AppModel`]s — the per-app formal
 //! specifications the analysis-and-synthesis engine composes.
 
-use std::time::Instant;
-
 use separ_android::api::IccMethod;
 use separ_dex::codec;
 use separ_dex::error::DexError;
@@ -37,7 +35,6 @@ pub fn extract_apk(apk: &Apk) -> AppModel {
 pub fn extract_apk_with(apk: &Apk, options: crate::absint::AnalysisOptions) -> AppModel {
     let mut span = separ_obs::span("ame.extract");
     span.set_arg("app", apk.manifest.package.clone());
-    let start = Instant::now();
     // Graceful-degradation pre-pass: verify first, then analyze a
     // sanitized copy with Error-poisoned scopes quarantined, so the
     // abstract interpreter never consumes malformed structure.
@@ -98,7 +95,6 @@ pub fn extract_apk_with(apk: &Apk, options: crate::absint::AnalysisOptions) -> A
     // pass in the ASE re-runs it across apps.
     crate::model::update_passive_intent_targets(std::slice::from_mut(&mut model));
     model.stats = ExtractionStats {
-        duration: start.elapsed(),
         app_size: apk.size_metric(),
         instructions_visited: instructions,
         quarantined_methods: lint.quarantined_methods,

@@ -6,7 +6,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::Duration;
 
 use separ_android::api::IccMethod;
 use separ_android::types::{FlowPath, Resource};
@@ -151,11 +150,11 @@ impl ComponentModel {
     }
 }
 
-/// Extraction statistics for one app (Figure 5's measurements).
+/// Extraction statistics for one app. Like the rest of the model they are
+/// a function of the package alone: callers that want wall time (Figure
+/// 5) time the extraction themselves.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ExtractionStats {
-    /// Wall time spent decoding + analyzing.
-    pub duration: Duration,
     /// App size metric (instructions + declarations).
     pub app_size: usize,
     /// Instructions abstractly interpreted.

@@ -371,7 +371,7 @@ fn decode_classes(buf: &mut &[u8], pools: &Pools) -> Result<Vec<Class>, DexError
                         return Err(DexError::Malformed("branch target out of range"));
                     }
                 }
-                for r in i.uses().into_iter().chain(i.def()) {
+                for r in i.uses().chain(i.def()) {
                     if r.0 >= num_registers {
                         return Err(DexError::Malformed("register out of frame"));
                     }

@@ -214,19 +214,21 @@ impl Instr {
         }
     }
 
-    /// The registers this instruction uses.
-    pub fn uses(&self) -> Vec<Reg> {
-        match self {
-            Instr::Move { src, .. } => vec![*src],
-            Instr::Invoke { args, .. } => args.clone(),
-            Instr::IGet { object, .. } => vec![*object],
-            Instr::IPut { src, object, .. } => vec![*src, *object],
-            Instr::SPut { src, .. } => vec![*src],
-            Instr::IfEqz { reg, .. } | Instr::IfNez { reg, .. } => vec![*reg],
-            Instr::BinOp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Instr::Return { reg } | Instr::Throw { reg } => vec![*reg],
-            _ => Vec::new(),
-        }
+    /// The registers this instruction uses, in operand order.
+    pub fn uses(&self) -> impl Iterator<Item = Reg> + '_ {
+        let (args, fixed): (&[Reg], [Option<Reg>; 2]) = match self {
+            Instr::Invoke { args, .. } => (args, [None, None]),
+            Instr::Move { src, .. } | Instr::SPut { src, .. } => (&[], [Some(*src), None]),
+            Instr::IGet { object, .. } => (&[], [Some(*object), None]),
+            Instr::IPut { src, object, .. } => (&[], [Some(*src), Some(*object)]),
+            Instr::IfEqz { reg, .. }
+            | Instr::IfNez { reg, .. }
+            | Instr::Return { reg }
+            | Instr::Throw { reg } => (&[], [Some(*reg), None]),
+            Instr::BinOp { lhs, rhs, .. } => (&[], [Some(*lhs), Some(*rhs)]),
+            _ => (&[], [None, None]),
+        };
+        args.iter().copied().chain(fixed.into_iter().flatten())
     }
 }
 
@@ -256,7 +258,7 @@ mod tests {
             src: Reg(2),
         };
         assert_eq!(mv.def(), Some(Reg(1)));
-        assert_eq!(mv.uses(), vec![Reg(2)]);
+        assert_eq!(mv.uses().collect::<Vec<_>>(), vec![Reg(2)]);
 
         let iput = Instr::IPut {
             src: Reg(3),
@@ -264,7 +266,7 @@ mod tests {
             field: FieldId::from_index(0),
         };
         assert_eq!(iput.def(), None);
-        assert_eq!(iput.uses(), vec![Reg(3), Reg(4)]);
+        assert_eq!(iput.uses().collect::<Vec<_>>(), vec![Reg(3), Reg(4)]);
 
         let binop = Instr::BinOp {
             op: BinOp::Add,
@@ -273,6 +275,15 @@ mod tests {
             rhs: Reg(2),
         };
         assert_eq!(binop.def(), Some(Reg(0)));
-        assert_eq!(binop.uses(), vec![Reg(1), Reg(2)]);
+        assert_eq!(binop.uses().collect::<Vec<_>>(), vec![Reg(1), Reg(2)]);
+
+        let invoke = Instr::Invoke {
+            kind: InvokeKind::Virtual,
+            method: MethodId::from_index(0),
+            args: vec![Reg(5), Reg(6)],
+        };
+        assert_eq!(invoke.def(), None);
+        assert_eq!(invoke.uses().collect::<Vec<_>>(), vec![Reg(5), Reg(6)]);
+        assert_eq!(Instr::ReturnVoid.uses().count(), 0);
     }
 }

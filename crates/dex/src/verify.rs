@@ -26,7 +26,7 @@
 //! diagnostics layer turns defects into per-app diagnostics and quarantines
 //! accordingly.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use crate::instr::Instr;
 use crate::program::{Dex, Method};
@@ -227,7 +227,6 @@ pub fn verify_dex(dex: &Dex) -> Vec<Defect> {
             }
         }
         for (mi, method) in class.methods.iter().enumerate() {
-            let method_name = display_method(pools, method, mi);
             if method.name.index() >= pools.num_strings() {
                 // A method the class structure itself cannot name poisons
                 // the class: lookups by name would index out of the pool.
@@ -243,7 +242,12 @@ pub fn verify_dex(dex: &Dex) -> Vec<Defect> {
                     ),
                 ));
             }
-            for (kind, pc, message) in verify_method_body(pools, method) {
+            let body = verify_method_body(pools, method);
+            if body.is_empty() {
+                continue;
+            }
+            let method_name = display_method(pools, method, mi);
+            for (kind, pc, message) in body {
                 out.push(Defect {
                     kind,
                     scope: DefectScope::Method,
@@ -341,7 +345,7 @@ fn verify_method_body(pools: &Pools, method: &Method) -> Vec<(DefectKind, Option
     }
     for (pc, instr) in code.iter().enumerate() {
         let pc32 = pc as u32;
-        for reg in instr.uses().into_iter().chain(instr.def()) {
+        for reg in instr.uses().chain(instr.def()) {
             if reg.0 >= nr {
                 out.push((
                     DefectKind::RegisterBounds,
@@ -385,11 +389,8 @@ fn verify_method_body(pools: &Pools, method: &Method) -> Vec<(DefectKind, Option
         // method is quarantined anyway.
         return out;
     }
-    let branch_targets: HashSet<usize> = code
-        .iter()
-        .filter_map(|i| i.branch_target())
-        .map(|t| t as usize)
-        .collect();
+    // Built at the first `move-result` that needs it.
+    let mut branch_targets: Option<Vec<bool>> = None;
     for (pc, instr) in code.iter().enumerate() {
         if !matches!(instr, Instr::MoveResult { .. }) {
             continue;
@@ -401,7 +402,14 @@ fn verify_method_body(pools: &Pools, method: &Method) -> Vec<(DefectKind, Option
                 Some(pc32),
                 "move-result at method entry has no preceding invoke".to_string(),
             ));
-        } else if branch_targets.contains(&pc) {
+        } else if branch_targets.get_or_insert_with(|| {
+            let mut targets = vec![false; code.len()];
+            for t in code.iter().filter_map(Instr::branch_target) {
+                targets[t as usize] = true;
+            }
+            targets
+        })[pc]
+        {
             out.push((
                 DefectKind::MoveResultPairing,
                 Some(pc32),
@@ -509,17 +517,19 @@ fn check_definite_assignment(
     let code = &method.code;
     let nr = method.num_registers as usize;
     let words = nr.div_ceil(64).max(1);
-    let mut entry = vec![0u64; words];
+    // `states[pc * words..][..words]` is the meet (intersection) over all
+    // paths reaching `pc`, once `reached[pc]`; the worklist drives it
+    // monotonically downward to a fixpoint. `bits` is the working copy.
+    let mut states = vec![0u64; code.len() * words];
+    let mut reached = vec![false; code.len()];
+    let mut bits = vec![0u64; words];
     for r in (nr - method.num_params as usize)..nr {
-        entry[r / 64] |= 1 << (r % 64);
+        states[r / 64] |= 1 << (r % 64);
     }
-    // `states[pc]` is the meet (intersection) over all paths reaching `pc`;
-    // the worklist drives it monotonically downward to a fixpoint.
-    let mut states: Vec<Option<Vec<u64>>> = vec![None; code.len()];
-    states[0] = Some(entry);
+    reached[0] = true;
     let mut worklist = vec![0usize];
     while let Some(pc) = worklist.pop() {
-        let mut bits = states[pc].clone().expect("worklist entries have states");
+        bits.copy_from_slice(&states[pc * words..][..words]);
         if let Some(def) = code[pc].def() {
             bits[def.index() / 64] |= 1 << (def.index() % 64);
         }
@@ -531,31 +541,29 @@ fn check_definite_assignment(
             successors[1] = Some(pc + 1);
         }
         for succ in successors.into_iter().flatten() {
-            match &mut states[succ] {
-                Some(existing) => {
-                    let mut changed = false;
-                    for (e, b) in existing.iter_mut().zip(&bits) {
-                        let met = *e & b;
-                        changed |= met != *e;
-                        *e = met;
-                    }
-                    if changed {
-                        worklist.push(succ);
-                    }
+            let existing = &mut states[succ * words..][..words];
+            if std::mem::replace(&mut reached[succ], true) {
+                let mut changed = false;
+                for (e, b) in existing.iter_mut().zip(&bits) {
+                    let met = *e & b;
+                    changed |= met != *e;
+                    *e = met;
                 }
-                slot @ None => {
-                    *slot = Some(bits.clone());
+                if changed {
                     worklist.push(succ);
                 }
+            } else {
+                existing.copy_from_slice(&bits);
+                worklist.push(succ);
             }
         }
     }
     let mut findings: BTreeSet<(usize, u16)> = BTreeSet::new();
     for (pc, instr) in code.iter().enumerate() {
-        if !reachable[pc] {
+        if !reachable[pc] || !reached[pc] {
             continue;
         }
-        let Some(bits) = &states[pc] else { continue };
+        let bits = &states[pc * words..][..words];
         for reg in instr.uses() {
             if bits[reg.index() / 64] & (1 << (reg.index() % 64)) == 0 {
                 findings.insert((pc, reg.0));

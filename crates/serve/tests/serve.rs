@@ -484,6 +484,36 @@ fn published(daemon: &Daemon) -> (String, String) {
 }
 
 #[test]
+fn reinstalling_identical_bytes_solves_nothing() {
+    let daemon = Daemon::start(serial_config()).expect("boots");
+    let bundle = [
+        separ_corpus::motivating::navigator_app(),
+        separ_corpus::motivating::messenger_app(false),
+        separ_corpus::motivating::malicious_app("+15550000"),
+    ];
+    let install = |apk| {
+        parse_ok(&daemon.handle(&format!(
+            r#"{{"cmd":"install","bytes_hex":"{}"}}"#,
+            package_hex(apk)
+        )))
+    };
+    for apk in &bundle {
+        install(apk);
+    }
+    let syntheses = summary_syntheses(&daemon);
+    let before = published(&daemon);
+    assert!(syntheses > 0);
+    // Each reinstall extracts the package again; the model, and so its
+    // address, is the same, so no slice changes.
+    for apk in &bundle {
+        install(apk);
+    }
+    assert_eq!(summary_syntheses(&daemon), syntheses);
+    assert_eq!(published(&daemon), before);
+    parse_ok(&daemon.handle(r#"{"cmd":"shutdown"}"#));
+}
+
+#[test]
 fn damaged_or_foreign_results_fall_back_to_synthesis_with_identical_output() {
     let dir = tmp("results");
     let _ = std::fs::remove_dir_all(&dir);

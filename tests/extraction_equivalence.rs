@@ -328,11 +328,9 @@ fn build_app(spec: &AppSpec) -> Apk {
     apk
 }
 
-/// Strips the fields that legitimately differ between two extractions of
-/// the same package: wall time always, and visit/summary counters
-/// between strategies.
+/// Strips the one field that legitimately differs between the two
+/// strategies' extractions of a package: the visit counter.
 fn normalized(mut model: AppModel) -> AppModel {
-    model.stats.duration = std::time::Duration::ZERO;
     model.stats.instructions_visited = 0;
     model
 }
@@ -491,4 +489,65 @@ fn corrupted_disk_entry_falls_back_at_bundle_level() {
     };
     assert_eq!(debug_sorted(&warm), debug_sorted(&fresh));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// SHA-256 over the content addresses of the models extracted from the
+/// `scaled(total, seed)` markets, in market order, and the instructions
+/// the interpreter visited. Each package goes through its encoded bytes,
+/// so decoding is covered too.
+fn extraction_digest(total: usize, seeds: &[u64]) -> (String, u64) {
+    let mut addresses = Vec::new();
+    let mut visited = 0;
+    for &seed in seeds {
+        for app in generate(&MarketSpec::scaled(total, seed)) {
+            let model = separ::analysis::extract(&codec::encode(&app.apk)).expect("decodes");
+            visited += model.stats.instructions_visited;
+            addresses.extend_from_slice(&cache::model_address(&model));
+        }
+    }
+    let digest = cache::sha256(&addresses)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    (digest, visited)
+}
+
+/// Every extracted model, byte for byte, is pinned: a change to any
+/// constant, intent, flow, diagnostic or counter of any app moves the
+/// digest. Recorded before the interpreter's values became inline sets.
+#[test]
+fn extraction_digest_is_pinned() {
+    assert_eq!(
+        extraction_digest(150, &[1, 7]),
+        (
+            "64bf15905a7a7dcfc7b7f965aa2d3c174b90649cf9eee4e2da061815c0aa661a".to_string(),
+            242_043
+        )
+    );
+}
+
+/// The same pin over 1,000-app markets (a release-mode CI step).
+#[test]
+#[ignore = "slow in debug builds; run with --release -- --ignored"]
+fn extraction_digest_is_pinned_at_scale() {
+    assert_eq!(
+        extraction_digest(1000, &[1, 7]),
+        (
+            "7313c63cd8b680101c42d9670691003aacee5a3f97ed9eaaa41a031c22ce22a1".to_string(),
+            1_588_315
+        )
+    );
+}
+
+/// A model's content address is a function of the package: extracting
+/// the same bytes twice files the model under one address.
+#[test]
+fn extracting_twice_gives_one_address() {
+    for app in generate(&MarketSpec::scaled(6, 3)) {
+        let bytes = codec::encode(&app.apk);
+        let first = separ::analysis::extract(&bytes).expect("decodes");
+        let second = separ::analysis::extract(&bytes).expect("decodes");
+        assert_eq!(cache::encode_entry(&first), cache::encode_entry(&second));
+        assert_eq!(cache::model_address(&first), cache::model_address(&second));
+    }
 }
