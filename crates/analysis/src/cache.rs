@@ -1,212 +1,17 @@
-//! Content-addressed extracted-model cache.
-//!
-//! Extraction is pure: the [`AppModel`] is a function of the package
-//! bytes (and the analysis options, which the cache pins to the
-//! defaults). This module memoizes that function behind a SHA-256 of the
-//! package contents, so re-analyzing an unchanged apk skips decode →
-//! verify → extract entirely:
-//!
-//! * an **in-memory** map serves repeat lookups within a process
-//!   ([`CacheOutcome::MemoryHit`]);
-//! * an optional **file-backed store** persists models across processes
-//!   ([`CacheOutcome::DiskHit`]); entries are self-checking (magic,
-//!   format version, payload checksum), and any corruption is detected,
-//!   counted, and repaired by falling back to re-extraction — a damaged
-//!   cache can cost time, never correctness.
-//!
-//! Key derivation hashes the *bytes*, not the decoded structure: any
-//! byte-level change (re-signing, recompilation, manifest edit) is a new
-//! key, and stale entries are simply never addressed again
-//! (no explicit invalidation protocol). The serialized payload is a
-//! self-contained binary codec over the model types — no external
-//! serialization dependencies.
-
-use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+//! The model codec: an [`AppModel`] as one self-checking entry (magic,
+//! format version, the payload's SHA-256, then the payload), named by a
+//! content address ([`model_address`]). A session store
+//! (`separ_core::store`) keeps a bundle's models as these entries in one
+//! pack. Any corruption is detected on decode, so a damaged entry costs
+//! a re-extraction, never a wrong model. The codec needs no
+//! serialization dependency and carries its own [`sha256`].
 
 use separ_android::api::IccMethod;
 use separ_android::types::{FlowPath, Resource};
-use separ_dex::error::DexError;
 use separ_dex::manifest::{ComponentKind, IntentFilterDecl};
-use separ_dex::program::Apk;
 
 use crate::diagnostics::{Diagnostic, DiagnosticKind, Severity};
 use crate::model::{AppModel, ComponentModel, ExtractionStats, SentIntentModel};
-
-/// How a cache lookup was answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Not cached: the model was extracted from scratch (and stored).
-    Miss,
-    /// Served from the in-process map.
-    MemoryHit,
-    /// Served from the file-backed store (and promoted to memory).
-    DiskHit,
-}
-
-impl CacheOutcome {
-    /// Whether extraction was skipped.
-    pub fn is_hit(self) -> bool {
-        !matches!(self, CacheOutcome::Miss)
-    }
-}
-
-/// Monotonic cache counters: the cache's hits and misses are counted
-/// here and nowhere else (read them through [`ModelCache::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from memory.
-    pub memory_hits: u64,
-    /// Lookups answered from the file store.
-    pub disk_hits: u64,
-    /// Lookups that extracted from scratch.
-    pub misses: u64,
-    /// File-store entries rejected as corrupt (each also counts as a
-    /// miss).
-    pub corrupt: u64,
-}
-
-/// A content-addressed [`AppModel`] cache for a batch run (`separ
-/// analyze --model-cache`): neither half is ever pruned, so it grows
-/// with every distinct package it sees. Cheap to share: clone the
-/// [`Arc`] it is typically held in.
-#[derive(Debug)]
-pub struct ModelCache {
-    memory: Mutex<HashMap<[u8; 32], Arc<AppModel>>>,
-    /// The file-backed store's directory, if any.
-    disk: Option<PathBuf>,
-    memory_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-}
-
-impl Default for ModelCache {
-    fn default() -> ModelCache {
-        ModelCache::new()
-    }
-}
-
-impl ModelCache {
-    /// An in-memory-only cache.
-    pub fn new() -> ModelCache {
-        ModelCache {
-            memory: Mutex::new(HashMap::new()),
-            disk: None,
-            memory_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-        }
-    }
-
-    /// A cache with a file-backed store under `dir` (created if absent;
-    /// falls back to memory-only if the directory cannot be created).
-    pub fn with_dir(dir: impl Into<PathBuf>) -> ModelCache {
-        let dir = dir.into();
-        let disk = std::fs::create_dir_all(&dir).ok().map(|()| dir);
-        ModelCache {
-            disk,
-            ..ModelCache::new()
-        }
-    }
-
-    /// The content key of a package.
-    pub fn key(bytes: &[u8]) -> [u8; 32] {
-        sha256(bytes)
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            memory_hits: self.memory_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Looks up the model for `bytes`, extracting (and storing) on miss.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DexError`] only when the package is not cached *and*
-    /// fails to decode.
-    pub fn get_or_extract(&self, bytes: &[u8]) -> Result<(Arc<AppModel>, CacheOutcome), DexError> {
-        let key = ModelCache::key(bytes);
-        if let Some(hit) = self.lookup(&key) {
-            return Ok(hit);
-        }
-        let model = crate::extractor::extract(bytes)?;
-        Ok((self.admit(key, model), CacheOutcome::Miss))
-    }
-
-    /// Looks up the model for an already-decoded package, extracting on
-    /// miss. The key is derived from the package's canonical encoding, so
-    /// it matches [`ModelCache::get_or_extract`] on the same bytes.
-    pub fn get_or_extract_apk(&self, apk: &Apk) -> (Arc<AppModel>, CacheOutcome) {
-        let key = ModelCache::key(&separ_dex::codec::encode(apk));
-        if let Some(hit) = self.lookup(&key) {
-            return hit;
-        }
-        let model = crate::extractor::extract_apk(apk);
-        (self.admit(key, model), CacheOutcome::Miss)
-    }
-
-    fn lookup(&self, key: &[u8; 32]) -> Option<(Arc<AppModel>, CacheOutcome)> {
-        if let Some(m) = self.memory.lock().expect("cache lock").get(key) {
-            self.memory_hits.fetch_add(1, Ordering::Relaxed);
-            return Some((Arc::clone(m), CacheOutcome::MemoryHit));
-        }
-        if let Some(disk) = &self.disk {
-            if let Ok(data) = std::fs::read(disk.join(entry_name(key))) {
-                match decode_entry(&data) {
-                    Some(model) => {
-                        let model = Arc::new(model);
-                        self.memory
-                            .lock()
-                            .expect("cache lock")
-                            .insert(*key, Arc::clone(&model));
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        return Some((model, CacheOutcome::DiskHit));
-                    }
-                    None => {
-                        // Detected corruption: count it and fall through
-                        // to re-extraction (which overwrites the entry).
-                        self.corrupt.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    fn admit(&self, key: [u8; 32], model: AppModel) -> Arc<AppModel> {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let model = Arc::new(model);
-        if let Some(disk) = &self.disk {
-            // Best effort: a failed write degrades to a future miss.
-            let _ = std::fs::write(disk.join(entry_name(&key)), encode_entry(&model));
-        }
-        self.memory
-            .lock()
-            .expect("cache lock")
-            .insert(key, Arc::clone(&model));
-        model
-    }
-}
-
-fn entry_name(key: &[u8; 32]) -> String {
-    use std::fmt::Write;
-    let mut name = String::with_capacity(70);
-    for b in key {
-        let _ = write!(name, "{b:02x}");
-    }
-    name.push_str(".model");
-    name
-}
 
 // ---------------------------------------------------------------------
 // File format: magic, version, payload checksum, payload.
@@ -815,6 +620,7 @@ mod tests {
     use separ_android::api::class;
     use separ_dex::build::ApkBuilder;
     use separ_dex::manifest::{ComponentDecl, ComponentKind};
+    use separ_dex::program::Apk;
 
     fn hex(d: &[u8; 32]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
@@ -1084,65 +890,5 @@ mod tests {
         let mut extended = encoded.clone();
         extended.push(0);
         assert!(decode_entry(&extended).is_none());
-    }
-
-    #[test]
-    fn memory_cache_serves_repeat_lookups() {
-        let cache = ModelCache::new();
-        let bytes = separ_dex::codec::encode(&leaky_app());
-        let (cold, o1) = cache.get_or_extract(&bytes).expect("decodes");
-        assert_eq!(o1, CacheOutcome::Miss);
-        let (warm, o2) = cache.get_or_extract(&bytes).expect("decodes");
-        assert_eq!(o2, CacheOutcome::MemoryHit);
-        // Byte-for-byte identical: the cache returns the stored model.
-        assert!(Arc::ptr_eq(&cold, &warm));
-        assert_eq!(encode_entry(&cold), encode_entry(&warm));
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.memory_hits), (1, 1));
-        // The decoded-package entry point addresses the same key.
-        let (via_apk, o3) = cache.get_or_extract_apk(&leaky_app());
-        assert_eq!(o3, CacheOutcome::MemoryHit);
-        assert!(Arc::ptr_eq(&cold, &via_apk));
-    }
-
-    #[test]
-    fn disk_cache_survives_process_boundaries_and_corruption() {
-        let dir = std::env::temp_dir().join(format!(
-            "separ-model-cache-test-{}-{}",
-            std::process::id(),
-            std::thread::current().name().unwrap_or("t").len()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let bytes = separ_dex::codec::encode(&leaky_app());
-        let key = ModelCache::key(&bytes);
-        let (cold, outcome) = {
-            let cache = ModelCache::with_dir(&dir);
-            cache.get_or_extract(&bytes).expect("decodes")
-        };
-        assert_eq!(outcome, CacheOutcome::Miss);
-        // A fresh cache over the same directory — a "new process" — hits
-        // the file store.
-        let cache = ModelCache::with_dir(&dir);
-        let (warm, outcome) = cache.get_or_extract(&bytes).expect("decodes");
-        assert_eq!(outcome, CacheOutcome::DiskHit);
-        assert_eq!(*warm, *cold);
-        assert_eq!(cache.stats().disk_hits, 1);
-        // Corrupt the stored entry: detected, counted, re-extracted.
-        let path = dir.join(entry_name(&key));
-        let mut data = std::fs::read(&path).expect("entry exists");
-        let mid = data.len() / 2;
-        data[mid] ^= 0x55;
-        std::fs::write(&path, &data).expect("rewrite");
-        let cache = ModelCache::with_dir(&dir);
-        let (repaired, outcome) = cache.get_or_extract(&bytes).expect("decodes");
-        assert_eq!(outcome, CacheOutcome::Miss, "corruption falls back");
-        assert_eq!(cache.stats().corrupt, 1);
-        // Re-extraction reproduces the model.
-        assert_eq!(*repaired, *cold);
-        // The corrupt entry was overwritten with a good one.
-        let cache = ModelCache::with_dir(&dir);
-        let (_, outcome) = cache.get_or_extract(&bytes).expect("decodes");
-        assert_eq!(outcome, CacheOutcome::DiskHit);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

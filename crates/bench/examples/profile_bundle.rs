@@ -22,7 +22,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use separ_analysis::extractor::extract_apk;
-use separ_core::{BundleStats, Executor, Report, Separ};
+use separ_core::{BundleStats, Executor, Report, Separ, SessionStore};
 use separ_dex::program::Apk;
 use separ_obs::Trace;
 
@@ -62,7 +62,6 @@ fn analyze(apks: &[Apk], unsliced: bool) -> Report {
         .expect("well-typed signatures");
     report.stats.extraction_wall = obs.duration(extraction_id);
     report.stats.extraction_cpu = obs.subtree_sum(extraction_id, "ame.extract");
-    report.stats.cache_misses = apks.len();
     report
 }
 
@@ -245,9 +244,10 @@ fn main() {
     // --- Paper-scale extraction trajectory ------------------------------
     // The paper's market experiment runs ~4,000 apps; extraction is the
     // per-app stage, so it is what must scale. Collector off: these are
-    // clean wall times for the summary-based extractor, then for the
-    // content-hash model cache cold (miss path: hash + decode + extract)
-    // and warm (hit path: hash + lookup).
+    // clean wall times for the summary-based extractor, then for a whole
+    // analysis on a session store, cold (an empty store: extract,
+    // synthesize, persist) and warm (a reopened store: restore every
+    // model and result, extract and synthesize nothing).
     separ_obs::global().disable();
     let scale_spec = separ_corpus::market::MarketSpec::scaled(4000, 7);
     let scale_market = separ_corpus::market::generate(&scale_spec);
@@ -271,27 +271,29 @@ fn main() {
     let baseline_per_app = 89.366 / 50.0;
     let speedup = baseline_per_app / extract_per_app;
 
-    let cache = separ_analysis::cache::ModelCache::new();
-    let t0 = Instant::now();
-    for bytes in &packages {
-        let _ = cache.get_or_extract(bytes).expect("well-formed package");
-    }
-    let cold_wall = t0.elapsed();
-    let t0 = Instant::now();
-    for bytes in &packages {
-        let _ = cache.get_or_extract(bytes).expect("well-formed package");
-    }
-    let warm_wall = t0.elapsed();
+    let store_dir =
+        std::env::temp_dir().join(format!("separ-profile-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let analyze_in_store = || {
+        let store = SessionStore::open(&store_dir).expect("store opens");
+        let t0 = Instant::now();
+        let report = Separ::new()
+            .analyze_packages_in(&store, &packages)
+            .expect("well-formed packages");
+        (report, t0.elapsed())
+    };
+    let (cold, cold_wall) = analyze_in_store();
+    let (warm, warm_wall) = analyze_in_store();
+    let _ = std::fs::remove_dir_all(&store_dir);
     let warm_per_app = ms(warm_wall) / scale_n;
-    let cache_stats = cache.stats();
 
     println!(
         "market scale({}): extract={extract_wall:?} ({extract_per_app:.3} ms/app, \
-         {speedup:.1}x vs seed {baseline_per_app:.3}) cold={cold_wall:?} warm={warm_wall:?} \
-         ({warm_per_app:.4} ms/app) hits={} misses={}",
+         {speedup:.1}x vs seed {baseline_per_app:.3}) store cold={cold_wall:?} \
+         warm={warm_wall:?} ({warm_per_app:.4} ms/app) warm extracted={} synthesized={}",
         scale_apks.len(),
-        cache_stats.memory_hits,
-        cache_stats.misses,
+        warm.stats.extracted,
+        warm.stats.synthesized,
     );
     assert!(
         speedup >= 2.0,
@@ -299,14 +301,23 @@ fn main() {
          ({extract_per_app:.3} ms/app vs {baseline_per_app:.3})"
     );
     assert!(
-        warm_per_app < extract_per_app / 4.0,
-        "a warm model cache must make re-extraction near-free \
-         ({warm_per_app:.4} ms/app vs {extract_per_app:.3} cold)"
+        warm_per_app < extract_per_app / 4.0 && warm_wall * 4 < cold_wall,
+        "a warm store must make re-analysis near-free \
+         ({warm_per_app:.4} ms/app vs {extract_per_app:.3} to extract; \
+         warm={warm_wall:?} cold={cold_wall:?})"
     );
     assert_eq!(
-        (cache_stats.memory_hits, cache_stats.misses),
-        (scale_apks.len() as u64, scale_apks.len() as u64),
-        "second pass must be answered entirely from the cache"
+        (
+            cold.stats.extracted,
+            warm.stats.extracted,
+            warm.stats.synthesized
+        ),
+        (scale_apks.len(), 0, 0),
+        "an empty store extracts everything, a warm one nothing"
+    );
+    assert!(
+        warm.exploits == cold.exploits && warm.policies == cold.policies,
+        "a warm store must change no exploit or policy"
     );
 
     // --- Paper-scale synthesis: slicing off vs on ------------------------
@@ -453,11 +464,12 @@ fn main() {
             "    \"extraction_wall_ms\": {:.3},\n",
             "    \"extraction_per_app_ms\": {:.3},\n",
             "    \"speedup_vs_seed\": {:.2},\n",
-            "    \"cache_cold_wall_ms\": {:.3},\n",
-            "    \"cache_warm_wall_ms\": {:.3},\n",
-            "    \"cache_warm_per_app_ms\": {:.4},\n",
-            "    \"cache_memory_hits\": {},\n",
-            "    \"cache_misses\": {},\n",
+            "    \"store_cold_wall_ms\": {:.3},\n",
+            "    \"store_warm_wall_ms\": {:.3},\n",
+            "    \"store_warm_per_app_ms\": {:.4},\n",
+            "    \"store_cold_extracted\": {},\n",
+            "    \"store_warm_extracted\": {},\n",
+            "    \"store_warm_synthesized\": {},\n",
             "    \"synthesis\": [\n{}    ]\n",
             "  }},\n",
             "  \"runs\": [\n"
@@ -478,8 +490,9 @@ fn main() {
         ms(cold_wall),
         ms(warm_wall),
         warm_per_app,
-        cache_stats.memory_hits,
-        cache_stats.misses,
+        cold.stats.extracted,
+        warm.stats.extracted,
+        warm.stats.synthesized,
         scale_json,
     );
     for (i, run) in runs.iter().enumerate() {

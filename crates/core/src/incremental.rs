@@ -234,6 +234,7 @@ impl IncrementalSession {
             .map(|sig| !select(sig.sensitivity()))
             .collect();
         let results = &mut self.results;
+        let mut keys = vec![None; declined.len()];
         let mut have = |i: usize, key: &ResultKey| {
             if results[i].0 == Some(*key) {
                 return true;
@@ -248,7 +249,10 @@ impl IncrementalSession {
                     results[i] = (Some(*key), exploits);
                     true
                 }
-                None => false,
+                None => {
+                    keys[i] = Some(*key);
+                    false
+                }
             }
         };
         // Affected signatures re-solve in parallel on the shared executor;
@@ -266,9 +270,9 @@ impl IncrementalSession {
             }),
         )?;
         let mut reran = 0;
-        for (slot, syn) in self.results.iter_mut().zip(syntheses) {
+        for ((slot, syn), key) in self.results.iter_mut().zip(syntheses).zip(keys) {
             if let Some(run) = syn {
-                *slot = (run.key, run.synthesis.exploits);
+                *slot = (key, run.synthesis.exploits);
                 reran += 1;
             }
         }

@@ -7,7 +7,8 @@
 //! ([`vulns`], [`signature`]) with Aluminum-style minimal-model
 //! enumeration, and derives enforceable event-condition-action policies
 //! from every scenario ([`policy`]). The [`pipeline`] module ties it all
-//! together behind the [`Separ`] façade.
+//! together behind the [`Separ`] façade, and [`store`] persists a
+//! bundle's models and synthesis results across runs.
 //!
 //! The flow mirrors the paper's Figure 3: `M |= S_f ∧ S_a ∧ P` — the
 //! framework spec, the app specs and the vulnerability property are
@@ -26,6 +27,7 @@ pub mod policy_io;
 pub mod reuse;
 pub mod signature;
 pub mod spec;
+pub mod store;
 pub mod vulns;
 
 pub use encode::BundleBase;
@@ -38,6 +40,6 @@ pub use pipeline::{
 };
 pub use policy::{Condition, Policy, PolicyAction, PolicyEvent};
 pub use reuse::{ResultKey, SYNTHESIS_FORMAT};
-pub use separ_analysis::cache::{CacheOutcome, CacheStats, ModelCache};
 pub use signature::{SignatureRegistry, Synthesis, SynthesisContext, VulnerabilitySignature};
 pub use spec::TextualSignature;
+pub use store::{Restored, SessionStore, StoreError};

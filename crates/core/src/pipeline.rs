@@ -16,13 +16,13 @@
 //! fields are always populated. Timing consumers (the CLI, the bench
 //! crate) enable the collector first.
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::time::Duration;
 
-use separ_analysis::cache::{CacheOutcome, ModelCache};
+use separ_analysis::cache::{model_address, sha256};
 use separ_analysis::extractor::{extract, extract_apk};
-use separ_analysis::model::{update_passive_intent_targets, AppModel};
+use separ_analysis::model::{retarget_passive_intents, AppModel};
 use separ_analysis::slicing::{self, AppSummary};
 use separ_android::resolution;
 use separ_dex::error::DexError;
@@ -37,6 +37,7 @@ use crate::footprint::{Footprint, MalReceivers};
 use crate::policy::{finalize_policies, policies_for_exploit, Policy};
 use crate::reuse::{ModelAddress, ResultKey};
 use crate::signature::{SignatureRegistry, Synthesis, SynthesisContext, VulnerabilitySignature};
+use crate::store::{PackageDigest, SessionStore, StoreError};
 use crate::vulns::DEFAULT_SCENARIO_LIMIT;
 
 /// Tunables for an analysis run. There is one synthesis path: every
@@ -72,8 +73,9 @@ impl SeparConfig {
 }
 
 /// One signature's contribution to a bundle analysis (per-stage timing
-/// plus the count-type results).
-#[derive(Debug, Clone)]
+/// plus the count-type results). A signature whose result was reused
+/// from a session store reports only its name and exploit count.
+#[derive(Debug, Clone, Default)]
 pub struct SignatureStats {
     /// The signature plugin's name.
     pub name: &'static str,
@@ -147,11 +149,10 @@ pub struct BundleStats {
     pub conflicts: u64,
     /// Total SAT propagations across signatures.
     pub propagations: u64,
-    /// Apps whose model came from the content-hash cache (always zero
-    /// without [`Separ::with_model_cache`]).
-    pub cache_hits: usize,
-    /// Apps whose model was extracted from scratch this run.
-    pub cache_misses: usize,
+    /// Apps extracted this run; the others came from a session store.
+    pub extracted: usize,
+    /// Signatures synthesized this run; the others reused a stored result.
+    pub synthesized: usize,
     /// Per-signature breakdown, in registry order.
     pub per_signature: Vec<SignatureStats>,
 }
@@ -172,8 +173,6 @@ impl BundleStats {
             shared_base_reuse: self.shared_base_reuse,
             slice_kept: self.slice_kept,
             slice_dropped: self.slice_dropped,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
             per_signature: self
                 .per_signature
                 .iter()
@@ -208,23 +207,22 @@ pub struct CountStats {
     pub slice_kept: usize,
     /// App slots dropped across per-signature relevance slices.
     pub slice_dropped: usize,
-    /// Apps whose model came from the content-hash cache.
-    pub cache_hits: usize,
-    /// Apps whose model was extracted from scratch this run.
-    pub cache_misses: usize,
     /// Per signature: `(name, primary_vars, cnf_clauses, exploits)` in
     /// registry order.
     pub per_signature: Vec<(&'static str, usize, usize, usize)>,
 }
 
-/// An end-to-end analysis failure: either a package failed to decode or
-/// a signature produced an ill-typed specification.
+/// An end-to-end analysis failure: a package failed to decode, a
+/// signature produced an ill-typed specification, or a session store
+/// could not be read or written.
 #[derive(Debug)]
 pub enum AnalyzeError {
     /// A binary package is malformed.
     Dex(DexError),
     /// A signature specification is ill-typed.
     Logic(LogicError),
+    /// A session store is unusable.
+    Store(StoreError),
 }
 
 impl std::fmt::Display for AnalyzeError {
@@ -232,6 +230,7 @@ impl std::fmt::Display for AnalyzeError {
         match self {
             AnalyzeError::Dex(e) => write!(f, "package decode failed: {e}"),
             AnalyzeError::Logic(e) => write!(f, "signature synthesis failed: {e}"),
+            AnalyzeError::Store(e) => write!(f, "store: {e}"),
         }
     }
 }
@@ -247,6 +246,12 @@ impl From<DexError> for AnalyzeError {
 impl From<LogicError> for AnalyzeError {
     fn from(e: LogicError) -> AnalyzeError {
         AnalyzeError::Logic(e)
+    }
+}
+
+impl From<StoreError> for AnalyzeError {
+    fn from(e: StoreError) -> AnalyzeError {
+        AnalyzeError::Store(e)
     }
 }
 
@@ -298,7 +303,6 @@ impl Report {
 pub struct Separ {
     registry: SignatureRegistry,
     config: SeparConfig,
-    model_cache: Option<Arc<ModelCache>>,
 }
 
 impl Default for Separ {
@@ -313,7 +317,6 @@ impl Separ {
         Separ {
             registry: SignatureRegistry::standard(),
             config: SeparConfig::default(),
-            model_cache: None,
         }
     }
 
@@ -322,22 +325,7 @@ impl Separ {
         Separ {
             registry,
             config: SeparConfig::default(),
-            model_cache: None,
         }
-    }
-
-    /// Attaches a content-hash model cache: extraction is skipped for
-    /// packages whose bytes the cache has seen before (see
-    /// [`ModelCache`]). Share one cache across engines to share its
-    /// memory.
-    pub fn with_model_cache(mut self, cache: Arc<ModelCache>) -> Separ {
-        self.model_cache = Some(cache);
-        self
-    }
-
-    /// The attached model cache, if any.
-    pub fn model_cache(&self) -> Option<&Arc<ModelCache>> {
-        self.model_cache.as_ref()
     }
 
     /// Overrides the configuration.
@@ -370,71 +358,103 @@ impl Separ {
     /// Returns a [`LogicError`] if a signature produced an ill-typed
     /// specification.
     pub fn analyze_apks(&self, apks: &[Apk]) -> Result<Report, LogicError> {
-        self.analyze_extracted(apks, |apk| {
-            Ok(match &self.model_cache {
-                Some(cache) => Extracted::Cached(cache.get_or_extract_apk(apk)),
-                None => Extracted::Fresh(extract_apk(apk)),
-            })
-        })
+        let _root = separ_obs::span("pipeline.analyze");
+        let (report, _) = self.analyze_bundle(apks, |apk| Ok(extract_apk(apk)), None)?;
+        Ok(report)
     }
 
     /// Analyzes a bundle of *binary* packages end to end: decode →
-    /// verify → extract (or a cache hit skipping all three) → synthesis.
+    /// verify → extract → synthesis.
     ///
     /// # Errors
     ///
-    /// Returns [`AnalyzeError::Dex`] if an uncached package fails to
-    /// decode, or [`AnalyzeError::Logic`] if a signature produced an
-    /// ill-typed specification.
+    /// Returns [`AnalyzeError::Dex`] if a package fails to decode, or
+    /// [`AnalyzeError::Logic`] if a signature produced an ill-typed
+    /// specification.
     pub fn analyze_packages(&self, packages: &[Vec<u8>]) -> Result<Report, AnalyzeError> {
-        self.analyze_extracted(packages, |bytes| {
-            Ok(match &self.model_cache {
-                Some(cache) => Extracted::Cached(cache.get_or_extract(bytes)?),
-                None => Extracted::Fresh(extract(bytes)?),
-            })
-        })
+        let _root = separ_obs::span("pipeline.analyze");
+        let extract = |bytes: &Vec<u8>| extract(bytes).map_err(AnalyzeError::Dex);
+        let (report, _) = self.analyze_bundle(packages, extract, None)?;
+        Ok(report)
     }
 
-    /// Extracts every input on the executor under a
-    /// `pipeline.extraction` span, analyzes the models, and fills the
-    /// report's extraction stats.
-    fn analyze_extracted<T, E>(
+    /// [`Separ::analyze_packages`] on a session store: a package whose
+    /// SHA-256 a manifest row records takes that row's model, and a
+    /// signature takes the result stored under its slice key; the rest
+    /// are extracted and synthesized. The store is left holding this
+    /// bundle, with its digests, and every signature's result.
+    ///
+    /// # Errors
+    ///
+    /// As [`Separ::analyze_packages`], and [`AnalyzeError::Store`] if the
+    /// store's manifest is malformed or the store cannot be written.
+    pub fn analyze_packages_in(
+        &self,
+        store: &SessionStore,
+        packages: &[Vec<u8>],
+    ) -> Result<Report, AnalyzeError> {
+        let _root = separ_obs::span("pipeline.analyze");
+        let restored = store.restore()?;
+        let digests: Vec<Option<PackageDigest>> = self
+            .executor()
+            .ordered_map(packages, |bytes| Some(sha256(bytes)));
+        let rows = (restored.apps.into_iter().zip(restored.addresses)).zip(restored.digests);
+        let mut by_digest: HashMap<PackageDigest, (AppModel, ModelAddress)> = rows
+            .filter_map(|(model, digest)| Some((digest?, model)))
+            .collect();
+        let known = digests.iter().map(|d| by_digest.remove(&(*d)?)).collect();
+        let extract = |bytes: &Vec<u8>| extract(bytes).map_err(AnalyzeError::Dex);
+        let (report, results) = self.analyze_bundle(packages, extract, Some((store, known)))?;
+        store.persist_results(
+            results
+                .iter()
+                .map(|(key, range)| (key, &report.exploits[range.clone()])),
+        )?;
+        store.persist_with_digests(&report.apps, &digests)?;
+        Ok(report)
+    }
+
+    /// Analyzes `inputs`, extracting on the executor each one `resume`
+    /// (a store and, per input, the model and content address it holds,
+    /// if any) has no model for; with `resume`, as
+    /// [`Separ::analyze_models_with`].
+    fn analyze_bundle<T, E>(
         &self,
         inputs: &[T],
-        extract: impl Fn(&T) -> Result<Extracted, E> + Sync,
-    ) -> Result<Report, E>
+        extract: impl Fn(&T) -> Result<AppModel, E> + Sync,
+        resume: Option<(&SessionStore, Vec<StoredModel>)>,
+    ) -> Result<(Report, Vec<StoredResult>), E>
     where
         T: Sync,
         E: From<LogicError> + Send,
     {
         let obs = separ_obs::global();
-        let _root = obs.span("pipeline.analyze");
+        let (store, known) = resume.unzip();
+        let mut known = known.unwrap_or_default();
+        known.resize_with(inputs.len(), || None);
+        let missing: Vec<usize> = (0..inputs.len()).filter(|&i| known[i].is_none()).collect();
         let extraction = obs.span("pipeline.extraction");
         let extraction_id = extraction.id();
-        let results = self.executor().try_ordered_map(inputs, extract)?;
+        let extracted = self
+            .executor()
+            .try_ordered_map(&missing, |&i| extract(&inputs[i]))?;
         drop(extraction);
-        let hits = results
-            .iter()
-            .filter(|e| matches!(e, Extracted::Cached((_, o)) if o.is_hit()))
-            .count();
-        let misses = results.len() - hits;
-        // Passive-intent resolution mutates the models: one the cache
-        // shares is cloned, a freshly extracted one is moved.
-        let apps = results
+        let mut extracted = extracted.into_iter();
+        let (apps, known) = known
             .into_iter()
-            .map(|e| match e {
-                Extracted::Fresh(m) => m,
-                Extracted::Cached((m, _)) => AppModel::clone(&m),
+            .map(|known| match known {
+                Some((model, address)) => (model, Some(address)),
+                None => (extracted.next().expect("one model per missing input"), None),
             })
-            .collect();
-        let mut report = self.analyze_models(apps)?;
+            .unzip();
+        let resume = store.map(|store| (store, known));
+        let (mut report, results) = self.analyze_models_with(apps, Slicing::On(None), resume)?;
         // Wall time is the stage span; CPU time sums the per-app
         // `ame.extract` spans the workers recorded beneath it.
         report.stats.extraction_wall = obs.duration(extraction_id);
         report.stats.extraction_cpu = obs.subtree_sum(extraction_id, "ame.extract");
-        report.stats.cache_hits = hits;
-        report.stats.cache_misses = misses;
-        Ok(report)
+        report.stats.extracted = missing.len();
+        Ok((report, results))
     }
 
     /// Analyzes pre-extracted app models (ASE only).
@@ -444,7 +464,7 @@ impl Separ {
     /// Returns a [`LogicError`] if a signature produced an ill-typed
     /// specification.
     pub fn analyze_models(&self, apps: Vec<AppModel>) -> Result<Report, LogicError> {
-        self.analyze_models_with(apps, Slicing::On(None))
+        Ok(self.analyze_models_with(apps, Slicing::On(None), None)?.0)
     }
 
     /// [`Separ::analyze_models`] with every signature translated against
@@ -458,19 +478,25 @@ impl Separ {
     #[cfg(any(test, feature = "reference"))]
     #[doc(hidden)]
     pub fn analyze_models_unsliced(&self, apps: Vec<AppModel>) -> Result<Report, LogicError> {
-        self.analyze_models_with(apps, Slicing::Off)
+        Ok(self.analyze_models_with(apps, Slicing::Off, None)?.0)
     }
 
+    /// Analyzes `apps`. With `resume`, a store and each app's content
+    /// address where it is known (a restored model's), a signature takes
+    /// the result the store holds under its slice key, and every
+    /// signature's key and exploits are returned in registry order
+    /// (without `resume`, none are).
     fn analyze_models_with(
         &self,
         mut apps: Vec<AppModel>,
         mode: Slicing<'_>,
-    ) -> Result<Report, LogicError> {
+        resume: Option<(&SessionStore, Vec<Option<ModelAddress>>)>,
+    ) -> Result<(Report, Vec<StoredResult>), LogicError> {
         let obs = separ_obs::global();
         // Bundle-level Algorithm 1: passive intents may cross apps.
         let resolution = obs.span("pipeline.resolution");
         let resolution_id = resolution.id();
-        update_passive_intent_targets(&mut apps);
+        let retargeted = retarget_passive_intents(&mut apps);
         drop(resolution);
         let mut stats = BundleStats {
             components: apps.iter().map(|a| a.components.len()).sum(),
@@ -483,19 +509,58 @@ impl Separ {
         };
         let synthesis = obs.span("pipeline.synthesis");
         let synthesis_id = synthesis.id();
-        let syntheses = synthesize_all(
-            &self.executor(),
-            &self.registry,
-            &apps,
-            &self.config,
-            mode,
-            None,
-        )?;
+        let executor = self.executor();
+        let mut keys = vec![None; self.registry.len()];
+        let mut reused: Vec<Option<Vec<Exploit>>> = vec![None; self.registry.len()];
+        let addresses: Vec<ModelAddress>;
+        let mut have;
+        let reuse = match resume {
+            None => None,
+            Some((store, mut known)) => {
+                // Resolution changed these models: their stored addresses
+                // are stale.
+                for i in retargeted {
+                    known[i] = None;
+                }
+                let models: Vec<(&AppModel, Option<ModelAddress>)> =
+                    apps.iter().zip(known).collect();
+                addresses = executor.ordered_map(&models, |&(app, known)| {
+                    known.unwrap_or_else(|| model_address(app))
+                });
+                have = |i: usize, key: &ResultKey| {
+                    keys[i] = Some(*key);
+                    reused[i] = store.load_result(key);
+                    reused[i].is_some()
+                };
+                Some(Reuse {
+                    addresses: &addresses,
+                    have: &mut have,
+                })
+            }
+        };
+        let syntheses =
+            synthesize_all(&executor, &self.registry, &apps, &self.config, mode, reuse)?;
         drop(synthesis);
         stats.synthesis_wall = obs.duration(synthesis_id);
         let mut exploits = Vec::new();
-        for (sig, syn) in self.registry.iter().zip(syntheses) {
-            let run = syn.expect("unfiltered synthesis ran every signature");
+        let mut results = Vec::new();
+        let runs = self.registry.iter().zip(syntheses).zip(reused).zip(keys);
+        for (((sig, syn), reused), key) in runs {
+            let start = exploits.len();
+            let Some(run) = syn else {
+                // Not synthesized: the signature's stored result was
+                // reused.
+                let reused = reused.expect("a signature not synthesized was reused");
+                stats.per_signature.push(SignatureStats {
+                    name: sig.name(),
+                    exploits: reused.len(),
+                    ..SignatureStats::default()
+                });
+                exploits.extend(reused);
+                results.extend(key.map(|key| (key, start..exploits.len())));
+                continue;
+            };
+            stats.synthesized += 1;
             let syn = run.synthesis;
             // Per-signature stage timings come from the spans recorded
             // under this signature's `ase.signature` span.
@@ -537,24 +602,25 @@ impl Separ {
                 );
             }
             exploits.extend(syn.exploits);
+            results.extend(key.map(|key| (key, start..exploits.len())));
         }
         let policies = derive_policies(&apps, exploits.iter());
-        Ok(Report {
+        let report = Report {
             apps,
             exploits,
             policies,
             stats,
-        })
+        };
+        Ok((report, results))
     }
 }
 
-/// One package's model as extraction hands it over.
-enum Extracted {
-    /// Extracted by this run, owned outright.
-    Fresh(AppModel),
-    /// Looked up in or inserted into a [`ModelCache`], which shares it.
-    Cached((Arc<AppModel>, CacheOutcome)),
-}
+/// A signature's slice key and the range of a report's exploits it
+/// contributed: the result a store-backed analysis persists for it.
+type StoredResult = (ResultKey, Range<usize>);
+
+/// The model a store holds for an input, and its content address.
+type StoredModel = Option<(AppModel, ModelAddress)>;
 
 /// One signature's synthesis result plus the observability/slicing
 /// bookkeeping [`Separ::analyze_models`] folds into [`BundleStats`].
@@ -568,9 +634,6 @@ pub(crate) struct SignatureRun {
     pub slice_kept: usize,
     /// Apps the relevance slice dropped for this signature.
     pub slice_dropped: usize,
-    /// The key of the slice synthesized (`None` on the batch path, which
-    /// keys nothing).
-    pub key: Option<ResultKey>,
 }
 
 /// How [`synthesize_all`] picks each signature's universe.
@@ -658,8 +721,9 @@ pub(crate) struct Reuse<'a> {
     /// Each app's model content address, in bundle order.
     pub addresses: &'a [ModelAddress],
     /// Whether a result of registry signature `i` synthesized for `key`
-    /// is at hand (the caller keeps it if so). Called serially, once per
-    /// signature in registry order, before any base is built.
+    /// is at hand (the caller keeps it if so; otherwise `key` is the key
+    /// the synthesis will be for). Called serially, once per signature in
+    /// registry order, before any base is built.
     pub have: &'a mut dyn FnMut(usize, &ResultKey) -> bool,
 }
 
@@ -746,7 +810,6 @@ pub(crate) fn synthesize_all(
 
     // Key every planned signature by its slice, and drop the ones whose
     // result is at hand.
-    let mut keys: Vec<Option<ResultKey>> = vec![None; signatures.len()];
     let mut wanted = vec![true; signatures.len()];
     if let Some(Reuse { addresses, have }) = reuse {
         let _reuse_span = separ_obs::span("ase.reuse");
@@ -761,24 +824,18 @@ pub(crate) fn synthesize_all(
                 ),
                 SlicePlan::Empty => ResultKey::of_slice(sig.name(), limit, [].iter()),
             };
-            if have(*i, &key) {
-                wanted[j] = false;
-            } else {
-                keys[j] = Some(key);
-            }
+            wanted[j] = !have(*i, &key);
         }
     }
     type SignatureJob<'a> = (
         (usize, &'a dyn VulnerabilitySignature),
         (SlicePlan, usize, usize),
-        Option<ResultKey>,
     );
     let mut jobs: Vec<SignatureJob> = signatures
         .into_iter()
         .zip(plans)
-        .zip(keys)
         .zip(wanted)
-        .filter_map(|(((sig, plan), key), wanted)| wanted.then_some((sig, plan, key)))
+        .filter_map(|(job, wanted)| wanted.then_some(job))
         .collect();
     if jobs.is_empty() {
         return Ok(out);
@@ -788,7 +845,7 @@ pub(crate) fn synthesize_all(
     // first-use order, on the executor.
     let mut remap: Vec<Option<usize>> = vec![None; slices.len()];
     let mut to_build: Vec<&(Vec<usize>, Footprint)> = Vec::new();
-    for (_, (plan, _, _), _) in &mut jobs {
+    for (_, (plan, _, _)) in &mut jobs {
         if let SlicePlan::Prepared(slot) = plan {
             *slot = *remap[*slot].get_or_insert_with(|| {
                 to_build.push(&slices[*slot]);
@@ -821,7 +878,7 @@ pub(crate) fn synthesize_all(
     // The whole-bundle base is only paid for when some job needs it.
     let full_base = if jobs
         .iter()
-        .any(|(_, (plan, _, _), _)| matches!(plan, SlicePlan::Full))
+        .any(|(_, (plan, _, _))| matches!(plan, SlicePlan::Full))
     {
         let base_span = separ_obs::span("pipeline.bundle_base");
         let base = BundleBase::new(apps);
@@ -834,8 +891,8 @@ pub(crate) fn synthesize_all(
     // The largest slice usually solves longest: start it first.
     let syntheses = executor.try_ordered_map_by_cost(
         &jobs,
-        |&(_, (_, kept, _), _)| kept,
-        |&((_, sig), (plan, kept, dropped), key)| {
+        |&(_, (_, kept, _))| kept,
+        |&((_, sig), (plan, kept, dropped))| {
             let mut span = separ_obs::span("ase.signature");
             span.set_arg("signature", sig.name());
             let span_id = span.id();
@@ -846,7 +903,6 @@ pub(crate) fn synthesize_all(
                         span: span_id,
                         slice_kept: kept,
                         slice_dropped: dropped,
-                        key,
                     });
                 }
                 SlicePlan::Full => (apps, full_base.as_ref().expect("full base was built")),
@@ -865,11 +921,10 @@ pub(crate) fn synthesize_all(
                 span: span_id,
                 slice_kept: kept,
                 slice_dropped: dropped,
-                key,
             })
         },
     )?;
-    for (((i, _), _, _), run) in jobs.into_iter().zip(syntheses) {
+    for (((i, _), _), run) in jobs.into_iter().zip(syntheses) {
         out[i] = Some(run);
     }
     Ok(out)

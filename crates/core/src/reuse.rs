@@ -69,8 +69,37 @@ impl ResultKey {
 impl fmt::Display for ResultKey {
     /// Lower-case hex, the name a store files the result under.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Hex(&self.0).fmt(f)
+    }
+}
+
+/// Displays bytes as lower-case hex digits: how result keys, model
+/// addresses and pack names are spelled on disk, and packages on the
+/// daemon's wire.
+pub(crate) struct Hex<'a>(pub &'a [u8]);
+
+impl fmt::Display for Hex<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.0.iter().try_for_each(|b| write!(f, "{b:02x}"))
     }
+}
+
+/// Encodes bytes as lower-case hex.
+pub fn encode_hex(bytes: &[u8]) -> String {
+    Hex(bytes).to_string()
+}
+
+/// Decodes a lower- or upper-case hex string; `None` on odd length or
+/// non-hex bytes.
+pub fn decode_hex(hex: &str) -> Option<Vec<u8>> {
+    let digits = hex.as_bytes();
+    if !digits.len().is_multiple_of(2) {
+        return None;
+    }
+    let nibble = |d: u8| char::from(d).to_digit(16);
+    (digits.chunks_exact(2))
+        .map(|pair| Some((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
+        .collect()
 }
 
 const MAGIC: &[u8; 4] = b"SEPX";

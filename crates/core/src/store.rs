@@ -1,22 +1,26 @@
-//! The daemon's persistent session store.
+//! The persistent session store: the one on-disk form of extracted
+//! models and synthesis results.
 //!
 //! Layout under the store directory:
 //!
 //! ```text
 //! store/
-//!   manifest.json          {"version":2,"pack":hex,"apps":[[package,model,length],...]}
+//!   manifest.json          {"version":2,"pack":hex,"apps":[[package,model,length(,digest)],...]}
 //!   packs/<hex>.pack       the apps' self-checking model entries
 //!                          (separ_analysis::cache codec), concatenated
-//!   results/<key>.exploits self-checking exploit lists (separ_core::reuse codec)
+//!   results/<key>.exploits self-checking exploit lists (crate::reuse codec)
 //! ```
 //!
 //! The manifest records the bundle **in session order** (order is part of
 //! session identity — policies are derived app-by-app): per app its
-//! package, the content address of its model entry, and the entry's
-//! length. The pack holds the entries in the same order, so an entry's
-//! offset is the sum of the lengths before it. A pack is named by a
-//! SHA-256 over its entries' addresses in order: persisting the same
-//! bundle again produces the same pack, and writes nothing.
+//! package, the content address of its model entry, the entry's length,
+//! and, when a batch analysis ([`crate::Separ::analyze_packages_in`])
+//! wrote the row, the SHA-256 of the package the model was extracted
+//! from, so that the next analysis need not extract it again. The pack
+//! holds the entries in the same order, so an entry's offset is the sum
+//! of the lengths before it. A pack is named by a SHA-256 over its
+//! entries' addresses in order: persisting the same bundle again
+//! produces the same pack, and writes nothing.
 //!
 //! Crash consistency: [`SessionStore::persist`] streams the new pack into
 //! `packs/pack.tmp` and renames it to its name, then writes the manifest
@@ -46,38 +50,30 @@
 //! the manifest it writes is in place; until then a crash leaves the old
 //! manifest's results behind for the next boot to reuse.
 //!
-//! The store *is* the session, and it is the daemon's only model
-//! storage: the daemon keeps no extraction cache. Anything else under the
-//! directory — such as the `cache/` of extracted models that older
-//! daemons kept — is ignored. A store of the first layout (a version-1
-//! manifest and one `models/<hex>.model` file per app) is read once; its
-//! boot counts the disk as differing from the session, so the next
-//! persist rewrites it as a pack and removes `models/`.
+//! Anything else under the directory — such as the `cache/` of extracted
+//! models that older daemons kept — is ignored. A store of the first
+//! layout (a version-1 manifest and one `models/<hex>.model` file per
+//! app) is read once; its restore counts the disk as differing from the
+//! session, so the next persist rewrites it as a pack and removes
+//! `models/`.
 //!
-//! A store assumes it is its directory's only writer (one daemon per
-//! store): it remembers which pack it restored or wrote and which result
-//! files it loaded or wrote, and re-persisting an unchanged bundle or
-//! result replaces no file. Persist encodes, hashes and writes one entry
-//! at a time on the calling thread, never holding more than one
-//! encoding. Restore opens the pack once and reads a chunk of entries
-//! (contiguous in the pack) with one positioned read, checks them on the
-//! store's [`Executor`], and decodes them on the calling thread, in
-//! manifest order.
-//!
-//! Boot persists only on change: the daemon calls
-//! [`SessionStore::persist`] at start-up only when the disk differs from
-//! the session it just built — restore skipped an entry, passive-intent
-//! resolution changed a restored model, the store was of the first
-//! layout, or there was no manifest yet — and
-//! [`SessionStore::persist_results`] only when some signature's result
-//! had no file. A restart on an unchanged store encodes, hashes, writes
-//! and lists nothing, and solves nothing; orphaned packs and result
-//! files a crash may have left wait for the next persist to be
-//! collected.
+//! A store is its directory's only writer: opening it takes an advisory
+//! `flock` on the directory itself (so the layout gains no file), held
+//! until the store is dropped, and a second open — a daemon's and a
+//! batch analysis's, or two in one process — fails, naming the
+//! directory. The store remembers which pack and digests it restored
+//! or wrote and which result files it loaded or wrote, and re-persisting
+//! an unchanged bundle or result replaces no file. Persist encodes,
+//! hashes and writes one entry at a time on the calling thread, never
+//! holding more than one encoding. Restore opens the pack once and reads
+//! a chunk of entries (contiguous in the pack) with one positioned read,
+//! checks them on the store's [`Executor`], and decodes them on the
+//! calling thread, in manifest order. Orphaned packs and result files a
+//! crash may have left wait for the next persist to be collected.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::fs::File;
+use std::fs::{File, TryLockError};
 use std::io::{BufWriter, Write as _};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -87,9 +83,11 @@ use separ_analysis::cache::{
     decode_entry, decode_payload, encode_entry, entry_address, entry_payload, sha256,
 };
 use separ_analysis::model::AppModel;
-use separ_core::reuse::{decode_result, encode_result, ModelAddress};
-use separ_core::{Executor, Exploit, ResultKey};
 use separ_obs::json::Value;
+
+use crate::exec::Executor;
+use crate::exploit::Exploit;
+use crate::reuse::{decode_hex, decode_result, encode_result, Hex, ModelAddress, ResultKey};
 
 /// Entries restore takes per positioned read (and per round of checks
 /// on the executor): bounds the entry bytes held at once.
@@ -106,6 +104,9 @@ pub struct Restored {
     /// Each recovered model's content address (the address the manifest
     /// gives its entry), in the same order.
     pub addresses: Vec<ModelAddress>,
+    /// Each recovered model's package digest, where its manifest row has
+    /// one, in the same order.
+    pub digests: Vec<Option<PackageDigest>>,
     /// Manifest entries that could not be recovered (missing, corrupt or
     /// misfiled model entry).
     pub skipped: usize,
@@ -114,6 +115,9 @@ pub struct Restored {
     /// the next [`SessionStore::persist`] rewrites.
     pub current: bool,
 }
+
+/// The SHA-256 of a package's bytes.
+pub type PackageDigest = [u8; 32];
 
 /// A store error (always carries the offending path's context).
 #[derive(Debug)]
@@ -136,10 +140,13 @@ fn io_error(path: &Path) -> impl FnOnce(std::io::Error) -> StoreError + '_ {
 #[derive(Debug)]
 pub struct SessionStore {
     dir: PathBuf,
+    /// `dir`, locked for as long as this store is open.
+    _lock: File,
     executor: Executor,
-    /// The name of the pack the manifest names, when this store restored
-    /// or wrote it; persisting the bundle it holds writes nothing.
-    pack: Mutex<Option<String>>,
+    /// The name of the pack the manifest names and the manifest's
+    /// package digests, when this store restored or wrote them;
+    /// persisting the bundle and digests they stand for writes nothing.
+    manifest: Mutex<Option<(String, Vec<Option<PackageDigest>>)>>,
     /// Result files this store loaded or wrote, and the current keys.
     results: Mutex<ResultFiles>,
     /// Filesystem steps [`SessionStore::persist`] completes before it
@@ -164,26 +171,38 @@ struct PackEntry {
     /// The content address the manifest gives the entry (`None` if it
     /// does not parse).
     address: Option<ModelAddress>,
+    /// The package digest the manifest gives the entry, if any.
+    digest: Option<PackageDigest>,
     offset: u64,
     len: u64,
 }
 
 impl SessionStore {
-    /// Opens (creating if needed) the store under `dir`.
+    /// Opens (creating if needed) the store under `dir`, and locks the
+    /// directory until the store is dropped.
     ///
     /// # Errors
     ///
-    /// Fails if the directory tree cannot be created.
+    /// Fails if the directory tree cannot be created, or if another open
+    /// store, in this process or another, holds the directory's lock.
     pub fn open(dir: impl Into<PathBuf>) -> Result<SessionStore, StoreError> {
         let dir = dir.into();
         for sub in ["packs", "results"] {
             let sub = dir.join(sub);
             std::fs::create_dir_all(&sub).map_err(io_error(&sub))?;
         }
+        let lock = File::open(&dir).map_err(io_error(&dir))?;
+        lock.try_lock().map_err(|e| match e {
+            TryLockError::WouldBlock => {
+                StoreError(format!("{}: locked by another open store", dir.display()))
+            }
+            TryLockError::Error(e) => io_error(&dir)(e),
+        })?;
         Ok(SessionStore {
+            _lock: lock,
             dir,
             executor: Executor::default(),
-            pack: Mutex::new(None),
+            manifest: Mutex::new(None),
             results: Mutex::new(ResultFiles::default()),
             #[cfg(test)]
             crash_after: std::sync::atomic::AtomicUsize::new(usize::MAX),
@@ -197,14 +216,14 @@ impl SessionStore {
         self
     }
 
-    fn pack(&self) -> std::sync::MutexGuard<'_, Option<String>> {
+    fn manifest(&self) -> std::sync::MutexGuard<'_, Option<(String, Vec<Option<PackageDigest>>)>> {
         // Only a cache of what is on disk; a panic elsewhere cannot leave
         // it naming a pack the manifest does not.
-        self.pack.lock().unwrap_or_else(|e| e.into_inner())
+        self.manifest.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn result_files(&self) -> std::sync::MutexGuard<'_, ResultFiles> {
-        // As for `pack`: only a cache of what is on disk.
+        // As for `manifest`: only a cache of what is on disk.
         self.results.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -235,9 +254,10 @@ impl SessionStore {
         Ok(())
     }
 
-    /// Persists the current bundle: writes its pack unless the manifest
-    /// already names it, replaces the manifest, then removes the packs
-    /// and temp files the manifest does not name, a first-layout
+    /// Persists the current bundle, with no package digests: writes its
+    /// pack unless the manifest already names it, replaces the manifest
+    /// unless it already records exactly this bundle, then removes the
+    /// packs and temp files the manifest does not name, a first-layout
     /// `models/` directory, and the result files no key of the last
     /// [`SessionStore::persist_results`] names.
     ///
@@ -247,8 +267,25 @@ impl SessionStore {
     /// the *previous* manifest and the pack it names remain intact and
     /// authoritative.
     pub fn persist(&self, apps: &[AppModel]) -> Result<(), StoreError> {
+        self.persist_with_digests(apps, &vec![None; apps.len()])
+    }
+
+    /// [`SessionStore::persist`], recording `digests[i]`, the SHA-256 of
+    /// the package `apps[i]` was extracted from, where known (a change of
+    /// digests alone rewrites only the manifest).
+    ///
+    /// # Errors
+    ///
+    /// As for [`SessionStore::persist`]. Panics if `digests` and `apps`
+    /// differ in length.
+    pub fn persist_with_digests(
+        &self,
+        apps: &[AppModel],
+        digests: &[Option<PackageDigest>],
+    ) -> Result<(), StoreError> {
+        assert_eq!(apps.len(), digests.len(), "one digest per app");
         let _span = separ_obs::span("serve.store.persist");
-        let mut current = self.pack();
+        let mut current = self.manifest();
         let packs = self.dir.join("packs");
         let tmp = packs.join("pack.tmp");
         // Entries are encoded, hashed and streamed into the temp pack one
@@ -269,20 +306,31 @@ impl SessionStore {
         }
         self.step()?;
         let addresses: Vec<u8> = entries.iter().flat_map(|(address, _)| *address).collect();
-        let name = hex32(&sha256(&addresses));
-        if current.as_deref() == Some(name.as_str()) {
-            // The manifest names this very bundle already.
+        let name = Hex(&sha256(&addresses)).to_string();
+        let (named, recorded) = match &*current {
+            Some((pack, known)) => (*pack == name, known == digests),
+            None => (false, false),
+        };
+        if named {
+            // The manifest names this very pack already.
             let _ = std::fs::remove_file(&tmp);
         } else {
             let pack = self.pack_path(&name);
             std::fs::rename(&tmp, &pack).map_err(io_error(&pack))?;
             self.step()?;
-            let mut text = String::with_capacity(64 + apps.len() * 128);
+        }
+        if !(named && recorded) {
+            let mut text = String::with_capacity(64 + apps.len() * 200);
             let _ = write!(text, r#"{{"version":{VERSION},"pack":"{name}","apps":["#);
-            for (i, (app, (address, len))) in apps.iter().zip(&entries).enumerate() {
+            let rows = apps.iter().zip(&entries).zip(digests);
+            for (i, ((app, (address, len)), digest)) in rows.enumerate() {
                 text.push_str(if i == 0 { "[" } else { ",[" });
                 separ_obs::json::write_str(&app.package, &mut text);
-                let _ = write!(text, r#","{}",{len}]"#, hex32(address));
+                let _ = write!(text, r#","{}",{len}"#, Hex(address));
+                if let Some(digest) = digest {
+                    let _ = write!(text, r#","{}""#, Hex(digest));
+                }
+                text.push(']');
             }
             text.push_str("]}\n");
             let tmp = self.dir.join("manifest.json.tmp");
@@ -290,7 +338,7 @@ impl SessionStore {
             self.step()?;
             let manifest = self.manifest_path();
             std::fs::rename(&tmp, &manifest).map_err(io_error(&manifest))?;
-            *current = Some(name.clone());
+            *current = Some((name.clone(), digests.to_vec()));
             self.step()?;
         }
         // Garbage-collect what the manifest no longer names. Best effort:
@@ -411,9 +459,10 @@ impl SessionStore {
             let len = field(2)
                 .and_then(Value::as_u64)
                 .ok_or_else(|| malformed("an entry without a length"))?;
-            let address = field(1).and_then(Value::as_str).and_then(parse_hex32);
+            let hex = |i: usize| field(i).and_then(Value::as_str).and_then(parse_hex32);
             entries.push(PackEntry {
-                address,
+                address: hex(1),
+                digest: hex(3),
                 offset,
                 len,
             });
@@ -464,13 +513,16 @@ impl SessionStore {
                     Some((address, model)) => {
                         restored.apps.push(model);
                         restored.addresses.push(address);
+                        restored.digests.push(entry.digest);
                     }
                     None => restored.skipped += 1,
                 }
             }
         }
-        if file.is_some() {
-            *self.pack() = Some(pack);
+        // Remembered only when every entry checked out: a persist of the
+        // same bundle must replace a damaged pack.
+        if file.is_some() && restored.skipped == 0 {
+            *self.manifest() = Some((pack, entries.iter().map(|e| e.digest).collect()));
         }
         Ok(restored)
     }
@@ -492,6 +544,7 @@ impl SessionStore {
                 Some((model, address)) => {
                     restored.apps.push(model);
                     restored.addresses.push(address);
+                    restored.digests.push(None);
                 }
                 None => restored.skipped += 1,
             }
@@ -535,31 +588,9 @@ fn fsync_path(path: &Path) -> Result<(), StoreError> {
     }
 }
 
-/// The 32 bytes a 64-digit lower-case hex name spells, as [`hex32`]
-/// writes them.
+/// The 32 bytes a 64-digit hex name spells, as [`Hex`] writes them.
 fn parse_hex32(hex: &str) -> Option<[u8; 32]> {
-    let digits = hex.as_bytes();
-    if digits.len() != 64 {
-        return None;
-    }
-    let nibble = |d: u8| match d {
-        b'0'..=b'9' => Some(d - b'0'),
-        b'a'..=b'f' => Some(d - b'a' + 10),
-        _ => None,
-    };
-    let mut out = [0u8; 32];
-    for (byte, pair) in out.iter_mut().zip(digits.chunks_exact(2)) {
-        *byte = (nibble(pair[0])? << 4) | nibble(pair[1])?;
-    }
-    Some(out)
-}
-
-fn hex32(key: &[u8; 32]) -> String {
-    let mut out = String::with_capacity(64);
-    for b in key {
-        let _ = write!(out, "{b:02x}");
-    }
-    out
+    decode_hex(hex)?.try_into().ok()
 }
 
 #[cfg(test)]
@@ -580,7 +611,7 @@ mod tests {
     }
 
     fn tmp(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("separ-serve-store-{}-{tag}", std::process::id()))
+        std::env::temp_dir().join(format!("separ-store-{}-{tag}", std::process::id()))
     }
 
     fn address_of(app: &AppModel) -> ModelAddress {
@@ -627,6 +658,7 @@ mod tests {
         let apps = vec![app("com.b"), app("com.a"), app("com.c")];
         store.persist(&apps).expect("persists");
         store.sync().expect("syncs");
+        drop(store);
         let restored = restore(&dir);
         assert_eq!(restored.skipped, 0);
         assert!(restored.current);
@@ -642,7 +674,7 @@ mod tests {
         first.write_into(&mut written);
         let expected = format!(
             r#"["com.b","{}",{}]"#,
-            hex32(&addresses[0]),
+            Hex(&addresses[0]),
             encode_entry(&apps[0]).len()
         );
         assert_eq!(written, expected);
@@ -732,6 +764,7 @@ mod tests {
         // restored it, no file is replaced, created or deleted.
         store.persist(&apps).expect("re-persists");
         assert_eq!(inodes(), saved);
+        drop(store);
         let reopened = SessionStore::open(&dir).expect("reopens");
         let restored = reopened.restore().expect("restores");
         assert_eq!(restored.apps, apps);
@@ -752,8 +785,81 @@ mod tests {
         reopened.persist(&kept).expect("persists the half");
         the_pack(&dir);
         assert_ne!(inodes(), saved);
+        drop(reopened);
         let restored = restore(&dir);
         assert_eq!((restored.apps, restored.skipped), (kept, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn digests_round_trip_and_changing_only_them_rewrites_only_the_manifest() {
+        let dir = tmp("digests");
+        let _ = std::fs::remove_dir_all(&dir);
+        let apps = [app("com.a"), app("com.b")];
+        let digests = [[1; 32], [2; 32]];
+        let store = SessionStore::open(&dir).expect("opens");
+        store.persist(&apps).expect("persists");
+        drop(store);
+        let ino = |f: &Path| std::fs::metadata(f).expect("stat").ino();
+        let (pack, manifest) = (the_pack(&dir), dir.join("manifest.json"));
+        let (pack_ino, manifest_ino) = (ino(&pack), ino(&manifest));
+        assert_eq!(restore(&dir).digests, [None, None]);
+        // The same bundle with digests: the pack stays, the manifest is
+        // rewritten, and its rows gain a fourth field.
+        let reopened = SessionStore::open(&dir).expect("reopens");
+        reopened.restore().expect("restores");
+        reopened
+            .persist_with_digests(&apps, &digests.map(Some))
+            .expect("persists");
+        assert_eq!(the_pack(&dir), pack);
+        assert_eq!(ino(&pack), pack_ino);
+        assert_ne!(ino(&manifest), manifest_ino);
+        let text = std::fs::read_to_string(&manifest).expect("manifest");
+        assert!(
+            text.contains(&format!(r#","{}"]"#, Hex(&digests[1]))),
+            "{text}"
+        );
+        drop(reopened);
+        let reopened = SessionStore::open(&dir).expect("reopens");
+        let restored = reopened.restore().expect("restores");
+        assert_eq!(restored.apps, apps);
+        assert_eq!(restored.digests, [Some(digests[0]), Some(digests[1])]);
+        // Unchanged digests write nothing; dropping them rewrites the
+        // manifest again.
+        let manifest_ino = ino(&manifest);
+        reopened
+            .persist_with_digests(&apps, &digests.map(Some))
+            .expect("persists");
+        assert_eq!(ino(&manifest), manifest_ino);
+        reopened.persist(&apps).expect("persists");
+        assert_ne!(ino(&manifest), manifest_ino);
+        drop(reopened);
+        assert_eq!(restore(&dir).digests, [None, None]);
+        assert_eq!(ino(&pack), pack_ino);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_store_that_skipped_an_entry_rewrites_the_same_bundle() {
+        let dir = tmp("repair");
+        let _ = std::fs::remove_dir_all(&dir);
+        let apps = [app("com.a"), app("com.b")];
+        SessionStore::open(&dir)
+            .expect("opens")
+            .persist(&apps)
+            .expect("persists");
+        let pack = the_pack(&dir);
+        let mut data = std::fs::read(&pack).expect("read");
+        data[span_of(&apps, 0).end - 1] ^= 0x1;
+        std::fs::write(&pack, &data).expect("write");
+        // The damaged app comes back from elsewhere (a re-extraction):
+        // persisting the same bundle must replace the damaged pack.
+        let store = SessionStore::open(&dir).expect("reopens");
+        assert_eq!(store.restore().expect("restores").skipped, 1);
+        store.persist(&apps).expect("persists");
+        drop(store);
+        let restored = restore(&dir);
+        assert_eq!((restored.apps, restored.skipped), (apps.to_vec(), 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -764,6 +870,7 @@ mod tests {
         let store = SessionStore::open(&dir).expect("opens");
         let apps = [app("com.a"), app("com.b")];
         store.persist(&apps).expect("persists");
+        drop(store);
         // `com.a`'s entry is intact, but it sits where the manifest files
         // `com.b`'s.
         let pack = the_pack(&dir);
@@ -791,6 +898,7 @@ mod tests {
             .expect("opens")
             .with_executor(Executor::new(2));
         store.persist(&apps).expect("persists");
+        drop(store);
         // Corrupt the last byte of one entry in the second chunk.
         let victim = CHUNK + 1;
         let pack = the_pack(&dir);
@@ -840,7 +948,7 @@ mod tests {
         std::fs::create_dir_all(dir.join("models")).expect("models dir");
         let mut manifest = String::from(r#"{"version":1,"apps":["#);
         for (i, a) in apps.iter().enumerate() {
-            let hex = hex32(&address_of(a));
+            let hex = Hex(&address_of(a)).to_string();
             let file = dir.join("models").join(format!("{hex}.model"));
             std::fs::write(file, encode_entry(a)).expect("model file");
             let sep = if i == 0 { "" } else { "," };
@@ -860,6 +968,7 @@ mod tests {
         store.persist(&restored.apps).expect("persists");
         assert!(!dir.join("models").exists());
         the_pack(&dir);
+        drop(store);
         let restored = restore(&dir);
         assert_eq!(restored.apps, apps);
         assert!(restored.current);
@@ -891,6 +1000,8 @@ mod tests {
                 .crash_after
                 .store(k, std::sync::atomic::Ordering::Relaxed);
             finished = store.persist(&new).is_ok();
+            // The cut process is gone, and its lock with it.
+            drop(store);
             let restored = restore(&dir);
             assert_eq!(restored.skipped, 0, "cut after {k} step(s)");
             if restored.apps != old {
@@ -900,6 +1011,7 @@ mod tests {
             let store = SessionStore::open(&dir).expect("reopens");
             store.restore().expect("restores");
             store.persist(&new).expect("persists");
+            drop(store);
             assert_eq!(files(&dir, "packs").len(), 1);
             assert_eq!(restore(&dir).apps, new);
             k += 1;
@@ -913,8 +1025,31 @@ mod tests {
         assert_eq!(restore(&dir).apps, new);
         let store = SessionStore::open(&dir).expect("reopens");
         store.persist(&old).expect("persists");
+        drop(store);
         assert_eq!(files(&dir, "packs").len(), 1);
         assert_eq!(restore(&dir).apps, old);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_open_store_locks_its_directory() {
+        let dir = tmp("locked");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SessionStore::open(&dir).expect("opens");
+        // A second store on the directory is refused, naming it...
+        let err = SessionStore::open(&dir).expect_err("locked");
+        let locked = format!("{}: locked by another open store", dir.display());
+        assert_eq!(err.to_string(), locked);
+        // ...and the lock is one that another process's handle on the
+        // directory cannot take either, until the store is dropped.
+        let other = File::open(&dir).expect("opens the directory");
+        assert!(matches!(other.try_lock(), Err(TryLockError::WouldBlock)));
+        drop(store);
+        other.try_lock().expect("released with the store");
+        let err = SessionStore::open(&dir).expect_err("locked by the other handle");
+        assert_eq!(err.to_string(), locked);
+        drop(other);
+        SessionStore::open(&dir).expect("opens once released");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

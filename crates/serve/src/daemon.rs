@@ -24,8 +24,9 @@
 //! manifest and each signature's result; on startup the daemon restores
 //! the persisted models **without re-extracting** any package, reuses
 //! every stored result whose slice key still matches (re-synthesizing
-//! only the rest), and persists only what the store lacks.
-//! Shutdown closes the queue, drains what was accepted, persists again if
+//! only the rest), and persists only what the store lacks: a restart on
+//! an unchanged store writes nothing and solves nothing. The store stays
+//! locked while the daemon runs (see `separ_core::store`). Shutdown closes the queue, drains what was accepted, persists again if
 //! a batch failed or its persist did, and fsyncs — accepted requests are
 //! never lost (see
 //! `crate::queue`'s close-then-drain contract).
@@ -36,7 +37,8 @@ use std::time::{Duration, Instant};
 
 use separ_core::policy::{merge_delta, Policy};
 use separ_core::{
-    Executor, IncrementalSession, ResultKey, SeparConfig, SessionOp, SignatureRegistry,
+    Executor, IncrementalSession, ResultKey, SeparConfig, SessionOp, SessionStore,
+    SignatureRegistry, StoreError,
 };
 use separ_enforce::{CompiledPolicySet, PdpTotals, SharedPdp};
 use separ_obs::json::Value;
@@ -50,7 +52,6 @@ use crate::metrics::{
 };
 use crate::protocol::{decide_response, error_response, ok_response, QueryWhat, Request};
 use crate::queue::{fulfill_batch, BatchOutcome, BatchSummary, ChurnQueue, PushError};
-use crate::store::{SessionStore, StoreError};
 use crate::subscribe::{PolicyDeltaEvent, Subscription, Subscriptions};
 
 /// Daemon tuning knobs.

@@ -7,16 +7,15 @@
 //! uninstalls, permission toggles) over a socket, folds bursts of it
 //! into single incremental re-analysis passes, atomically publishes
 //! every policy delta into a lock-free decision engine, and persists
-//! enough state to recover its session after a restart without
-//! re-extracting a single package.
+//! its session in a [`SessionStore`] (`separ_core::store`, shared with
+//! `separ analyze --store`) so that a restart re-extracts no package and
+//! re-solves no signature whose slice is unchanged.
 //!
 //! Layering (each module documents its own contract):
 //!
 //! * [`protocol`] — the line-delimited JSON request/response grammar;
 //! * [`queue`] — bounded churn queue: backpressure, deadlines, and the
 //!   close-then-drain shutdown contract;
-//! * [`store`] — crash-consistent session persistence (one model pack
-//!   per bundle + atomically replaced manifest);
 //! * [`daemon`] — the coalescing analysis worker wiring session, store
 //!   and [`SharedPdp`](separ_enforce::SharedPdp) together;
 //!   [`Daemon::handle`] is the whole service as a function from request
@@ -38,7 +37,6 @@ pub mod metrics;
 pub mod protocol;
 pub mod queue;
 pub mod server;
-pub mod store;
 pub mod subscribe;
 
 pub use audit::{AuditRecord, AuditWriter};
@@ -46,6 +44,6 @@ pub use daemon::{Daemon, ServeConfig, ServeError};
 pub use metrics::{kind_slot, ServeMetrics, REQUEST_KINDS};
 pub use protocol::{QueryWhat, Request};
 pub use queue::{BatchOutcome, BatchSummary, ChurnQueue, PushError, Ticket};
+pub use separ_core::store::{Restored, SessionStore, StoreError};
 pub use server::{serve, Endpoint};
-pub use store::{Restored, SessionStore, StoreError};
 pub use subscribe::{PolicyDeltaEvent, Subscription, Subscriptions};

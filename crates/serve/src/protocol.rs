@@ -37,6 +37,8 @@ use std::borrow::Cow;
 
 use separ_android::types::Resource;
 use separ_core::policy::PolicyEvent;
+/// The `bytes_hex` wire form of a package.
+pub use separ_core::reuse::{decode_hex, encode_hex};
 use separ_enforce::{Decision, IccView, TagMask};
 use separ_obs::json::{JsonError, Lexeme, Lexer, Value};
 
@@ -460,27 +462,6 @@ impl<'a> Members<'a> {
     }
 }
 
-/// Decodes a lowercase/uppercase hex string; `None` on odd length or
-/// non-hex bytes.
-pub fn decode_hex(hex: &str) -> Option<Vec<u8>> {
-    if !hex.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..hex.len() / 2)
-        .map(|i| u8::from_str_radix(hex.get(2 * i..2 * i + 2)?, 16).ok())
-        .collect()
-}
-
-/// Encodes bytes as lowercase hex (the `bytes_hex` wire form).
-pub fn encode_hex(bytes: &[u8]) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(out, "{b:02x}");
-    }
-    out
-}
-
 /// Builds an `{"ok":false,"error":...}` response line.
 pub fn error_response(message: &str) -> String {
     let v = Value::Obj(vec![
@@ -546,6 +527,7 @@ mod tests {
         assert_eq!(decode_hex("AbFf").unwrap(), vec![0xab, 0xff]);
         assert!(decode_hex("abc").is_none());
         assert!(decode_hex("zz").is_none());
+        assert!(decode_hex("+f").is_none(), "a sign is not a digit");
     }
 
     #[test]

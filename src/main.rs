@@ -9,7 +9,8 @@
 //!     --stats                              per-signature CNF/SAT statistics + span/metric summary
 //!     --trace <file>                       write a Chrome trace-event JSON (Perfetto-loadable)
 //!     --events <file>                      write the structured event log as JSONL
-//!     --model-cache <dir>                  reuse extracted models keyed by package content hash
+//!     --store <dir>                        keep models and results in a session store:
+//!                                          skip unchanged packages and slices
 //! separ disasm <app.sdex>                  disassemble a package
 //! separ lint <app.sdex>... [--json]        verify packages, report diagnostics
 //!                                          (including Info-severity relevance findings)
@@ -37,7 +38,7 @@
 use std::process::ExitCode;
 
 use separ::analysis::diagnostics::{self, Severity};
-use separ::core::{policy_io, Separ, SeparConfig};
+use separ::core::{policy_io, AnalyzeError, Executor, Separ, SeparConfig, SessionStore};
 use separ::dex::codec;
 use separ::enforce::{Device, PromptHandler};
 
@@ -142,7 +143,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     let mut events_out: Option<String> = None;
     let mut print_alloy = false;
     let mut print_stats = false;
-    let mut model_cache_dir: Option<String> = None;
+    let mut store_dir: Option<String> = None;
     let mut config = SeparConfig::default();
     let mut i = 0;
     while i < args.len() {
@@ -181,11 +182,11 @@ fn cmd_analyze(args: &[String]) -> CliResult {
                     .parse()
                     .map_err(|e| usage(format!("analyze: --threads: {e}")))?;
             }
-            "--model-cache" => {
+            "--store" => {
                 i += 1;
-                model_cache_dir = Some(
+                store_dir = Some(
                     args.get(i)
-                        .ok_or_else(|| usage("analyze: --model-cache needs a directory"))?
+                        .ok_or_else(|| usage("analyze: --store needs a directory"))?
                         .clone(),
                 );
             }
@@ -202,18 +203,33 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     // Timing in `BundleStats` is span-derived, so tracing is on for
     // every analyze run; the snapshot also feeds --trace/--events.
     separ::obs::global().enable();
-    let apks: Vec<_> = files
+    let packages: Vec<Vec<u8>> = files
         .iter()
-        .map(|f| load_apk(f))
+        .map(|f| std::fs::read(f).map_err(|e| format!("{f}: {e}")))
         .collect::<Result<_, _>>()?;
-    let mut separ = Separ::new().with_config(config);
-    let model_cache = model_cache_dir
-        .as_ref()
-        .map(|dir| std::sync::Arc::new(separ::core::ModelCache::with_dir(dir)));
-    if let Some(cache) = &model_cache {
-        separ = separ.with_model_cache(cache.clone());
+    let store = match &store_dir {
+        Some(dir) => Some(
+            SessionStore::open(dir)
+                .map_err(|e| format!("store: {e}"))?
+                .with_executor(Executor::new(config.threads)),
+        ),
+        None => None,
+    };
+    let separ = Separ::new().with_config(config);
+    let analyzed = match &store {
+        Some(store) => separ.analyze_packages_in(store, &packages),
+        None => separ.analyze_packages(&packages),
+    };
+    let report = analyzed.map_err(|e| match e {
+        // Name the package that failed to decode.
+        AnalyzeError::Dex(_) => (files.iter().zip(&packages))
+            .find_map(|(f, bytes)| Some(format!("{f}: {}", codec::decode(bytes).err()?)))
+            .unwrap_or_else(|| e.to_string()),
+        e => e.to_string(),
+    })?;
+    if let Some(store) = &store {
+        store.sync().map_err(|e| format!("store: {e}"))?;
     }
-    let report = separ.analyze_apks(&apks).map_err(|e| e.to_string())?;
     println!(
         "bundle: {} app(s), {} component(s), {} intent(s)",
         report.apps.len(),
@@ -229,15 +245,13 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         report.stats.construction,
         report.stats.solving,
     );
-    if let Some(cache) = &model_cache {
-        let cs = cache.stats();
+    if let Some(dir) = &store_dir {
         println!(
-            "model cache: {} hit(s) ({} memory, {} disk), {} miss(es), {} corrupt entr(ies)",
-            report.stats.cache_hits,
-            cs.memory_hits,
-            cs.disk_hits,
-            report.stats.cache_misses,
-            cs.corrupt,
+            "store {dir}: {} app(s) restored, {} extracted; {} signature(s) reused, {} synthesized",
+            report.apps.len() - report.stats.extracted,
+            report.stats.extracted,
+            report.stats.per_signature.len() - report.stats.synthesized,
+            report.stats.synthesized,
         );
     }
     if report.stats.quarantined_methods > 0 {
@@ -250,10 +264,6 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         println!(
             "verifier: {} diagnostic(s), {} quarantined method(s)",
             report.stats.diagnostics, report.stats.quarantined_methods
-        );
-        println!(
-            "extraction: {} model-cache hit(s), {} miss(es)",
-            report.stats.cache_hits, report.stats.cache_misses
         );
         println!(
             "solver: {} primary vars, {} clauses, {}/{} signatures reused the shared bundle base",
@@ -640,6 +650,65 @@ mod tests {
             assert_eq!(err, usage(format!("analyze: unknown option {flag}")));
             assert_eq!(err.exit_code(), 2, "{flag}");
         }
+    }
+
+    #[test]
+    fn analyze_fails_on_an_unusable_store_and_names_its_path() {
+        let dir = std::env::temp_dir().join(format!("separ-cli-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pkgs = dir.to_string_lossy().into_owned();
+        cmd_pack(&strings(&[&pkgs])).expect("packs");
+        let package = format!("{pkgs}/navigator.sdex");
+        // No directory can be made under a regular file.
+        let blocked = format!("{package}/store");
+        let err = cmd_analyze(&strings(&[&package, "--store", &blocked])).expect_err("unusable");
+        assert!(
+            matches!(&err, CliError::Failed(msg) if msg.contains(&blocked)),
+            "{err:?}"
+        );
+        assert_eq!(err.exit_code(), 1);
+        let err = cmd_analyze(&strings(&[&package, "--store"])).expect_err("no directory");
+        assert_eq!(err, usage("analyze: --store needs a directory"));
+        // A store another process holds (here: another handle's lock on
+        // the directory) is refused, naming it.
+        let store = format!("{pkgs}/store");
+        cmd_analyze(&strings(&[&package, "--store", &store])).expect("analyzes");
+        let other = std::fs::File::open(&store).expect("opens the store directory");
+        other.try_lock().expect("no store holds it");
+        let err = cmd_analyze(&strings(&[&package, "--store", &store])).expect_err("locked");
+        assert!(
+            matches!(&err, CliError::Failed(msg) if msg.contains(&store) && msg.contains("locked by another open store")),
+            "{err:?}"
+        );
+        assert_eq!(err.exit_code(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn analyze_names_a_package_that_fails_to_decode_with_or_without_a_store() {
+        let dir = std::env::temp_dir().join(format!("separ-cli-decode-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pkgs = dir.to_string_lossy().into_owned();
+        cmd_pack(&strings(&[&pkgs])).expect("packs");
+        let truncated = format!("{pkgs}/truncated.sdex");
+        let bytes = std::fs::read(format!("{pkgs}/navigator.sdex")).expect("reads");
+        std::fs::write(&truncated, &bytes[..100]).expect("writes");
+        let inputs = [format!("{pkgs}/messenger.sdex"), truncated.clone()];
+        let store = format!("{pkgs}/store");
+        for extra in [&[][..], &["--store", store.as_str()][..]] {
+            let args: Vec<&str> = inputs
+                .iter()
+                .map(String::as_str)
+                .chain(extra.iter().copied())
+                .collect();
+            let err = cmd_analyze(&strings(&args)).expect_err("truncated package");
+            assert!(
+                matches!(&err, CliError::Failed(msg) if msg.starts_with(&format!("{truncated}: "))),
+                "{extra:?}: {err:?}"
+            );
+            assert_eq!(err.exit_code(), 1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,19 +5,24 @@
 //! abstract intents, live and dead branches, helper chains, direct and
 //! mutual recursion, and verifier-quarantined methods — the summary
 //! strategy must extract *exactly* the model the retained per-context
-//! reference does, and the content-hash model cache must be transparent:
-//! a warm hit is byte-for-byte the cold extraction.
+//! reference does, and the model codec must be transparent: a decoded
+//! entry is byte-for-byte the extraction. A session store must be
+//! transparent too: an analysis that takes stored models and results
+//! reports what a store-less one does.
 
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use separ::analysis::absint::{AnalysisOptions, AnalysisStrategy};
-use separ::analysis::cache::{self, CacheOutcome, ModelCache};
+use separ::analysis::cache;
 use separ::analysis::extractor::extract_apk_with;
 use separ::analysis::AppModel;
-use separ::android::api::class;
-use separ::android::types::perm;
-use separ::core::Separ;
+use separ::android::api::{class, IccMethod};
+use separ::android::types::{perm, Resource};
+use separ::core::{
+    IncrementalSession, Report, Separ, SeparConfig, SessionOp, SessionStore, SignatureRegistry,
+};
+use separ::corpus::builder::result_channel_case;
 use separ::corpus::market::{generate, MarketSpec};
 use separ::dex::build::ApkBuilder;
 use separ::dex::codec;
@@ -339,8 +344,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole property: summary-based extraction is observationally
-    /// identical to the per-context reference, and a cache hit returns
-    /// the cold model byte-for-byte.
+    /// identical to the per-context reference, and the codec returns the
+    /// model extracted from the package's bytes byte-for-byte.
     #[test]
     fn summary_extraction_matches_per_context_reference(spec in app_spec()) {
         let apk = build_app(&spec);
@@ -366,128 +371,219 @@ proptest! {
             );
         }
 
-        // Cache transparency: hit == cold, byte-for-byte.
-        let bytes = codec::encode(&apk);
-        let model_cache = ModelCache::new();
-        let (cold, first) = model_cache.get_or_extract(&bytes).expect("decodes");
-        let (warm, second) = model_cache.get_or_extract(&bytes).expect("decodes");
-        prop_assert_eq!(first, CacheOutcome::Miss);
-        prop_assert_eq!(second, CacheOutcome::MemoryHit);
-        prop_assert_eq!(cache::encode_entry(&cold), cache::encode_entry(&warm));
-        prop_assert_eq!(normalized((*cold).clone()), normalized(summaries));
+        // Codec transparency: decoded == extracted, byte-for-byte.
+        let cold = separ::analysis::extract(&codec::encode(&apk)).expect("decodes");
+        let entry = cache::encode_entry(&cold);
+        let warm = cache::decode_entry(&entry).expect("a valid entry");
+        prop_assert_eq!(cache::encode_entry(&warm), entry);
+        prop_assert_eq!(normalized(warm), normalized(summaries));
     }
 }
 
-/// Policy identity modulo id (ids are presentation, not identity).
-fn policy_fingerprint(policies: &[separ::core::Policy]) -> Vec<String> {
-    let mut out: Vec<String> = policies
+/// A fresh, empty store directory for one test.
+fn store_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("separ-store-test-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A store-backed analysis in a fresh process's view of the store.
+fn analyze_in(dir: &Path, packages: &[Vec<u8>]) -> Report {
+    let store = SessionStore::open(dir).expect("store opens");
+    Separ::new()
+        .analyze_packages_in(&store, packages)
+        .expect("analyzes")
+}
+
+/// A store-backed report agrees with a store-less one on every derived
+/// artifact: the resolved models, the exploits and the policies.
+fn assert_same_analysis(stored: &Report, packages: &[Vec<u8>]) {
+    let fresh = Separ::new()
+        .analyze_packages(packages)
+        .expect("analyzes without a store");
+    assert_eq!(stored.apps, fresh.apps);
+    assert_eq!(stored.exploits, fresh.exploits);
+    assert_eq!(stored.policies, fresh.policies);
+}
+
+fn market_packages(total: usize, seed: u64) -> Vec<Vec<u8>> {
+    generate(&MarketSpec::scaled(total, seed))
         .iter()
-        .map(|p| {
-            format!(
-                "{} {:?} {:?} {:?}",
-                p.vulnerability, p.event, p.conditions, p.action
-            )
-        })
-        .collect();
-    out.sort();
-    out
+        .map(|a| codec::encode(&a.apk).to_vec())
+        .collect()
 }
 
 #[test]
 fn mutating_one_app_reextracts_only_that_app() {
-    let market = generate(&MarketSpec::scaled(8, 21));
-    let mut packages: Vec<Vec<u8>> = market
-        .iter()
-        .map(|a| codec::encode(&a.apk).to_vec())
-        .collect();
-    let model_cache = Arc::new(ModelCache::new());
-    let separ = Separ::new().with_model_cache(model_cache.clone());
+    let dir = store_dir("mutate");
+    let mut packages = market_packages(12, 21);
+    let signatures = SignatureRegistry::standard().len();
 
-    let first = separ.analyze_packages(&packages).expect("analyzes");
-    assert_eq!(first.stats.cache_hits, 0);
-    assert_eq!(first.stats.cache_misses, packages.len());
+    let first = analyze_in(&dir, &packages);
+    assert_eq!(first.stats.extracted, packages.len());
+    assert_eq!(first.stats.synthesized, signatures);
 
-    // Touch exactly one app: grant it an extra permission and re-encode.
-    let mut mutated = codec::decode(&packages[3]).expect("decodes");
+    // Touch exactly one app, one that some slices keep: grant it an
+    // extra permission and re-encode.
+    let mut mutated = codec::decode(&packages[10]).expect("decodes");
     mutated
         .manifest
         .uses_permissions
         .push("android.permission.CAMERA".to_string());
-    packages[3] = codec::encode(&mutated).to_vec();
+    packages[10] = codec::encode(&mutated).to_vec();
 
-    let second = separ.analyze_packages(&packages).expect("analyzes");
-    assert_eq!(
-        second.stats.cache_hits,
-        packages.len() - 1,
-        "every untouched app must be served from the cache"
+    // The signatures whose slice the change moved, by the session that
+    // keys every re-run.
+    let mut session = IncrementalSession::new(
+        SignatureRegistry::standard(),
+        SeparConfig::default(),
+        first.apps.clone(),
+    )
+    .expect("session starts");
+    let moved = session
+        .apply_batch(vec![SessionOp::Install(
+            separ::analysis::extract(&packages[10]).expect("decodes"),
+        )])
+        .expect("applies")
+        .signatures_rerun;
+    assert!(
+        0 < moved && moved < signatures,
+        "the permission moves some slices, not all: {moved}"
     );
+
+    let second = analyze_in(&dir, &packages);
     assert_eq!(
-        second.stats.cache_misses, 1,
+        second.stats.extracted, 1,
         "only the mutated app re-extracts"
     );
-    let stats = model_cache.stats();
-    assert_eq!(stats.memory_hits as usize, packages.len() - 1);
-    assert_eq!(stats.misses as usize, packages.len() + 1);
+    assert_eq!(
+        second.stats.synthesized, moved,
+        "only the signatures whose slice moved are synthesized"
+    );
+    assert_same_analysis(&second, &packages);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn corrupted_disk_entry_falls_back_at_bundle_level() {
-    let dir = std::env::temp_dir().join(format!("separ-bundle-cache-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let market = generate(&MarketSpec::scaled(4, 9));
-    let packages: Vec<Vec<u8>> = market
-        .iter()
-        .map(|a| codec::encode(&a.apk).to_vec())
-        .collect();
+    let dir = store_dir("corrupt");
+    let packages = market_packages(4, 9);
+    let cold = analyze_in(&dir, &packages);
+    assert_eq!(cold.stats.extracted, packages.len());
 
-    // Populate the file-backed store, then drop the process-local cache.
-    let cold = Separ::new()
-        .with_model_cache(Arc::new(ModelCache::with_dir(&dir)))
-        .analyze_packages(&packages)
-        .expect("analyzes");
-    assert_eq!(cold.stats.cache_misses, packages.len());
-
-    // Corrupt one stored entry mid-payload.
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .expect("cache dir exists")
+    // Flip one byte in the middle of the first entry of the pack.
+    let pack = std::fs::read_dir(dir.join("packs"))
+        .expect("packs dir exists")
         .map(|e| e.expect("entry").path())
-        .collect();
-    entries.sort();
-    assert_eq!(entries.len(), packages.len());
-    let victim = &entries[0];
-    let mut data = std::fs::read(victim).expect("readable");
-    let mid = data.len() / 2;
-    data[mid] ^= 0x55;
-    std::fs::write(victim, &data).expect("rewritable");
+        .find(|p| p.extension().is_some_and(|x| x == "pack"))
+        .expect("one pack");
+    let mut data = std::fs::read(&pack).expect("readable");
+    data[cache::encode_entry(&cold.apps[0]).len() / 2] ^= 0x55;
+    std::fs::write(&pack, &data).expect("rewritable");
 
-    // A fresh cache over the same directory — a new process — detects
-    // the corruption, re-extracts that app, and serves the rest from
-    // disk; the report is unchanged.
-    let model_cache = Arc::new(ModelCache::with_dir(&dir));
-    let warm = Separ::new()
-        .with_model_cache(model_cache.clone())
-        .analyze_packages(&packages)
-        .expect("analyzes despite corruption");
-    assert_eq!(warm.stats.cache_hits, packages.len() - 1);
-    assert_eq!(warm.stats.cache_misses, 1);
-    let stats = model_cache.stats();
-    assert_eq!(stats.corrupt, 1);
-    assert_eq!(stats.disk_hits as usize, packages.len() - 1);
-
-    // Cached and uncached analyses agree on every derived artifact.
-    let fresh = Separ::new()
-        .analyze_packages(&packages)
-        .expect("analyzes uncached");
+    // Restore skips exactly that entry; a new process re-extracts that
+    // app alone, and reuses every result (its model is the same).
+    let restored = SessionStore::open(&dir)
+        .expect("store opens")
+        .restore()
+        .expect("restores");
     assert_eq!(
-        policy_fingerprint(&warm.policies),
-        policy_fingerprint(&fresh.policies)
+        (restored.apps.len(), restored.skipped),
+        (packages.len() - 1, 1)
     );
-    let debug_sorted = |r: &separ::core::Report| {
-        let mut v: Vec<String> = r.exploits.iter().map(|e| format!("{e:?}")).collect();
-        v.sort();
-        v
+    let warm = analyze_in(&dir, &packages);
+    assert_eq!(warm.stats.extracted, 1);
+    assert_eq!(warm.stats.synthesized, 0);
+    assert_same_analysis(&warm, &packages);
+    // The store was repaired: the next run extracts nothing.
+    assert_eq!(analyze_in(&dir, &packages).stats.extracted, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_store_persisted_by_a_session_serves_batch_analysis() {
+    let dir = store_dir("interop");
+    let packages = market_packages(12, 5);
+    // The daemon's path: models into a session, the session's results
+    // and models into the store, with no package digests.
+    let models = packages
+        .iter()
+        .map(|p| separ::analysis::extract(p).expect("decodes"))
+        .collect();
+    let session = IncrementalSession::new(
+        SignatureRegistry::standard(),
+        SeparConfig::default(),
+        models,
+    )
+    .expect("session starts");
+    {
+        let store = SessionStore::open(&dir).expect("store opens");
+        store.persist_results(session.results()).expect("persists");
+        store.persist(session.apps()).expect("persists");
+    }
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+
+    // Rows without digests: every package is extracted, but its model
+    // names the same slices, so every result is reused.
+    let first = analyze_in(&dir, &packages);
+    assert_eq!(
+        (first.stats.extracted, first.stats.synthesized),
+        (packages.len(), 0)
+    );
+    assert_same_analysis(&first, &packages);
+    // The same pack, now with digests: only the manifest was rewritten.
+    let rewritten = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+    assert_ne!(rewritten, manifest);
+    assert!(rewritten.starts_with(&manifest[..manifest.find(r#","apps""#).expect("apps")]));
+
+    let second = analyze_in(&dir, &packages);
+    assert_eq!((second.stats.extracted, second.stats.synthesized), (0, 0));
+    assert_same_analysis(&second, &packages);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stored_models_are_resolved_again_in_each_bundle() {
+    // Two apps each start `LResp;` for a result, and each holds an
+    // `LResp;` that replies: every reply resolves to every requester in
+    // the bundle.
+    let app = |package: &str, requester: &str| {
+        let apk = result_channel_case(
+            package,
+            requester,
+            "LResp;",
+            IccMethod::StartActivityForResult,
+            Resource::DeviceId,
+            Resource::Sms,
+            "k",
+        );
+        codec::encode(&apk).to_vec()
     };
-    assert_eq!(debug_sorted(&warm), debug_sorted(&fresh));
+    let (a, b) = (app("com.a", "LReqA;"), app("com.b", "LReqB;"));
+    let reply_targets = |report: &Report| -> Vec<String> {
+        let passive = report.apps[0]
+            .components
+            .iter()
+            .flat_map(|c| &c.sent_intents)
+            .find(|i| i.is_passive)
+            .expect("a passive reply");
+        passive.resolved_targets.iter().cloned().collect()
+    };
+    let dir = store_dir("resolution");
+    // `com.a`'s stored model was resolved against the bundle before: the
+    // next bundle takes it from the store and must resolve it afresh.
+    let both = vec![a.clone(), b.clone()];
+    let runs = [
+        (both.clone(), vec!["LReqA;", "LReqB;"], 2),
+        (vec![a.clone()], vec!["LReqA;"], 0),
+        (both, vec!["LReqA;", "LReqB;"], 1),
+    ];
+    for (bundle, targets, extracted) in runs {
+        let report = analyze_in(&dir, &bundle);
+        assert_eq!(report.stats.extracted, extracted);
+        assert_eq!(reply_targets(&report), targets);
+        assert_same_analysis(&report, &bundle);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
