@@ -305,9 +305,15 @@ impl<'a> Reader<'a> {
         self.vec(8, Reader::str)
     }
 
+    /// A [`write_strs`] set, built by insertion: collecting would first
+    /// gather the strings into a temporary vector to sort them.
     fn str_set(&mut self) -> Option<std::collections::BTreeSet<String>> {
         let n = self.prefix_len()?;
-        (0..n).map(|_| self.str()).collect()
+        let mut set = std::collections::BTreeSet::new();
+        for _ in 0..n {
+            set.insert(self.str()?);
+        }
+        Some(set)
     }
 
     /// A resource, written as its index in [`Resource::ALL`].

@@ -300,11 +300,10 @@ fn lint_manifest(apk: &Apk, app: &str, out: &mut Vec<Diagnostic>) {
 /// well-formedness of the package, while this one reads the *extracted
 /// model*; `separ lint` runs both.
 pub fn unreachable_components(app: &crate::model::AppModel) -> Vec<Diagnostic> {
-    crate::slicing::summarize_app(app)
-        .components
-        .iter()
-        .filter(|c| !c.caps.any())
-        .map(|c| Diagnostic {
+    let summary = crate::slicing::summarize_app(app);
+    (summary.components.iter().zip(&app.components))
+        .filter(|(summary, _)| !summary.caps.any())
+        .map(|(_, c)| Diagnostic {
             severity: Severity::Info,
             app: app.package.clone(),
             location: format!("manifest:{}", c.class),

@@ -179,16 +179,24 @@ pub struct TaintedSend {
     pub data: IntentData,
 }
 
-/// One component's capability summary.
+/// One component's capability summary. It copies neither the
+/// component's class nor its filters: those are read from its model, at
+/// the same index.
 #[derive(Debug, Clone)]
 pub struct ComponentSummary {
-    /// The component's class descriptor.
-    pub class: String,
     /// Capability bits.
     pub caps: ComponentCaps,
     /// Source-tainted sends originating here (leak sender side).
     pub tainted_sends: Vec<TaintedSend>,
-    /// The component's static intent filters (leak receiver side).
+}
+
+/// What leak-channel matching reads of a leak-sink component (one with
+/// [`ComponentCaps::leak_sink`]): the leak receiver side.
+#[derive(Debug, Clone)]
+pub struct LeakSink {
+    /// The component's class descriptor.
+    pub class: String,
+    /// The component's static intent filters.
     pub filters: Vec<IntentFilterDecl>,
 }
 
@@ -197,13 +205,16 @@ pub struct ComponentSummary {
 /// Summaries are deliberately computed from the app model *alone* — they
 /// never read `resolved_targets` or any other cross-app state — so an
 /// incremental session can re-summarize exactly the apps a delta touched
-/// and keep every other summary verbatim.
+/// and keep every other summary verbatim. A summary sits beside its
+/// model and copies no package, class or filter of it, except the class
+/// and filters of the few leak sinks, which [`select_apps`] matches
+/// across apps.
 #[derive(Debug, Clone)]
 pub struct AppSummary {
-    /// The app's package name.
-    pub package: String,
     /// Per-component summaries, in model order.
     pub components: Vec<ComponentSummary>,
+    /// The app's leak-sink components, in model order.
+    pub leak_sinks: Vec<LeakSink>,
     /// The app contributes at least one action atom to the encoding
     /// (a sent intent's action or a filter action).
     pub has_action: bool,
@@ -252,10 +263,8 @@ fn summarize_component(app: &AppModel, c: &ComponentModel) -> ComponentSummary {
             .any(|a| is_protected_broadcast(a))
         && c.icc_entry_paths().next().is_some();
     ComponentSummary {
-        class: c.class.clone(),
         caps,
         tainted_sends,
-        filters: c.filters.clone(),
     }
 }
 
@@ -265,6 +274,13 @@ pub fn summarize_app(app: &AppModel) -> AppSummary {
         .components
         .iter()
         .map(|c| summarize_component(app, c))
+        .collect();
+    let leak_sinks = (components.iter().zip(&app.components))
+        .filter(|(summary, _)| summary.caps.leak_sink)
+        .map(|(_, c)| LeakSink {
+            class: c.class.clone(),
+            filters: c.filters.clone(),
+        })
         .collect();
     let has_action = app.components.iter().any(|c| {
         c.filters.iter().any(|f| !f.actions.is_empty())
@@ -276,8 +292,8 @@ pub fn summarize_app(app: &AppModel) -> AppSummary {
             .any(|i| i.action.is_none() && i.is_hijackable() && tainted(&i.extra_taints))
     });
     AppSummary {
-        package: app.package.clone(),
         components,
+        leak_sinks,
         has_action,
         actionless_hijackable_send,
     }
@@ -300,15 +316,10 @@ fn app_has_cap(s: &AppSummary, f: impl Fn(&ComponentCaps) -> bool) -> bool {
 /// passive sends match every sink, over-approximating the Algorithm 1
 /// fixpoint without reading cross-app state.
 fn select_leak_channel(summaries: &[AppSummary], kept: &mut BTreeSet<usize>) {
-    let sinks: Vec<(usize, &ComponentSummary)> = summaries
+    let sinks: Vec<(usize, &LeakSink)> = summaries
         .iter()
         .enumerate()
-        .flat_map(|(ai, s)| {
-            s.components
-                .iter()
-                .filter(|c| c.caps.leak_sink)
-                .map(move |c| (ai, c))
-        })
+        .flat_map(|(ai, s)| s.leak_sinks.iter().map(move |c| (ai, c)))
         .collect();
     if sinks.is_empty() {
         return;

@@ -232,7 +232,12 @@ impl Router {
                 let kind = usize::from(c.kind().tag());
                 let actions = c.filters().iter().flat_map(|f| &f.actions);
                 for action in actions.clone() {
-                    let per_kind = router.by_action.entry(action.clone()).or_default();
+                    // Looked up first: an action is copied once, when
+                    // the first component declaring it is indexed.
+                    let per_kind = match router.by_action.get_mut(action.as_str()) {
+                        Some(per_kind) => per_kind,
+                        None => router.by_action.entry(action.clone()).or_default(),
+                    };
                     // One entry per component, however many of its
                     // filters declare the action.
                     if per_kind[kind].last() != Some(&slot) {

@@ -24,6 +24,7 @@
 //! unchanged store solves nothing.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use separ_analysis::cache::model_address;
 use separ_analysis::model::{retarget_passive_intents, AppModel};
@@ -106,7 +107,9 @@ pub struct IncrementalSession {
     /// exploits and the key of the slice they were synthesized for
     /// (`None` while the bundle is empty).
     results: Vec<(Option<ResultKey>, Vec<Exploit>)>,
-    policies: Vec<Policy>,
+    /// Shared with whoever publishes or enforces it
+    /// ([`IncrementalSession::shared_policies`]); replaced, never edited.
+    policies: Arc<[Policy]>,
     total_syntheses: usize,
 }
 
@@ -168,11 +171,16 @@ impl IncrementalSession {
         stored: StoredResults<'_>,
     ) -> Result<(IncrementalSession, Vec<usize>), LogicError> {
         assert_eq!(apps.len(), addresses.len(), "one address per app");
+        let resolution = separ_obs::span("pipeline.resolution");
         let retargeted = retarget_passive_intents(&mut apps);
         for &i in &retargeted {
             addresses[i] = model_address(&apps[i]);
         }
-        let summaries = slicing::summarize_bundle(&apps);
+        drop(resolution);
+        let summaries = {
+            let _span = separ_obs::span("ase.summarize");
+            slicing::summarize_bundle(&apps)
+        };
         let mut session = IncrementalSession {
             results: vec![(None, Vec::new()); registry.len()],
             registry,
@@ -180,7 +188,7 @@ impl IncrementalSession {
             apps,
             summaries,
             addresses,
-            policies: Vec::new(),
+            policies: Arc::new([]),
             total_syntheses: 0,
         };
         session.rerun(|_| true, stored)?;
@@ -195,6 +203,12 @@ impl IncrementalSession {
     /// The current policy set.
     pub fn policies(&self) -> &[Policy] {
         &self.policies
+    }
+
+    /// The current policy set, shared rather than copied: a later change
+    /// replaces the session's list and leaves this one as it is.
+    pub fn shared_policies(&self) -> Arc<[Policy]> {
+        Arc::clone(&self.policies)
     }
 
     /// All currently known exploits.
@@ -280,14 +294,14 @@ impl IncrementalSession {
         // Re-derive the policy set from the merged results: hijack
         // carve-outs read every app, so this runs even when every
         // signature's result was reused.
-        self.policies = derive_policies(&self.apps, self.exploits());
+        self.policies = derive_policies(&self.apps, self.exploits()).into();
         Ok(reran)
     }
 
     /// The policy change from `before` to the current set, by content
     /// identity; `added` and `removed` keep the order of the current set
     /// and of `before`.
-    fn delta_from(&mut self, before: Vec<Policy>, reran: usize, resliced: usize) -> PolicyDelta {
+    fn delta_from(&mut self, before: &[Policy], reran: usize, resliced: usize) -> PolicyDelta {
         let added = {
             let before_keys: HashSet<PolicyKey> = before.iter().map(Policy::content_key).collect();
             self.policies
@@ -299,8 +313,9 @@ impl IncrementalSession {
         let current_keys: HashSet<PolicyKey> =
             self.policies.iter().map(Policy::content_key).collect();
         let removed = before
-            .into_iter()
+            .iter()
             .filter(|q| !current_keys.contains(&q.content_key()))
+            .cloned()
             .collect();
         PolicyDelta {
             added,
@@ -415,19 +430,19 @@ impl IncrementalSession {
                 self.addresses[i] = model_address(&self.apps[i]);
             }
         }
-        let before = self.policies.clone();
+        let before = self.shared_policies();
         let reran = if self.apps.is_empty() {
             for slot in &mut self.results {
                 *slot = (None, Vec::new());
             }
-            self.policies.clear();
+            self.policies = Arc::new([]);
             0
         } else if topology {
             self.rerun(|_| true, &|_| None)?
         } else {
             self.rerun(|s| s.permissions, &|_| None)?
         };
-        let mut delta = self.delta_from(before, reran, resliced);
+        let mut delta = self.delta_from(&before, reran, resliced);
         delta.ops_coalesced = ops_coalesced;
         Ok(delta)
     }

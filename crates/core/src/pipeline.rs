@@ -938,58 +938,114 @@ pub(crate) fn derive_policies<'a>(
     let _span = separ_obs::span("pipeline.derive_policies");
     let exploits: Vec<&Exploit> = exploits.collect();
     // Only hijack policies ask who else receives an intent.
-    let router = exploits
+    let mut carve_outs = exploits
         .iter()
         .any(|e| matches!(e, Exploit::IntentHijack { .. }))
-        .then(|| resolution::Router::new(apps.iter().map(|a| &a.components)));
+        .then(|| CarveOuts::new(apps));
     let mut policies = Vec::new();
     for e in exploits {
-        let intended = router
-            .as_ref()
-            .map_or_else(Vec::new, |router| intended_recipients(apps, router, e));
-        policies.extend(policies_for_exploit(e, &intended));
+        let intended = carve_outs
+            .as_mut()
+            .map_or_else(Vec::new, |carve_outs| carve_outs.intended_recipients(e));
+        policies.extend(policies_for_exploit(e, intended));
     }
     finalize_policies(policies)
 }
 
-/// For a hijack exploit, the components legitimately able to receive the
-/// victim intent (used to scope `ReceiverNotIn` policy conditions): the
-/// classes `router` (built over `apps`) delivers the action-only intent
-/// to when the victim's app sends it, to any component kind (an
-/// `IntentHijack` exploit records no delivery method), minus the
-/// victim's class; sorted and distinct. Empty for other exploit kinds.
-fn intended_recipients(
-    apps: &[AppModel],
-    router: &resolution::Router,
-    exploit: &Exploit,
-) -> Vec<String> {
-    let Exploit::IntentHijack {
-        victim_app,
-        victim_component,
-        hijacked_action,
-        ..
-    } = exploit
-    else {
-        return Vec::new();
-    };
-    let mut intent = resolution::IntentData::new();
-    intent.action = hijacked_action.as_deref().map(Into::into);
-    let from_app = apps.iter().position(|a| a.package == *victim_app);
-    let component = |(ai, ci): resolution::Slot| &apps[ai].components[ci];
-    let mut slots = Vec::new();
-    for kind in ComponentKind::ALL {
-        router.route(component, kind, &intent, from_app, &mut slots);
-    }
-    let classes: BTreeSet<&str> = slots
-        .into_iter()
-        .map(|slot| component(slot).class.as_str())
-        .filter(|class| *class != victim_component)
-        .collect();
-    classes.into_iter().map(String::from).collect()
+/// A bundle's hijack carve-outs: who legitimately receives a hijacked
+/// intent. Exploits re-route the same few actions, so the components
+/// the [`resolution::Router`] delivers an action to from another app
+/// (the exported ones) are found once per action; each exploit adds
+/// only its victim app's own receivers.
+struct CarveOuts<'a> {
+    apps: &'a [AppModel],
+    router: resolution::Router,
+    /// Each package's first app index, as the router names apps.
+    app_of: HashMap<&'a str, usize>,
+    /// Per hijacked action (`None`: an action-less intent), the
+    /// action-only intent and the classes of the components it reaches
+    /// when no installed app sends it (the exported ones), sorted and
+    /// distinct.
+    by_action: HashMap<Option<&'a str>, (resolution::IntentData, Vec<&'a str>)>,
 }
 
-/// Reference for [`intended_recipients`]: scans every component of the
-/// bundle for each exploit.
+impl<'a> CarveOuts<'a> {
+    fn new(apps: &'a [AppModel]) -> CarveOuts<'a> {
+        let mut app_of = HashMap::with_capacity(apps.len());
+        for (i, app) in apps.iter().enumerate() {
+            app_of.entry(app.package.as_str()).or_insert(i);
+        }
+        CarveOuts {
+            apps,
+            router: resolution::Router::new(apps.iter().map(|a| &a.components)),
+            app_of,
+            by_action: HashMap::new(),
+        }
+    }
+
+    /// For a hijack exploit, the components legitimately able to
+    /// receive the victim intent (used to scope `ReceiverNotIn` policy
+    /// conditions): the classes the router delivers the action-only
+    /// intent to when the victim's app sends it, to any component kind
+    /// (an `IntentHijack` exploit records no delivery method), minus the
+    /// victim's class; sorted and distinct. Empty for other exploit
+    /// kinds.
+    fn intended_recipients(&mut self, exploit: &'a Exploit) -> Vec<String> {
+        let Exploit::IntentHijack {
+            victim_app,
+            victim_component,
+            hijacked_action,
+            ..
+        } = exploit
+        else {
+            return Vec::new();
+        };
+        let (apps, router) = (self.apps, &self.router);
+        let (intent, exported) = self
+            .by_action
+            .entry(hijacked_action.as_deref())
+            .or_insert_with_key(|action| {
+                let mut intent = resolution::IntentData::new();
+                intent.action = action.map(Into::into);
+                let component = |(ai, ci): resolution::Slot| &apps[ai].components[ci];
+                let mut slots = Vec::new();
+                for kind in ComponentKind::ALL {
+                    router.route(component, kind, &intent, None, &mut slots);
+                }
+                let classes: BTreeSet<&str> = slots
+                    .into_iter()
+                    .map(|slot| component(slot).class.as_str())
+                    .collect();
+                (intent, classes.into_iter().collect())
+            });
+        // The router's export rule admits the sender's own components
+        // whether or not they are exported; its filter test is the one
+        // below, whatever the kind.
+        let own: Vec<&str> = self
+            .app_of
+            .get(victim_app.as_str())
+            .map(|&ai| &apps[ai].components)
+            .into_iter()
+            .flatten()
+            .filter(|c| !c.exported && resolution::any_filter_matches(intent, &c.filters))
+            .map(|c| c.class.as_str())
+            .collect();
+        let victim = victim_component.as_str();
+        if own.is_empty() {
+            return exported
+                .iter()
+                .filter(|class| **class != victim)
+                .map(|class| class.to_string())
+                .collect();
+        }
+        let mut classes: BTreeSet<&str> = exported.iter().copied().chain(own).collect();
+        classes.remove(victim);
+        classes.into_iter().map(String::from).collect()
+    }
+}
+
+/// Reference for [`CarveOuts::intended_recipients`]: scans every
+/// component of the bundle for each exploit.
 #[cfg(test)]
 pub(crate) fn intended_recipients_by_scan(apps: &[AppModel], exploit: &Exploit) -> Vec<String> {
     let Exploit::IntentHijack {
@@ -1240,6 +1296,28 @@ mod tests {
         probes
     }
 
+    /// The motivating bundle with receivers of `showLoc` that only their
+    /// own app may reach: one beside the sender (a legitimate recipient)
+    /// and one in another app (not one), next to an exported one.
+    fn private_receivers_bundle() -> Vec<AppModel> {
+        let mut apps = motivating_bundle();
+        let receiver = |class: &str, exported: bool| {
+            let mut c = comp(class, ComponentKind::Receiver);
+            c.filters.push(IntentFilterDecl::for_actions(["showLoc"]));
+            c.exported = exported;
+            c
+        };
+        apps[0].components.push(receiver("LNavPrivate;", false));
+        apps.push(app(
+            "com.other",
+            vec![
+                receiver("LOtherPrivate;", false),
+                receiver("LOtherPublic;", true),
+            ],
+        ));
+        apps
+    }
+
     #[test]
     fn intended_recipients_match_the_per_exploit_scan() {
         let market: Vec<AppModel> =
@@ -1247,24 +1325,71 @@ mod tests {
                 .iter()
                 .map(|m| extract_apk(&m.apk))
                 .collect();
-        for apps in [motivating_bundle(), market] {
+        for apps in [motivating_bundle(), private_receivers_bundle(), market] {
             let report = Separ::new().analyze_models(apps).expect("succeeds");
             let probes = hijack_probes(&report.apps, &report);
             assert!(probes
                 .iter()
                 .any(|e| matches!(e, Exploit::IntentHijack { .. })));
-            let router = resolution::Router::new(report.apps.iter().map(|a| &a.components));
+            let mut carve_outs = CarveOuts::new(&report.apps);
             let mut nonempty = 0;
             for e in &probes {
                 let expected = intended_recipients_by_scan(&report.apps, e);
                 nonempty += usize::from(!expected.is_empty());
-                assert_eq!(
-                    intended_recipients(&report.apps, &router, e),
-                    expected,
-                    "{e}"
-                );
+                assert_eq!(carve_outs.intended_recipients(e), expected, "{e}");
             }
             assert!(nonempty > 0, "some probe has intended recipients");
+        }
+    }
+
+    /// [`derive_policies`] with every carve-out taken from
+    /// [`intended_recipients_by_scan`]: the reference derivation.
+    fn derive_policies_by_scan(apps: &[AppModel], exploits: &[Exploit]) -> Vec<Policy> {
+        let policies = exploits
+            .iter()
+            .flat_map(|e| policies_for_exploit(e, intended_recipients_by_scan(apps, e)))
+            .collect();
+        finalize_policies(policies)
+    }
+
+    #[test]
+    fn a_hijacked_intents_own_app_receives_it_privately() {
+        let apps = private_receivers_bundle();
+        let hijack = Exploit::IntentHijack {
+            victim_app: "com.nav".into(),
+            victim_component: "LLocationFinder;".into(),
+            hijacked_action: Some("showLoc".into()),
+            leaked: BTreeSet::new(),
+        };
+        let expected = ["LNavPrivate;", "LOtherPublic;", "LRouteFinder;"];
+        assert_eq!(CarveOuts::new(&apps).intended_recipients(&hijack), expected);
+        assert_eq!(intended_recipients_by_scan(&apps, &hijack), expected);
+    }
+
+    #[test]
+    fn derivation_matches_the_per_exploit_scan_byte_for_byte() {
+        let markets = [1, 7, 11].map(|seed| {
+            separ_corpus::market::generate(&separ_corpus::market::MarketSpec::scaled(150, seed))
+                .iter()
+                .map(|m| extract_apk(&m.apk))
+                .collect::<Vec<AppModel>>()
+        });
+        let hand_built = [motivating_bundle(), private_receivers_bundle()];
+        for apps in hand_built.into_iter().chain(markets) {
+            let report = Separ::new().analyze_models(apps).expect("succeeds");
+            let probes = hijack_probes(&report.apps, &report);
+            for exploits in [&report.exploits, &probes] {
+                let derived = derive_policies(&report.apps, exploits.iter());
+                let reference = derive_policies_by_scan(&report.apps, exploits);
+                assert_eq!(
+                    crate::policy_io::to_json(&derived),
+                    crate::policy_io::to_json(&reference)
+                );
+            }
+            assert_eq!(
+                report.policies,
+                derive_policies(&report.apps, report.exploits.iter())
+            );
         }
     }
 }

@@ -171,7 +171,9 @@ fn first_occurrences<'a>(mut seen: HashSet<PolicyKey<'a>>, policies: &'a [Policy
 /// The mapping follows the paper's running example: an exploit synthesized
 /// from the model instance becomes an ECA rule whose conditions are the
 /// properties of the malicious (or vulnerable) intent in that instance.
-pub fn policies_for_exploit(exploit: &Exploit, intended: &[String]) -> Vec<Policy> {
+/// A hijack policy's `ReceiverNotIn` condition takes `intended`, the
+/// intent's legitimate recipients, as it is (other exploits ignore it).
+pub fn policies_for_exploit(exploit: &Exploit, intended: Vec<String>) -> Vec<Policy> {
     let mut out = Vec::new();
     match exploit {
         Exploit::IntentHijack {
@@ -188,7 +190,7 @@ pub fn policies_for_exploit(exploit: &Exploit, intended: &[String]) -> Vec<Polic
                 conditions.push(Condition::ExtraTagged(r.name().to_string()));
             }
             if !intended.is_empty() {
-                conditions.push(Condition::ReceiverNotIn(intended.to_vec()));
+                conditions.push(Condition::ReceiverNotIn(intended));
             }
             out.push(Policy {
                 id: 0,
@@ -342,7 +344,7 @@ mod tests {
 
     #[test]
     fn hijack_policy_guards_the_send() {
-        let pols = policies_for_exploit(&hijack(), &["LRouteFinder;".to_string()]);
+        let pols = policies_for_exploit(&hijack(), vec!["LRouteFinder;".to_string()]);
         assert_eq!(pols.len(), 1);
         let p = &pols[0];
         assert_eq!(p.event, PolicyEvent::IccSend);
@@ -371,7 +373,7 @@ mod tests {
             sinks: [Resource::Sms].into_iter().collect(),
             via_action: None,
         };
-        let pols = policies_for_exploit(&e, &[]);
+        let pols = policies_for_exploit(&e, Vec::new());
         let p = &pols[0];
         assert_eq!(p.event, PolicyEvent::IccReceive);
         assert!(p
@@ -385,8 +387,8 @@ mod tests {
 
     #[test]
     fn finalize_dedups_and_renumbers() {
-        let p1 = policies_for_exploit(&hijack(), &[]);
-        let p2 = policies_for_exploit(&hijack(), &[]);
+        let p1 = policies_for_exploit(&hijack(), Vec::new());
+        let p2 = policies_for_exploit(&hijack(), Vec::new());
         let all: Vec<Policy> = p1.into_iter().chain(p2).collect();
         let out = finalize_policies(all);
         assert_eq!(out.len(), 1);
@@ -398,7 +400,7 @@ mod tests {
         // No serialization framework is in the workspace dependency set;
         // `policy_io` is the shipping format. Every policy this module
         // derives must survive the round trip.
-        let pols = policies_for_exploit(&hijack(), &["LRouteFinder;".to_string()]);
+        let pols = policies_for_exploit(&hijack(), vec!["LRouteFinder;".to_string()]);
         let json = crate::policy_io::to_json(&pols);
         assert_eq!(crate::policy_io::from_json(&json).expect("parses"), pols);
         let _ = (IntentData::new(), BTreeSet::<u8>::new());

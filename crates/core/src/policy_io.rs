@@ -233,8 +233,8 @@ mod tests {
             sinks: [Resource::Sms].into_iter().collect(),
             via_action: None,
         };
-        let mut out = policies_for_exploit(&hijack, &["LRoute;".to_string()]);
-        out.extend(policies_for_exploit(&leak, &[]));
+        let mut out = policies_for_exploit(&hijack, vec!["LRoute;".to_string()]);
+        out.extend(policies_for_exploit(&leak, Vec::new()));
         out
     }
 

@@ -63,20 +63,36 @@
 //! batch analysis's, or two in one process — fails, naming the
 //! directory. The store remembers which pack and digests it restored
 //! or wrote and which result files it loaded or wrote, and re-persisting
-//! an unchanged bundle or result replaces no file. Persist encodes,
-//! hashes and writes one entry at a time on the calling thread, never
-//! holding more than one encoding. Restore opens the pack once and reads
-//! a chunk of entries (contiguous in the pack) with one positioned read,
-//! checks them on the store's [`Executor`], and decodes them on the
-//! calling thread, in manifest order. Orphaned packs and result files a
-//! crash may have left wait for the next persist to be collected.
+//! an unchanged bundle or result replaces no file. A persist without
+//! digests keeps the remembered digest of every row whose package's
+//! model is still at the address it was recorded for, and drops it for
+//! a model that changed, so a daemon's saves leave the next batch
+//! analysis nothing to re-extract but what the daemon changed. Persist
+//! encodes, hashes and writes one entry at a time on the calling thread,
+//! never holding more than one encoding.
+//!
+//! Restore is one pipelined pass over the pack, in chunks of entries
+//! that are contiguous in it. A checker thread reads a chunk with one
+//! positioned read and checks each entry (its content address against
+//! the manifest's, and its payload checksum) while the calling thread
+//! decodes the chunk before it, in manifest order; the two hand two
+//! chunk buffers back and forth. The checker only reads and hashes:
+//! the buffers are allocated before it starts, and every model is
+//! allocated on the calling thread, since models live as long as the
+//! session and allocating them on another thread would put them in
+//! that thread's malloc arena, raising peak RSS. With a one-thread
+//! [`Executor`] the whole pass runs on the calling thread. Orphaned
+//! packs and result files a crash may have left wait for the next
+//! persist to be collected.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::fs::{File, TryLockError};
 use std::io::{BufWriter, Write as _};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
 
 use separ_analysis::cache::{
@@ -89,8 +105,8 @@ use crate::exec::Executor;
 use crate::exploit::Exploit;
 use crate::reuse::{decode_hex, decode_result, encode_result, Hex, ModelAddress, ResultKey};
 
-/// Entries restore takes per positioned read (and per round of checks
-/// on the executor): bounds the entry bytes held at once.
+/// Entries restore takes per positioned read: with two chunk buffers in
+/// flight, bounds the entry bytes held at once.
 const CHUNK: usize = 256;
 
 /// The manifest version [`SessionStore::persist`] writes.
@@ -143,16 +159,64 @@ pub struct SessionStore {
     /// `dir`, locked for as long as this store is open.
     _lock: File,
     executor: Executor,
-    /// The name of the pack the manifest names and the manifest's
-    /// package digests, when this store restored or wrote them;
-    /// persisting the bundle and digests they stand for writes nothing.
-    manifest: Mutex<Option<(String, Vec<Option<PackageDigest>>)>>,
+    /// What this store knows the manifest holds.
+    manifest: Mutex<KnownManifest>,
     /// Result files this store loaded or wrote, and the current keys.
     results: Mutex<ResultFiles>,
     /// Filesystem steps [`SessionStore::persist`] completes before it
     /// stops as a crash would (see [`SessionStore::step`]).
     #[cfg(test)]
     crash_after: std::sync::atomic::AtomicUsize,
+}
+
+/// What a [`SessionStore`] knows of its manifest.
+#[derive(Debug, Default)]
+struct KnownManifest {
+    /// The name of the pack the manifest names and the manifest's
+    /// package digests in row order, when this store restored (every
+    /// entry intact) or wrote them; persisting the bundle and digests
+    /// they stand for writes nothing.
+    written: Option<(String, Vec<Option<PackageDigest>>)>,
+    /// Per package whose manifest row has a digest, that row's model
+    /// address and digest: [`SessionStore::persist`] keeps the digest
+    /// while the package's model stays at that address.
+    digests: HashMap<String, (ModelAddress, PackageDigest)>,
+}
+
+impl KnownManifest {
+    /// The digests of `rows` (package, model address) that a persist
+    /// without digests keeps.
+    fn kept_digests<'a>(
+        &self,
+        rows: impl Iterator<Item = (&'a str, &'a ModelAddress)>,
+    ) -> Vec<Option<PackageDigest>> {
+        rows.map(|(package, address)| {
+            let (known, digest) = self.digests.get(package)?;
+            (known == address).then_some(*digest)
+        })
+        .collect()
+    }
+
+    /// Remembers the digests of `rows` (package, model address, digest).
+    fn remember_digests<'a>(
+        &mut self,
+        rows: impl Iterator<Item = (&'a str, &'a ModelAddress, &'a Option<PackageDigest>)>,
+    ) {
+        self.digests = rows
+            .filter_map(|(package, address, digest)| {
+                Some((package.to_string(), (*address, (*digest)?)))
+            })
+            .collect();
+    }
+}
+
+/// One chunk's pack bytes and what the checker found of its entries.
+struct CheckedChunk {
+    /// The chunk's bytes, as far as the pack holds them.
+    bytes: Vec<u8>,
+    /// Per entry, where its payload lies in `bytes` if the entry checked
+    /// out.
+    payloads: Vec<Option<Range<usize>>>,
 }
 
 /// What a [`SessionStore`] knows of its result files.
@@ -171,6 +235,8 @@ struct PackEntry {
     /// The content address the manifest gives the entry (`None` if it
     /// does not parse).
     address: Option<ModelAddress>,
+    /// The package the manifest gives the entry, where it has a digest.
+    package: Option<String>,
     /// The package digest the manifest gives the entry, if any.
     digest: Option<PackageDigest>,
     offset: u64,
@@ -202,21 +268,22 @@ impl SessionStore {
             _lock: lock,
             dir,
             executor: Executor::default(),
-            manifest: Mutex::new(None),
+            manifest: Mutex::new(KnownManifest::default()),
             results: Mutex::new(ResultFiles::default()),
             #[cfg(test)]
             crash_after: std::sync::atomic::AtomicUsize::new(usize::MAX),
         })
     }
 
-    /// Runs [`SessionStore::restore`]'s checking on `executor` (default:
-    /// one worker per hardware thread).
+    /// Checks entries on a thread of their own during
+    /// [`SessionStore::restore`] unless `executor` has one thread
+    /// (default: one worker per hardware thread).
     pub fn with_executor(mut self, executor: Executor) -> SessionStore {
         self.executor = executor;
         self
     }
 
-    fn manifest(&self) -> std::sync::MutexGuard<'_, Option<(String, Vec<Option<PackageDigest>>)>> {
+    fn manifest(&self) -> std::sync::MutexGuard<'_, KnownManifest> {
         // Only a cache of what is on disk; a panic elsewhere cannot leave
         // it naming a pack the manifest does not.
         self.manifest.lock().unwrap_or_else(|e| e.into_inner())
@@ -254,12 +321,15 @@ impl SessionStore {
         Ok(())
     }
 
-    /// Persists the current bundle, with no package digests: writes its
-    /// pack unless the manifest already names it, replaces the manifest
-    /// unless it already records exactly this bundle, then removes the
-    /// packs and temp files the manifest does not name, a first-layout
-    /// `models/` directory, and the result files no key of the last
-    /// [`SessionStore::persist_results`] names.
+    /// Persists the current bundle: writes its pack unless the manifest
+    /// already names it, replaces the manifest unless it already records
+    /// exactly this bundle, then removes the packs and temp files the
+    /// manifest does not name, a first-layout `models/` directory, and
+    /// the result files no key of the last
+    /// [`SessionStore::persist_results`] names. A row keeps the package
+    /// digest this store last restored or wrote for its package while
+    /// the package's model is at the same address; a changed model
+    /// loses it.
     ///
     /// # Errors
     ///
@@ -267,7 +337,7 @@ impl SessionStore {
     /// the *previous* manifest and the pack it names remain intact and
     /// authoritative.
     pub fn persist(&self, apps: &[AppModel]) -> Result<(), StoreError> {
-        self.persist_with_digests(apps, &vec![None; apps.len()])
+        self.persist_rows(apps, None)
     }
 
     /// [`SessionStore::persist`], recording `digests[i]`, the SHA-256 of
@@ -284,6 +354,16 @@ impl SessionStore {
         digests: &[Option<PackageDigest>],
     ) -> Result<(), StoreError> {
         assert_eq!(apps.len(), digests.len(), "one digest per app");
+        self.persist_rows(apps, Some(digests))
+    }
+
+    /// [`SessionStore::persist_with_digests`] with the given digests, or
+    /// [`SessionStore::persist`]'s kept ones for `None`.
+    fn persist_rows(
+        &self,
+        apps: &[AppModel],
+        digests: Option<&[Option<PackageDigest>]>,
+    ) -> Result<(), StoreError> {
         let _span = separ_obs::span("serve.store.persist");
         let mut current = self.manifest();
         let packs = self.dir.join("packs");
@@ -307,8 +387,16 @@ impl SessionStore {
         self.step()?;
         let addresses: Vec<u8> = entries.iter().flat_map(|(address, _)| *address).collect();
         let name = Hex(&sha256(&addresses)).to_string();
-        let (named, recorded) = match &*current {
-            Some((pack, known)) => (*pack == name, known == digests),
+        let digests = match digests {
+            Some(digests) => digests.to_vec(),
+            None => current.kept_digests(
+                apps.iter()
+                    .zip(&entries)
+                    .map(|(app, (address, _))| (app.package.as_str(), address)),
+            ),
+        };
+        let (named, recorded) = match &current.written {
+            Some((pack, known)) => (*pack == name, *known == digests),
             None => (false, false),
         };
         if named {
@@ -322,7 +410,7 @@ impl SessionStore {
         if !(named && recorded) {
             let mut text = String::with_capacity(64 + apps.len() * 200);
             let _ = write!(text, r#"{{"version":{VERSION},"pack":"{name}","apps":["#);
-            let rows = apps.iter().zip(&entries).zip(digests);
+            let rows = apps.iter().zip(&entries).zip(&digests);
             for (i, ((app, (address, len)), digest)) in rows.enumerate() {
                 text.push_str(if i == 0 { "[" } else { ",[" });
                 separ_obs::json::write_str(&app.package, &mut text);
@@ -338,7 +426,11 @@ impl SessionStore {
             self.step()?;
             let manifest = self.manifest_path();
             std::fs::rename(&tmp, &manifest).map_err(io_error(&manifest))?;
-            *current = Some((name.clone(), digests.to_vec()));
+            let rows = apps.iter().zip(&entries).zip(&digests);
+            current.remember_digests(
+                rows.map(|((app, (address, _)), digest)| (app.package.as_str(), address, digest)),
+            );
+            current.written = Some((name.clone(), digests));
             self.step()?;
         }
         // Garbage-collect what the manifest no longer names. Best effort:
@@ -460,9 +552,14 @@ impl SessionStore {
                 .and_then(Value::as_u64)
                 .ok_or_else(|| malformed("an entry without a length"))?;
             let hex = |i: usize| field(i).and_then(Value::as_str).and_then(parse_hex32);
+            let digest = hex(3);
             entries.push(PackEntry {
                 address: hex(1),
-                digest: hex(3),
+                package: digest
+                    .and(field(0))
+                    .and_then(Value::as_str)
+                    .map(String::from),
+                digest,
                 offset,
                 len,
             });
@@ -477,54 +574,116 @@ impl SessionStore {
         };
         // A missing pack loses every entry, one by one.
         let file = File::open(self.pack_path(&pack)).ok();
-        let pack_len = file
-            .as_ref()
-            .and_then(|f| f.metadata().ok())
-            .map_or(0, |m| m.len());
-        let mut bytes = Vec::new();
-        for chunk in entries.chunks(CHUNK) {
-            // A chunk's entries are contiguous in the pack: one read
-            // takes the part of them the pack holds.
-            let (first, last) = (&chunk[0], &chunk[chunk.len() - 1]);
-            let start = first.offset.min(pack_len);
-            let end = (last.offset + last.len).min(pack_len);
-            bytes.clear();
-            bytes.resize(usize::try_from(end - start).unwrap_or(0), 0);
-            let read = file
-                .as_ref()
-                .is_some_and(|f| f.read_exact_at(&mut bytes, start).is_ok());
-            // Each entry is checked (content address against the
-            // manifest's, and payload checksum) on the executor.
-            let payloads = self.executor.ordered_map(chunk, |entry| {
-                if !read {
-                    return None;
+        self.decode_pack(file.as_ref(), &entries, |entry, model| {
+            match entry.address.zip(model) {
+                Some((address, model)) => {
+                    restored.apps.push(model);
+                    restored.addresses.push(address);
+                    restored.digests.push(entry.digest);
                 }
-                // In range: offsets and lengths were summed checked.
-                let at = usize::try_from(entry.offset - start).ok()?;
-                let entry_bytes = bytes.get(at..at + usize::try_from(entry.len).ok()?)?;
-                (entry_address(entry_bytes) == entry.address?)
-                    .then(|| entry_payload(entry_bytes))?
-            });
-            // Decoded serially: the models live as long as the session,
-            // and allocating them on short-lived executor threads spreads
-            // them over extra malloc arenas, raising peak RSS.
-            for (entry, payload) in chunk.iter().zip(payloads) {
-                match entry.address.zip(payload.and_then(decode_payload)) {
-                    Some((address, model)) => {
-                        restored.apps.push(model);
-                        restored.addresses.push(address);
-                        restored.digests.push(entry.digest);
-                    }
-                    None => restored.skipped += 1,
-                }
+                None => restored.skipped += 1,
             }
-        }
+        });
+        let mut known = self.manifest();
+        known.remember_digests(
+            entries
+                .iter()
+                .filter_map(|e| Some((e.package.as_deref()?, e.address.as_ref()?, &e.digest))),
+        );
         // Remembered only when every entry checked out: a persist of the
         // same bundle must replace a damaged pack.
-        if file.is_some() && restored.skipped == 0 {
-            *self.manifest() = Some((pack, entries.iter().map(|e| e.digest).collect()));
-        }
+        known.written = (file.is_some() && restored.skipped == 0)
+            .then(|| (pack, entries.iter().map(|e| e.digest).collect()));
         Ok(restored)
+    }
+
+    /// Checks and decodes every entry of the pack in `file` (`None`: no
+    /// pack), calling `restored` with each entry and its model (`None`
+    /// if the pack lacks the entry or it does not check out), in
+    /// manifest order, on the calling thread. A checker thread reads and
+    /// checks each chunk while this thread decodes the one before it,
+    /// unless the executor has one thread (see the module docs).
+    fn decode_pack(
+        &self,
+        file: Option<&File>,
+        entries: &[PackEntry],
+        mut restored: impl FnMut(&PackEntry, Option<AppModel>),
+    ) {
+        let pack_len = file.and_then(|f| f.metadata().ok()).map_or(0, |m| m.len());
+        // A chunk's entries are contiguous in the pack: this is the part
+        // of them the pack holds.
+        let span = |chunk: &[PackEntry]| {
+            let (first, last) = (&chunk[0], &chunk[chunk.len() - 1]);
+            first.offset.min(pack_len)..(last.offset + last.len).min(pack_len)
+        };
+        let check = |chunk: &[PackEntry], buffer: &mut CheckedChunk| {
+            let span = span(chunk);
+            buffer.bytes.clear();
+            // Within the capacity the buffer was made with.
+            buffer
+                .bytes
+                .resize(usize::try_from(span.end - span.start).unwrap_or(0), 0);
+            let read = file.is_some_and(|f| f.read_exact_at(&mut buffer.bytes, span.start).is_ok());
+            let bytes = &buffer.bytes;
+            buffer.payloads.clear();
+            buffer.payloads.extend(chunk.iter().map(|entry| {
+                // In range: offsets and lengths were summed checked.
+                let at = usize::try_from(entry.offset - span.start).ok()?;
+                let end = at + usize::try_from(entry.len).ok()?;
+                let entry_bytes = bytes.get(at..end).filter(|_| read)?;
+                let payload = (entry_address(entry_bytes) == entry.address?)
+                    .then(|| entry_payload(entry_bytes))??;
+                // The payload is the entry's tail.
+                Some(end - payload.len()..end)
+            }));
+        };
+        let mut decode = |chunk: &[PackEntry], buffer: &CheckedChunk| {
+            for (entry, payload) in chunk.iter().zip(&buffer.payloads) {
+                let model = payload
+                    .clone()
+                    .and_then(|range| decode_payload(&buffer.bytes[range]));
+                restored(entry, model);
+            }
+        };
+        let chunks = entries.chunks(CHUNK);
+        // Both buffers are made here, at their largest size, so that the
+        // checker never allocates.
+        let capacity = chunks.clone().map(|c| span(c).end - span(c).start).max();
+        let buffer = || CheckedChunk {
+            bytes: Vec::with_capacity(usize::try_from(capacity.unwrap_or(0)).unwrap_or(0)),
+            payloads: Vec::with_capacity(CHUNK),
+        };
+        if self.executor.threads() <= 1 || chunks.len() <= 1 {
+            let mut buffer = buffer();
+            for chunk in chunks {
+                check(chunk, &mut buffer);
+                decode(chunk, &buffer);
+            }
+            return;
+        }
+        let (to_check, free) = sync_channel::<CheckedChunk>(2);
+        let (to_decode, checked) = sync_channel::<CheckedChunk>(2);
+        for _ in 0..2 {
+            to_check.send(buffer()).expect("the receiver is alive");
+        }
+        std::thread::scope(|scope| {
+            let to_check_chunks = chunks.clone();
+            scope.spawn(move || {
+                for chunk in to_check_chunks {
+                    let Ok(mut buffer) = free.recv() else { return };
+                    check(chunk, &mut buffer);
+                    if to_decode.send(buffer).is_err() {
+                        return;
+                    }
+                }
+            });
+            for chunk in chunks {
+                let buffer = checked.recv().expect("the checker sends every chunk");
+                decode(chunk, &buffer);
+                // The checker is done once it has sent the last chunk.
+                let _ = to_check.send(buffer);
+            }
+        });
     }
 
     /// Restores a store of the first layout (`{"version":1,"apps":
@@ -824,7 +983,8 @@ mod tests {
         let restored = reopened.restore().expect("restores");
         assert_eq!(restored.apps, apps);
         assert_eq!(restored.digests, [Some(digests[0]), Some(digests[1])]);
-        // Unchanged digests write nothing; dropping them rewrites the
+        // Unchanged digests write nothing, and neither does a persist
+        // without digests, which keeps them; dropping them rewrites the
         // manifest again.
         let manifest_ino = ino(&manifest);
         reopened
@@ -832,6 +992,10 @@ mod tests {
             .expect("persists");
         assert_eq!(ino(&manifest), manifest_ino);
         reopened.persist(&apps).expect("persists");
+        assert_eq!(ino(&manifest), manifest_ino);
+        reopened
+            .persist_with_digests(&apps, &[None, None])
+            .expect("persists");
         assert_ne!(ino(&manifest), manifest_ino);
         drop(reopened);
         assert_eq!(restore(&dir).digests, [None, None]);
@@ -937,6 +1101,131 @@ mod tests {
         std::fs::remove_file(&pack).expect("removes");
         let restored = restore(&dir);
         assert_eq!((restored.apps.len(), restored.skipped), (0, 5));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What restore must return for the store in `dir`: each manifest
+    /// entry decoded on its own by `decode_entry`, in manifest order
+    /// (apps, addresses, digests, skipped).
+    fn restore_oracle(
+        dir: &Path,
+    ) -> (
+        Vec<AppModel>,
+        Vec<ModelAddress>,
+        Vec<Option<PackageDigest>>,
+        usize,
+    ) {
+        let text = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+        let manifest = Value::parse(text.trim()).expect("parses");
+        let name = manifest.get("pack").and_then(Value::as_str).expect("pack");
+        let pack =
+            std::fs::read(dir.join("packs").join(format!("{name}.pack"))).unwrap_or_default();
+        let mut out = (Vec::new(), Vec::new(), Vec::new(), 0);
+        let mut offset = 0;
+        for row in manifest.get("apps").and_then(Value::as_arr).expect("apps") {
+            let field = |i: usize| row.as_arr().and_then(|fields| fields.get(i));
+            let hex = |i: usize| field(i).and_then(Value::as_str).and_then(parse_hex32);
+            let len = field(2).and_then(Value::as_u64).expect("length") as usize;
+            let address = hex(1).expect("address");
+            let model = pack
+                .get(offset..offset + len)
+                .filter(|entry| entry_address(entry) == address)
+                .and_then(decode_entry);
+            match model {
+                Some(model) => {
+                    out.0.push(model);
+                    out.1.push(address);
+                    out.2.push(hex(3));
+                }
+                None => out.3 += 1,
+            }
+            offset += len;
+        }
+        out
+    }
+
+    #[test]
+    fn restore_returns_what_decoding_each_entry_alone_does() {
+        let dir = tmp("oracle");
+        let _ = std::fs::remove_dir_all(&dir);
+        let apps: Vec<AppModel> = (0..CHUNK * 3 + 5)
+            .map(|i| app(&format!("com.app{i}")))
+            .collect();
+        let digests: Vec<Option<PackageDigest>> = (0..apps.len())
+            .map(|i| (i % 3 != 0).then_some([i as u8; 32]))
+            .collect();
+        SessionStore::open(&dir)
+            .expect("opens")
+            .persist_with_digests(&apps, &digests)
+            .expect("persists");
+        let pack = the_pack(&dir);
+        let intact = std::fs::read(&pack).expect("read");
+        let check = |what: &str| {
+            let expected = restore_oracle(&dir);
+            for threads in [1, 2, 3] {
+                let restored = SessionStore::open(&dir)
+                    .expect("reopens")
+                    .with_executor(Executor::new(threads))
+                    .restore()
+                    .expect("restores");
+                let got = (
+                    restored.apps,
+                    restored.addresses,
+                    restored.digests,
+                    restored.skipped,
+                );
+                assert!(got == expected, "{what}, {threads} thread(s)");
+            }
+            expected.3
+        };
+        assert_eq!(check("intact"), 0);
+        // Damage in the first, a middle and the last chunk: a payload
+        // byte, a checksum byte and the last byte of the pack.
+        let mut damaged = intact.clone();
+        damaged[span_of(&apps, 0).end - 1] ^= 0x1;
+        damaged[span_of(&apps, CHUNK + 7).start + 8] ^= 0x1;
+        damaged[span_of(&apps, apps.len() - 1).end - 1] ^= 0x1;
+        std::fs::write(&pack, &damaged).expect("write");
+        assert_eq!(check("damaged"), 3);
+        // Cut inside the second chunk: it and every later chunk lose
+        // exactly the entries the pack lacks.
+        std::fs::write(&pack, &intact[..span_of(&apps, CHUNK + 3).end - 1]).expect("cut");
+        assert_eq!(check("truncated"), apps.len() - (CHUNK + 3));
+        std::fs::remove_file(&pack).expect("removes");
+        assert_eq!(check("missing"), apps.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn persist_keeps_the_digests_of_unchanged_models_only() {
+        let dir = tmp("kept-digests");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut apps = vec![app("com.a"), app("com.b"), app("com.c")];
+        let digests = [[1; 32], [2; 32], [3; 32]].map(Some);
+        SessionStore::open(&dir)
+            .expect("opens")
+            .persist_with_digests(&apps, &digests)
+            .expect("persists");
+        // A store that restored the rows (a daemon's, say) changes one
+        // model and drops another: the changed one loses its digest, the
+        // untouched ones keep theirs, wherever their row now is.
+        let store = SessionStore::open(&dir).expect("reopens");
+        assert_eq!(store.restore().expect("restores").digests, digests);
+        apps[1].uses_permissions.insert("NEW".into());
+        apps.remove(0);
+        store.persist(&apps).expect("persists");
+        drop(store);
+        let store = SessionStore::open(&dir).expect("reopens");
+        assert_eq!(
+            store.restore().expect("restores").digests,
+            [None, digests[2]]
+        );
+        // The same store keeps what it wrote: putting the first app back
+        // adds a row without a digest.
+        apps.insert(0, app("com.a"));
+        store.persist(&apps).expect("persists");
+        drop(store);
+        assert_eq!(restore(&dir).digests, [None, None, digests[2]]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

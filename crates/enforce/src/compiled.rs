@@ -212,7 +212,9 @@ struct EventIndex {
 /// decision path).
 #[derive(Debug)]
 pub struct CompiledPolicySet {
-    policies: Vec<Policy>,
+    /// Shared with whoever else holds the list (a session publishing it,
+    /// say): compiling never copies it.
+    policies: Arc<[Policy]>,
     /// Interned vulnerability categories, parallel to `policies`
     /// (refcount-cloned into deny decisions — no allocation).
     vulns: Vec<Arc<str>>,
@@ -233,7 +235,14 @@ impl CompiledPolicySet {
     /// whose [content identity](Policy::content_key) duplicates an
     /// earlier one are left out of the index entirely — first occurrence
     /// wins, as in the linear scan.
-    pub fn compile(policies: Vec<Policy>, bundle_packages: Vec<String>) -> CompiledPolicySet {
+    ///
+    /// `policies` is a `Vec<Policy>` or an already shared
+    /// `Arc<[Policy]>`, which the set then shares.
+    pub fn compile(
+        policies: impl Into<Arc<[Policy]>>,
+        bundle_packages: Vec<String>,
+    ) -> CompiledPolicySet {
+        let policies: Arc<[Policy]> = policies.into();
         let mut pool = StringPool::default();
         let bundle_ids: Box<[u32]> = {
             let mut ids: Vec<u32> = bundle_packages.iter().map(|p| pool.intern(p)).collect();

@@ -112,7 +112,7 @@ impl std::error::Error for ServeError {}
 /// replaces it after every batch.
 #[derive(Debug, Default, Clone)]
 struct Published {
-    policies: Arc<Vec<Policy>>,
+    policies: Arc<[Policy]>,
     apps: Vec<String>,
     exploits: Vec<String>,
     total_syntheses: usize,
@@ -185,11 +185,19 @@ impl Daemon {
             &stored,
         )
         .map_err(|e| ServeError(format!("initial analysis: {e}")))?;
-        let pdp = SharedPdp::new(CompiledPolicySet::compile(
-            session.policies().to_vec(),
-            packages_of(&session),
-        ));
-        let published = Arc::new(Mutex::new(snapshot_of(&session)));
+        // The session, the PDP and the published snapshot share one
+        // policy list.
+        let pdp = {
+            let _span = separ_obs::span("serve.pdp_compile");
+            SharedPdp::new(CompiledPolicySet::compile(
+                session.shared_policies(),
+                packages_of(&session),
+            ))
+        };
+        let published = {
+            let _span = separ_obs::span("serve.publish");
+            Arc::new(Mutex::new(snapshot_of(&session)))
+        };
         // Persist at boot only what the disk lacks: the models when they
         // differ from the session's (or are in the first store layout),
         // the results when a signature had to be synthesized (its result
@@ -808,7 +816,7 @@ fn packages_of(session: &IncrementalSession) -> Vec<String> {
 
 fn snapshot_of(session: &IncrementalSession) -> Published {
     Published {
-        policies: Arc::new(session.policies().to_vec()),
+        policies: session.shared_policies(),
         apps: packages_of(session),
         exploits: session.exploits().map(|e| e.to_string()).collect(),
         total_syntheses: session.total_syntheses(),
